@@ -441,8 +441,9 @@ _FM_MS = (1, 2, 3, 5, 10, 50)
 
 def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     grid = cfg.eps_values()
-    r_report = bounds.estimate_r(cfg.c, cfg.N, h=cfg.h)
-    q_report = bounds.estimate_q(cfg.c, cfg.N, grid, h=cfg.h, r_report=r_report)
+    rep = verma.truncated_rep(cfg.c, cfg.h, cfg.N, mode="float")
+    r_report = bounds.estimate_r(cfg.c, cfg.N, h=cfg.h, rep=rep)
+    q_report = bounds.estimate_q(cfg.c, cfg.N, grid, h=cfg.h, rep=rep, r_report=r_report)
 
     fm_rows, fm_violations = [], 0
     for k in _FM_KS:

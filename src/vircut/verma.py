@@ -20,10 +20,14 @@ The inner product is the one induced by L_n* = L_{-n} and <Phi, Phi> = 1
 matrix is positive semidefinite; its kernel (null vectors) is quotiented
 away when building a truncated representation.
 
-Arithmetic is dual mode.  Structure constants are always computed with
-exact rationals; "exact" representations keep exact matrices in a basis
-that is orthogonal with known rational norms squared (the D-basis), and
-"float" representations use float64 matrices in an orthonormal basis.
+Arithmetic is dual mode.  The PBW structure constants (the coefficients
+of L_n on a monomial) are always computed with exact rationals.  "exact"
+mode keeps every matrix built from them exact: Gram matrices, the null
+quotient and the blocks, in a basis that is orthogonal with known
+rational norms squared (the D-basis).  "float" mode rounds each structure
+constant once to float64 and runs the same Gram recursion, the quotient
+and the block assembly in floating point, with blocks in an orthonormal
+basis; no Fraction array is formed.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
@@ -310,11 +315,21 @@ def act(n: int, v: VermaVector, c, h) -> VermaVector:
     return VermaVector({Partition(w): x for w, x in out.items() if x != 0}, level)
 
 
-def monomial_block(n: int, k: int, c, h) -> Optional[np.ndarray]:
+def _zeros(shape, mode: str) -> np.ndarray:
+    """Zero matrix of the arithmetic mode: Fraction objects or float64."""
+    if mode == "exact":
+        return object_zeros(shape)
+    if mode == "float":
+        return np.zeros(shape)
+    raise ValueError(f"unknown arithmetic mode {mode!r}")
+
+
+def monomial_block(n: int, k: int, c, h, mode: str = "exact") -> Optional[np.ndarray]:
     """Matrix of L_n from level k to level k - n in the monomial basis.
 
-    Exact object array of Fractions, shape (p(k-n), p(k)).  None when the
-    target level is negative.
+    Shape (p(k-n), p(k)): an object array of Fractions in exact mode, a
+    float64 array in float mode (each exact entry rounded once).  None
+    when the target level is negative.
     """
     if k < 0 or k - n < 0:
         return None
@@ -322,10 +337,15 @@ def monomial_block(n: int, k: int, c, h) -> Optional[np.ndarray]:
     denom = CENTRAL_DENOMINATOR
     src = _partition_tuples(k)
     dst_index = _partition_index(k - n)
-    out = object_zeros((len(dst_index), len(src)))
+    rows, cols, vals = [], [], []
     for j, word in enumerate(src):
+        # the words of one action are distinct, so every entry is set once
         for w, a in _act_word(n, word, cv, hv, denom):
-            out[dst_index[w], j] = out[dst_index[w], j] + a
+            rows.append(dst_index[w])
+            cols.append(j)
+            vals.append(a)
+    out = _zeros((len(dst_index), len(src)), mode)
+    out[rows, cols] = vals
     return out
 
 
@@ -334,12 +354,12 @@ def monomial_block(n: int, k: int, c, h) -> Optional[np.ndarray]:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Exact inner-product matrix of level-k monomials for parameters (c, h)."""
+    """Inner-product matrix of level-k monomials for parameters (c, h)."""
 
     c: Fraction
     h: Fraction
     level: int
-    entries: np.ndarray  # object array of Fractions, symmetric
+    entries: np.ndarray  # symmetric; Fraction objects (exact) or float64
 
     @property
     def partitions(self) -> list[Partition]:
@@ -352,35 +372,55 @@ class GramMatrix:
         return self.entries[li, mi]
 
 
-def _gram_levels(c: Fraction, h: Fraction, kmax: int, denom: int) -> list[np.ndarray]:
-    """Exact G_0..G_kmax by level recursion.
+def _gram_levels(c: Fraction, h: Fraction, kmax: int, denom: int,
+                 mode: str = "exact") -> list[np.ndarray]:
+    """G_0..G_kmax by level recursion, in the arithmetic of `mode`.
 
-    Row lambda = (a, rest) of G_k is row `rest` of G_{k-a} @ L_a(k): pairing
-    <L_{-a} m_rest, m_mu> = <m_rest, L_a m_mu>.
+    Row lambda = (a, rest) of G_k is row `rest` of G_{k-a} @ L_a(k), from
+    the pairing <L_{-a} m_rest, m_mu> = <m_rest, L_a m_mu>.  Only the rows
+    of G_{k-a} indexed by some `rest` are multiplied: those are the
+    partitions of k - a with first part at most a, a minority of the
+    level for small a.
+
+    Float mode runs the same recursion on float64 arrays.  For c > 0 and
+    h >= 0 every structure constant of L_a, a > 0, is nonnegative
+    (commutators contribute (n + head) > 0, straightening contributes
+    differences of a larger and a smaller part, L_0 contributes h plus a
+    level, the central term c (n^3 - n)/12), so every Gram entry is a sum
+    of products of nonnegative numbers.  Nothing cancels: an exact zero
+    stays an exact zero, and each float entry carries only accumulated
+    rounding, at most (k + p(0) + ... + p(k-1)) u relative to first order
+    (u = 2^-53: one rounding per entry of L_a(k) and a sum of at most
+    p(k-a) nonnegative terms per level).  In practice it is far smaller:
+    against the rounded exact Gram the worst relative error for k <= 12
+    over the tested (c, h) points is 2.5 eps (eps = 2^-52), and the tests
+    hold it to 4 eps.
     """
-    key = (c, h, denom)
-    levels = _GRAM_CACHE.setdefault(key, [np.array([[Fraction(1)]], dtype=object)])
+    key = (c, h, denom, mode)
+    levels = _GRAM_CACHE.get(key)
+    if levels is None:
+        levels = _GRAM_CACHE[key] = [_zeros((1, 1), mode) + 1]
     while len(levels) <= kmax:
         k = len(levels)
         parts_k = _partition_tuples(k)
-        g = object_zeros((len(parts_k), len(parts_k)))
-        products: dict[int, np.ndarray] = {}
-        for i, lam in enumerate(parts_k):
-            a, rest = lam[0], lam[1:]
-            if a not in products:
-                block = monomial_block(a, k, c, h)
-                products[a] = np.dot(levels[k - a], block)
-            g[i, :] = products[a][_partition_index(k - a)[rest], :]
+        g = _zeros((len(parts_k), len(parts_k)), mode)
+        row = 0
+        for a, group in groupby(parts_k, key=lambda lam: lam[0]):
+            index = _partition_index(k - a)
+            needed = [index[lam[1:]] for lam in group]
+            g[row:row + len(needed), :] = np.dot(levels[k - a][needed, :],
+                                                 monomial_block(a, k, c, h, mode))
+            row += len(needed)
         levels.append(g)
     return levels
 
 
-def gram_matrix(c, h, k: int) -> GramMatrix:
-    """Exact level-k Gram matrix in the reverse-lexicographic monomial basis."""
+def gram_matrix(c, h, k: int, mode: str = "exact") -> GramMatrix:
+    """Level-k Gram matrix in the reverse-lexicographic monomial basis."""
     if k < 0:
         raise ValueError("level must be nonnegative")
     cv, hv = _param_value(c), _param_value(h)
-    levels = _gram_levels(cv, hv, k, CENTRAL_DENOMINATOR)
+    levels = _gram_levels(cv, hv, k, CENTRAL_DENOMINATOR, mode)
     return GramMatrix(cv, hv, k, levels[k].copy())
 
 
@@ -412,14 +452,14 @@ def level_rank(c, h, k: int, mode: str = "exact", tol: float = 1e-10) -> LevelRa
     matrices too).  Float mode thresholds eigenvalues at tol relative to
     the largest one and reports the tolerance used.
     """
-    gram = gram_matrix(c, h, k)
+    gram = gram_matrix(c, h, k, mode)
     parts = enumerate_partitions(k)
     if mode == "exact":
         rank, null_rows = exact_rank_nullspace(gram.entries)
         basis = [VermaVector({p: x for p, x in zip(parts, row) if x != 0}, k)
                  for row in null_rows]
         return LevelRank(rank, basis, "exact")
-    gf = to_float(gram.entries)
+    gf = gram.entries
     if gf.shape[0] == 0:
         return LevelRank(0, [], "float", tol)
     w, u = np.linalg.eigh(gf)
@@ -493,7 +533,7 @@ class TruncatedRep:
 
 def _exact_level_data(c, h, N):
     """Per-level (dims, norms D, basis rows B, extraction rows W) for exact mode."""
-    grams = _gram_levels(c, h, N, CENTRAL_DENOMINATOR)
+    grams = _gram_levels(c, h, N, CENTRAL_DENOMINATOR, "exact")
     dims, normsq, basis_rows, extract = [], [], [], []
     for k in range(N + 1):
         g = grams[k]
@@ -516,17 +556,21 @@ def _exact_level_data(c, h, N):
 def _float_level_data(c, h, N, tol=1e-10):
     """Float-mode per-level data: orthonormal rows from the scaled Gram.
 
-    Rank decisions come from a float64 eigendecomposition of the
-    diagonally scaled Gram.  The basis itself is then lifted to extended
+    Monomials with a zero Gram diagonal are null (a positive semidefinite
+    matrix with G_ii = 0 has row i zero) and are dropped; the float Gram
+    keeps zeros exact, so no threshold is needed there, and a relative one
+    would drop genuine states once the diagonal spans many orders of
+    magnitude.  Rank decisions come from a float64 eigendecomposition of
+    the diagonally scaled Gram.  The basis itself is then lifted to extended
     precision and re-orthonormalized with one Newton-Schulz step: near
     the unitarity boundary the smallest scaled eigenvalue can reach 1e-6
     and the 1/sqrt(w) scaling would otherwise leave relation residuals
     around 1e-10, two orders above what downstream checks budget for.
     """
-    grams = _gram_levels(as_fraction(c), as_fraction(h), N, CENTRAL_DENOMINATOR)
+    grams = _gram_levels(c, h, N, CENTRAL_DENOMINATOR, "float")
     dims, normsq, basis_rows, extract = [], [], [], []
     for k in range(N + 1):
-        g = to_float(grams[k])
+        g = grams[k]
         p = g.shape[0]
         if p == 0:
             dims.append(0)
@@ -538,7 +582,7 @@ def _float_level_data(c, h, N, tol=1e-10):
         maxd = max(diag.max(initial=0.0), 0.0)
         if (diag < -tol * max(maxd, 1.0)).any():
             raise NonUnitaryError(f"negative squared norm at level {k} for c={c}, h={h}")
-        keep0 = diag > tol * max(maxd, 1.0)
+        keep0 = diag > 0
         gs = g[np.ix_(keep0, keep0)]
         s = 1.0 / np.sqrt(diag[keep0])
         gs = gs * s[:, None] * s[None, :]
@@ -590,8 +634,7 @@ def truncated_rep(c, h, N: int, mode: str = "exact", tol: float = 1e-10,
             for k in range(max(0, n), N + 1):
                 if not (0 <= k - n <= N):
                     continue
-                mono = monomial_block(n, k, cv, hv)
-                blocks[(n, k)] = to_float(mono) if mode == "float" else mono
+                blocks[(n, k)] = monomial_block(n, k, cv, hv, mode)
         return TruncatedRep(
             c=cv if mode == "exact" else float(cv),
             h=hv if mode == "exact" else float(hv),
@@ -616,9 +659,7 @@ def truncated_rep(c, h, N: int, mode: str = "exact", tol: float = 1e-10,
         for k in range(max(0, n), N + 1):
             if not (0 <= k - n <= N):
                 continue
-            mono = monomial_block(n, k, cv, hv)
-            if mode == "float":
-                mono = to_float(mono)
+            mono = monomial_block(n, k, cv, hv, mode)
             blk = np.dot(np.dot(extract[k - n], mono), basis_rows[k].T)
             if mode == "float":
                 blk = np.asarray(blk, dtype=np.float64)
@@ -776,9 +817,6 @@ def tensor_rep(a: TruncatedRep, b: TruncatedRep, N: int, dim_cap: int = 20000) -
             return m
         return np.eye(d)
 
-    def zeros(r, s):
-        return object_zeros((r, s)) if mode == "exact" else np.zeros((r, s))
-
     all_offsets = {K: offsets(K) for K in range(N + 1)}
     blocks = {}
     for n in range(-N, N + 1):
@@ -786,7 +824,7 @@ def tensor_rep(a: TruncatedRep, b: TruncatedRep, N: int, dim_cap: int = 20000) -
             Kd = K - n
             if not 0 <= Kd <= N:
                 continue
-            out = zeros(dims[Kd], dims[K])
+            out = _zeros((dims[Kd], dims[K]), mode)
             for ka in range(K + 1):
                 kb = K - ka
                 da, db = a.dim(ka), b.dim(kb)

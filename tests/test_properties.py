@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vircut import verma
 from vircut.fields import (
@@ -96,6 +96,7 @@ def test_norm_partial_sum_monotone_in_cutoff(piecewise, k1, k2):
 @settings(max_examples=30, deadline=None)
 @given(st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
        st.integers(min_value=1, max_value=50))
+@example(5e-324, 2)
 def test_fm_sup_dominates_every_sample(k, m):
     _, sup_sq = fm_sup(k, m)
     eps = np.logspace(-5, 1.5, 60)

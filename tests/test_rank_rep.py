@@ -114,6 +114,24 @@ def test_float_mode_matches_exact_blocks(ising8, ising8_float):
             assert np.allclose(sa, sb, atol=1e-9)
 
 
+# level dims of c=7/10, h=3/5: exact level_rank, and the Rocha-Caridi
+# character of M(4,5) at (r,s)=(3,2)
+TCI_THREE_FIFTHS_DIMS = (1, 1, 2, 2, 4, 5, 7, 9, 13, 16, 22, 27, 36, 45)
+
+
+@pytest.mark.parametrize("c, h, dims", [
+    (Fraction(1), Fraction(1, 4),
+     tuple(verma.partition_count(k) - verma.partition_count(k - 2) for k in range(13))),
+    (Fraction(7, 10), Fraction(3, 5), TCI_THREE_FIFTHS_DIMS),
+], ids=["c=1,h=1/4", "c=7/10,h=3/5"])
+def test_float_mode_keeps_states_with_small_gram_diagonal(c, h, dims):
+    # the Gram diagonal spans many orders of magnitude at these levels, so
+    # a threshold relative to its largest entry would drop genuine states
+    rep = truncated_rep(c, h, len(dims) - 1, mode="float")
+    assert rep.level_dims == dims
+    assert relation_residual_summary(rep, max_mode=3)["max_abs"] <= 1e-10
+
+
 def test_fault_hook_changes_the_algebra():
     original = verma.CENTRAL_DENOMINATOR
     try:
