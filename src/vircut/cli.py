@@ -278,13 +278,24 @@ def load_field_csv(path: Path):
 # subcommands
 
 
-def _build_rep(cfg: RunConfig):
-    rep, source = store.load_or_build_rep(cfg.cache, cfg.c, cfg.h, cfg.N, cfg.mode)
+def _build_rep(cfg: RunConfig, fault: str):
+    """Load or build the configured rep, with the fault injected if asked.
+
+    The central-denominator-13 fault needs no builder setting: the central
+    term c (n^3 - n)/13 is exactly c' (n^3 - n)/12 with c' = 12c/13, and c
+    enters the action only there.  So the rep is built (and cached) at c'
+    and then labelled c, and every check that reads c from the label sees
+    the faulted algebra.
+    """
+    c = cfg.c * Fraction(12, 13) if fault == "central-denominator-13" else cfg.c
+    rep, source = store.load_or_build_rep(cfg.cache, c, cfg.h, cfg.N, cfg.mode)
+    if c != cfg.c:
+        rep = replace(rep, c=cfg.c if rep.mode == "exact" else float(cfg.c))
     return rep, source
 
 
 def cmd_rep(cfg: RunConfig, args: argparse.Namespace) -> int:
-    rep, source = _build_rep(cfg)
+    rep, source = _build_rep(cfg, args.inject_fault)
     summary = verma.relation_residual_summary(rep, max_mode=3)
     if cfg.mode == "exact":
         ok = summary["exact_zero"]
@@ -374,7 +385,7 @@ def _ensure_out(cfg: RunConfig) -> Path:
 
 def cmd_smear(cfg: RunConfig, args: argparse.Namespace) -> int:
     field = parse_field_spec(args.field)
-    rep, source = _build_rep(cfg)
+    rep, source = _build_rep(cfg, args.inject_fault)
     cutoff = min(cfg.cutoff, rep.N) if cfg.cutoff is not None else rep.N
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -441,7 +452,7 @@ _FM_MS = (1, 2, 3, 5, 10, 50)
 
 def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     grid = cfg.eps_values()
-    rep = verma.truncated_rep(cfg.c, cfg.h, cfg.N, mode="float")
+    rep, _ = _build_rep(replace(cfg, mode="float"), args.inject_fault)
     r_report = bounds.estimate_r(cfg.c, cfg.N, h=cfg.h, rep=rep)
     q_report = bounds.estimate_q(cfg.c, cfg.N, grid, h=cfg.h, rep=rep, r_report=r_report)
 
@@ -519,7 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="report directory (default out/)")
     common.add_argument("--seed", type=int, help="seed recorded in reports")
     common.add_argument("--cache", metavar="DIR", help="representation cache directory")
-    common.add_argument("--inject-fault", dest="inject_fault", choices=FAULTS,
+    # only for the commands that build one rep from the config
+    builds = argparse.ArgumentParser(add_help=False, parents=[common])
+    builds.add_argument("--inject-fault", dest="inject_fault", choices=FAULTS,
                         default="none", help="deliberately break an invariant")
 
     parser = argparse.ArgumentParser(
@@ -527,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="energy-truncated smeared Virasoro representations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rep", parents=[common],
+    p = sub.add_parser("rep", parents=[builds],
                        help="build a truncated representation and check relations")
     p.set_defaults(func=cmd_rep)
 
@@ -535,13 +548,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="piecewise-mobius | mode:n | coefficient CSV path")
     p.set_defaults(func=cmd_field)
 
-    p = sub.add_parser("smear", parents=[common],
+    p = sub.add_parser("smear", parents=[builds],
                        help="smear a field against a representation")
     p.add_argument("--field", default="piecewise-mobius",
                    help="field spec (default piecewise-mobius)")
     p.set_defaults(func=cmd_smear)
 
-    p = sub.add_parser("bounds", parents=[common],
+    p = sub.add_parser("bounds", parents=[builds],
                        help="estimate the energy-bound and commutator constants")
     p.set_defaults(func=cmd_bounds)
 
@@ -557,27 +570,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    fault = args.inject_fault
-    original_denominator = verma.CENTRAL_DENOMINATOR
     try:
-        cfg = build_config(args)
-        if fault == "central-denominator-13":
-            verma.CENTRAL_DENOMINATOR = 13
-            verma.clear_caches()
-        return args.func(cfg, args)
+        return args.func(build_config(args), args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except store.CacheError as exc:
+    except (store.CacheError, verma.NonUnitaryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except verma.NonUnitaryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if verma.CENTRAL_DENOMINATOR != original_denominator:
-            verma.CENTRAL_DENOMINATOR = original_denominator
-            verma.clear_caches()
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -477,21 +477,3 @@ def coefficient_rows(field, cutoff: int) -> list[tuple[int, float, float]]:
         if a:
             rows.append((n, a.real, a.imag))
     return rows
-
-
-def field_from_rows(rows: Iterable[tuple[int, float, float]]) -> FourierField:
-    """Build a real field from (n, re, im) rows; reports reality violations.
-
-    Raises ValueError listing every offending mode when the table is not
-    conjugate-symmetric.
-    """
-    coeffs: dict[int, complex] = {}
-    for n, re, im in rows:
-        if n in coeffs:
-            raise ValueError(f"duplicate mode {n}")
-        coeffs[n] = complex(re, im)
-    bad = sorted({abs(n) for n, a in coeffs.items()
-                  if coeffs.get(-n, 0j) != a.conjugate()})
-    if bad:
-        raise ValueError(f"reality violated at modes {bad}")
-    return FourierField(coeffs, real=True)

@@ -19,7 +19,6 @@ __all__ = [
     "IndefiniteMatrixError",
     "as_fraction",
     "fmt_rational",
-    "parse_rational",
     "object_zeros",
     "object_eye",
     "to_float",
@@ -42,10 +41,6 @@ def as_fraction(x) -> Fraction:
 def fmt_rational(x: Fraction) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
 
 
 @dataclass(frozen=True)

@@ -295,10 +295,11 @@ def fm_sup(k: float, m: int) -> tuple[float, float]:
     eps_max = ln((k+m)/k)/m and sup^2 = (k/(k+m))^{2k/m} (m/(k+m))^2;
     for k = 0 the function increases to 1, so eps_max is infinite and
     the squared supremum is (m/(k+m))^2 = 1.  For the smallest subnormal
-    k the ratio k/(k+m) underflows to 0 while its power tends to 1, so
-    there the power is taken in log space.  Elsewhere the direct power is
-    used: log k - log(k+m) cancels for k >> m, and in log space the
-    power would be ten times less accurate.
+    k the ratio k/(k+m) underflows to 0 while its power tends to 1, and
+    (k+m)/k overflows while its logarithm stays finite, so there both are
+    taken in log space.  Elsewhere the direct forms are used: log k -
+    log(k+m) cancels for k >> m, and in log space the power would be ten
+    times less accurate.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -306,7 +307,11 @@ def fm_sup(k: float, m: int) -> tuple[float, float]:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return math.inf, 1.0
-    eps_max = math.log((k + m) / k) / m
+    growth = (k + m) / k
+    if math.isinf(growth):
+        eps_max = (math.log(k + m) - math.log(k)) / m
+    else:
+        eps_max = math.log(growth) / m
     ratio = k / (k + m)
     if ratio > 0.0:
         power = ratio ** (2.0 * k / m)

@@ -1,4 +1,4 @@
-"""Versioned on-disk cache for Gram matrices and truncated representations.
+"""Versioned on-disk cache for truncated representations.
 
 The format is plain text so a cached matrix can be read (and diffed) by
 eye: a magic line carrying the schema version, a small key/value header
@@ -9,7 +9,9 @@ entries use float.hex(), which round-trips bit for bit.  Loading is
 strict about integrity and lenient about age: a wrong digest or a
 malformed body raises CacheError, while a file written under an older
 schema version is treated as absent so the caller rebuilds it.  Schema
-migration is deliberately not attempted.
+migration is deliberately not attempted.  A file is keyed by the (c, h)
+the representation was built at: the CLI's injected fault builds at
+12c/13 and is cached there, never under the c it is labelled with.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .rational import as_fraction, fmt_rational, parse_rational
-from .verma import GramMatrix, TruncatedRep, gram_matrix, truncated_rep
+from .rational import as_fraction, fmt_rational
+from .verma import TruncatedRep, truncated_rep
 
 SCHEMA_VERSION = 1
 _MAGIC = "vircut-cache"
@@ -44,7 +46,7 @@ def _fmt_entry(x, mode: str) -> str:
 
 def _parse_entry(s: str, mode: str):
     if mode == "exact":
-        return parse_rational(s)
+        return Fraction(s)
     return float.fromhex(s)
 
 
@@ -145,61 +147,6 @@ def _sections(lines: list[str], mode: str) -> dict:
 
 def _slug(x: Union[Fraction, int]) -> str:
     return fmt_rational(as_fraction(x)).replace("/", "_").replace("-", "m")
-
-
-# ---------------------------------------------------------------------------
-# Gram matrices
-
-
-def gram_cache_path(root, c, h, level: int) -> Path:
-    c, h = as_fraction(c), as_fraction(h)
-    return Path(root) / f"gram_c{_slug(c)}_h{_slug(h)}_k{level}.txt"
-
-
-def save_gram(root, gram: GramMatrix) -> Path:
-    path = gram_cache_path(root, gram.c, gram.h, gram.level)
-    lines = [
-        f"{_MAGIC} {SCHEMA_VERSION} gram",
-        f"c {fmt_rational(gram.c)}",
-        f"h {fmt_rational(gram.h)}",
-        f"level {gram.level}",
-        "order revlex",
-    ]
-    lines += _matrix_lines("entries", gram.entries, "exact")
-    _write_file(path, lines)
-    return path
-
-
-def load_gram(root, c, h, level: int) -> Optional[GramMatrix]:
-    c, h = as_fraction(c), as_fraction(h)
-    path = gram_cache_path(root, c, h, level)
-    found = _read_file(path, "gram")
-    if found is None:
-        return None
-    header, body = found
-    want = {"c": fmt_rational(c), "h": fmt_rational(h), "level": str(level)}
-    for key, value in want.items():
-        if header.get(key) != value:
-            raise CacheError(f"{path}: header {key}={header.get(key)!r}, expected {value!r}")
-    sections = _sections(body, "exact")
-    if "entries" not in sections:
-        raise CacheError(f"{path}: missing entries section")
-    entries = sections["entries"]
-    p = entries.shape[0]
-    if entries.shape != (p, p):
-        raise CacheError(f"{path}: Gram matrix is not square")
-    return GramMatrix(c=c, h=h, level=level, entries=entries)
-
-
-def load_or_build_gram(root, c, h, level: int) -> GramMatrix:
-    if root is not None:
-        cached = load_gram(root, c, h, level)
-        if cached is not None:
-            return cached
-    gram = gram_matrix(c, h, level)
-    if root is not None:
-        save_gram(root, gram)
-    return gram
 
 
 # ---------------------------------------------------------------------------

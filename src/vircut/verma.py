@@ -32,8 +32,7 @@ basis; no Fraction array is formed.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -45,22 +44,20 @@ from .rational import (
     IndefiniteMatrixError,
     as_fraction,
     exact_rank_nullspace,
+    object_eye,
     object_zeros,
     psd_congruence,
     to_float,
 )
 
 __all__ = [
-    "CENTRAL_DENOMINATOR",
     "CentralCharge",
-    "LowestWeight",
     "Partition",
     "VermaVector",
     "GramMatrix",
     "LevelRank",
     "NonUnitaryError",
     "TruncatedRep",
-    "SafeWindow",
     "enumerate_partitions",
     "partition_count",
     "act",
@@ -74,22 +71,9 @@ __all__ = [
     "relation_residual_summary",
     "measure_central_charge",
     "tensor_rep",
-    "clear_caches",
 ]
 
-# Central-term denominator of the commutation relations.  The physical
-# value is 12; the CLI exposes a fault-injection hook that sets it to 13
-# so that the independent relation checker (which hard-codes 12) must
-# report a failure.  Keyed into every memo cache.
-CENTRAL_DENOMINATOR = 12
-
 Scalar = Union[Fraction, float]
-
-
-def _param_value(x) -> Fraction:
-    if isinstance(x, (CentralCharge, LowestWeight)):
-        return x.value
-    return as_fraction(x)
 
 
 @dataclass(frozen=True)
@@ -115,18 +99,6 @@ class CentralCharge:
             if cm > self.value:
                 return False
             m += 1
-
-
-@dataclass(frozen=True)
-class LowestWeight:
-    """Lowest weight h >= 0, exact rational."""
-
-    value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_fraction(self.value))
-        if self.value < 0:
-            raise ValueError(f"lowest weight must be nonnegative, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -239,21 +211,13 @@ class VermaVector:
 # ---------------------------------------------------------------------------
 # symbolic action of L_n on monomial words (PBW straightening)
 
-_ACT_CACHE: dict = {}
-_GRAM_CACHE: dict = {}
-
-
-def clear_caches() -> None:
-    _ACT_CACHE.clear()
-    _GRAM_CACHE.clear()
-
-
 def _bump(out: dict, word: tuple, value) -> None:
     cur = out.get(word)
     out[word] = value if cur is None else cur + value
 
 
-def _act_word(n: int, word: tuple, c: Fraction, h: Fraction, denom: int):
+@lru_cache(maxsize=None)
+def _act_word(n: int, word: tuple, c: Fraction, h: Fraction):
     """L_n applied to the monomial `word`, as a tuple of (word, coeff).
 
     Recursion on the leading generator: commute L_n through L_{-word[0]}
@@ -261,41 +225,33 @@ def _act_word(n: int, word: tuple, c: Fraction, h: Fraction, denom: int):
     prepend candidate produced by the inner call already has first part
     bounded by the part being prepended (see the sortedness of words).
     """
-    key = (n, word, c, h, denom)
-    hit = _ACT_CACHE.get(key)
-    if hit is not None:
-        return hit
     if not word:
         if n > 0:
-            res: tuple = ()
-        elif n == 0:
-            res = (((), h),) if h != 0 else ()
+            return ()
+        if n == 0:
+            return (((), h),) if h != 0 else ()
+        return (((-n,), Fraction(1)),)
+    if n < 0 and -n >= word[0]:
+        return (((-n,) + word, Fraction(1)),)
+    head, rest = word[0], word[1:]
+    out: dict = {}
+    # L_{-head} (L_n rest), straightening where the prepend is unsorted
+    for w, a in _act_word(n, rest, c, h):
+        if not w or head >= w[0]:
+            _bump(out, (head,) + w, a)
         else:
-            res = (((-n,), Fraction(1)),)
-    elif n < 0 and -n >= word[0]:
-        res = (((-n,) + word, Fraction(1)),)
-    else:
-        head, rest = word[0], word[1:]
-        out: dict = {}
-        # L_{-head} (L_n rest), straightening where the prepend is unsorted
-        for w, a in _act_word(n, rest, c, h, denom):
-            if not w or head >= w[0]:
-                _bump(out, (head,) + w, a)
-            else:
-                for w2, b in _act_word(-head, w, c, h, denom):
-                    _bump(out, w2, a * b)
-        # [L_n, L_{-head}] = (n + head) L_{n-head} + central delta_{n,head}
-        coef = n + head
-        if coef != 0:
-            for w, a in _act_word(n - head, rest, c, h, denom):
-                _bump(out, w, coef * a)
-        if n == head:
-            cc = c * (n ** 3 - n) / denom
-            if cc != 0:
-                _bump(out, rest, cc)
-        res = tuple((w, a) for w, a in out.items() if a != 0)
-    _ACT_CACHE[key] = res
-    return res
+            for w2, b in _act_word(-head, w, c, h):
+                _bump(out, w2, a * b)
+    # [L_n, L_{-head}] = (n + head) L_{n-head} + central delta_{n,head}
+    coef = n + head
+    if coef != 0:
+        for w, a in _act_word(n - head, rest, c, h):
+            _bump(out, w, coef * a)
+    if n == head:
+        cc = c * (n ** 3 - n) / 12
+        if cc != 0:
+            _bump(out, rest, cc)
+    return tuple((w, a) for w, a in out.items() if a != 0)
 
 
 def act(n: int, v: VermaVector, c, h) -> VermaVector:
@@ -303,11 +259,10 @@ def act(n: int, v: VermaVector, c, h) -> VermaVector:
 
     Words pushed below level 0 annihilate (zero vector, never an error).
     """
-    cv, hv = _param_value(c), _param_value(h)
-    denom = CENTRAL_DENOMINATOR
+    cv, hv = as_fraction(c), as_fraction(h)
     out: dict = {}
     for p, a in v.coefficients.items():
-        for w, b in _act_word(n, p.parts, cv, hv, denom):
+        for w, b in _act_word(n, p.parts, cv, hv):
             _bump(out, w, a * b)
     level = v.level - n
     if level < 0:
@@ -333,14 +288,13 @@ def monomial_block(n: int, k: int, c, h, mode: str = "exact") -> Optional[np.nda
     """
     if k < 0 or k - n < 0:
         return None
-    cv, hv = _param_value(c), _param_value(h)
-    denom = CENTRAL_DENOMINATOR
+    cv, hv = as_fraction(c), as_fraction(h)
     src = _partition_tuples(k)
     dst_index = _partition_index(k - n)
     rows, cols, vals = [], [], []
     for j, word in enumerate(src):
         # the words of one action are distinct, so every entry is set once
-        for w, a in _act_word(n, word, cv, hv, denom):
+        for w, a in _act_word(n, word, cv, hv):
             rows.append(dst_index[w])
             cols.append(j)
             vals.append(a)
@@ -361,20 +315,10 @@ class GramMatrix:
     level: int
     entries: np.ndarray  # symmetric; Fraction objects (exact) or float64
 
-    @property
-    def partitions(self) -> list[Partition]:
-        return enumerate_partitions(self.level)
 
-    def entry(self, lam, mu) -> Fraction:
-        idx = _partition_index(self.level)
-        li = idx[tuple(lam.parts if isinstance(lam, Partition) else lam)]
-        mi = idx[tuple(mu.parts if isinstance(mu, Partition) else mu)]
-        return self.entries[li, mi]
-
-
-def _gram_levels(c: Fraction, h: Fraction, kmax: int, denom: int,
-                 mode: str = "exact") -> list[np.ndarray]:
-    """G_0..G_kmax by level recursion, in the arithmetic of `mode`.
+@lru_cache(maxsize=None)
+def _gram_level(c: Fraction, h: Fraction, k: int, mode: str) -> np.ndarray:
+    """G_k by level recursion, in the arithmetic of `mode`; read-only.
 
     Row lambda = (a, rest) of G_k is row `rest` of G_{k-a} @ L_a(k), from
     the pairing <L_{-a} m_rest, m_mu> = <m_rest, L_a m_mu>.  Only the rows
@@ -396,32 +340,28 @@ def _gram_levels(c: Fraction, h: Fraction, kmax: int, denom: int,
     over the tested (c, h) points is 2.5 eps (eps = 2^-52), and the tests
     hold it to 4 eps.
     """
-    key = (c, h, denom, mode)
-    levels = _GRAM_CACHE.get(key)
-    if levels is None:
-        levels = _GRAM_CACHE[key] = [_zeros((1, 1), mode) + 1]
-    while len(levels) <= kmax:
-        k = len(levels)
-        parts_k = _partition_tuples(k)
-        g = _zeros((len(parts_k), len(parts_k)), mode)
+    parts_k = _partition_tuples(k)
+    g = _zeros((len(parts_k), len(parts_k)), mode)
+    if k == 0:
+        g[0, 0] = Fraction(1)
+    else:
         row = 0
         for a, group in groupby(parts_k, key=lambda lam: lam[0]):
             index = _partition_index(k - a)
             needed = [index[lam[1:]] for lam in group]
-            g[row:row + len(needed), :] = np.dot(levels[k - a][needed, :],
+            g[row:row + len(needed), :] = np.dot(_gram_level(c, h, k - a, mode)[needed, :],
                                                  monomial_block(a, k, c, h, mode))
             row += len(needed)
-        levels.append(g)
-    return levels
+    g.flags.writeable = False
+    return g
 
 
 def gram_matrix(c, h, k: int, mode: str = "exact") -> GramMatrix:
     """Level-k Gram matrix in the reverse-lexicographic monomial basis."""
     if k < 0:
         raise ValueError("level must be nonnegative")
-    cv, hv = _param_value(c), _param_value(h)
-    levels = _gram_levels(cv, hv, k, CENTRAL_DENOMINATOR, mode)
-    return GramMatrix(cv, hv, k, levels[k].copy())
+    cv, hv = as_fraction(c), as_fraction(h)
+    return GramMatrix(cv, hv, k, _gram_level(cv, hv, k, mode).copy())
 
 
 def gram_entry_direct(c, h, lam, mu) -> Fraction:
@@ -533,10 +473,9 @@ class TruncatedRep:
 
 def _exact_level_data(c, h, N):
     """Per-level (dims, norms D, basis rows B, extraction rows W) for exact mode."""
-    grams = _gram_levels(c, h, N, CENTRAL_DENOMINATOR, "exact")
     dims, normsq, basis_rows, extract = [], [], [], []
     for k in range(N + 1):
-        g = grams[k]
+        g = _gram_level(c, h, k, "exact")
         try:
             d, basis, rank = psd_congruence(g)
         except IndefiniteMatrixError as exc:
@@ -567,10 +506,9 @@ def _float_level_data(c, h, N, tol=1e-10):
     and the 1/sqrt(w) scaling would otherwise leave relation residuals
     around 1e-10, two orders above what downstream checks budget for.
     """
-    grams = _gram_levels(c, h, N, CENTRAL_DENOMINATOR, "float")
     dims, normsq, basis_rows, extract = [], [], [], []
     for k in range(N + 1):
-        g = grams[k]
+        g = _gram_level(c, h, k, "float")
         p = g.shape[0]
         if p == 0:
             dims.append(0)
@@ -627,7 +565,7 @@ def truncated_rep(c, h, N: int, mode: str = "exact", tol: float = 1e-10,
     """
     if N < 2:
         raise ValueError("truncation level N must be at least 2")
-    cv, hv = _param_value(c), _param_value(h)
+    cv, hv = as_fraction(c), as_fraction(h)
     if basis == "monomial":
         blocks = {}
         for n in range(-N, N + 1):
@@ -679,7 +617,7 @@ def truncated_rep(c, h, N: int, mode: str = "exact", tol: float = 1e-10,
 
 
 # ---------------------------------------------------------------------------
-# safe windows and algebra checks
+# algebra checks
 
 def safe_levels(N: int, word: Iterable[int]) -> list[int]:
     """Source levels from which the operator word never leaves [0, N].
@@ -703,25 +641,13 @@ def safe_levels(N: int, word: Iterable[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class SafeWindow:
-    """Admissible source levels of an operator word on a truncated rep."""
-
-    rep: TruncatedRep
-    word: tuple[int, ...]
-    levels: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
-        object.__setattr__(self, "levels", tuple(safe_levels(self.rep.N, self.word)))
-
-
 def relation_residual(rep: TruncatedRep, m: int, n: int, k: int) -> Optional[np.ndarray]:
     """Matrix of [L_m, L_n] - (m-n) L_{m+n} - central on level k, or None.
 
     None when level k is not in the joint safe window of both orders.
-    The central constant uses the physical denominator 12 independently
-    of the builder (that independence is what the fault hook tests).
+    The central term is taken from the label rep.c, not read off the
+    blocks, so blocks built at another central charge leave a residual
+    (the CLI's injected fault builds at 12c/13 and labels the result c).
     """
     N = rep.N
     if k not in safe_levels(N, (m, n)) or k not in safe_levels(N, (n, m)):
@@ -736,12 +662,7 @@ def relation_residual(rep: TruncatedRep, m: int, n: int, k: int) -> Optional[np.
     if m + n == 0:
         central = rep.c * (m ** 3 - m) / 12
         if central != 0:
-            if rep.mode == "exact":
-                eye = object_zeros((rep.dim(k), rep.dim(k)))
-                for i in range(rep.dim(k)):
-                    eye[i, i] = Fraction(1)
-            else:
-                eye = np.eye(rep.dim(k))
+            eye = object_eye(rep.dim(k)) if rep.mode == "exact" else np.eye(rep.dim(k))
             res = res - central * eye
     return res
 
@@ -810,12 +731,7 @@ def tensor_rep(a: TruncatedRep, b: TruncatedRep, N: int, dim_cap: int = 20000) -
         return off
 
     def eye(d):
-        if mode == "exact":
-            m = object_zeros((d, d))
-            for i in range(d):
-                m[i, i] = Fraction(1)
-            return m
-        return np.eye(d)
+        return object_eye(d) if mode == "exact" else np.eye(d)
 
     all_offsets = {K: offsets(K) for K in range(N + 1)}
     blocks = {}

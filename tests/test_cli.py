@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from vircut import acceptance, verma
+from vircut import acceptance, store
 from vircut.cli import main
+
+FAULT = ("--inject-fault", "central-denominator-13")
 
 
 def run(*argv):
@@ -72,28 +74,43 @@ def test_rep_rejects_unknown_mode(tmp_path):
 
 
 def test_fault_breaks_relations_where_the_gram_stays_positive(tmp_path):
-    # c = 2 under the denominator-13 extension builds (effective c > 1)
-    # but the relation checker pins the true constant, so the run fails.
-    code = run("rep", "--c", "2", "--mode", "float", "--N", "5",
-               "--inject-fault", "central-denominator-13", "--out", tmp_path)
+    # c = 2 is built at 12c/13 = 24/13 > 1, so the Gram stays positive,
+    # but labelled c = 2; the relation checker reads c from the label.
+    code = run("rep", "--c", "2", "--mode", "float", "--N", "5", *FAULT,
+               "--out", tmp_path)
     assert code == 1
-    assert verma.CENTRAL_DENOMINATOR == 12  # restored afterwards
     report = read_report(tmp_path, "rep_report.json")
     assert float(report["result"]["relations"]["max_abs"]) > 1e-3
 
 
 def test_fault_turns_the_ising_gram_indefinite(tmp_path):
-    assert run("rep", "--c", "1/2", "--N", "5",
-               "--inject-fault", "central-denominator-13",
-               "--out", tmp_path) == 1
-    assert verma.CENTRAL_DENOMINATOR == 12
+    assert run("rep", "--c", "1/2", "--N", "5", *FAULT, "--out", tmp_path) == 1
 
 
 def test_clean_run_after_fault(tmp_path):
-    run("rep", "--c", "2", "--mode", "float", "--N", "4",
-        "--inject-fault", "central-denominator-13", "--out", tmp_path / "bad")
+    run("rep", "--c", "2", "--mode", "float", "--N", "4", *FAULT,
+        "--out", tmp_path / "bad")
     assert run("rep", "--c", "2", "--mode", "float", "--N", "4",
                "--out", tmp_path / "good") == 0
+
+
+def test_faulted_run_does_not_poison_the_cache(tmp_path):
+    argv = ("rep", "--c", "2", "--mode", "float", "--N", "4",
+            "--cache", tmp_path / "cache")
+    assert run(*argv, *FAULT, "--out", tmp_path / "bad") == 1
+    assert run(*argv, "--out", tmp_path / "good") == 0
+
+
+def test_warm_cache_does_not_hide_the_fault(tmp_path):
+    argv = ("rep", "--c", "2", "--mode", "float", "--N", "4",
+            "--cache", tmp_path / "cache")
+    assert run(*argv, "--out", tmp_path / "good") == 0
+    assert run(*argv, *FAULT, "--out", tmp_path / "bad") == 1
+
+
+def test_fault_flag_only_where_a_rep_is_built(tmp_path):
+    assert run("field", "mode:2", *FAULT, "--out", tmp_path) == 2
+    assert run("check-all", *FAULT, "--out", tmp_path) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +282,35 @@ def test_bounds_reports_are_deterministic(tmp_path):
         {k: v for k, v in b["config"].items() if k != "out"}
     assert (tmp_path / "a" / "q_grid.csv").read_bytes() == \
         (tmp_path / "b" / "q_grid.csv").read_bytes()
+
+
+def test_bounds_uses_the_cache(tmp_path, monkeypatch):
+    argv = ("bounds", "--c", "1/2", "--N", "4", "--eps-grid", "1e-3:10:40",
+            "--cache", tmp_path / "cache")
+    assert run(*argv, "--out", tmp_path / "a") == 0
+    assert (tmp_path / "cache" / "rep_c1_2_h0_N4_float_quotient.txt").is_file()
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the second run must load the cached rep")
+
+    monkeypatch.setattr(store, "truncated_rep", no_build)
+    assert run(*argv, "--out", tmp_path / "b") == 0
+    assert read_report(tmp_path / "a", "bounds_report.json")["result"] == \
+        read_report(tmp_path / "b", "bounds_report.json")["result"]
+
+
+def test_faulted_bounds_are_the_bounds_at_twelve_thirteenths_c(tmp_path):
+    argv = ("bounds", "--N", "4", "--mode", "float", "--eps-grid", "1e-3:10:40")
+    run(*argv, "--c", "2", *FAULT, "--out", tmp_path / "fault")
+    run(*argv, "--c", "24/13", "--out", tmp_path / "scaled")
+    run(*argv, "--c", "2", "--out", tmp_path / "healthy")
+
+    def q_hat(out):
+        return read_report(out, "bounds_report.json")["result"]["q"]["constant"]
+
+    assert q_hat(tmp_path / "fault") == q_hat(tmp_path / "scaled") == \
+        repr(0.14423076923076922)
+    assert q_hat(tmp_path / "healthy") == repr(0.15625000000000003)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,10 @@ from vircut.fields import (
     FourierField,
     bracket_with_cocycle,
     build_piecewise_mobius,
-    coefficient_rows,
     corner_values,
     cosine_field,
     evaluate,
     evaluate_series,
-    field_from_rows,
     fourier_coefficient_quadrature,
     mobius_piece,
     mode_field,
@@ -69,14 +67,6 @@ def test_random_real_field_is_exact_and_real(rng=None):
         assert all(abs(n) <= 3 for n in f.support)
         for n in f.support:
             assert f.coefficient(-n) == f.coefficient(n).conjugate()
-
-
-def test_field_from_rows_round_trip():
-    f = cosine_field(2) + cosine_field(1)
-    rows = coefficient_rows(f, 3)
-    g = field_from_rows(rows)
-    for n in f.support:
-        assert complex(g.coefficient(n)) == pytest.approx(complex(f.coefficient(n)))
 
 
 def test_field_arithmetic_stays_exact():

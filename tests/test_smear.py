@@ -168,6 +168,11 @@ def test_fm_sup_closed_form():
     assert eps == pytest.approx(math.log(2.0))
     assert sup_sq == pytest.approx(1.0 / 16.0)
     assert fm_sup(0.0, 3) == (math.inf, 1.0)
+    # (k + m)/k overflows at the smallest subnormal k; ln((k+m)/k)/m does not
+    eps, sup_sq = fm_sup(5e-324, 2)
+    assert eps == pytest.approx((math.log(2.0) - math.log(5e-324)) / 2, rel=1e-15)
+    assert eps == pytest.approx(372.567, abs=1e-3)
+    assert sup_sq == 1.0
 
 
 def test_fm_sup_validation():

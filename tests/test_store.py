@@ -9,13 +9,9 @@ import pytest
 from vircut import verma
 from vircut.store import (
     CacheError,
-    gram_cache_path,
-    load_gram,
-    load_or_build_gram,
     load_or_build_rep,
     load_rep,
     rep_cache_path,
-    save_gram,
     save_rep,
 )
 
@@ -32,39 +28,6 @@ def _blocks_equal(a, b) -> bool:
         if not all(x == y for x, y in zip(np.ravel(blk), np.ravel(other))):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# gram matrices
-
-
-def test_gram_round_trip(tmp_path):
-    gram = verma.gram_matrix(C, H, 4)
-    path = save_gram(tmp_path, gram)
-    assert path == gram_cache_path(tmp_path, C, H, 4)
-    loaded = load_gram(tmp_path, C, H, 4)
-    assert loaded is not None
-    assert loaded.c == C and loaded.h == H and loaded.level == 4
-    assert all(x == y for x, y in
-               zip(np.ravel(loaded.entries), np.ravel(gram.entries)))
-    assert all(isinstance(x, Fraction) for x in np.ravel(loaded.entries))
-
-
-def test_gram_cache_miss_returns_none(tmp_path):
-    assert load_gram(tmp_path, C, H, 3) is None
-
-
-def test_load_or_build_gram_uses_the_cache(tmp_path):
-    first = load_or_build_gram(tmp_path, C, H, 3)
-    assert gram_cache_path(tmp_path, C, H, 3).exists()
-    again = load_or_build_gram(tmp_path, C, H, 3)
-    assert all(x == y for x, y in
-               zip(np.ravel(first.entries), np.ravel(again.entries)))
-
-
-def test_load_or_build_gram_without_root():
-    gram = load_or_build_gram(None, C, H, 2)
-    assert gram.level == 2
 
 
 # ---------------------------------------------------------------------------
@@ -131,60 +94,66 @@ def test_load_or_build_rep_reports_its_source(tmp_path):
 # corruption and mismatches
 
 
+def _restamp(path, lines):
+    """Write `lines` with a valid digest, so only their content is wrong."""
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    path.write_text("\n".join(lines) + f"\ndigest {digest}\n")
+
+
 def test_tampered_file_is_rejected(tmp_path):
-    gram = verma.gram_matrix(C, H, 3)
-    path = save_gram(tmp_path, gram)
-    text = path.read_text()
-    assert "9" in text  # something to flip, in an entry or the digest
-    path.write_text(text.replace("9", "8", 1))
+    path = save_rep(tmp_path, verma.truncated_rep(C, H, 4))
+    lines = path.read_text().splitlines()
+    row = 1 + next(i for i, ln in enumerate(lines) if ln.startswith("matrix block:"))
+    first, *rest = lines[row].split()
+    lines[row] = " ".join([str(Fraction(first) + 1), *rest])
+    path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CacheError, match="digest"):
-        load_gram(tmp_path, C, H, 3)
+        load_rep(tmp_path, C, H, 4)
 
 
 def test_truncated_file_is_rejected(tmp_path):
-    gram = verma.gram_matrix(C, H, 3)
-    path = save_gram(tmp_path, gram)
+    path = save_rep(tmp_path, verma.truncated_rep(C, H, 4))
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-2]) + "\n")
     with pytest.raises(CacheError):
-        load_gram(tmp_path, C, H, 3)
+        load_rep(tmp_path, C, H, 4)
 
 
 def test_garbage_file_is_rejected(tmp_path):
-    path = gram_cache_path(tmp_path, C, H, 2)
+    path = rep_cache_path(tmp_path, C, H, 2, "exact", "quotient")
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("not a cache at all\n")
     with pytest.raises(CacheError, match="not a cache file"):
-        load_gram(tmp_path, C, H, 2)
+        load_rep(tmp_path, C, H, 2)
 
 
 def test_kind_mismatch_is_rejected(tmp_path):
-    gram = verma.gram_matrix(C, H, 2)
-    gram_path = save_gram(tmp_path, gram)
-    rep_path = rep_cache_path(tmp_path, C, H, 2, "exact", "quotient")
-    rep_path.write_text(gram_path.read_text())
-    with pytest.raises(CacheError, match="kind"):
+    path = rep_cache_path(tmp_path, C, H, 2, "exact", "quotient")
+    _restamp(path, ["vircut-cache 1 gram", "c 1/2", "h 0", "level 2",
+                    "matrix entries 1 1", "1"])
+    with pytest.raises(CacheError, match="expected a rep file, found 'gram'"):
         load_rep(tmp_path, C, H, 2)
 
 
 def test_stale_schema_rebuilds(tmp_path):
-    gram = verma.gram_matrix(C, H, 2)
-    path = save_gram(tmp_path, gram)
-    text = path.read_text().replace("vircut-cache 1 gram", "vircut-cache 0 gram", 1)
+    _, source = load_or_build_rep(tmp_path, C, H, 2)
+    assert source == "built"
+    path = rep_cache_path(tmp_path, C, H, 2, "exact", "quotient")
+    lines = path.read_text().splitlines()[:-1]
+    assert lines[0] == "vircut-cache 1 rep"
     # restamp the digest so only the schema version looks old
-    body = [ln for ln in text.splitlines() if not ln.startswith("digest ")]
-    digest = hashlib.sha256(("\n".join(body) + "\n").encode()).hexdigest()
-    path.write_text("\n".join(body) + f"\ndigest {digest}\n")
-    assert load_gram(tmp_path, C, H, 2) is None
-    rebuilt = load_or_build_gram(tmp_path, C, H, 2)
-    assert rebuilt.level == 2
-    assert load_gram(tmp_path, C, H, 2) is not None  # rewritten fresh
+    _restamp(path, ["vircut-cache 0 rep"] + lines[1:])
+    assert load_rep(tmp_path, C, H, 2) is None
+    rebuilt, source = load_or_build_rep(tmp_path, C, H, 2)
+    assert source == "built"
+    assert rebuilt.level_dims == (1, 0, 1)
+    assert path.read_text().startswith("vircut-cache 1 rep\n")  # rewritten fresh
+    assert load_rep(tmp_path, C, H, 2) is not None
 
 
 def test_header_mismatch_is_rejected(tmp_path):
-    gram = verma.gram_matrix(C, H, 2)
-    path = save_gram(tmp_path, gram)
-    target = gram_cache_path(tmp_path, C, Fraction(1, 2), 2)
+    path = save_rep(tmp_path, verma.truncated_rep(C, H, 2))
+    target = rep_cache_path(tmp_path, C, Fraction(1, 2), 2, "exact", "quotient")
     target.write_text(path.read_text())
     with pytest.raises(CacheError, match="header"):
-        load_gram(tmp_path, C, Fraction(1, 2), 2)
+        load_rep(tmp_path, C, Fraction(1, 2), 2)
