@@ -8,7 +8,7 @@ implementation's bookkeeping can be checked against each other.
 Examples
 --------
   python3 scripts/mollifier_curve.py --k-max 67108864 --out out/mollifier
-  python3 scripts/mollifier_curve.py --k-max 4096 --tol 0.05
+  python3 scripts/mollifier_curve.py --k-max 16384 --tol 0.05
 """
 
 import argparse

@@ -6,7 +6,10 @@ smearing field, `smear` assembles a smeared operator and audits it,
 `bounds` runs the constant-estimation sweeps, and `check-all` runs the
 full acceptance battery.
 
-Configuration is a flat key=value file overridden by flags.  Reports are
+Each subcommand accepts only the settings it reads (READS below).
+Configuration is a flat key=value file overridden by flags; a file may
+set any key, so one file can drive several subcommands, and a report's
+config block holds only the keys its subcommand reads.  Reports are
 JSON files whose floats are printed with repr so the exact double can be
 recovered; rationals are p/q strings.  Output is deterministic for a
 fixed configuration except for the timestamp, which lives only in the
@@ -53,7 +56,6 @@ class RunConfig:
     eps_grid: str = "1e-4:20:200"
     cutoff: Optional[int] = None
     out: Path = Path("out")
-    seed: int = 0
     cache: Optional[Path] = None
 
     def eps_values(self) -> np.ndarray:
@@ -69,12 +71,22 @@ class RunConfig:
             "eps_grid": self.eps_grid,
             "cutoff": self.cutoff,
             "out": str(self.out),
-            "seed": self.seed,
             "cache": None if self.cache is None else str(self.cache),
         }
 
 
-_CONFIG_KEYS = ("c", "h", "N", "mode", "eps_grid", "cutoff", "out", "seed", "cache")
+_CONFIG_KEYS = ("c", "h", "N", "mode", "eps_grid", "cutoff", "out", "cache")
+
+# The settings each subcommand reads, beside --config and --out which all
+# of them take.  Every entry is a flag; all but inject_fault are also
+# config keys.
+READS = {
+    "rep": ("c", "h", "N", "mode", "cache", "inject_fault"),
+    "field": ("cutoff",),
+    "smear": ("c", "h", "N", "mode", "cache", "cutoff", "inject_fault"),
+    "bounds": ("c", "h", "N", "eps_grid", "cache", "inject_fault"),
+    "check-all": (),
+}
 
 
 def parse_eps_spec(spec: str) -> tuple[float, float, int]:
@@ -131,8 +143,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             cfg = replace(cfg, N=int(raw["N"]))
         if "cutoff" in raw:
             cfg = replace(cfg, cutoff=int(raw["cutoff"]))
-        if "seed" in raw:
-            cfg = replace(cfg, seed=int(raw["seed"]))
     except ValueError as exc:
         raise UsageError(f"bad integer parameter: {exc}") from exc
     if "mode" in raw:
@@ -147,8 +157,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"N must be at least 2, got {cfg.N}")
     if cfg.mode not in ("exact", "float"):
         raise UsageError(f"mode must be exact or float, got {cfg.mode!r}")
-    if cfg.cutoff is not None and cfg.cutoff < 0:
-        raise UsageError(f"cutoff must be nonnegative, got {cfg.cutoff}")
+    if cfg.cutoff is not None and cfg.cutoff < 1:
+        raise UsageError(f"cutoff must be at least 1, got {cfg.cutoff}")
     if cfg.c <= 0:
         raise UsageError(f"central charge must be positive, got {fmt_rational(cfg.c)}")
     if cfg.h < 0:
@@ -197,7 +207,8 @@ def write_report(cfg: RunConfig, name: str, command: str, result) -> Path:
             "schema": store.SCHEMA_VERSION,
             "float_format": "repr",
         },
-        "config": cfg.as_dict(),
+        "config": {key: value for key, value in cfg.as_dict().items()
+                   if key == "out" or key in READS[command]},
         "result": encode(result),
     }
     path = cfg.out / name
@@ -304,7 +315,7 @@ def cmd_rep(cfg: RunConfig, args: argparse.Namespace) -> int:
         ok = summary["max_abs"] <= 1e-10
         residual_line = f"max abs {summary['max_abs']:.3e} (tolerance 1e-10)"
     measured = verma.measure_central_charge(rep)
-    admissible = verma.CentralCharge(cfg.c).is_admissible()
+    admissible = verma.is_admissible(cfg.c)
     result = {
         "source": source,
         "level_dims": list(rep.level_dims),
@@ -335,7 +346,7 @@ def cmd_field(cfg: RunConfig, args: argparse.Namespace) -> int:
         cutoff = cfg.cutoff if cfg.cutoff is not None else 400
     else:
         cutoff = cfg.cutoff if cfg.cutoff is not None else (
-            max((abs(n) for n in field.support), default=0))
+            max([1, *(abs(n) for n in field.support)]))
     norm = fields.norm_three_halves(field, cutoff)
     result = {
         "spec": args.spec,
@@ -517,50 +528,43 @@ def cmd_check_all(cfg: RunConfig, args: argparse.Namespace) -> int:
 # parser and entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="flat key=value config file")
-    common.add_argument("--c", help="central charge, p/q")
-    common.add_argument("--h", help="lowest weight, p/q")
-    common.add_argument("--N", type=int, help="energy truncation level")
-    common.add_argument("--mode", choices=("exact", "float"), help="arithmetic mode")
-    common.add_argument("--eps-grid", dest="eps_grid", metavar="LO:HI:COUNT",
-                        help="geometric heat-parameter grid")
-    common.add_argument("--cutoff", type=int, help="Fourier mode cutoff")
-    common.add_argument("--out", help="report directory (default out/)")
-    common.add_argument("--seed", type=int, help="seed recorded in reports")
-    common.add_argument("--cache", metavar="DIR", help="representation cache directory")
-    # only for the commands that build one rep from the config
-    builds = argparse.ArgumentParser(add_help=False, parents=[common])
-    builds.add_argument("--inject-fault", dest="inject_fault", choices=FAULTS,
-                        default="none", help="deliberately break an invariant")
+_FLAGS = {
+    "config": dict(metavar="FILE", help="flat key=value config file"),
+    "out": dict(help="report directory (default out/)"),
+    "c": dict(help="central charge, p/q"),
+    "h": dict(help="lowest weight, p/q"),
+    "N": dict(type=int, help="energy truncation level"),
+    "mode": dict(choices=("exact", "float"), help="arithmetic mode"),
+    "eps_grid": dict(metavar="LO:HI:COUNT", help="geometric heat-parameter grid"),
+    "cutoff": dict(type=int, help="Fourier mode cutoff"),
+    "cache": dict(metavar="DIR", help="representation cache directory"),
+    "inject_fault": dict(choices=FAULTS, default="none",
+                         help="deliberately break an invariant"),
+}
 
+_COMMANDS = {
+    "rep": (cmd_rep, "build a truncated representation and check relations"),
+    "field": (cmd_field, "profile a smearing field"),
+    "smear": (cmd_smear, "smear a field against a representation"),
+    "bounds": (cmd_bounds, "estimate the energy-bound and commutator constants"),
+    "check-all": (cmd_check_all, "run the acceptance battery"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vircut",
         description="energy-truncated smeared Virasoro representations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rep", parents=[builds],
-                       help="build a truncated representation and check relations")
-    p.set_defaults(func=cmd_rep)
-
-    p = sub.add_parser("field", parents=[common], help="profile a smearing field")
-    p.add_argument("spec", help="piecewise-mobius | mode:n | coefficient CSV path")
-    p.set_defaults(func=cmd_field)
-
-    p = sub.add_parser("smear", parents=[builds],
-                       help="smear a field against a representation")
-    p.add_argument("--field", default="piecewise-mobius",
-                   help="field spec (default piecewise-mobius)")
-    p.set_defaults(func=cmd_smear)
-
-    p = sub.add_parser("bounds", parents=[builds],
-                       help="estimate the energy-bound and commutator constants")
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("check-all", parents=[common],
-                       help="run the acceptance battery")
-    p.set_defaults(func=cmd_check_all)
+    for name, (func, text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for key in ("config", "out") + READS[name]:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
+        p.set_defaults(func=func)
+    sub.choices["field"].add_argument(
+        "spec", help="piecewise-mobius | mode:n | coefficient CSV path")
+    sub.choices["smear"].add_argument(
+        "--field", default="piecewise-mobius", help="field spec (default piecewise-mobius)")
     return parser
 
 

@@ -2,16 +2,20 @@
 
 The format is plain text so a cached matrix can be read (and diffed) by
 eye: a magic line carrying the schema version, a small key/value header
-identifying the object, one section per stored matrix, and a trailing
-sha256 digest over everything above it.  Exact-mode entries are written
-as p/q strings and parse back to the identical Fraction; float-mode
-entries use float.hex(), which round-trips bit for bit.  Loading is
-strict about integrity and lenient about age: a wrong digest or a
-malformed body raises CacheError, while a file written under an older
-schema version is treated as absent so the caller rebuilds it.  Schema
-migration is deliberately not attempted.  A file is keyed by the (c, h)
-the representation was built at: the CLI's injected fault builds at
-12c/13 and is cached there, never under the c it is labelled with.
+identifying the object, one section per stored matrix (the basis norms
+"norms:k" of each level and the blocks "block:n,k"), and a trailing
+sha256 digest over everything above it.  Sections of other names are
+verified and parsed but not read, so files that also carry the per-level
+basis rows ("transform:k", written by earlier versions) still load.
+Exact-mode entries are written as p/q strings and parse back to the
+identical Fraction; float-mode entries use float.hex(), which
+round-trips bit for bit.  Loading is strict about integrity and lenient
+about age: a wrong digest or a malformed body raises CacheError, while a
+file written under an older schema version is treated as absent so the
+caller rebuilds it.  Schema migration is deliberately not attempted.  A
+file is keyed by the (c, h) the representation was built at: the CLI's
+injected fault builds at 12c/13 and is cached there, never under the c
+it is labelled with.
 """
 
 from __future__ import annotations
@@ -163,9 +167,10 @@ def save_rep(root, rep: TruncatedRep, c=None, h=None) -> Path:
 
     Exact-mode reps carry Fraction parameters and key themselves; a
     float-mode rep only remembers float(c), so the exact key must be
-    passed in (load_or_build_rep does).
+    passed in (load_or_build_rep does).  Tensor products are refused:
+    load_rep could not rebuild one from its parameters.
     """
-    if rep.basis_transforms is None and rep.basis == "quotient":
+    if rep.basis == "tensor":
         raise CacheError("tensor-product representations are not cacheable")
     try:
         cv = as_fraction(rep.c if c is None else c)
@@ -189,9 +194,6 @@ def save_rep(root, rep: TruncatedRep, c=None, h=None) -> Path:
         for k in range(rep.N + 1):
             norms = np.asarray(rep.basis_norms[k], dtype=object).reshape(1, -1)
             lines += _matrix_lines(f"norms:{k}", norms, rep.mode)
-    if rep.basis_transforms is not None:
-        for k in range(rep.N + 1):
-            lines += _matrix_lines(f"transform:{k}", rep.basis_transforms[k], rep.mode)
     for (n, k) in sorted(rep.blocks):
         lines += _matrix_lines(f"block:{n},{k}", rep.blocks[(n, k)], rep.mode)
     _write_file(path, lines)
@@ -230,15 +232,6 @@ def load_rep(root, c, h, N: int, mode: str = "exact",
                 raise CacheError(f"{path}: norms at level {k} have wrong length")
             collected.append(tuple(flat) if mode == "exact" else np.asarray(flat, dtype=float))
         norms = tuple(collected)
-    transforms = None
-    if any(tag.startswith("transform:") for tag in sections):
-        collected = []
-        for k in range(N + 1):
-            mat = sections.get(f"transform:{k}")
-            if mat is None:
-                raise CacheError(f"{path}: missing transform for level {k}")
-            collected.append(mat)
-        transforms = tuple(collected)
     if basis == "quotient" and norms is None:
         raise CacheError(f"{path}: quotient-basis file carries no norms")
 
@@ -268,7 +261,6 @@ def load_rep(root, c, h, N: int, mode: str = "exact",
         level_dims=dims,
         blocks=blocks,
         basis_norms=norms,
-        basis_transforms=transforms,
         basis=basis,
     )
 

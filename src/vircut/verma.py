@@ -43,7 +43,6 @@ import numpy as np
 from .rational import (
     IndefiniteMatrixError,
     as_fraction,
-    exact_rank_nullspace,
     object_eye,
     object_zeros,
     psd_congruence,
@@ -51,11 +50,10 @@ from .rational import (
 )
 
 __all__ = [
-    "CentralCharge",
+    "is_admissible",
     "Partition",
     "VermaVector",
     "GramMatrix",
-    "LevelRank",
     "NonUnitaryError",
     "TruncatedRep",
     "enumerate_partitions",
@@ -64,7 +62,6 @@ __all__ = [
     "monomial_block",
     "gram_matrix",
     "gram_entry_direct",
-    "level_rank",
     "truncated_rep",
     "safe_levels",
     "relation_residual",
@@ -76,29 +73,19 @@ __all__ = [
 Scalar = Union[Fraction, float]
 
 
-@dataclass(frozen=True)
-class CentralCharge:
-    """Central charge c > 0, exact rational."""
-
-    value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_fraction(self.value))
-        if self.value <= 0:
-            raise ValueError(f"central charge must be positive, got {self.value}")
-
-    def is_admissible(self) -> bool:
-        """True when c >= 1 or c = 1 - 6/((m+2)(m+3)) for integer m >= 1."""
-        if self.value >= 1:
+def is_admissible(c) -> bool:
+    """True when c >= 1 or c = 1 - 6/((m+2)(m+3)) for integer m >= 1."""
+    c = as_fraction(c)
+    if c >= 1:
+        return True
+    m = 1
+    while True:
+        cm = 1 - Fraction(6, (m + 2) * (m + 3))
+        if cm == c:
             return True
-        m = 1
-        while True:
-            cm = 1 - Fraction(6, (m + 2) * (m + 3))
-            if cm == self.value:
-                return True
-            if cm > self.value:
-                return False
-            m += 1
+        if cm > c:
+            return False
+        m += 1
 
 
 @dataclass(frozen=True)
@@ -377,39 +364,6 @@ def gram_entry_direct(c, h, lam, mu) -> Fraction:
     return v.coefficient(())
 
 
-@dataclass(frozen=True)
-class LevelRank:
-    rank: int
-    null_basis: list[VermaVector]
-    mode: str
-    tolerance: Optional[float] = None
-
-
-def level_rank(c, h, k: int, mode: str = "exact", tol: float = 1e-10) -> LevelRank:
-    """Rank of the level-k Gram matrix plus a kernel basis.
-
-    Exact mode does fraction Gaussian elimination (works for indefinite
-    matrices too).  Float mode thresholds eigenvalues at tol relative to
-    the largest one and reports the tolerance used.
-    """
-    gram = gram_matrix(c, h, k, mode)
-    parts = enumerate_partitions(k)
-    if mode == "exact":
-        rank, null_rows = exact_rank_nullspace(gram.entries)
-        basis = [VermaVector({p: x for p, x in zip(parts, row) if x != 0}, k)
-                 for row in null_rows]
-        return LevelRank(rank, basis, "exact")
-    gf = gram.entries
-    if gf.shape[0] == 0:
-        return LevelRank(0, [], "float", tol)
-    w, u = np.linalg.eigh(gf)
-    cutoff = tol * max(abs(w).max(), 1.0)
-    null = [i for i in range(len(w)) if abs(w[i]) <= cutoff]
-    basis = [VermaVector({p: float(x) for p, x in zip(parts, u[:, i]) if abs(x) > 0}, k)
-             for i in null]
-    return LevelRank(len(w) - len(null), basis, "float", tol)
-
-
 # ---------------------------------------------------------------------------
 # truncated representations
 
@@ -426,9 +380,10 @@ class TruncatedRep:
     in per-level orthonormal bases.  In exact mode blocks are Fraction
     object arrays in per-level orthogonal bases whose norms squared are
     basis_norms[k] (the D-basis); orthonormal_block derives the float
-    orthonormal matrix.  basis_transforms[k] has the basis vectors of
-    level k as rows, in monomial coordinates (None for tensor products,
-    whose basis is the pairing of factor bases).
+    orthonormal matrix.  basis names the per-level basis: "quotient" for
+    the truncated_rep quotient, "monomial" for the raw module action
+    (basis_norms is None), "tensor" for the pairing of factor bases made
+    by tensor_rep.
     """
 
     c: Scalar
@@ -438,7 +393,6 @@ class TruncatedRep:
     level_dims: tuple[int, ...]
     blocks: dict
     basis_norms: Optional[tuple]
-    basis_transforms: Optional[tuple]
     basis: str = "quotient"
 
     def dim(self, k: int) -> int:
@@ -492,7 +446,14 @@ def _exact_level_data(c, h, N):
     return dims, normsq, basis_rows, extract
 
 
-def _float_level_data(c, h, N, tol=1e-10):
+# Float mode's relative tolerance: a Gram diagonal or scaled eigenvalue
+# below -_FLOAT_TOL times the largest one (or 1, if that is larger) is
+# indefinite, and a scaled eigenvalue at or below +_FLOAT_TOL times that
+# is null.
+_FLOAT_TOL = 1e-10
+
+
+def _float_level_data(c, h, N):
     """Float-mode per-level data: orthonormal rows from the scaled Gram.
 
     Monomials with a zero Gram diagonal are null (a positive semidefinite
@@ -518,7 +479,7 @@ def _float_level_data(c, h, N, tol=1e-10):
             continue
         diag = np.diag(g).copy()
         maxd = max(diag.max(initial=0.0), 0.0)
-        if (diag < -tol * max(maxd, 1.0)).any():
+        if (diag < -_FLOAT_TOL * max(maxd, 1.0)).any():
             raise NonUnitaryError(f"negative squared norm at level {k} for c={c}, h={h}")
         keep0 = diag > 0
         gs = g[np.ix_(keep0, keep0)]
@@ -527,11 +488,11 @@ def _float_level_data(c, h, N, tol=1e-10):
         if gs.shape[0]:
             w, u = np.linalg.eigh(gs)
             wmax = max(abs(w).max(), 1.0)
-            if w.min() < -tol * wmax:
+            if w.min() < -_FLOAT_TOL * wmax:
                 raise NonUnitaryError(
                     f"Gram matrix at level {k} is indefinite for c={c}, h={h} "
-                    f"(eigenvalue {w.min():.3e}, tolerance {tol:g} relative)")
-            kept = w > tol * wmax
+                    f"(eigenvalue {w.min():.3e}, tolerance {_FLOAT_TOL:g} relative)")
+            kept = w > _FLOAT_TOL * wmax
             cols = u[:, kept] / np.sqrt(w[kept])[None, :]
             rows = (cols * s[:, None]).T          # rows @ gs-original @ rows.T = I
             b = np.zeros((rows.shape[0], p))
@@ -552,7 +513,7 @@ def _float_level_data(c, h, N, tol=1e-10):
     return dims, normsq, basis_rows, extract
 
 
-def truncated_rep(c, h, N: int, mode: str = "exact", tol: float = 1e-10,
+def truncated_rep(c, h, N: int, mode: str = "exact",
                   basis: str = "quotient") -> TruncatedRep:
     """Build the truncated representation for (c, h) at cutoff N.
 
@@ -561,7 +522,9 @@ def truncated_rep(c, h, N: int, mode: str = "exact", tol: float = 1e-10,
     Gram matrix is indefinite (the orthonormalization is refused rather
     than faked).  basis="monomial" keeps the raw module action on the full
     monomial basis; it exists for algebra checks at points outside the
-    unitary range and carries no inner product.
+    unitary range and carries no inner product.  Float mode decides rank
+    and unitarity at the fixed relative tolerance _FLOAT_TOL = 1e-10 on
+    the diagonally scaled Gram.
     """
     if N < 2:
         raise ValueError("truncation level N must be at least 2")
@@ -581,7 +544,6 @@ def truncated_rep(c, h, N: int, mode: str = "exact", tol: float = 1e-10,
             level_dims=tuple(partition_count(k) for k in range(N + 1)),
             blocks=blocks,
             basis_norms=None,
-            basis_transforms=None,
             basis="monomial",
         )
     if basis != "quotient":
@@ -589,7 +551,7 @@ def truncated_rep(c, h, N: int, mode: str = "exact", tol: float = 1e-10,
     if mode == "exact":
         dims, normsq, basis_rows, extract = _exact_level_data(cv, hv, N)
     elif mode == "float":
-        dims, normsq, basis_rows, extract = _float_level_data(cv, hv, N, tol)
+        dims, normsq, basis_rows, extract = _float_level_data(cv, hv, N)
     else:
         raise ValueError(f"unknown arithmetic mode {mode!r}")
     blocks = {}
@@ -602,8 +564,6 @@ def truncated_rep(c, h, N: int, mode: str = "exact", tol: float = 1e-10,
             if mode == "float":
                 blk = np.asarray(blk, dtype=np.float64)
             blocks[(n, k)] = blk
-    if mode == "float":
-        basis_rows = [np.asarray(b, dtype=np.float64) for b in basis_rows]
     return TruncatedRep(
         c=cv if mode == "exact" else float(cv),
         h=hv if mode == "exact" else float(hv),
@@ -612,7 +572,6 @@ def truncated_rep(c, h, N: int, mode: str = "exact", tol: float = 1e-10,
         level_dims=tuple(dims),
         blocks=blocks,
         basis_norms=tuple(normsq),
-        basis_transforms=tuple(basis_rows),
     )
 
 
@@ -708,7 +667,8 @@ def tensor_rep(a: TruncatedRep, b: TruncatedRep, N: int, dim_cap: int = 20000) -
     """Graded tensor product with L_n = L_n (x) 1 + 1 (x) L_n, cut at total level N.
 
     Basis at level K: pairs (level ka block of a) x (level K - ka of b),
-    ka ascending; norms squared multiply.  Central charge adds.
+    ka ascending; norms squared multiply, and the result is labelled
+    basis="tensor".  Central charge adds.
     """
     if a.mode != b.mode:
         raise ValueError("tensor factors must share the arithmetic mode")
@@ -778,5 +738,5 @@ def tensor_rep(a: TruncatedRep, b: TruncatedRep, N: int, dim_cap: int = 20000) -
         level_dims=tuple(dims),
         blocks=blocks,
         basis_norms=tuple(norms),
-        basis_transforms=None,
+        basis="tensor",
     )

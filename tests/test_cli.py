@@ -1,7 +1,7 @@
 """Command-line interface: exit codes, reports, determinism, fault hook."""
 
 import json
-from fractions import Fraction
+import re
 
 import pytest
 
@@ -141,6 +141,13 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "run.cfg:1: unknown config key 'levels'" in err
 
 
+def test_seed_is_not_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\n")
+    assert run("rep", "--config", cfg, "--out", tmp_path) == 2
+    assert "run.cfg:1: unknown config key 'seed'" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert run("rep", "--config", tmp_path / "nope.cfg", "--out", tmp_path) == 2
 
@@ -217,6 +224,19 @@ def test_field_unknown_spec(tmp_path):
     assert run("field", "wavelet:3", "--out", tmp_path) == 2
 
 
+def test_field_rejects_a_zero_cutoff(tmp_path, capsys):
+    assert run("field", "--cutoff", "0", "piecewise-mobius", "--out", tmp_path) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: cutoff must be at least 1, got 0"]
+
+
+def test_field_mode_zero_default_cutoff(tmp_path):
+    assert run("field", "mode:0", "--out", tmp_path) == 0
+    report = read_report(tmp_path, "field_report.json")
+    assert report["result"]["cutoff"] == 1
+    assert report["result"]["norm"]["partial_sum"] == repr(1.0)
+
+
 # ---------------------------------------------------------------------------
 # smear
 
@@ -245,6 +265,12 @@ def test_smear_piecewise_on_float_rep(tmp_path):
     assert report["result"]["vacuum_norm"]["ok"] is True
 
 
+def test_smear_rejects_a_zero_cutoff(tmp_path, capsys):
+    assert run("smear", "--field", "mode:2", "--cutoff", "0", "--N", "4",
+               "--out", tmp_path) == 2
+    assert "cutoff must be at least 1" in capsys.readouterr().err
+
+
 def test_smear_non_real_field_skips_hermiticity(tmp_path):
     assert run("smear", "--field", "mode:2", "--c", "1/2", "--N", "4",
                "--out", tmp_path) == 0
@@ -258,7 +284,7 @@ def test_smear_non_real_field_skips_hermiticity(tmp_path):
 
 
 def test_bounds_small_run(tmp_path):
-    assert run("bounds", "--c", "1/2", "--N", "4", "--mode", "float",
+    assert run("bounds", "--c", "1/2", "--N", "4",
                "--eps-grid", "1e-3:10:40", "--out", tmp_path) == 0
     report = read_report(tmp_path, "bounds_report.json")
     result = report["result"]
@@ -271,7 +297,7 @@ def test_bounds_small_run(tmp_path):
 
 
 def test_bounds_reports_are_deterministic(tmp_path):
-    argv = ("bounds", "--c", "1/2", "--N", "4", "--mode", "float",
+    argv = ("bounds", "--c", "1/2", "--N", "4",
             "--eps-grid", "1e-3:10:40")
     assert run(*argv, "--out", tmp_path / "a") == 0
     assert run(*argv, "--out", tmp_path / "b") == 0
@@ -300,7 +326,7 @@ def test_bounds_uses_the_cache(tmp_path, monkeypatch):
 
 
 def test_faulted_bounds_are_the_bounds_at_twelve_thirteenths_c(tmp_path):
-    argv = ("bounds", "--N", "4", "--mode", "float", "--eps-grid", "1e-3:10:40")
+    argv = ("bounds", "--N", "4", "--eps-grid", "1e-3:10:40")
     run(*argv, "--c", "2", *FAULT, "--out", tmp_path / "fault")
     run(*argv, "--c", "24/13", "--out", tmp_path / "scaled")
     run(*argv, "--c", "2", "--out", tmp_path / "healthy")
@@ -311,6 +337,16 @@ def test_faulted_bounds_are_the_bounds_at_twelve_thirteenths_c(tmp_path):
     assert q_hat(tmp_path / "fault") == q_hat(tmp_path / "scaled") == \
         repr(0.14423076923076922)
     assert q_hat(tmp_path / "healthy") == repr(0.15625000000000003)
+
+
+def test_bounds_has_no_mode(tmp_path):
+    # bounds always builds in float, so it takes no --mode and reports none
+    assert run("bounds", "--N", "4", "--mode", "float", "--out", tmp_path) == 2
+    assert run("bounds", "--N", "4", "--eps-grid", "1e-3:10:40",
+               "--out", tmp_path) == 0
+    config = read_report(tmp_path, "bounds_report.json")["config"]
+    assert "mode" not in config
+    assert config["N"] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -351,3 +387,22 @@ def test_no_subcommand_is_an_error():
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     assert "check-all" in capsys.readouterr().out
+
+
+def test_flags_a_command_does_not_read_are_rejected(tmp_path):
+    assert run("field", "mode:2", "--c", "1/2", "--out", tmp_path) == 2
+    assert run("check-all", "--N", "3", "--out", tmp_path) == 2
+    assert run("rep", "--seed", "1", "--out", tmp_path) == 2
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("rep", "--c --h --N --mode --cache --inject-fault"),
+    ("field", "--cutoff"),
+    ("smear", "--c --h --N --mode --cache --cutoff --inject-fault --field"),
+    ("bounds", "--c --h --N --eps-grid --cache --inject-fault"),
+    ("check-all", ""),
+], ids=["rep", "field", "smear", "bounds", "check-all"])
+def test_help_lists_exactly_the_flags_a_command_reads(command, flags, capsys):
+    assert run(command, "--help") == 0
+    listed = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
+    assert listed == {"--help", "--config", "--out", *flags.split()}

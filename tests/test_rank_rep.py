@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vircut import verma
+from vircut import acceptance, verma
+from vircut.rational import exact_rank_nullspace
 from vircut.verma import (
     NonUnitaryError,
-    level_rank,
     measure_central_charge,
     relation_residual_summary,
     truncated_rep,
@@ -39,11 +39,19 @@ def test_generic_weight_keeps_full_verma_dimensions():
     assert rep.level_dims == GENERIC_DIMS
 
 
-def test_level_rank_modes_agree():
-    for k in range(1, 7):
-        exact = level_rank(Fraction(1, 2), 0, k, mode="exact")
-        floaty = level_rank(Fraction(1, 2), 0, k, mode="float")
-        assert exact.rank == floaty.rank == ISING_VACUUM_DIMS[k]
+@pytest.mark.parametrize("c, h", [
+    (Fraction(1, 2), Fraction(0)),
+    (Fraction(1), Fraction(1, 4)),
+    (Fraction(7, 10), Fraction(3, 5)),
+    (Fraction(1, 2), Fraction(1, 16)),
+], ids=["c=1/2,h=0", "c=1,h=1/4", "c=7/10,h=3/5", "c=1/2,h=1/16"])
+def test_builder_dims_match_the_exact_gram_rank(c, h):
+    # Gaussian elimination on the exact Gram shares no code with the
+    # builders' quotient (psd_congruence in exact mode, eigh in float)
+    ranks = tuple(exact_rank_nullspace(verma.gram_matrix(c, h, k).entries)[0]
+                  for k in range(11))
+    assert truncated_rep(c, h, 10, mode="float").level_dims == ranks
+    assert acceptance._rep(c, h, 8).level_dims == ranks[:9]
 
 
 @pytest.mark.parametrize("c,h,level", [
@@ -114,7 +122,7 @@ def test_float_mode_matches_exact_blocks(ising8, ising8_float):
             assert np.allclose(sa, sb, atol=1e-9)
 
 
-# level dims of c=7/10, h=3/5: exact level_rank, and the Rocha-Caridi
+# level dims of c=7/10, h=3/5: the exact Gram rank, and the Rocha-Caridi
 # character of M(4,5) at (r,s)=(3,2)
 TCI_THREE_FIFTHS_DIMS = (1, 1, 2, 2, 4, 5, 7, 9, 13, 16, 22, 27, 36, 45)
 

@@ -75,6 +75,28 @@ def test_monomial_rep_round_trip(tmp_path):
     assert _blocks_equal(loaded, rep)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_file_with_transform_sections_still_loads(tmp_path, mode):
+    # schema-1 files used to carry each level's basis rows as
+    # "transform:k" sections; the loader verifies and skips them
+    rep = verma.truncated_rep(C, H, 4, mode=mode)
+    path = save_rep(tmp_path, rep, c=C, h=H)
+    lines = path.read_text().splitlines()[:-1]
+    assert not any("transform:" in ln for ln in lines)
+    first_block = next(i for i, ln in enumerate(lines) if ln.startswith("matrix block:"))
+    transforms = []
+    for k in range(5):
+        p = verma.partition_count(k)
+        transforms += [f"matrix transform:{k} {rep.dim(k)} {p}"]
+        transforms += [" ".join(["1"] * p)] * rep.dim(k)
+    _restamp(path, lines[:first_block] + transforms + lines[first_block:])
+    loaded = load_rep(tmp_path, C, H, 4, mode=mode)
+    assert loaded.level_dims == rep.level_dims
+    assert _blocks_equal(loaded, rep)
+    for k in range(5):
+        assert list(loaded.norms(k)) == list(rep.norms(k))
+
+
 def test_tensor_rep_is_not_cacheable(tmp_path, ising8):
     pair = verma.tensor_rep(ising8, ising8, 4)
     with pytest.raises(CacheError, match="not cacheable"):

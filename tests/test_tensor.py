@@ -40,5 +40,5 @@ def test_tensor_inner_product_data_present():
     a = _vacuum(Fraction(1, 2))
     t = tensor_rep(a, a, 4)
     assert t.basis_norms is not None
-    assert t.basis_transforms is None  # basis is the pairing of factor bases
+    assert t.basis == "tensor"  # the pairing of factor bases
     assert len(t.norms(4)) == t.dim(4)
