@@ -50,7 +50,6 @@ def _rep(c, h, N: int, mode: str = "exact", basis: str = "quotient"):
 
 C_VALUES = (Fraction(1, 2), Fraction(7, 10), Fraction(1), Fraction(2))
 H_VALUES = (Fraction(0), Fraction(1, 2))
-FLOAT_RELATION_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +78,7 @@ def criterion_virasoro_relations() -> tuple[bool, str]:
                     ok = ok and summary["exact_zero"]
                 else:
                     worst_float = max(worst_float, summary["max_abs"])
-                    ok = ok and summary["max_abs"] <= FLOAT_RELATION_TOL
+                    ok = ok and summary["max_abs"] <= verma.FLOAT_RESIDUAL_TOL
     note = f"; monomial basis at {', '.join(fallbacks)}" if fallbacks else ""
     return ok, (f"8 (c,h) points, both modes; exact residuals zero, "
                 f"worst float residual {worst_float:.2e}{note}")
@@ -190,10 +189,10 @@ def criterion_piecewise_field() -> tuple[bool, str]:
             modes_ok = modes_ok and not a and not b
 
     quad_worst = 0.0
-    for n in (2, -2, 3, 4, 5, 6, 10, 34):
+    ns = (2, -2, 3, 4, 5, 6, 10, 34)
+    for n, closed in zip(ns, pw.coefficient_closed(ns)):
         value, _ = fields.fourier_coefficient_quadrature(pw, n)
-        quad_worst = max(quad_worst,
-                         abs(value - fields.piecewise_coefficient_closed(n)))
+        quad_worst = max(quad_worst, abs(value - closed))
     quad_ok = quad_worst <= 1e-12
 
     m200 = bounds.decay_report(pw, 200).constant

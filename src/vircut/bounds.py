@@ -37,7 +37,8 @@ import numpy as np
 from . import verma
 from .fields import (FEJER, FourierField, MollifierFamily, PiecewiseMobiusField,
                      fourier_coefficient)
-from .smear import _opnorm, fm_sup
+from .rational import opnorm
+from .smear import fm_sup
 
 
 @dataclass(frozen=True)
@@ -86,15 +87,7 @@ def _rep_for(c, N: int, h, rep) -> verma.TruncatedRep:
 
 def _block_norms(rep: verma.TruncatedRep) -> dict[tuple[int, int], float]:
     """Operator norm of each orthonormal-basis block of L_n at level src."""
-    out = {}
-    for n in range(-rep.N, rep.N + 1):
-        for src in range(rep.N + 1):
-            if not 0 <= src - n <= rep.N:
-                continue
-            blk = rep.orthonormal_block(n, src)
-            if blk is not None:
-                out[(n, src)] = _opnorm(blk)
-    return out
+    return {(n, src): opnorm(rep.orthonormal_block(n, src)) for n, src in rep.blocks}
 
 
 def estimate_r(c, N: int, h=0, rep: Optional[verma.TruncatedRep] = None
@@ -126,7 +119,7 @@ def estimate_r(c, N: int, h=0, rep: Optional[verma.TruncatedRep] = None
             if best is None or ratio > best["ratio"]:
                 best = row
     # witness reproducibility: recompute the winning cell from scratch
-    re_norm = _opnorm(rep.orthonormal_block(best["n"], best["k"]))
+    re_norm = opnorm(rep.orthonormal_block(best["n"], best["k"]))
     reproduced = re_norm ** 2 / best["denominator"] == best["ratio"]
     return BoundReport(
         experiment="energy-bound-r",
@@ -279,7 +272,7 @@ def decay_report(field, n_max: int) -> BoundReport:
     if isinstance(field, PiecewiseMobiusField):
         # |f_hat(-n)| = |f_hat(n)|, so the positive side carries the maximum
         ns = np.arange(2, n_max + 1)
-        mags = field.coefficient_abs_array(ns)
+        mags = np.abs(field.coefficient_closed(ns))
         scaled = mags * ns.astype(np.float64) ** 3
         table = [{"n": int(n), "abs_coefficient": float(a), "scaled": float(s)}
                  for n, a, s in zip(ns, mags, scaled) if a > 0.0]
@@ -312,12 +305,13 @@ def decay_report(field, n_max: int) -> BoundReport:
     )
 
 
-def _weight_series_chunks(k_points: Sequence[int], chunk: int = 1 << 21):
+def _weight_series_chunks(field: PiecewiseMobiusField, k_points: Sequence[int],
+                          chunk: int = 1 << 21):
     """Cumulative n*W and W sums of the piecewise field's weight series.
 
     W(n) = 2 |f_hat(n)| (1 + n^{3/2}) summed over the support n = 2 mod 4
-    up to max(k_points); yields (k, cum_nW(k), cum_W(k)) per requested
-    point plus the grand totals.
+    up to max(k_points), in chunks of `chunk` consecutive integers; yields
+    (k, cum_nW(k), cum_W(k)) per requested point plus the grand totals.
     """
     k_points = sorted(set(int(k) for k in k_points))
     n_max = k_points[-1]
@@ -332,11 +326,10 @@ def _weight_series_chunks(k_points: Sequence[int], chunk: int = 1 << 21):
         while target is not None and target < lo:
             out[target] = (cum_v, cum_w)
             target = next(targets, None)
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        sel = ns[ns % 4 == 2].astype(np.float64)
+        ns = np.arange(lo + (2 - lo) % 4, hi + 1, 4, dtype=np.int64)
+        sel = ns.astype(np.float64)
         if sel.size:
-            w = 2.0 * (8.0 / (math.pi * sel * (sel * sel - 1.0))) \
-                * (1.0 + sel ** 1.5)
+            w = 2.0 * np.abs(field.coefficient_closed(ns)) * (1.0 + sel ** 1.5)
             v = sel * w
             cw = np.cumsum(w)
             cv = np.cumsum(v)
@@ -404,7 +397,7 @@ def mollifier_report(field, family: MollifierFamily = FEJER,
     elif isinstance(field, PiecewiseMobiusField):
         if family.kind != "fejer":
             raise TypeError("the piecewise field is swept with the Fejer family")
-        sums, _, w_all = _weight_series_chunks(ladder)
+        sums, _, w_all = _weight_series_chunks(field, ladder)
         tail_const = _piecewise_tail_bound(ladder[-1])
         table = []
         for k in ladder:

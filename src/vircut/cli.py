@@ -8,8 +8,10 @@ full acceptance battery.
 
 Each subcommand accepts only the settings it reads (READS below).
 Configuration is a flat key=value file overridden by flags; a file may
-set any key, so one file can drive several subcommands, and a report's
-config block holds only the keys its subcommand reads.  Reports are
+set any known key, so one file can drive several subcommands: each
+parses and validates only the keys it reads and ignores the others, and
+a report's config block holds only those keys (inject_fault included,
+which is a flag and never a file key).  Reports are
 JSON files whose floats are printed with repr so the exact double can be
 recovered; rationals are p/q strings.  Output is deterministic for a
 fixed configuration except for the timestamp, which lives only in the
@@ -25,7 +27,6 @@ import datetime
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -37,6 +38,10 @@ from . import bounds, fields, smear, store, verma
 from .rational import CFrac, as_fraction, fmt_rational
 
 FAULTS = ("none", "central-denominator-13")
+
+# Weighted coefficient mass beyond the smearing cutoff above which
+# `smear` adds a note to its report.
+BIAS_TOL = 1e-8
 
 
 class UsageError(Exception):
@@ -57,6 +62,7 @@ class RunConfig:
     cutoff: Optional[int] = None
     out: Path = Path("out")
     cache: Optional[Path] = None
+    inject_fault: str = "none"
 
     def eps_values(self) -> np.ndarray:
         lo, hi, count = parse_eps_spec(self.eps_grid)
@@ -72,6 +78,7 @@ class RunConfig:
             "cutoff": self.cutoff,
             "out": str(self.out),
             "cache": None if self.cache is None else str(self.cache),
+            "inject_fault": self.inject_fault,
         }
 
 
@@ -123,11 +130,15 @@ def parse_config_file(path: Path) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the config file, then flags, for the keys the command
+    reads; other known keys of the file are ignored, not validated."""
+    reads = ("out",) + READS[args.command]
     raw = {}
     if args.config is not None:
         raw.update(parse_config_file(Path(args.config)))
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
+    raw = {key: value for key, value in raw.items() if key in reads}
+    for key in reads:
+        flag = getattr(args, key)
         if flag is not None:
             raw[key] = flag
     cfg = RunConfig()
@@ -153,6 +164,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         cfg = replace(cfg, out=Path(raw["out"]))
     if "cache" in raw:
         cfg = replace(cfg, cache=Path(raw["cache"]))
+    if "inject_fault" in raw:
+        cfg = replace(cfg, inject_fault=raw["inject_fault"])
     if cfg.N < 2:
         raise UsageError(f"N must be at least 2, got {cfg.N}")
     if cfg.mode not in ("exact", "float"):
@@ -289,7 +302,7 @@ def load_field_csv(path: Path):
 # subcommands
 
 
-def _build_rep(cfg: RunConfig, fault: str):
+def _build_rep(cfg: RunConfig):
     """Load or build the configured rep, with the fault injected if asked.
 
     The central-denominator-13 fault needs no builder setting: the central
@@ -298,7 +311,7 @@ def _build_rep(cfg: RunConfig, fault: str):
     and then labelled c, and every check that reads c from the label sees
     the faulted algebra.
     """
-    c = cfg.c * Fraction(12, 13) if fault == "central-denominator-13" else cfg.c
+    c = cfg.c * Fraction(12, 13) if cfg.inject_fault == "central-denominator-13" else cfg.c
     rep, source = store.load_or_build_rep(cfg.cache, c, cfg.h, cfg.N, cfg.mode)
     if c != cfg.c:
         rep = replace(rep, c=cfg.c if rep.mode == "exact" else float(cfg.c))
@@ -306,14 +319,15 @@ def _build_rep(cfg: RunConfig, fault: str):
 
 
 def cmd_rep(cfg: RunConfig, args: argparse.Namespace) -> int:
-    rep, source = _build_rep(cfg, args.inject_fault)
+    rep, source = _build_rep(cfg)
     summary = verma.relation_residual_summary(rep, max_mode=3)
     if cfg.mode == "exact":
         ok = summary["exact_zero"]
         residual_line = "exact zero" if ok else f"nonzero rational, max {summary['max_abs']:.3e}"
     else:
-        ok = summary["max_abs"] <= 1e-10
-        residual_line = f"max abs {summary['max_abs']:.3e} (tolerance 1e-10)"
+        ok = summary["max_abs"] <= verma.FLOAT_RESIDUAL_TOL
+        residual_line = (f"max abs {summary['max_abs']:.3e} "
+                         f"(tolerance {verma.FLOAT_RESIDUAL_TOL:g})")
     measured = verma.measure_central_charge(rep)
     admissible = verma.is_admissible(cfg.c)
     result = {
@@ -396,16 +410,16 @@ def _ensure_out(cfg: RunConfig) -> Path:
 
 def cmd_smear(cfg: RunConfig, args: argparse.Namespace) -> int:
     field = parse_field_spec(args.field)
-    rep, source = _build_rep(cfg, args.inject_fault)
+    rep, source = _build_rep(cfg)
     cutoff = min(cfg.cutoff, rep.N) if cfg.cutoff is not None else rep.N
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", smear.TruncationBiasWarning)
-            op = smear.smear(rep, field, cutoff=cutoff)
+        op = smear.smear(rep, field, cutoff=cutoff)
     except TypeError as exc:
         raise UsageError(str(exc)) from exc
-    bias_notes = [str(w.message) for w in caught
-                  if issubclass(w.category, smear.TruncationBiasWarning)]
+    bias = op.truncation_bias
+    bias_notes = [] if not bias or bias <= BIAS_TOL else [
+        f"smearing cutoff {cutoff} discards weighted coefficient mass "
+        f"~{bias:.3e} (tolerance {BIAS_TOL:.1e})"]
 
     is_real = bool(getattr(field, "real", True))
     herm = smear.hermiticity_residual(op) if is_real else None
@@ -415,8 +429,8 @@ def cmd_smear(cfg: RunConfig, args: argparse.Namespace) -> int:
         herm_ok = herm.exact_zero
         herm_line = "exact zero" if herm_ok else f"nonzero, max {herm.max_abs:.3e}"
     else:
-        herm_ok = herm.max_abs <= 1e-10
-        herm_line = f"max abs {herm.max_abs:.3e} (tolerance 1e-10)"
+        herm_ok = herm.max_abs <= verma.FLOAT_RESIDUAL_TOL
+        herm_line = f"max abs {herm.max_abs:.3e} (tolerance {verma.FLOAT_RESIDUAL_TOL:g})"
 
     vac = None
     vac_ok = True
@@ -463,7 +477,7 @@ _FM_MS = (1, 2, 3, 5, 10, 50)
 
 def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     grid = cfg.eps_values()
-    rep, _ = _build_rep(replace(cfg, mode="float"), args.inject_fault)
+    rep, _ = _build_rep(replace(cfg, mode="float"))
     r_report = bounds.estimate_r(cfg.c, cfg.N, h=cfg.h, rep=rep)
     q_report = bounds.estimate_q(cfg.c, cfg.N, grid, h=cfg.h, rep=rep, r_report=r_report)
 

@@ -18,7 +18,10 @@ Two kinds of fields appear:
   p^{2-m} g1_hat(m).  Fourier coefficients of the glued field are exact
   arc integrals of trigonometric monomials; every coefficient has the
   form a/pi + b with a, b in Q[i], and b = 0 for all n.  The rotation
-  antisymmetry f(i z) = -f(z) forces f_hat(n) = 0 unless n = 2 mod 4.
+  antisymmetry f(i z) = -f(z) forces f_hat(n) = 0 unless n = 2 mod 4,
+  and there f_hat(n) = 8i/(pi n (n^2-1)).  coefficient_exact is the arc
+  integral route and the oracle; coefficient_closed is the vectorized
+  closed form that every float consumer of the glued field reads.
 
 The scale for smearing bounds is norm_three_halves, the weighted l^1 sum
 Sum_n |f_hat(n)| (1 + |n|^{3/2}).  Mollifier families act on fields by
@@ -180,9 +183,6 @@ class PiecewiseMobiusField:
 
     pieces: tuple[tuple[CFrac, CFrac, CFrac], ...]
 
-    def piece_coefficient(self, j: int, m: int) -> CFrac:
-        return self.pieces[j % 4][m + 1]
-
     def coefficient_exact(self, n: int) -> tuple[CFrac, CFrac]:
         """Exact Fourier coefficient as (a, b) with f_hat(n) = a/pi + b."""
         a_total = CFrac(0)
@@ -202,12 +202,17 @@ class PiecewiseMobiusField:
         # |f_hat(n)| |n|^3 = (8/pi) n^2/(n^2-1), maximal at |n| = 2.
         return 32.0 / (3.0 * math.pi)
 
-    def coefficient_abs_array(self, ns: np.ndarray) -> np.ndarray:
-        """Vectorized |f_hat(n)| from the closed form, for sweep code."""
-        nf = np.abs(ns.astype(np.float64))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mag = 8.0 / (math.pi * nf * (nf * nf - 1.0))
-        return np.where(ns % 4 == 2, mag, 0.0)
+    def coefficient_closed(self, ns) -> np.ndarray:
+        """Complex f_hat(n) = 8i/(pi n (n^2-1)) on n = 2 mod 4, else 0, per n.
+
+        Agrees exactly with coefficient_exact (covered by tests).  The
+        real part is a zero with the sign of n.
+        """
+        ns = np.asarray(ns)
+        nf = ns.astype(np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):  # n = 0, +-1
+            values = (8.0 / (math.pi * nf * (nf * nf - 1.0))) * 1j
+        return np.where(ns % 4 == 2, values, 0)
 
 
 def _arc_integral(d: int, j: int) -> tuple[CFrac, CFrac]:
@@ -225,17 +230,6 @@ def build_piecewise_mobius() -> PiecewiseMobiusField:
         for j in range(4)
     )
     return PiecewiseMobiusField(pieces)
-
-
-def piecewise_coefficient_closed(n: int) -> complex:
-    """Closed form for the glued field: 8i/(pi n (n^2-1)) on n = 2 mod 4, else 0.
-
-    Agrees exactly with coefficient_exact (covered by tests); used where a
-    scalar float is all that is needed.
-    """
-    if n % 4 != 2:
-        return 0j
-    return 8j / (math.pi * n * (n * n - 1))
 
 
 def fourier_coefficient(field, n: int) -> Coefficient:
@@ -271,12 +265,9 @@ def fourier_coefficient_quadrature(field, n: int) -> tuple[complex, float]:
 
 def truncated_fourier(field: PiecewiseMobiusField, cutoff: int) -> FourierField:
     """Materialize the glued field's modes |n| <= cutoff as a FourierField."""
-    coeffs = {}
-    for n in range(-cutoff, cutoff + 1):
-        a = piecewise_coefficient_closed(n)
-        if a:
-            coeffs[n] = a
-    return FourierField(coeffs, real=True)
+    ns = np.arange(-cutoff, cutoff + 1)
+    coeffs = field.coefficient_closed(ns)
+    return FourierField({int(n): complex(a) for n, a in zip(ns, coeffs) if a}, real=True)
 
 
 def evaluate(field, theta: float):
@@ -296,7 +287,7 @@ def evaluate(field, theta: float):
 def evaluate_series(field: PiecewiseMobiusField, theta: float, cutoff: int) -> float:
     """Partial Fourier sum of the glued field up to |n| <= cutoff."""
     ns = np.arange(-cutoff, cutoff + 1)
-    coeffs = np.array([piecewise_coefficient_closed(int(n)) for n in ns])
+    coeffs = field.coefficient_closed(ns)
     return float(np.real(np.sum(coeffs * np.exp(1j * ns * theta))))
 
 
@@ -401,7 +392,6 @@ def mollify(field, family: MollifierFamily, k: int,
 class NormReport:
     """Partial sums of the norm Sum |f_hat(n)| (1 + |n|^{3/2}) with tail bound."""
 
-    field_id: str
     cutoff: int
     partial_sum: float
     tail_bound: Optional[float]
@@ -429,15 +419,14 @@ def norm_three_halves(field, cutoff: int) -> NormReport:
                       for n, a in field.coefficients.items() if abs(n) <= cutoff)
         tail = sum(abs(a) * _weight(n)
                    for n, a in field.coefficients.items() if abs(n) > cutoff)
-        return NormReport(f"fourier[{len(field.coefficients)} modes]", cutoff,
-                          float(partial), float(tail), "finite")
+        return NormReport(cutoff, float(partial), float(tail), "finite")
     if isinstance(field, PiecewiseMobiusField):
         ns = np.arange(2, cutoff + 1)
-        mags = field.coefficient_abs_array(ns)
+        mags = np.abs(field.coefficient_closed(ns))
         partial = 2.0 * float(np.sum(mags * (1.0 + ns.astype(np.float64) ** 1.5)))
         m_hat = field.decay_constant
         tail = 2.0 * m_hat * (0.5 / cutoff**2 + 2.0 / math.sqrt(cutoff))
-        return NormReport("piecewise-mobius", cutoff, partial, tail, "finite")
+        return NormReport(cutoff, partial, tail, "finite")
     raise TypeError(f"unsupported field type {type(field).__name__}")
 
 

@@ -1,10 +1,16 @@
-"""Exact scalars and small dense exact linear algebra.
+"""Exact scalars, small dense exact linear algebra, and matrix helpers
+shared by both arithmetic modes.
 
 Real exact values are ``fractions.Fraction``; complex exact values are
 :class:`CFrac` pairs of Fractions.  Exact matrices are numpy arrays with
 ``dtype=object`` holding these scalars, which gives us transposes, slices
 and matrix products without a symbolic dependency.  Everything here is
 dense and small (dimensions are partition counts, a few hundred at most).
+
+The package runs in two arithmetic modes, "exact" (Fraction object
+arrays) and "float" (float64 arrays); zeros and eye build the zero and
+identity matrices of a mode, and opnorm is the spectral norm that both
+modes' float views are measured with.
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ __all__ = [
     "fmt_rational",
     "object_zeros",
     "object_eye",
+    "zeros",
+    "eye",
+    "opnorm",
     "to_float",
     "exact_rank_nullspace",
     "psd_congruence",
@@ -134,6 +143,28 @@ def object_eye(n: int) -> np.ndarray:
     for i in range(n):
         arr[i, i] = Fraction(1)
     return arr
+
+
+def zeros(shape, mode: str) -> np.ndarray:
+    """Zero matrix of the arithmetic mode: Fraction objects or float64."""
+    if mode == "exact":
+        return object_zeros(shape)
+    if mode == "float":
+        return np.zeros(shape)
+    raise ValueError(f"unknown arithmetic mode {mode!r}")
+
+
+def eye(n: int, mode: str) -> np.ndarray:
+    """Identity matrix of the arithmetic mode: Fraction objects or float64."""
+    return object_eye(n) if mode == "exact" else np.eye(n)
+
+
+def opnorm(mat: np.ndarray) -> float:
+    """Largest singular value of a numeric matrix; 0 for an empty one."""
+    if mat.size == 0:
+        return 0.0
+    return float(np.linalg.svd(np.asarray(mat, dtype=np.float64),
+                               compute_uv=False).max())
 
 
 def to_float(arr: np.ndarray) -> np.ndarray:

@@ -5,7 +5,11 @@ A smeared operator on a truncated representation is stored blockwise: the
 generator maps level src into level dst.  For real fields the full
 truncated matrix is hermitian with respect to the representation's inner
 product: each mode pair (n, -n) is either kept or dropped together by the
-level cutoff, so no boundary correction is needed.
+level cutoff, so no boundary correction is needed.  Smearing records
+the weighted coefficient mass its cutoff discards (truncation_bias) and
+leaves judging it to the caller.  Hermiticity is one check in both
+arithmetic modes: each block pair is weighted by the basis norms, which
+are 1.0 in the orthonormal float bases.
 
 The heat-commutator machinery realizes R_{n,eps} = [L_n, e^{-eps L0}].
 Since e^{-eps L0} is a scalar on each level, R_{n,eps} restricted to level
@@ -21,7 +25,6 @@ Everything is pure; matrices are never mutated after construction.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -31,14 +34,10 @@ import numpy as np
 from .fields import (FourierField, PiecewiseMobiusField, bracket_with_cocycle,
                      build_piecewise_mobius, evaluate, mobius_piece,
                      norm_three_halves, truncated_fourier, _corner_index)
-from .rational import CFrac, as_fraction, object_eye
+from .rational import CFrac, as_fraction, eye, opnorm, to_float, zeros
 from .verma import TruncatedRep
 
 GradedVector = Mapping[int, np.ndarray]
-
-
-class TruncationBiasWarning(UserWarning):
-    """The field carries weighted coefficient mass beyond the smearing cutoff."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ class SmearedOperator:
     cutoff: int
     field_support: tuple[int, ...]
     blocks: Mapping[tuple[int, int], np.ndarray]
-    truncation_bias: Optional[float]
+    truncation_bias: Optional[float]  # weighted coefficient mass beyond the cutoff
 
     def block(self, dst: int, src: int) -> Optional[np.ndarray]:
         return self.blocks.get((dst, src))
@@ -64,13 +63,12 @@ class SmearedOperator:
         return out
 
 
-def smear(rep: TruncatedRep, field, cutoff: Optional[int] = None,
-          bias_tol: float = 1e-8) -> SmearedOperator:
+def smear(rep: TruncatedRep, field, cutoff: Optional[int] = None) -> SmearedOperator:
     """Assemble T(f) blockwise up to the cutoff (default: the rep's N).
 
     Exact-mode representations only accept exact fields; float-mode ones
-    take anything.  A TruncationBiasWarning fires when the weighted
-    coefficient mass beyond the cutoff exceeds bias_tol.
+    take anything.  The weighted coefficient mass beyond the cutoff is
+    recorded as truncation_bias; judging it is left to the caller.
     """
     if cutoff is None:
         cutoff = rep.N
@@ -87,10 +85,6 @@ def smear(rep: TruncatedRep, field, cutoff: Optional[int] = None,
         support = field.support
     else:
         raise TypeError(f"unsupported field type {type(field).__name__}")
-    if bias and bias > bias_tol:
-        warnings.warn(
-            f"smearing cutoff {cutoff} discards weighted coefficient mass "
-            f"~{bias:.3e} (tolerance {bias_tol:.1e})", TruncationBiasWarning)
 
     exact = rep.mode == "exact"
     blocks: dict[tuple[int, int], np.ndarray] = {}
@@ -125,40 +119,27 @@ class HermiticityReport:
 def hermiticity_residual(op: SmearedOperator) -> HermiticityReport:
     """Deviation of T from its adjoint in the representation inner product.
 
-    Zero (exactly, in rational mode) for real fields.  In the exact
-    diagonal basis the adjoint condition is weighted by the basis norms:
-    D_dst[i] T[i,j] == conj(T'[j,i]) D_src[j] for the reverse block T'.
+    Zero (exactly, in rational mode) for real fields.  The adjoint
+    condition is weighted by the basis norms: the residual of the
+    (dst, src) block A and the reverse block B is D_dst A - conj(B)^T D_src,
+    D_k being the diagonal of squared norms at level k (the identity in
+    float mode, so there it is A - conj(B)^T).
     """
     rep = op.rep
     exact = rep.mode == "exact"
-    rep.norms(0)  # raises for bases without inner product data
+    # raises for bases without inner product data
+    norms = [np.asarray(rep.norms(k)) for k in range(rep.N + 1)]
     worst = 0.0
     exact_zero = True if exact else None
-    seen = set(op.blocks) | {(s, d) for (d, s) in op.blocks}
-    for dst, src in seen:
-        a = op.block(dst, src)
-        b = op.block(src, dst)
-        if a is None and b is None:
-            continue
-        shape = a.shape if a is not None else (b.shape[1], b.shape[0])
+    for dst, src in set(op.blocks) | {(s, d) for (d, s) in op.blocks}:
+        a, b = op.block(dst, src), op.block(src, dst)
+        a = zeros((rep.dim(dst), rep.dim(src)), rep.mode) if a is None else a
+        b = zeros((rep.dim(src), rep.dim(dst)), rep.mode) if b is None else b
+        res = a * norms[dst][:, None] - np.conj(b).T * norms[src][None, :]
         if exact:
-            d_dst, d_src = rep.norms(dst), rep.norms(src)
-            for i in range(shape[0]):
-                for j in range(shape[1]):
-                    lhs = (a[i, j] if a is not None else 0) * d_dst[i]
-                    rhs_val = b[j, i] if b is not None else CFrac(0)
-                    rhs_val = rhs_val if isinstance(rhs_val, CFrac) else CFrac.of(rhs_val)
-                    rhs = rhs_val.conjugate() * d_src[j]
-                    diff = lhs - rhs
-                    if diff:
-                        exact_zero = False
-                        worst = max(worst, abs(complex(diff)))
-        else:
-            am = a if a is not None else np.zeros(shape, dtype=complex)
-            bm = b if b is not None else np.zeros((shape[1], shape[0]), dtype=complex)
-            res = am - bm.conj().T
-            if res.size:
-                worst = max(worst, float(np.max(np.abs(res))))
+            exact_zero = exact_zero and not any(res.ravel())
+            res = to_float(res)
+        worst = max(worst, float(np.abs(res).max(initial=0.0)))
     return HermiticityReport(worst, exact_zero)
 
 
@@ -189,7 +170,7 @@ def vacuum_norm(field, c, cutoff: Optional[int] = None) -> Union[Fraction, float
         if cutoff is None:
             raise ValueError("the piecewise field needs an explicit cutoff")
         ms = np.arange(2, cutoff + 1)
-        mags = field.coefficient_abs_array(-ms)
+        mags = np.abs(field.coefficient_closed(-ms))
         msf = ms.astype(np.float64)
         return float(c_val) / 12.0 * float(np.sum(mags**2 * (msf**3 - msf)))
     if not isinstance(field, FourierField):
@@ -212,7 +193,7 @@ def vacuum_norm_from_rep(rep: TruncatedRep, field,
     """||T(f) vacuum||^2 computed from the smeared matrix blocks."""
     if rep.h != 0:
         raise ValueError("vacuum norm needs a vacuum module (h = 0)")
-    op = smear(rep, field, cutoff, bias_tol=math.inf)
+    op = smear(rep, field, cutoff)
     if rep.mode == "exact":
         vac = np.array([CFrac(1)], dtype=object)
     else:
@@ -229,14 +210,6 @@ class HeatCommutator:
     levels: tuple[int, ...]
     factors: tuple[float, ...]  # e^{-eps(h+k)} - e^{-eps(h+k-n)} per level
     blocks: Mapping[int, np.ndarray]
-    norm: float  # max over levels of the per-level operator norm
-
-
-def _opnorm(mat: np.ndarray) -> float:
-    if mat.size == 0:
-        return 0.0
-    return float(np.linalg.svd(np.asarray(mat, dtype=np.float64),
-                               compute_uv=False).max())
 
 
 def heat_commutator(rep: TruncatedRep, n: int, eps: float) -> HeatCommutator:
@@ -254,7 +227,6 @@ def heat_commutator(rep: TruncatedRep, n: int, eps: float) -> HeatCommutator:
     levels = []
     factors = []
     blocks: dict[int, np.ndarray] = {}
-    worst = 0.0
     for src in range(rep.N + 1):
         dst = src - n
         if not 0 <= dst <= rep.N:
@@ -269,8 +241,7 @@ def heat_commutator(rep: TruncatedRep, n: int, eps: float) -> HeatCommutator:
         levels.append(src)
         factors.append(float(e_src - e_dst))
         blocks[src] = r
-        worst = max(worst, _opnorm(r))
-    return HeatCommutator(n, eps, tuple(levels), tuple(factors), blocks, worst)
+    return HeatCommutator(n, eps, tuple(levels), tuple(factors), blocks)
 
 
 def heat_identity_residual(rep: TruncatedRep, n: int, eps: float) -> float:
@@ -279,8 +250,8 @@ def heat_identity_residual(rep: TruncatedRep, n: int, eps: float) -> float:
     hc = heat_commutator(rep, n, eps)
     worst = 0.0
     for src, f in zip(hc.levels, hc.factors):
-        base = _opnorm(rep.orthonormal_block(n, src)) * abs(f)
-        got = _opnorm(hc.blocks[src])
+        base = opnorm(rep.orthonormal_block(n, src)) * abs(f)
+        got = opnorm(hc.blocks[src])
         if base == 0.0:
             worst = max(worst, got)
         else:
@@ -337,9 +308,9 @@ def decomposition_check(rep: TruncatedRep, corner, samples: int = 1000) -> dict:
     g_p = mobius_piece(corner)
     diff = f_table - g_p
 
-    op_f = smear(rep, f_table, bias_tol=math.inf)
-    op_d = smear(rep, diff, bias_tol=math.inf)
-    op_g = smear(rep, g_p, bias_tol=math.inf)
+    op_f = smear(rep, f_table)
+    op_d = smear(rep, diff)
+    op_g = smear(rep, g_p)
     worst = 0.0
     for key in set(op_f.blocks) | set(op_d.blocks) | set(op_g.blocks):
         shape = next(b.shape for b in (op_f.block(*key), op_d.block(*key),
@@ -431,9 +402,9 @@ def commutator_residual(rep: TruncatedRep, f: FourierField, g: FourierField
     h, omega = bracket_with_cocycle(f, g, rep.c)
     if h.support and max(abs(n) for n in h.support) > rep.N:
         raise ValueError("bracket support exceeds the truncation level")
-    op_f = smear(rep, f, bias_tol=math.inf)
-    op_g = smear(rep, g, bias_tol=math.inf)
-    op_h = smear(rep, h, bias_tol=math.inf)
+    op_f = smear(rep, f)
+    op_g = smear(rep, g)
+    op_h = smear(rep, h)
     exact = rep.mode == "exact"
     window = pair_safe_levels(rep, f, g)
 
@@ -445,11 +416,7 @@ def commutator_residual(rep: TruncatedRep, f: FourierField, g: FourierField
         for dst in range(rep.N + 1):
             if rep.dim(dst) == 0:
                 continue
-            zero = np.zeros((rep.dim(dst), rep.dim(k)),
-                            dtype=object if exact else complex)
-            if exact:
-                zero = zero + CFrac(0)
-            total = zero
+            total = zeros((rep.dim(dst), rep.dim(k)), rep.mode)
             for mid in range(rep.N + 1):
                 a, b = op_f.block(dst, mid), op_g.block(mid, k)
                 if a is not None and b is not None:
@@ -460,8 +427,7 @@ def commutator_residual(rep: TruncatedRep, f: FourierField, g: FourierField
             if op_h.block(dst, k) is not None:
                 total = total - op_h.block(dst, k)
             if dst == k:
-                eye = object_eye(rep.dim(k)) if exact else np.eye(rep.dim(k))
-                total = total - eye * omega
+                total = total - eye(rep.dim(k), rep.mode) * omega
             checked += 1
             if total.size:
                 worst = max(worst, float(max(abs(complex(e))

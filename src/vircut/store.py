@@ -10,7 +10,8 @@ basis rows ("transform:k", written by earlier versions) still load.
 Exact-mode entries are written as p/q strings and parse back to the
 identical Fraction; float-mode entries use float.hex(), which
 round-trips bit for bit.  Loading is strict about integrity and lenient
-about age: a wrong digest or a malformed body raises CacheError, while a
+about age: a wrong digest, a malformed body, or block sections other
+than those of verma.block_keys(N) raise CacheError, while a
 file written under an older schema version is treated as absent so the
 caller rebuilds it.  Schema migration is deliberately not attempted.  A
 file is keyed by the (c, h) the representation was built at: the CLI's
@@ -28,7 +29,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .rational import as_fraction, fmt_rational
-from .verma import TruncatedRep, truncated_rep
+from .verma import TruncatedRep, block_keys, truncated_rep
 
 SCHEMA_VERSION = 1
 _MAGIC = "vircut-cache"
@@ -235,23 +236,18 @@ def load_rep(root, c, h, N: int, mode: str = "exact",
     if basis == "quotient" and norms is None:
         raise CacheError(f"{path}: quotient-basis file carries no norms")
 
+    keys = {f"block:{n},{k}": (n, k) for n, k in block_keys(N)}
+    tags = {tag for tag in sections if tag.startswith("block:")}
+    if tags != set(keys):
+        raise CacheError(f"{path}: block sections {sorted(tags - set(keys))} are not "
+                         f"in the truncation, {sorted(set(keys) - tags)} are missing")
     blocks = {}
-    for tag, mat in sections.items():
-        if not tag.startswith("block:"):
-            continue
-        try:
-            n_s, k_s = tag[len("block:"):].split(",")
-            n, k = int(n_s), int(k_s)
-        except ValueError as exc:
-            raise CacheError(f"{path}: bad block tag {tag!r}") from exc
+    for tag, (n, k) in keys.items():
+        mat = sections[tag]
         if mat.shape != (dims[k - n], dims[k]):
             raise CacheError(f"{path}: block {tag} has shape {mat.shape}, "
                              f"expected {(dims[k - n], dims[k])}")
         blocks[(n, k)] = mat
-    expected = sum(1 for n in range(-N, N + 1) for k in range(max(0, n), N + 1)
-                   if 0 <= k - n <= N)
-    if len(blocks) != expected:
-        raise CacheError(f"{path}: found {len(blocks)} blocks, expected {expected}")
 
     return TruncatedRep(
         c=c if mode == "exact" else float(c),

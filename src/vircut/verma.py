@@ -43,10 +43,10 @@ import numpy as np
 from .rational import (
     IndefiniteMatrixError,
     as_fraction,
-    object_eye,
-    object_zeros,
+    eye,
     psd_congruence,
     to_float,
+    zeros,
 )
 
 __all__ = [
@@ -62,6 +62,7 @@ __all__ = [
     "monomial_block",
     "gram_matrix",
     "gram_entry_direct",
+    "block_keys",
     "truncated_rep",
     "safe_levels",
     "relation_residual",
@@ -257,15 +258,6 @@ def act(n: int, v: VermaVector, c, h) -> VermaVector:
     return VermaVector({Partition(w): x for w, x in out.items() if x != 0}, level)
 
 
-def _zeros(shape, mode: str) -> np.ndarray:
-    """Zero matrix of the arithmetic mode: Fraction objects or float64."""
-    if mode == "exact":
-        return object_zeros(shape)
-    if mode == "float":
-        return np.zeros(shape)
-    raise ValueError(f"unknown arithmetic mode {mode!r}")
-
-
 def monomial_block(n: int, k: int, c, h, mode: str = "exact") -> Optional[np.ndarray]:
     """Matrix of L_n from level k to level k - n in the monomial basis.
 
@@ -285,7 +277,7 @@ def monomial_block(n: int, k: int, c, h, mode: str = "exact") -> Optional[np.nda
             rows.append(dst_index[w])
             cols.append(j)
             vals.append(a)
-    out = _zeros((len(dst_index), len(src)), mode)
+    out = zeros((len(dst_index), len(src)), mode)
     out[rows, cols] = vals
     return out
 
@@ -328,7 +320,7 @@ def _gram_level(c: Fraction, h: Fraction, k: int, mode: str) -> np.ndarray:
     hold it to 4 eps.
     """
     parts_k = _partition_tuples(k)
-    g = _zeros((len(parts_k), len(parts_k)), mode)
+    g = zeros((len(parts_k), len(parts_k)), mode)
     if k == 0:
         g[0, 0] = Fraction(1)
     else:
@@ -371,12 +363,26 @@ class NonUnitaryError(ValueError):
     """The Gram matrix is indefinite: (c, h) is outside the unitary range."""
 
 
+# Budget for float-mode residuals (bracket relations, hermiticity) that
+# reports and the acceptance battery hold a float rep to.
+FLOAT_RESIDUAL_TOL = 1e-10
+
+
+def block_keys(N: int) -> list[tuple[int, int]]:
+    """The (n, k) blocks of a truncation at N: L_n from level k to k - n.
+
+    |n| <= N, 0 <= k <= N and 0 <= k - n <= N, ordered by n, then k.
+    """
+    return [(n, k) for n in range(-N, N + 1) for k in range(max(0, n), N + 1)
+            if k - n <= N]
+
+
 @dataclass(frozen=True)
 class TruncatedRep:
     """Unitary lowest-weight representation cut at energy level N.
 
     blocks[(n, k)] is the matrix of L_n from level k to level k - n, for
-    |n| <= N and both levels in [0, N].  In float mode blocks are float64
+    every (n, k) in block_keys(N).  In float mode blocks are float64
     in per-level orthonormal bases.  In exact mode blocks are Fraction
     object arrays in per-level orthogonal bases whose norms squared are
     basis_norms[k] (the D-basis); orthonormal_block derives the float
@@ -503,9 +509,9 @@ def _float_level_data(c, h, N):
         gl = g.astype(np.longdouble)
         if bl.shape[0]:
             m = bl @ gl @ bl.T
-            eye = np.eye(m.shape[0], dtype=np.longdouble)
-            if float(abs(m - eye).max()) < 0.1:
-                bl = ((eye * 3 - m) / 2) @ bl
+            one = np.eye(m.shape[0], dtype=np.longdouble)
+            if float(abs(m - one).max()) < 0.1:
+                bl = ((one * 3 - m) / 2) @ bl
         dims.append(bl.shape[0])
         normsq.append(np.ones(bl.shape[0]))
         basis_rows.append(bl)
@@ -530,12 +536,7 @@ def truncated_rep(c, h, N: int, mode: str = "exact",
         raise ValueError("truncation level N must be at least 2")
     cv, hv = as_fraction(c), as_fraction(h)
     if basis == "monomial":
-        blocks = {}
-        for n in range(-N, N + 1):
-            for k in range(max(0, n), N + 1):
-                if not (0 <= k - n <= N):
-                    continue
-                blocks[(n, k)] = monomial_block(n, k, cv, hv, mode)
+        blocks = {(n, k): monomial_block(n, k, cv, hv, mode) for n, k in block_keys(N)}
         return TruncatedRep(
             c=cv if mode == "exact" else float(cv),
             h=hv if mode == "exact" else float(hv),
@@ -555,15 +556,12 @@ def truncated_rep(c, h, N: int, mode: str = "exact",
     else:
         raise ValueError(f"unknown arithmetic mode {mode!r}")
     blocks = {}
-    for n in range(-N, N + 1):
-        for k in range(max(0, n), N + 1):
-            if not (0 <= k - n <= N):
-                continue
-            mono = monomial_block(n, k, cv, hv, mode)
-            blk = np.dot(np.dot(extract[k - n], mono), basis_rows[k].T)
-            if mode == "float":
-                blk = np.asarray(blk, dtype=np.float64)
-            blocks[(n, k)] = blk
+    for n, k in block_keys(N):
+        mono = monomial_block(n, k, cv, hv, mode)
+        blk = np.dot(np.dot(extract[k - n], mono), basis_rows[k].T)
+        if mode == "float":
+            blk = np.asarray(blk, dtype=np.float64)
+        blocks[(n, k)] = blk
     return TruncatedRep(
         c=cv if mode == "exact" else float(cv),
         h=hv if mode == "exact" else float(hv),
@@ -621,13 +619,20 @@ def relation_residual(rep: TruncatedRep, m: int, n: int, k: int) -> Optional[np.
     if m + n == 0:
         central = rep.c * (m ** 3 - m) / 12
         if central != 0:
-            eye = object_eye(rep.dim(k)) if rep.mode == "exact" else np.eye(rep.dim(k))
-            res = res - central * eye
+            res = res - central * eye(rep.dim(k), rep.mode)
     return res
 
 
 def relation_residual_summary(rep: TruncatedRep, max_mode: int = 3) -> dict:
-    """Sweep all |m|,|n| <= max_mode over their safe windows.
+    """Sweep the pairs m < n with |m|,|n| <= max_mode over their safe windows.
+
+    The residual of (n, m) is the exact negation of that of (m, n), in
+    both arithmetics: its two products are those of (m, n) swapped, its
+    L_{m+n} coefficient and its central term are negated, the safe
+    windows of the two orders are one set, and IEEE subtraction and
+    scaling commute with negation.  The residual of (m, m) is a product
+    minus itself, and its central term vanishes.  So the unordered pairs
+    give the max_abs and exact_zero of the full sweep over all (m, n).
 
     Returns {"max_abs": float, "exact_zero": bool, "cells": [...]}.
     """
@@ -635,7 +640,7 @@ def relation_residual_summary(rep: TruncatedRep, max_mode: int = 3) -> dict:
     exact_zero = True
     cells = []
     for m in range(-max_mode, max_mode + 1):
-        for n in range(-max_mode, max_mode + 1):
+        for n in range(m + 1, max_mode + 1):
             for k in range(rep.N + 1):
                 res = relation_residual(rep, m, n, k)
                 if res is None or res.size == 0:
@@ -690,38 +695,32 @@ def tensor_rep(a: TruncatedRep, b: TruncatedRep, N: int, dim_cap: int = 20000) -
             pos += a.dim(ka) * b.dim(K - ka)
         return off
 
-    def eye(d):
-        return object_eye(d) if mode == "exact" else np.eye(d)
-
     all_offsets = {K: offsets(K) for K in range(N + 1)}
     blocks = {}
-    for n in range(-N, N + 1):
-        for K in range(max(0, n), N + 1):
-            Kd = K - n
-            if not 0 <= Kd <= N:
+    for n, K in block_keys(N):
+        Kd = K - n
+        out = zeros((dims[Kd], dims[K]), mode)
+        for ka in range(K + 1):
+            kb = K - ka
+            da, db = a.dim(ka), b.dim(kb)
+            if da == 0 or db == 0:
                 continue
-            out = _zeros((dims[Kd], dims[K]), mode)
-            for ka in range(K + 1):
-                kb = K - ka
-                da, db = a.dim(ka), b.dim(kb)
-                if da == 0 or db == 0:
-                    continue
-                src = all_offsets[K][ka]
-                # a-factor action: (ka, kb) -> (ka - n, kb)
-                if 0 <= ka - n <= a.N and a.dim(ka - n) and 0 <= Kd - (ka - n) == kb:
-                    blk = a.block(n, ka)
-                    if blk is not None and blk.size:
-                        dst = all_offsets[Kd][ka - n]
-                        sub = np.kron(blk, eye(db))
-                        out[dst:dst + a.dim(ka - n) * db, src:src + da * db] += sub
-                # b-factor action: (ka, kb) -> (ka, kb - n)
-                if 0 <= kb - n <= b.N and b.dim(kb - n) and ka <= Kd and Kd - ka == kb - n:
-                    blk = b.block(n, kb)
-                    if blk is not None and blk.size:
-                        dst = all_offsets[Kd][ka]
-                        sub = np.kron(eye(da), blk)
-                        out[dst:dst + da * b.dim(kb - n), src:src + da * db] += sub
-            blocks[(n, K)] = out
+            src = all_offsets[K][ka]
+            # a-factor action: (ka, kb) -> (ka - n, kb)
+            if 0 <= ka - n <= a.N and a.dim(ka - n) and 0 <= Kd - (ka - n) == kb:
+                blk = a.block(n, ka)
+                if blk is not None and blk.size:
+                    dst = all_offsets[Kd][ka - n]
+                    sub = np.kron(blk, eye(db, mode))
+                    out[dst:dst + a.dim(ka - n) * db, src:src + da * db] += sub
+            # b-factor action: (ka, kb) -> (ka, kb - n)
+            if 0 <= kb - n <= b.N and b.dim(kb - n) and ka <= Kd and Kd - ka == kb - n:
+                blk = b.block(n, kb)
+                if blk is not None and blk.size:
+                    dst = all_offsets[Kd][ka]
+                    sub = np.kron(eye(da, mode), blk)
+                    out[dst:dst + da * b.dim(kb - n), src:src + da * db] += sub
+        blocks[(n, K)] = out
     norms = []
     for K in range(N + 1):
         row = []

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +114,24 @@ def test_fault_flag_only_where_a_rep_is_built(tmp_path):
     assert run("check-all", *FAULT, "--out", tmp_path) == 2
 
 
+def test_report_config_records_the_fault(tmp_path):
+    argv = ("rep", "--c", "2", "--mode", "float", "--N", "5")
+    assert run(*argv, *FAULT, "--out", tmp_path / "bad") == 1
+    config = read_report(tmp_path / "bad", "rep_report.json")["config"]
+    assert config["inject_fault"] == "central-denominator-13"
+    assert run(*argv, "--out", tmp_path / "good") == 0
+    assert read_report(tmp_path / "good", "rep_report.json")["config"]["inject_fault"] == "none"
+    assert run("field", "mode:2", "--out", tmp_path / "field") == 0
+    assert "inject_fault" not in read_report(tmp_path / "field", "field_report.json")["config"]
+
+
+def test_inject_fault_is_not_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("inject_fault = central-denominator-13\n")
+    assert run("rep", "--config", cfg, "--out", tmp_path) == 2
+    assert "unknown config key 'inject_fault'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -146,6 +165,23 @@ def test_seed_is_not_a_config_key(tmp_path, capsys):
     cfg.write_text("seed = 1\n")
     assert run("rep", "--config", cfg, "--out", tmp_path) == 2
     assert "run.cfg:1: unknown config key 'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("cutoff = 0\n", ("rep", "--N", "4")),
+    ("eps_grid = 5:1:10\n", ("field", "mode:2")),
+])
+def test_keys_a_command_does_not_read_are_ignored(tmp_path, text, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run(*argv, "--config", cfg, "--out", tmp_path) == 0
+
+
+def test_keys_a_command_reads_are_validated(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cutoff = 0\n")
+    assert run("field", "piecewise-mobius", "--config", cfg, "--out", tmp_path) == 2
+    assert "cutoff must be at least 1" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):
@@ -406,3 +442,20 @@ def test_help_lists_exactly_the_flags_a_command_reads(command, flags, capsys):
     assert run(command, "--help") == 0
     listed = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
     assert listed == {"--help", "--config", "--out", *flags.split()}
+
+
+# ---------------------------------------------------------------------------
+# byte identity of the result blocks
+
+# The decoded `result` object of each command, recorded before the
+# coefficient, block-set and matrix-helper code was consolidated.  Floats
+# are repr strings, so equality is bit for bit.  A change that means to
+# move a reported number re-records this file.
+RECORDED = json.loads((Path(__file__).parent / "data" / "cli_results.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED))
+def test_result_blocks_are_unchanged(command, tmp_path, capsys):
+    want = RECORDED[command]
+    assert run(*command.split(), "--out", tmp_path) == want["exit"]
+    assert read_report(tmp_path, want["report"])["result"] == want["result"]

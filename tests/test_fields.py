@@ -20,7 +20,6 @@ from vircut.fields import (
     mode_field,
     norm_three_halves,
     one_sided_derivatives,
-    piecewise_coefficient_closed,
     random_real_field,
     truncated_fourier,
 )
@@ -118,10 +117,28 @@ def test_closed_form_coefficients(piecewise):
             assert a == CFrac(0) and b == CFrac(0)
 
 
+def test_vectorized_closed_form_is_the_scalar_quotient(piecewise):
+    # bit for bit, signed zeros included, and without a warning at n = 0, +-1
+    ns = np.arange(-5000, 5001)
+    want = np.array([8j / (math.pi * n * (n * n - 1)) if n % 4 == 2 else 0j
+                     for n in ns.tolist()])
+    got = piecewise.coefficient_closed(ns)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_vectorized_closed_form_rounds_the_exact_coefficient(piecewise):
+    ns = np.arange(-101, 102)
+    for n, got in zip(ns.tolist(), piecewise.coefficient_closed(ns)):
+        a, b = piecewise.coefficient_exact(n)
+        want = complex(a) / math.pi + complex(b)
+        assert abs(got - want) <= 2 * np.finfo(float).eps * abs(want)
+
+
 def test_quadrature_agrees_with_closed_form(piecewise):
-    for n in (2, -2, 3, 4, 6, 10, 34):
+    ns = (2, -2, 3, 4, 6, 10, 34)
+    for n, closed in zip(ns, piecewise.coefficient_closed(ns)):
         value, err = fourier_coefficient_quadrature(piecewise, n)
-        assert abs(value - piecewise_coefficient_closed(n)) <= 1e-12
+        assert abs(value - closed) <= 1e-12
         assert err <= 1e-12
 
 

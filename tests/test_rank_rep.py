@@ -1,5 +1,6 @@
 """Quotient construction, level dimensions, and the bracket relations."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +91,46 @@ def test_float_relations_within_tolerance(ising8_float):
     assert summary["max_abs"] <= 1e-10
 
 
+def _all_ordered_pairs(rep, max_mode=3):
+    """Every (m, n) with |m|,|n| <= max_mode: max abs, any nonzero, and
+    the (m, n, k) of every nonempty cell."""
+    worst, nonzero, cells = 0.0, False, set()
+    for m in range(-max_mode, max_mode + 1):
+        for n in range(-max_mode, max_mode + 1):
+            for k in range(rep.N + 1):
+                res = verma.relation_residual(rep, m, n, k)
+                if res is None or res.size == 0:
+                    continue
+                cells.add((m, n, k))
+                nonzero = nonzero or bool((res != 0).any())
+                worst = max(worst, max(abs(float(x)) for x in res.ravel()))
+    return worst, nonzero, cells
+
+
+@pytest.mark.parametrize("c, h, N, mode, basis, label", [
+    (Fraction(1, 2), 0, 8, "float", "quotient", None),
+    (Fraction(7, 10), Fraction(3, 5), 6, "exact", "quotient", None),
+    (Fraction(7, 10), Fraction(1, 2), 6, "exact", "monomial", None),
+    # the CLI's injected fault: built at 12c/13, labelled c = 2
+    (Fraction(24, 13), 0, 5, "float", "quotient", Fraction(2)),
+    (Fraction(24, 13), 0, 5, "exact", "quotient", Fraction(2)),
+], ids=["float", "exact", "monomial", "faulted-float", "faulted-exact"])
+def test_relation_summary_sweeps_the_unordered_pairs(c, h, N, mode, basis, label):
+    rep = truncated_rep(c, h, N, mode=mode, basis=basis)
+    if label is not None:
+        rep = replace(rep, c=label if mode == "exact" else float(label))
+    worst, nonzero, cells = _all_ordered_pairs(rep)
+    summary = relation_residual_summary(rep, max_mode=3)
+    assert summary["max_abs"] == worst
+    assert summary["exact_zero"] == (mode == "exact" and not nonzero)
+    swept = {(cell["m"], cell["n"], cell["k"]) for cell in summary["cells"]}
+    assert swept == {(m, n, k) for m, n, k in cells if m < n}
+    assert cells == swept | {(n, m, k) for m, n, k in swept} | {
+        (m, n, k) for m, n, k in cells if m == n}
+    if label is not None:
+        assert worst > 1e-3
+
+
 def test_block_shapes_and_out_of_range(ising8):
     assert ising8.dim(-1) == 0 and ising8.dim(9) == 0
     assert ising8.block(2, 1) is None  # level 1 is empty
@@ -139,3 +180,12 @@ def test_float_mode_keeps_states_with_small_gram_diagonal(c, h, dims):
     assert rep.level_dims == dims
     assert relation_residual_summary(rep, max_mode=3)["max_abs"] <= 1e-10
 
+
+
+def test_blocks_are_the_truncation_block_keys(ising8):
+    assert verma.block_keys(2) == [(-2, 0), (-1, 0), (-1, 1), (0, 0), (0, 1), (0, 2),
+                                   (1, 1), (1, 2), (2, 2)]
+    assert list(ising8.blocks) == verma.block_keys(8)
+    monomial = truncated_rep(Fraction(1, 2), 0, 4, basis="monomial")
+    assert list(monomial.blocks) == verma.block_keys(4)
+    assert list(verma.tensor_rep(ising8, ising8, 4).blocks) == verma.block_keys(4)

@@ -15,7 +15,6 @@ from vircut.fields import (
 )
 from vircut.rational import CFrac
 from vircut.smear import (
-    TruncationBiasWarning,
     commutator_residual,
     decomposition_check,
     energy_bound_ratio,
@@ -62,12 +61,10 @@ def test_exact_rep_refuses_float_fields(ising8):
         smear(ising8, lossy)
 
 
-def test_truncation_bias_warning_fires_for_the_piecewise_field(
+def test_truncation_bias_is_recorded_for_the_piecewise_field(
         ising8_float, piecewise):
-    with pytest.warns(TruncationBiasWarning):
-        smear(ising8_float, piecewise)
-    # and is silenced by an infinite tolerance
-    op = smear(ising8_float, piecewise, bias_tol=math.inf)
+    # infinite support, finite cutoff; judging the bias is the caller's job
+    op = smear(ising8_float, piecewise)
     assert op.truncation_bias > 0
 
 
@@ -94,6 +91,40 @@ def test_non_real_field_is_not_hermitian(ising8):
     report = hermiticity_residual(smear(ising8, mode_field(2)))
     assert report.exact_zero is False
     assert report.max_abs > 0
+
+
+def _entrywise_hermiticity(op):
+    """D_dst[i] T[i,j] - conj(T'[j,i]) D_src[j] over every entry: (max abs, any nonzero)."""
+    rep = op.rep
+    worst, nonzero = 0.0, False
+    for dst in range(rep.N + 1):
+        for src in range(rep.N + 1):
+            a, b = op.block(dst, src), op.block(src, dst)
+            for i in range(rep.dim(dst)):
+                for j in range(rep.dim(src)):
+                    lhs = (0 if a is None else a[i, j]) * rep.norms(dst)[i]
+                    rhs = (0 if b is None else b[j, i].conjugate()) * rep.norms(src)[j]
+                    diff = lhs - rhs
+                    nonzero = nonzero or bool(diff)
+                    worst = max(worst, abs(complex(diff)))
+    return worst, nonzero
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_hermiticity_residual_is_the_entrywise_condition(mode, ising8, ising8_float,
+                                                         piecewise):
+    rep = ising8 if mode == "exact" else ising8_float
+    rng = np.random.default_rng(11)
+    ops = [random_real_field(rng, max_mode=3, denominator=8) for _ in range(3)]
+    ops += [mode_field(2), mode_field(2, amplitude=CFrac(0, 1))]
+    if mode == "float":
+        ops.append(piecewise)
+    for field in ops:
+        op = smear(rep, field)
+        report = hermiticity_residual(op)
+        worst, nonzero = _entrywise_hermiticity(op)
+        assert report.max_abs == worst
+        assert report.exact_zero == (None if mode == "float" else not nonzero)
 
 
 # ---------------------------------------------------------------------------

@@ -179,3 +179,16 @@ def test_header_mismatch_is_rejected(tmp_path):
     target.write_text(path.read_text())
     with pytest.raises(CacheError, match="header"):
         load_rep(tmp_path, C, Fraction(1, 2), 2)
+
+
+def test_block_outside_the_truncation_is_rejected(tmp_path):
+    # a retitled block keeps the count right; its level k - n = -2 would
+    # wrap to dims[-2] if only the count were checked
+    path = save_rep(tmp_path, verma.truncated_rep(C, H, 4))
+    lines = path.read_text().splitlines()[:-1]
+    row = lines.index("matrix block:1,4 1 2")
+    lines[row] = "matrix block:6,4 1 2"
+    _restamp(path, lines)
+    with pytest.raises(CacheError, match=r"\['block:6,4'\] are not in the truncation, "
+                                         r"\['block:1,4'\] are missing"):
+        load_rep(tmp_path, C, H, 4)
