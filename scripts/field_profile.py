@@ -42,14 +42,14 @@ def main() -> int:
             series = fields.evaluate_series(field, theta, args.cutoff)
             gap = abs(value - series)
             worst = max(worst, gap)
-            writer.writerow([repr(theta), repr(value), repr(series), repr(gap)])
+            writer.writerow([repr(float(x)) for x in (theta, value, series, gap)])
 
     rows = fields.coefficient_rows(field, args.cutoff)
     with open(out / "coefficients.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "re", "im", "abs"])
         for n, re, im in rows:
-            writer.writerow([n, repr(re), repr(im), repr(math.hypot(re, im))])
+            writer.writerow([n, *(repr(float(x)) for x in (re, im, math.hypot(re, im)))])
 
     print(f"{args.samples} samples, {len(rows)} modes up to |n| <= {args.cutoff}")
     print(f"worst pointwise series gap: {worst:.3e}")

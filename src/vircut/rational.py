@@ -9,14 +9,18 @@ dense and small (dimensions are partition counts, a few hundred at most).
 
 The package runs in two arithmetic modes, "exact" (Fraction object
 arrays) and "float" (float64 arrays); zeros and eye build the zero and
-identity matrices of a mode, and opnorm is the spectral norm that both
-modes' float views are measured with.
+identity matrices of a mode, dot is the matrix product of both modes,
+and opnorm is the spectral norm that both modes' float views are
+measured with.  Exact products run over the integers (see dot), so no
+Fraction arithmetic runs in their inner loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -29,6 +33,7 @@ __all__ = [
     "object_eye",
     "zeros",
     "eye",
+    "dot",
     "opnorm",
     "to_float",
     "exact_rank_nullspace",
@@ -54,14 +59,20 @@ def fmt_rational(x: Fraction) -> str:
 
 @dataclass(frozen=True)
 class CFrac:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
+
+    Arithmetic takes CFracs and anything CFrac.of accepts; other operands
+    get NotImplemented, so their own reflected method can answer.
+    """
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        if type(self.re) is not Fraction:
+            object.__setattr__(self, "re", Fraction(self.re))
+        if type(self.im) is not Fraction:
+            object.__setattr__(self, "im", Fraction(self.im))
 
     @staticmethod
     def of(x) -> "CFrac":
@@ -71,6 +82,14 @@ class CFrac:
             raise TypeError("refusing lossy complex -> CFrac conversion")
         return CFrac(as_fraction(x))
 
+    @staticmethod
+    def _operand(x) -> "Optional[CFrac]":
+        """x as a CFrac, or None when it is not an exact scalar."""
+        try:
+            return CFrac.of(x)
+        except TypeError:
+            return None
+
     def conjugate(self) -> "CFrac":
         return CFrac(self.re, -self.im)
 
@@ -78,7 +97,9 @@ class CFrac:
         return self.im == 0
 
     def __add__(self, other):
-        o = CFrac.of(other)
+        o = CFrac._operand(other)
+        if o is None:
+            return NotImplemented
         return CFrac(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -87,19 +108,31 @@ class CFrac:
         return CFrac(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-CFrac.of(other))
+        o = CFrac._operand(other)
+        if o is None:
+            return NotImplemented
+        return CFrac(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
-        return CFrac.of(other) + (-self)
+        o = CFrac._operand(other)
+        if o is None:
+            return NotImplemented
+        return CFrac(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
-        o = CFrac.of(other)
+        if isinstance(other, (Fraction, int)):
+            return CFrac(self.re * other, self.im * other)
+        o = CFrac._operand(other)
+        if o is None:
+            return NotImplemented
         return CFrac(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = CFrac.of(other)
+        o = CFrac._operand(other)
+        if o is None:
+            return NotImplemented
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("CFrac division by zero")
@@ -107,9 +140,8 @@ class CFrac:
                      (self.im * o.re - self.re * o.im) / d)
 
     def __eq__(self, other):
-        try:
-            o = CFrac.of(other)
-        except TypeError:
+        o = CFrac._operand(other)
+        if o is None:
             return NotImplemented
         return self.re == o.re and self.im == o.im
 
@@ -157,6 +189,44 @@ def zeros(shape, mode: str) -> np.ndarray:
 def eye(n: int, mode: str) -> np.ndarray:
     """Identity matrix of the arithmetic mode: Fraction objects or float64."""
     return object_eye(n) if mode == "exact" else np.eye(n)
+
+
+def _integer_rows(rows: list) -> tuple[list, list]:
+    """Rows of Fractions or ints as (integer rows, scales): row / scale."""
+    ints, scales = [], []
+    for row in rows:
+        scale = math.lcm(*[x.denominator for x in row])
+        ints.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return ints, scales
+
+
+_FRACTION = np.frompyfunc(Fraction, 2, 1)
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of two matrices of one arithmetic mode.
+
+    Float arrays go to np.dot.  Exact (object) matrices of Fractions and
+    ints are multiplied over the integers: row i of a is scaled by the lcm
+    s_i of its denominators and column j of b by the lcm t_j of its own,
+    the Python-int matrices are multiplied, and entry (i, j) becomes one
+    Fraction(sum, s_i t_j).  The values are np.dot's, every entry is a
+    Fraction, and the integer temporaries live only in this call.
+    """
+    if a.dtype != object and b.dtype != object:
+        return np.dot(a, b)
+    (p, q), (q_b, r) = a.shape, b.shape
+    if q != q_b:
+        raise ValueError(f"shapes {a.shape} and {b.shape} not aligned")
+    if q == 0:
+        return object_zeros((p, r))
+    a_int, a_scale = _integer_rows(a.tolist())
+    b_int, b_scale = _integer_rows(b.T.tolist())
+    prod = np.dot(np.array(a_int, dtype=object).reshape(p, q),
+                  np.array(b_int, dtype=object).reshape(r, q).T)
+    scale = np.outer(np.array(a_scale, dtype=object), np.array(b_scale, dtype=object))
+    return _FRACTION(prod, scale).reshape(p, r)
 
 
 def opnorm(mat: np.ndarray) -> float:

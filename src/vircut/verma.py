@@ -24,10 +24,14 @@ Arithmetic is dual mode.  The PBW structure constants (the coefficients
 of L_n on a monomial) are always computed with exact rationals.  "exact"
 mode keeps every matrix built from them exact: Gram matrices, the null
 quotient and the blocks, in a basis that is orthogonal with known
-rational norms squared (the D-basis).  "float" mode rounds each structure
-constant once to float64 and runs the same Gram recursion, the quotient
-and the block assembly in floating point, with blocks in an orthonormal
-basis; no Fraction array is formed.
+rational norms squared (the D-basis).  Its matrix products (the Gram
+recursion, the extraction rows, block assembly and the relation checks)
+run over the integers through rational.dot, which scales rows and
+columns to Python ints and forms one Fraction per entry of the result.
+"float" mode rounds each structure constant once to float64 and runs the
+same Gram recursion, the quotient and the block assembly in floating
+point, with blocks in an orthonormal basis; no Fraction array is formed,
+and rational.dot is np.dot there.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import numpy as np
 from .rational import (
     IndefiniteMatrixError,
     as_fraction,
+    dot,
     eye,
     psd_congruence,
     to_float,
@@ -328,8 +333,8 @@ def _gram_level(c: Fraction, h: Fraction, k: int, mode: str) -> np.ndarray:
         for a, group in groupby(parts_k, key=lambda lam: lam[0]):
             index = _partition_index(k - a)
             needed = [index[lam[1:]] for lam in group]
-            g[row:row + len(needed), :] = np.dot(_gram_level(c, h, k - a, mode)[needed, :],
-                                                 monomial_block(a, k, c, h, mode))
+            g[row:row + len(needed), :] = dot(_gram_level(c, h, k - a, mode)[needed, :],
+                                              monomial_block(a, k, c, h, mode))
             row += len(needed)
     g.flags.writeable = False
     return g
@@ -442,7 +447,7 @@ def _exact_level_data(c, h, N):
             raise NonUnitaryError(
                 f"Gram matrix at level {k} is indefinite for c={c}, h={h}: {exc}") from exc
         b = basis[:rank]
-        w = np.dot(b, g)
+        w = dot(b, g)
         for i in range(rank):
             w[i, :] = w[i, :] / d[i]
         dims.append(rank)
@@ -558,7 +563,7 @@ def truncated_rep(c, h, N: int, mode: str = "exact",
     blocks = {}
     for n, k in block_keys(N):
         mono = monomial_block(n, k, cv, hv, mode)
-        blk = np.dot(np.dot(extract[k - n], mono), basis_rows[k].T)
+        blk = dot(dot(extract[k - n], mono), basis_rows[k].T)
         if mode == "float":
             blk = np.asarray(blk, dtype=np.float64)
         blocks[(n, k)] = blk
@@ -609,8 +614,8 @@ def relation_residual(rep: TruncatedRep, m: int, n: int, k: int) -> Optional[np.
     N = rep.N
     if k not in safe_levels(N, (m, n)) or k not in safe_levels(N, (n, m)):
         return None
-    a = np.dot(rep.block(m, k - n), rep.block(n, k))
-    b = np.dot(rep.block(n, k - m), rep.block(m, k))
+    a = dot(rep.block(m, k - n), rep.block(n, k))
+    b = dot(rep.block(n, k - m), rep.block(m, k))
     res = a - b
     if m != n:
         if abs(m + n) > N:
@@ -663,7 +668,7 @@ def measure_central_charge(rep: TruncatedRep) -> Scalar:
         raise ValueError("need N >= 2 and a one-dimensional level 0")
     lower = rep.block(-2, 0)
     raise_back = rep.block(2, 2)
-    val = np.dot(raise_back, lower)[0, 0]
+    val = dot(raise_back, lower)[0, 0]
     # L_{-2} L_2 Omega vanishes: L_2 maps level 0 below the module
     return 2 * (val - 4 * rep.h)
 

@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from vircut import fields
 from vircut.rational import (
     CFrac,
     IndefiniteMatrixError,
     as_fraction,
+    dot,
     exact_rank_nullspace,
     fmt_rational,
     object_eye,
@@ -44,6 +48,31 @@ def test_cfrac_field_operations():
     assert a.conjugate().conjugate() == a
     assert a.abs_squared() == Fraction(1, 4) + Fraction(1, 9)
     assert not a.is_real() and CFrac(Fraction(7)).is_real()
+
+
+def test_cfrac_scalar_fast_path_matches_the_general_product():
+    z = CFrac(Fraction(1, 2), Fraction(-1, 3))
+    for x in (Fraction(3, 5), Fraction(-7, 2), 4, 0, True):
+        want = CFrac(z.re * x, z.im * x)
+        assert z * x == want and x * z == want
+        assert z * x == z * CFrac.of(x)
+        assert type((z * x).re) is Fraction and type((x * z).im) is Fraction
+
+
+def test_cfrac_keeps_fraction_parts_and_wraps_the_rest():
+    half = Fraction(1, 2)
+    z = CFrac(half, 3)
+    assert z.re is half
+    assert type(z.im) is Fraction and z.im == 3
+
+
+def test_cfrac_defers_to_the_other_operand():
+    # FourierField.__rmul__ answers once CFrac returns NotImplemented
+    assert CFrac(0, 1) * fields.mode_field(2) == fields.mode_field(2, amplitude=CFrac(0, 1))
+    for op in (lambda z: z + 1.5, lambda z: z - 1.5, lambda z: 1.5 - z,
+               lambda z: z * object(), lambda z: z / 1.5, lambda z: z * 1j):
+        with pytest.raises(TypeError):
+            op(CFrac(1, 1))
 
 
 def test_cfrac_refuses_lossy_conversions():
@@ -113,3 +142,81 @@ def test_scalar_multiplication_keeps_exactness():
     assert isinstance(scaled[0, 0], Fraction)
     mixed = arr * CFrac(Fraction(0), Fraction(1))
     assert mixed[1, 1] == CFrac(Fraction(0), Fraction(1))
+
+
+# ---------------------------------------------------------------------------
+# the matrix product of both arithmetic modes
+
+# Entries: Fractions with large denominators, plain ints, explicit zeros.
+_ENTRIES = st.one_of(
+    st.fractions(max_denominator=10 ** 25),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.integers(min_value=-10 ** 20, max_value=10 ** 20),
+    st.just(Fraction(0)),
+    st.just(0),
+)
+
+
+@st.composite
+def _exact_matrix(draw, rows: int, cols: int) -> np.ndarray:
+    mat = np.empty((rows, cols), dtype=object)
+    for i in range(rows):
+        for j in range(cols):
+            mat[i, j] = draw(_ENTRIES)
+    if rows and cols:
+        blank = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+        mat[np.array(blank), :] = 0
+    return mat
+
+
+@st.composite
+def _exact_pair(draw):
+    p, q, r = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+    a = draw(_exact_matrix(p, q))
+    # zero columns of b are zero rows of its transpose
+    b = draw(_exact_matrix(r, q)).T.copy()
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exact_pair())
+def test_dot_equals_np_dot_on_exact_matrices(pair):
+    a, b = pair
+    got = dot(a, b)
+    want = np.dot(a, b)
+    assert got.dtype == object and got.shape == (a.shape[0], b.shape[1])
+    assert all(type(x) is Fraction for x in got.ravel())
+    assert all(x == y for x, y in zip(got.ravel(), want.ravel()))
+
+
+@pytest.mark.parametrize("p,q,r", [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0), (2, 0, 3)])
+def test_dot_on_empty_shapes(p, q, r):
+    got = dot(object_zeros((p, q)), object_zeros((q, r)))
+    assert got.dtype == object and got.shape == (p, r)
+    assert all(type(x) is Fraction and x == 0 for x in got.ravel())
+
+
+def test_dot_beyond_machine_integers():
+    tiny = Fraction(1, 2 ** 70 + 1)
+    a = np.array([[tiny, Fraction(-(2 ** 80), 3)]], dtype=object)
+    b = np.array([[Fraction(2 ** 70 + 1)], [Fraction(3, 2 ** 80)]], dtype=object)
+    assert dot(a, b)[0, 0] == 0
+
+
+_FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
+
+
+@st.composite
+def _float_pair(draw):
+    p, q, r = (draw(st.integers(min_value=0, max_value=6)) for _ in range(3))
+    return (draw(arrays(np.float64, (p, q), elements=_FLOATS)),
+            draw(arrays(np.float64, (q, r), elements=_FLOATS)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_float_pair())
+def test_dot_is_np_dot_on_float_matrices(pair):
+    a, b = pair
+    got, want = dot(a, b), np.dot(a, b)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

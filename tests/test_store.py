@@ -1,12 +1,14 @@
 """On-disk cache round-trips, validation, and corruption detection."""
 
 import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vircut import verma
+from vircut import acceptance, verma
 from vircut.store import (
     CacheError,
     load_or_build_rep,
@@ -16,6 +18,10 @@ from vircut.store import (
 )
 
 C, H = Fraction(1, 2), Fraction(0)
+
+# SHA-256 of exact cache files, recorded when every exact product still ran
+# through np.dot on Fraction object arrays.
+PINNED = json.loads((Path(__file__).parent / "data" / "exact_cache_sha256.json").read_text())
 
 
 def _blocks_equal(a, b) -> bool:
@@ -44,6 +50,13 @@ def test_exact_rep_round_trip(tmp_path, ising8):
     for k in range(9):
         if loaded.dim(k):
             assert loaded.norms(k) == ising8.norms(k)
+
+
+@pytest.mark.parametrize("pin", PINNED, ids=lambda p: f"{p['c']},{p['h']},N{p['N']}")
+def test_exact_cache_file_bytes_are_pinned(tmp_path, pin):
+    rep = acceptance._rep(Fraction(pin["c"]), Fraction(pin["h"]), pin["N"])
+    path = save_rep(tmp_path, rep)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == pin["sha256"]
 
 
 def test_float_rep_round_trip_is_bit_exact(tmp_path, ising8_float):
