@@ -8,7 +8,7 @@ implementation's bookkeeping can be checked against each other.
 Examples
 --------
   python3 scripts/mollifier_curve.py --k-max 67108864 --out out/mollifier
-  python3 scripts/mollifier_curve.py --k-max 16384 --tol 0.05
+  python3 scripts/mollifier_curve.py --k-max 8388608 --tol 0.01
 """
 
 import argparse
@@ -29,8 +29,11 @@ def main() -> int:
                     help="output directory")
     args = ap.parse_args()
 
-    piecewise = bounds.mollifier_report(fields.build_piecewise_mobius(),
-                                        k_max=args.k_max, tol=args.tol)
+    try:
+        piecewise = bounds.mollifier_report(fields.build_piecewise_mobius(),
+                                            k_max=args.k_max, tol=args.tol)
+    except ValueError as exc:
+        ap.error(str(exc))
     control = bounds.mollifier_report(fields.cosine_field(1),
                                       k_max=args.k_max, tol=args.tol,
                                       ladder=[r["k"] for r in piecewise.table])

@@ -182,11 +182,7 @@ def criterion_piecewise_field() -> tuple[bool, str]:
     modes_ok = True
     for n in range(-101, 102):
         a, b = pw.coefficient_exact(n)
-        if n % 4 == 2:
-            want = fields.CFrac(0, Fraction(8, n * (n * n - 1)))
-            modes_ok = modes_ok and a == want and not b
-        else:
-            modes_ok = modes_ok and not a and not b
+        modes_ok = modes_ok and a == pw.closed_form(n) and not b
 
     quad_worst = 0.0
     ns = (2, -2, 3, 4, 5, 6, 10, 34)

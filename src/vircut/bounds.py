@@ -312,6 +312,7 @@ def _weight_series_chunks(field: PiecewiseMobiusField, k_points: Sequence[int],
     W(n) = 2 |f_hat(n)| (1 + n^{3/2}) summed over the support n = 2 mod 4
     up to max(k_points), in chunks of `chunk` consecutive integers; yields
     (k, cum_nW(k), cum_W(k)) per requested point plus the grand totals.
+    The support's modes are positive, so |f_hat(n)| is the real kernel.
     """
     k_points = sorted(set(int(k) for k in k_points))
     n_max = k_points[-1]
@@ -326,10 +327,9 @@ def _weight_series_chunks(field: PiecewiseMobiusField, k_points: Sequence[int],
         while target is not None and target < lo:
             out[target] = (cum_v, cum_w)
             target = next(targets, None)
-        ns = np.arange(lo + (2 - lo) % 4, hi + 1, 4, dtype=np.int64)
-        sel = ns.astype(np.float64)
+        sel = np.arange(lo + (2 - lo) % 4, hi + 1, 4, dtype=np.float64)
         if sel.size:
-            w = 2.0 * np.abs(field.coefficient_closed(ns)) * (1.0 + sel ** 1.5)
+            w = 2.0 * field.closed_kernel(sel) * (1.0 + sel ** 1.5)
             v = sel * w
             cw = np.cumsum(w)
             cv = np.cumsum(v)
@@ -378,14 +378,22 @@ def mollifier_report(field, family: MollifierFamily = FEJER,
     cum(n W)(k)/(k+1) + tail(W)(k); both parts are accumulated in chunks
     and the un-enumerated remainder is covered by a rigorous upper bound,
     so every reported entry is an upper bound on the true error and the
-    sequence stays monotone nonincreasing.
+    sequence stays monotone nonincreasing.  An empty ladder, k_max < 1, a
+    negative order, or a top order below 2 for the piecewise field (whose
+    tail bound divides by 1 - top^-2) raises ValueError.
     """
     if ladder is None:
+        if k_max < 1:
+            raise ValueError(f"k_max must be >= 1, got {k_max}")
         ladder = [1 << j for j in range(0, max(1, k_max.bit_length()))
                   if (1 << j) <= k_max]
         if ladder[-1] != k_max:
             ladder.append(k_max)
     ladder = sorted(set(int(k) for k in ladder))
+    if not ladder:
+        raise ValueError("the ladder needs at least one smoothing order")
+    if ladder[0] < 0:
+        raise ValueError(f"smoothing orders must be >= 0, got {ladder[0]}")
 
     if isinstance(field, FourierField):
         table = []
@@ -395,8 +403,9 @@ def mollifier_report(field, family: MollifierFamily = FEJER,
                       for n, a in field.coefficients.items())
             table.append({"k": k, "error": float(err), "tail_bound": 0.0})
     elif isinstance(field, PiecewiseMobiusField):
-        if family.kind != "fejer":
-            raise TypeError("the piecewise field is swept with the Fejer family")
+        if ladder[-1] < 2:
+            raise ValueError("the piecewise field's tail bound needs a top "
+                             f"smoothing order >= 2, got {ladder[-1]}")
         sums, _, w_all = _weight_series_chunks(field, ladder)
         tail_const = _piecewise_tail_bound(ladder[-1])
         table = []

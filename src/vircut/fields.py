@@ -15,18 +15,24 @@ Two kinds of fields appear:
   g1(z) = (i-1)z + 2 - (i+1)/z on the quarter arcs between the corner
   points 1, i, -1, -i.  Piece j lives on theta in [j pi/2, (j+1) pi/2]
   and equals p^2 g1(z/p) with p = i^j, i.e. its coefficient at mode m is
-  p^{2-m} g1_hat(m).  Fourier coefficients of the glued field are exact
-  arc integrals of trigonometric monomials; every coefficient has the
-  form a/pi + b with a, b in Q[i], and b = 0 for all n.  The rotation
-  antisymmetry f(i z) = -f(z) forces f_hat(n) = 0 unless n = 2 mod 4,
-  and there f_hat(n) = 8i/(pi n (n^2-1)).  coefficient_exact is the arc
-  integral route and the oracle; coefficient_closed is the vectorized
-  closed form that every float consumer of the glued field reads.
+  p^{2-m} g1_hat(m).  The rotation antisymmetry f(i z) = -f(z) forces
+  f_hat(n) = 0 unless n = 2 mod 4, and there f_hat(n) = 8i/(pi n (n^2-1)).
+  Each consumer reads one of three routes to these coefficients:
+
+  - closed_kernel, the real float 8/(pi n (n^2-1)) on a float64 array:
+    the mollifier weight series reads it directly, and coefficient_closed
+    (i times the kernel, masked to n = 2 mod 4) serves every other float
+    consumer: the decay and norm sweeps, the vacuum norm, truncation and
+    partial sums.
+  - closed_form, the exact scalar a = 8i/(n (n^2-1)) with f_hat(n) = a/pi:
+    fourier_coefficient, and through it coefficient_rows and the CSVs.
+  - coefficient_exact, the exact arc integrals of trigonometric monomials
+    as (a, b) with f_hat(n) = a/pi + b: only the oracle, read by the
+    piecewise-field criterion and the tests.
 
 The scale for smearing bounds is norm_three_halves, the weighted l^1 sum
-Sum_n |f_hat(n)| (1 + |n|^{3/2}).  Mollifier families act on fields by
-Fourier multipliers; the Fejer family has compactly supported multipliers
-and is the default everywhere.
+Sum_n |f_hat(n)| (1 + |n|^{3/2}).  The Fejer mollifiers act on fields by
+compactly supported Fourier multipliers.
 """
 
 from __future__ import annotations
@@ -184,7 +190,10 @@ class PiecewiseMobiusField:
     pieces: tuple[tuple[CFrac, CFrac, CFrac], ...]
 
     def coefficient_exact(self, n: int) -> tuple[CFrac, CFrac]:
-        """Exact Fourier coefficient as (a, b) with f_hat(n) = a/pi + b."""
+        """Exact Fourier coefficient as (a, b) with f_hat(n) = a/pi + b.
+
+        Twelve arc integrals per mode: the oracle for closed_form.
+        """
         a_total = CFrac(0)
         b_total = CFrac(0)
         for j in range(4):
@@ -202,6 +211,18 @@ class PiecewiseMobiusField:
         # |f_hat(n)| |n|^3 = (8/pi) n^2/(n^2-1), maximal at |n| = 2.
         return 32.0 / (3.0 * math.pi)
 
+    def closed_form(self, n: int) -> CFrac:
+        """Exact a with f_hat(n) = a/pi: 8i/(n (n^2-1)) on n = 2 mod 4, else 0."""
+        if n % 4 != 2:
+            return CFrac(0)
+        return CFrac(0, Fraction(8, n * (n * n - 1)))
+
+    @staticmethod
+    def closed_kernel(nf: np.ndarray) -> np.ndarray:
+        """Real 8/(pi n (n^2-1)) on float64 modes: |f_hat(n)| for n > 0 on
+        the support n = 2 mod 4, which the caller selects."""
+        return 8.0 / (math.pi * nf * (nf * nf - 1.0))
+
     def coefficient_closed(self, ns) -> np.ndarray:
         """Complex f_hat(n) = 8i/(pi n (n^2-1)) on n = 2 mod 4, else 0, per n.
 
@@ -209,9 +230,8 @@ class PiecewiseMobiusField:
         real part is a zero with the sign of n.
         """
         ns = np.asarray(ns)
-        nf = ns.astype(np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):  # n = 0, +-1
-            values = (8.0 / (math.pi * nf * (nf * nf - 1.0))) * 1j
+            values = self.closed_kernel(ns.astype(np.float64)) * 1j
         return np.where(ns % 4 == 2, values, 0)
 
 
@@ -220,7 +240,7 @@ def _arc_integral(d: int, j: int) -> tuple[CFrac, CFrac]:
     if d == 0:
         return CFrac(0), CFrac(Fraction(1, 2))
     num = _ipow(d * (j + 1)) - _ipow(d * j)
-    return num / CFrac(0, d), CFrac(0)
+    return CFrac(num.im / d, -num.re / d), CFrac(0)  # num / (i d)
 
 
 def build_piecewise_mobius() -> PiecewiseMobiusField:
@@ -237,8 +257,7 @@ def fourier_coefficient(field, n: int) -> Coefficient:
     if isinstance(field, FourierField):
         return field.coefficient(n)
     if isinstance(field, PiecewiseMobiusField):
-        a, b = field.coefficient_exact(n)
-        return complex(a) / math.pi + complex(b)
+        return complex(field.closed_form(n)) / math.pi
     raise TypeError(f"unsupported field type {type(field).__name__}")
 
 
@@ -333,55 +352,39 @@ class MollifierFamily:
     """Fourier multiplier family m_k(n), indexed by smoothing order k.
 
     fejer: m_k(n) = max(0, 1 - |n|/(k+1)), compactly supported on |n| <= k.
-    gaussian: m_k(n) = exp(-(n/(k+1))^2), full support.
     """
 
     kind: str
 
     def __post_init__(self):
-        if self.kind not in ("fejer", "gaussian"):
+        if self.kind != "fejer":
             raise ValueError(f"unknown mollifier kind {self.kind!r}")
 
     def multiplier(self, k: int, n):
-        n_arr = np.asarray(n, dtype=np.float64)
-        if self.kind == "fejer":
-            out = np.maximum(0.0, 1.0 - np.abs(n_arr) / (k + 1))
-        else:
-            out = np.exp(-((n_arr / (k + 1)) ** 2))
+        out = np.maximum(0.0, 1.0 - np.abs(np.asarray(n, dtype=np.float64)) / (k + 1))
         return float(out) if np.isscalar(n) else out
 
     def multiplier_exact(self, k: int, n: int) -> Fraction:
-        if self.kind != "fejer":
-            raise ValueError("only the fejer multipliers are rational")
         return max(Fraction(0), 1 - Fraction(abs(n), k + 1))
 
-    def support_cut(self, k: int) -> Optional[int]:
-        return k if self.kind == "fejer" else None
+    def support_cut(self, k: int) -> int:
+        return k
 
 
 FEJER = MollifierFamily("fejer")
-GAUSSIAN = MollifierFamily("gaussian")
 
 
-def mollify(field, family: MollifierFamily, k: int,
-            max_mode: Optional[int] = None) -> FourierField:
+def mollify(field, family: MollifierFamily, k: int) -> FourierField:
     """Coefficient-wise multiplication by m_k; real in, real out.
 
     The glued piecewise field has infinite support, so mollifying it
-    materializes modes up to the multiplier's support (Fejer) or up to an
-    explicit max_mode (Gaussian).
+    materializes its modes up to the multiplier's support.
     """
     if isinstance(field, PiecewiseMobiusField):
-        cut = family.support_cut(k)
-        if cut is None:
-            if max_mode is None:
-                raise ValueError("mollifying the piecewise field with a "
-                                 "full-support family needs max_mode")
-            cut = max_mode
-        field = truncated_fourier(field, cut)
+        field = truncated_fourier(field, family.support_cut(k))
     out: dict[int, Coefficient] = {}
     for n, a in field.coefficients.items():
-        if isinstance(a, CFrac) and family.kind == "fejer":
+        if isinstance(a, CFrac):
             out[n] = CFrac(family.multiplier_exact(k, n)) * a
         else:
             out[n] = family.multiplier(k, n) * complex(a)

@@ -1,23 +1,35 @@
 """Bound-constant experiments: r, q, decay, mollifier convergence."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vircut.bounds import (
+    _weight_series_chunks,
     decay_report,
     default_eps_grid,
     estimate_q,
     estimate_r,
     mollifier_report,
 )
-from vircut.fields import FEJER, GAUSSIAN, cosine_field, mode_field
+from vircut.fields import FEJER, cosine_field, mode_field
 
 # Frozen from independent sweeps of the c = 1/2 vacuum module at N = 8.
 R_SQ_N8 = 1.0000000000000002
 Q_HAT_N8 = 0.13011474896219252
+
+# float.hex of every rung of the glued field's Fejer ladder to 2^23 (four
+# 2^21 chunks of the weight series), recorded while the series still read
+# |f_hat(n)| through the complex closed form.
+GLUED_BITS = json.loads(
+    (Path(__file__).parent / "data" / "glued_field_bits.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -163,9 +175,63 @@ def test_piecewise_mollifier_ladder(piecewise):
     assert report.verdict == "pass"
 
 
-def test_piecewise_mollifier_needs_fejer(piecewise):
-    with pytest.raises(TypeError, match="Fejer family"):
-        mollifier_report(piecewise, GAUSSIAN, k_max=16)
+@pytest.mark.parametrize("kwargs, match", [
+    ({"k_max": 0}, "k_max must be >= 1, got 0"),
+    ({"k_max": -3}, "k_max must be >= 1, got -3"),
+    ({"ladder": []}, "at least one smoothing order"),
+    ({"ladder": [-1, 4]}, "must be >= 0, got -1"),
+])
+@pytest.mark.parametrize("kind", ["piecewise", "cosine"])
+def test_mollifier_rejects_bad_ladders(piecewise, kind, kwargs, match):
+    field = piecewise if kind == "piecewise" else cosine_field(1)
+    with pytest.raises(ValueError, match=match):
+        mollifier_report(field, FEJER, **kwargs)
+
+
+@pytest.mark.parametrize("ladder", [[0], [1], [0, 1]])
+def test_piecewise_mollifier_needs_a_top_order_of_two(piecewise, ladder):
+    with pytest.raises(ValueError, match=f"order >= 2, got {ladder[-1]}"):
+        mollifier_report(piecewise, FEJER, ladder=ladder)
+
+
+def test_cosine_mollifier_accepts_order_zero():
+    report = mollifier_report(cosine_field(1), FEJER, ladder=[0], tol=2.5)
+    assert report.table == [{"k": 0, "error": 2.0, "tail_bound": 0.0}]
+
+
+def test_mollifier_script_rejects_k_max_zero(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "mollifier_curve.py"
+    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
+    done = subprocess.run([sys.executable, str(script), "--k-max", "0",
+                           "--out", str(tmp_path)], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode != 0
+    assert "k_max must be >= 1, got 0" in done.stderr
+    assert not (tmp_path / "mollifier_curve.csv").exists()
+
+
+def test_piecewise_mollifier_bits_are_pinned(piecewise):
+    pin = GLUED_BITS["mollifier"]
+    report = mollifier_report(piecewise, FEJER, k_max=pin["k_max"])
+    got = [{"k": row["k"], "error": float.hex(row["error"]),
+            "tail_bound": float.hex(row["tail_bound"])} for row in report.table]
+    assert got == pin["rows"]
+
+
+# Chunk boundaries: at chunk size s the chunks start at lo = 2 + s i and end
+# at hi = lo + s - 1, so 2, 6, 7, 12, 66, 130, 1026 open a chunk at some size
+# below and 5, 6, 11, 65, 129, 1025, 2049 close one.
+CARRY_LADDER = [1, 2, 5, 6, 7, 11, 12, 65, 66, 129, 130, 1025, 1026, 2049, 3001]
+
+
+@pytest.mark.parametrize("chunk", [4, 5, 64, 1024])
+def test_weight_series_carries_across_chunks(piecewise, chunk):
+    want, want_v, want_w = _weight_series_chunks(piecewise, CARRY_LADDER)
+    got, got_v, got_w = _weight_series_chunks(piecewise, CARRY_LADDER, chunk=chunk)
+    assert sorted(got) == CARRY_LADDER
+    for k in CARRY_LADDER:
+        assert got[k] == pytest.approx(want[k], rel=1e-13, abs=0.0)
+    assert (got_v, got_w) == pytest.approx((want_v, want_w), rel=1e-13, abs=0.0)
 
 
 def test_report_csv_round_trip(tmp_path):

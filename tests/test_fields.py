@@ -1,7 +1,11 @@
 """Fourier fields and the glued Mobius vector field."""
 
+import hashlib
+import json
 import math
+import struct
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +15,12 @@ from vircut.fields import (
     FourierField,
     bracket_with_cocycle,
     build_piecewise_mobius,
+    coefficient_rows,
     corner_values,
     cosine_field,
     evaluate,
     evaluate_series,
+    fourier_coefficient,
     fourier_coefficient_quadrature,
     mobius_piece,
     mode_field,
@@ -24,6 +30,11 @@ from vircut.fields import (
     truncated_fourier,
 )
 from vircut.rational import CFrac
+
+# SHA-256 of repr(coefficient_rows(glued, 400)), recorded while every row
+# still came from the arc-integral route.
+ROWS_PIN = json.loads((Path(__file__).parent / "data" / "glued_field_bits.json")
+                      .read_text())["coefficient_rows"]
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +121,11 @@ def test_second_derivative_jumps_have_magnitude_four(piecewise):
 def test_closed_form_coefficients(piecewise):
     for n in range(-101, 102):
         a, b = piecewise.coefficient_exact(n)
-        if n % 4 == 2:
-            assert b == CFrac(0)
-            assert a == CFrac(Fraction(0), Fraction(8, n * (n * n - 1)))
-        else:
-            assert a == CFrac(0) and b == CFrac(0)
+        assert b == CFrac(0)
+        assert a == piecewise.closed_form(n)
+        assert bool(a) == (n % 4 == 2)
+    assert piecewise.closed_form(2) == CFrac(0, Fraction(4, 3))
+    assert piecewise.closed_form(-6) == CFrac(0, Fraction(-8, 210))
 
 
 def test_vectorized_closed_form_is_the_scalar_quotient(piecewise):
@@ -132,6 +143,25 @@ def test_vectorized_closed_form_rounds_the_exact_coefficient(piecewise):
         a, b = piecewise.coefficient_exact(n)
         want = complex(a) / math.pi + complex(b)
         assert abs(got - want) <= 2 * np.finfo(float).eps * abs(want)
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def test_fourier_coefficient_is_the_arc_integral_bit_for_bit(piecewise):
+    # signed zeros included
+    for n in range(-400, 401):
+        a, b = piecewise.coefficient_exact(n)
+        want = complex(a) / math.pi + complex(b)
+        got = fourier_coefficient(piecewise, n)
+        assert type(got) is complex
+        assert _bits(got) == _bits(want), n
+
+
+def test_coefficient_rows_bits_are_pinned(piecewise):
+    rows = coefficient_rows(piecewise, ROWS_PIN["cutoff"])
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == ROWS_PIN["repr_sha256"]
 
 
 def test_quadrature_agrees_with_closed_form(piecewise):

@@ -8,10 +8,8 @@ import pytest
 
 from vircut.fields import (
     FEJER,
-    GAUSSIAN,
     MollifierFamily,
     cosine_field,
-    mode_field,
     mollify,
 )
 from vircut.rational import CFrac
@@ -30,26 +28,18 @@ def test_fejer_multiplier_exact_values():
     assert FEJER.multiplier_exact(4, 3) == Fraction(2, 5)
 
 
-def test_gaussian_has_no_exact_multipliers():
-    with pytest.raises(ValueError, match="only the fejer multipliers are rational"):
-        GAUSSIAN.multiplier_exact(1, 1)
-
-
 def test_multiplier_bounds_and_vectorization():
     ns = np.arange(-50, 51)
-    for family in (FEJER, GAUSSIAN):
-        for k in (0, 1, 5, 25):
-            vals = family.multiplier(k, ns)
-            assert vals.shape == ns.shape
-            assert np.all(vals >= 0) and np.all(vals <= 1)
-            assert family.multiplier(k, 0) == 1.0
+    for k in (0, 1, 5, 25):
+        vals = FEJER.multiplier(k, ns)
+        assert vals.shape == ns.shape
+        assert np.all(vals >= 0) and np.all(vals <= 1)
+        assert FEJER.multiplier(k, 0) == 1.0
     assert FEJER.multiplier(3, 10) == 0.0
-    assert GAUSSIAN.multiplier(3, 10) > 0.0
 
 
 def test_support_cut():
     assert FEJER.support_cut(7) == 7
-    assert GAUSSIAN.support_cut(7) is None
 
 
 def test_fejer_keeps_exact_fields_exact():
@@ -64,26 +54,9 @@ def test_fejer_kills_modes_beyond_its_support():
     assert f.support == ()
 
 
-def test_gaussian_on_finite_field_gives_floats():
-    f = mollify(mode_field(3), GAUSSIAN, 2)
-    assert not f.is_exact and not f.real
-    assert complex(f.coefficient(3)) == pytest.approx(math.exp(-1.0))
-
-
-def test_piecewise_needs_max_mode_for_full_support_family(piecewise):
-    with pytest.raises(ValueError, match="needs max_mode"):
-        mollify(piecewise, GAUSSIAN, 4)
-
-
 def test_piecewise_fejer_truncates_to_multiplier_support(piecewise):
     f = mollify(piecewise, FEJER, 10)
     assert f.real is True
     assert set(f.support) <= {n for n in range(-10, 11) if n % 4 == 2}
     expected = FEJER.multiplier(10, 2) * (8j / (math.pi * 2 * 3))
     assert complex(f.coefficient(2)) == pytest.approx(expected)
-
-
-def test_piecewise_gaussian_with_explicit_cut(piecewise):
-    f = mollify(piecewise, GAUSSIAN, 4, max_mode=20)
-    assert f.real is True
-    assert set(f.support) == {n for n in range(-20, 21) if n % 4 == 2}
