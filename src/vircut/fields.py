@@ -31,8 +31,10 @@ Two kinds of fields appear:
     piecewise-field criterion and the tests.
 
 The scale for smearing bounds is norm_three_halves, the weighted l^1 sum
-Sum_n |f_hat(n)| (1 + |n|^{3/2}).  The Fejer mollifiers act on fields by
-compactly supported Fourier multipliers.
+Sum_n |f_hat(n)| (1 + |n|^{3/2}).  FEJER holds the Fejer multipliers
+m_k(n) = max(0, 1 - |n|/(k+1)); bounds.mollifier_report weighs each
+coefficient by 1 - m_k(n) to sum the smoothing error without forming the
+smoothed field.
 """
 
 from __future__ import annotations
@@ -66,10 +68,6 @@ def _canon(value) -> Coefficient:
     return CFrac.of(value)
 
 
-def _conj(value: Coefficient) -> Coefficient:
-    return value.conjugate()
-
-
 def _is_zero(value: Coefficient) -> bool:
     return not value if isinstance(value, CFrac) else value == 0
 
@@ -95,11 +93,11 @@ class FourierField:
             clean[int(n)] = a
         if clean and not all(isinstance(a, CFrac) for a in clean.values()):
             clean = {n: complex(a) for n, a in clean.items()}
-        symmetric = all(clean.get(-n) == _conj(a) for n, a in clean.items())
+        symmetric = all(clean.get(-n) == a.conjugate() for n, a in clean.items())
         if self.real is None:
             object.__setattr__(self, "real", symmetric)
         elif self.real and not symmetric:
-            bad = sorted(n for n, a in clean.items() if clean.get(-n) != _conj(a))
+            bad = sorted(n for n, a in clean.items() if clean.get(-n) != a.conjugate())
             raise ValueError(f"reality violated at modes {bad}")
         object.__setattr__(self, "coefficients", clean)
 
@@ -245,11 +243,8 @@ def _arc_integral(d: int, j: int) -> tuple[CFrac, CFrac]:
 
 def build_piecewise_mobius() -> PiecewiseMobiusField:
     """The unique continuous real field glued from the four Mobius pieces."""
-    pieces = tuple(
-        tuple(_ipow(j * (2 - m)) * G1_COEFFICIENTS[m + 1] for m in (-1, 0, 1))
-        for j in range(4)
-    )
-    return PiecewiseMobiusField(pieces)
+    return PiecewiseMobiusField(tuple(
+        tuple(mobius_piece(p).coefficient(m) for m in (-1, 0, 1)) for p in CORNERS))
 
 
 def fourier_coefficient(field, n: int) -> Coefficient:
@@ -347,48 +342,18 @@ def _piece_derivative(field: PiecewiseMobiusField, j: int, order: int,
     return total.re
 
 
-@dataclass(frozen=True)
 class MollifierFamily:
-    """Fourier multiplier family m_k(n), indexed by smoothing order k.
+    """Fejer multipliers m_k(n) = max(0, 1 - |n|/(k+1)), indexed by the
+    smoothing order k and compactly supported on |n| <= k."""
 
-    fejer: m_k(n) = max(0, 1 - |n|/(k+1)), compactly supported on |n| <= k.
-    """
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind != "fejer":
-            raise ValueError(f"unknown mollifier kind {self.kind!r}")
+    kind = "fejer"
 
     def multiplier(self, k: int, n):
         out = np.maximum(0.0, 1.0 - np.abs(np.asarray(n, dtype=np.float64)) / (k + 1))
         return float(out) if np.isscalar(n) else out
 
-    def multiplier_exact(self, k: int, n: int) -> Fraction:
-        return max(Fraction(0), 1 - Fraction(abs(n), k + 1))
 
-    def support_cut(self, k: int) -> int:
-        return k
-
-
-FEJER = MollifierFamily("fejer")
-
-
-def mollify(field, family: MollifierFamily, k: int) -> FourierField:
-    """Coefficient-wise multiplication by m_k; real in, real out.
-
-    The glued piecewise field has infinite support, so mollifying it
-    materializes its modes up to the multiplier's support.
-    """
-    if isinstance(field, PiecewiseMobiusField):
-        field = truncated_fourier(field, family.support_cut(k))
-    out: dict[int, Coefficient] = {}
-    for n, a in field.coefficients.items():
-        if isinstance(a, CFrac):
-            out[n] = CFrac(family.multiplier_exact(k, n)) * a
-        else:
-            out[n] = family.multiplier(k, n) * complex(a)
-    return FourierField(out, real=field.real)
+FEJER = MollifierFamily()
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ arrays) and "float" (float64 arrays); zeros and eye build the zero and
 identity matrices of a mode, dot is the matrix product of both modes,
 and opnorm is the spectral norm that both modes' float views are
 measured with.  Exact products run over the integers (see dot), so no
-Fraction arithmetic runs in their inner loop.
+Fraction arithmetic runs in their inner loop.  Residual reduces the
+residual matrices of a check to one float maximum and one exact-zero
+verdict, the same way in both modes.
 """
 
 from __future__ import annotations
@@ -29,13 +31,12 @@ __all__ = [
     "IndefiniteMatrixError",
     "as_fraction",
     "fmt_rational",
-    "object_zeros",
-    "object_eye",
     "zeros",
     "eye",
     "dot",
     "opnorm",
     "to_float",
+    "Residual",
     "exact_rank_nullspace",
     "psd_congruence",
 ]
@@ -83,7 +84,7 @@ class CFrac:
         return CFrac(as_fraction(x))
 
     @staticmethod
-    def _operand(x) -> "Optional[CFrac]":
+    def _operand(x) -> Optional[CFrac]:
         """x as a CFrac, or None when it is not an exact scalar."""
         try:
             return CFrac.of(x)
@@ -164,23 +165,12 @@ class CFrac:
         return f"CFrac({self.re!s}, {self.im!s})"
 
 
-def object_zeros(shape) -> np.ndarray:
-    arr = np.empty(shape, dtype=object)
-    arr[...] = Fraction(0)
-    return arr
-
-
-def object_eye(n: int) -> np.ndarray:
-    arr = object_zeros((n, n))
-    for i in range(n):
-        arr[i, i] = Fraction(1)
-    return arr
-
-
 def zeros(shape, mode: str) -> np.ndarray:
     """Zero matrix of the arithmetic mode: Fraction objects or float64."""
     if mode == "exact":
-        return object_zeros(shape)
+        arr = np.empty(shape, dtype=object)
+        arr[...] = Fraction(0)
+        return arr
     if mode == "float":
         return np.zeros(shape)
     raise ValueError(f"unknown arithmetic mode {mode!r}")
@@ -188,7 +178,9 @@ def zeros(shape, mode: str) -> np.ndarray:
 
 def eye(n: int, mode: str) -> np.ndarray:
     """Identity matrix of the arithmetic mode: Fraction objects or float64."""
-    return object_eye(n) if mode == "exact" else np.eye(n)
+    arr = zeros((n, n), mode)
+    np.fill_diagonal(arr, Fraction(1) if mode == "exact" else 1.0)
+    return arr
 
 
 def _integer_rows(rows: list) -> tuple[list, list]:
@@ -220,7 +212,7 @@ def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if q != q_b:
         raise ValueError(f"shapes {a.shape} and {b.shape} not aligned")
     if q == 0:
-        return object_zeros((p, r))
+        return zeros((p, r), "exact")
     a_int, a_scale = _integer_rows(a.tolist())
     b_int, b_scale = _integer_rows(b.T.tolist())
     prod = np.dot(np.array(a_int, dtype=object).reshape(p, q),
@@ -250,6 +242,31 @@ def to_float(arr: np.ndarray) -> np.ndarray:
     return out.reshape(arr.shape)
 
 
+@dataclass(frozen=True)
+class Residual:
+    """Largest |entry| of residual matrices, as a float, and whether every
+    entry is exactly zero.
+
+    The verdict reads the entries themselves, never the float maximum: an
+    exact entry of 10^-400 rounds to 0.0 but is not zero.  A NaN entry
+    makes max_abs NaN, and so does joining with | (Python's max would
+    drop it), so a float budget check on max_abs fails.
+    """
+
+    max_abs: float = 0.0
+    zero: bool = True
+
+    @staticmethod
+    def of(arr: np.ndarray) -> Residual:
+        values = to_float(arr) if arr.dtype == object else arr
+        return Residual(float(np.abs(values).max(initial=0.0)),
+                        not np.count_nonzero(arr))
+
+    def __or__(self, other: Residual) -> Residual:
+        return Residual(float(np.maximum(self.max_abs, other.max_abs)),
+                        self.zero and other.zero)
+
+
 class IndefiniteMatrixError(ValueError):
     """A matrix expected to be positive semidefinite is not."""
 
@@ -265,7 +282,7 @@ def exact_rank_nullspace(matrix: np.ndarray) -> tuple[int, list[np.ndarray]]:
     if rows == 0 or cols == 0:
         basis = []
         for c in range(cols):
-            v = object_zeros((cols,))
+            v = zeros((cols,), "exact")
             v[c] = Fraction(1)
             basis.append(v)
         return 0, basis
@@ -292,7 +309,7 @@ def exact_rank_nullspace(matrix: np.ndarray) -> tuple[int, list[np.ndarray]]:
     free_cols = [c for c in range(cols) if c not in piv_cols]
     null_basis = []
     for fc in free_cols:
-        v = object_zeros((cols,))
+        v = zeros((cols,), "exact")
         v[fc] = Fraction(1)
         for i, pc in enumerate(piv_cols):
             v[pc] = -m[i, fc]
@@ -314,7 +331,7 @@ def psd_congruence(matrix: np.ndarray) -> tuple[list[Fraction], np.ndarray, int]
     """
     a = np.array(matrix, dtype=object)
     n = a.shape[0]
-    basis = object_eye(n)
+    basis = eye(n, "exact")
     d: list[Fraction] = [Fraction(0)] * n
     rank = 0
     for t in range(n):

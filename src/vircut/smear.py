@@ -32,9 +32,8 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from .fields import (FourierField, PiecewiseMobiusField, bracket_with_cocycle,
-                     build_piecewise_mobius, evaluate, mobius_piece,
-                     norm_three_halves, truncated_fourier, _corner_index)
-from .rational import CFrac, as_fraction, eye, opnorm, to_float, zeros
+                     norm_three_halves, truncated_fourier)
+from .rational import CFrac, Residual, as_fraction, eye, opnorm, zeros
 from .verma import TruncatedRep
 
 GradedVector = Mapping[int, np.ndarray]
@@ -45,8 +44,6 @@ class SmearedOperator:
     """Blockwise matrix of T(f) on a truncated representation."""
 
     rep: TruncatedRep
-    cutoff: int
-    field_support: tuple[int, ...]
     blocks: Mapping[tuple[int, int], np.ndarray]
     truncation_bias: Optional[float]  # weighted coefficient mass beyond the cutoff
 
@@ -76,15 +73,11 @@ def smear(rep: TruncatedRep, field, cutoff: Optional[int] = None) -> SmearedOper
         raise ValueError(f"cutoff {cutoff} exceeds truncation level {rep.N}")
     if isinstance(field, PiecewiseMobiusField):
         table = truncated_fourier(field, cutoff)
-        bias = norm_three_halves(field, cutoff).tail_bound
-        support = table.support
     elif isinstance(field, FourierField):
         table = field
-        report = norm_three_halves(field, cutoff)
-        bias = report.tail_bound
-        support = field.support
     else:
         raise TypeError(f"unsupported field type {type(field).__name__}")
+    bias = norm_three_halves(field, cutoff).tail_bound
 
     exact = rep.mode == "exact"
     blocks: dict[tuple[int, int], np.ndarray] = {}
@@ -107,7 +100,7 @@ def smear(rep: TruncatedRep, field, cutoff: Optional[int] = None) -> SmearedOper
             term = blk * scalar
             key = (dst, src)
             blocks[key] = blocks[key] + term if key in blocks else term
-    return SmearedOperator(rep, cutoff, support, blocks, bias)
+    return SmearedOperator(rep, blocks, bias)
 
 
 @dataclass(frozen=True)
@@ -129,18 +122,13 @@ def hermiticity_residual(op: SmearedOperator) -> HermiticityReport:
     exact = rep.mode == "exact"
     # raises for bases without inner product data
     norms = [np.asarray(rep.norms(k)) for k in range(rep.N + 1)]
-    worst = 0.0
-    exact_zero = True if exact else None
+    total = Residual()
     for dst, src in set(op.blocks) | {(s, d) for (d, s) in op.blocks}:
         a, b = op.block(dst, src), op.block(src, dst)
         a = zeros((rep.dim(dst), rep.dim(src)), rep.mode) if a is None else a
         b = zeros((rep.dim(src), rep.dim(dst)), rep.mode) if b is None else b
-        res = a * norms[dst][:, None] - np.conj(b).T * norms[src][None, :]
-        if exact:
-            exact_zero = exact_zero and not any(res.ravel())
-            res = to_float(res)
-        worst = max(worst, float(np.abs(res).max(initial=0.0)))
-    return HermiticityReport(worst, exact_zero)
+        total |= Residual.of(a * norms[dst][:, None] - np.conj(b).T * norms[src][None, :])
+    return HermiticityReport(total.max_abs, total.zero if exact else None)
 
 
 def vector_norm_squared(rep: TruncatedRep, vec: GradedVector
@@ -292,47 +280,6 @@ def fm_sup(k: float, m: int) -> tuple[float, float]:
     return eps_max, sup_sq
 
 
-def decomposition_check(rep: TruncatedRep, corner, samples: int = 1000) -> dict:
-    """T(f) = T(f - g_p) + T(g_p) blockwise, plus the support statement.
-
-    The mode supports of f and g_p are disjoint ({n = 2 mod 4} versus
-    {-1, 0, 1}), so the blockwise residual vanishes exactly even in float
-    arithmetic.  The second part samples f - g_p on the arc from p to ip,
-    where it must vanish pointwise.
-    """
-    if rep.h != 0:
-        raise ValueError("decomposition check needs a vacuum module")
-    field = build_piecewise_mobius()
-    j = _corner_index(corner)
-    f_table = truncated_fourier(field, rep.N)
-    g_p = mobius_piece(corner)
-    diff = f_table - g_p
-
-    op_f = smear(rep, f_table)
-    op_d = smear(rep, diff)
-    op_g = smear(rep, g_p)
-    worst = 0.0
-    for key in set(op_f.blocks) | set(op_d.blocks) | set(op_g.blocks):
-        shape = next(b.shape for b in (op_f.block(*key), op_d.block(*key),
-                                       op_g.block(*key)) if b is not None)
-        total = np.zeros(shape, dtype=complex)
-        if op_f.block(*key) is not None:
-            total += np.asarray(op_f.block(*key), dtype=complex)
-        if op_d.block(*key) is not None:
-            total -= np.asarray(op_d.block(*key), dtype=complex)
-        if op_g.block(*key) is not None:
-            total -= np.asarray(op_g.block(*key), dtype=complex)
-        if total.size:
-            worst = max(worst, float(np.max(np.abs(total))))
-
-    lo = j * math.pi / 2
-    arc_res = 0.0
-    for t in np.linspace(lo + 1e-6, lo + math.pi / 2 - 1e-6, samples):
-        arc_res = max(arc_res, abs(evaluate(field, t) - evaluate(g_p, t)))
-    return {"block_residual": worst, "exact_zero": worst == 0.0,
-            "arc_residual": float(arc_res), "samples": samples}
-
-
 def lemma_recursion_checks(rep: TruncatedRep, zeta=Fraction(5, 3)) -> dict:
     """Vacuum-sector recursion facts used by the uniqueness argument.
 
@@ -350,31 +297,28 @@ def lemma_recursion_checks(rep: TruncatedRep, zeta=Fraction(5, 3)) -> dict:
     v2 = rep.block(-2, 0)
     dim_ok = rep.dim(2) == 1 and v2 is not None and np.any(v2 != 0)
 
-    def gap(x) -> float:
-        return float(max((abs(complex(e)) for e in np.ravel(x)), default=0.0))
-
-    worst_b = 0.0
+    recursion = Residual()
     for n in range(2, rep.N):
         lhs = rep.block(-1, n).dot(rep.block(-n, 0))
         rhs = rep.block(-n - 1, 0) * ((n - 1) if exact else float(n - 1))
-        worst_b = max(worst_b, gap(lhs - rhs))
+        recursion |= Residual.of(lhs - rhs)
 
     zeta_s = CFrac.of(zeta) if exact else complex(zeta)
     tilde = v2 * zeta_s
-    worst_c = 0.0
+    propagation = Residual()
     for n in range(2, rep.N):
         tilde = rep.block(-1, n).dot(tilde) * (CFrac(Fraction(1, n - 1)) if exact
                                                else 1.0 / (n - 1))
         expected = rep.block(-n - 1, 0) * zeta_s
-        worst_c = max(worst_c, gap(tilde - expected))
+        propagation |= Residual.of(tilde - expected)
 
     return {
         "level2_dimension_one": bool(dim_ok),
-        "recursion_max_abs": worst_b,
-        "recursion_exact": exact and worst_b == 0.0,
+        "recursion_max_abs": recursion.max_abs,
+        "recursion_exact": exact and recursion.zero,
         "zeta": str(zeta),
-        "propagation_max_abs": worst_c,
-        "propagation_exact": exact and worst_c == 0.0,
+        "propagation_max_abs": propagation.max_abs,
+        "propagation_exact": exact and propagation.zero,
     }
 
 
@@ -408,7 +352,7 @@ def commutator_residual(rep: TruncatedRep, f: FourierField, g: FourierField
     exact = rep.mode == "exact"
     window = pair_safe_levels(rep, f, g)
 
-    worst = 0.0
+    worst = Residual()
     checked = 0
     for k in window:
         if rep.dim(k) == 0:
@@ -429,25 +373,7 @@ def commutator_residual(rep: TruncatedRep, f: FourierField, g: FourierField
             if dst == k:
                 total = total - eye(rep.dim(k), rep.mode) * omega
             checked += 1
-            if total.size:
-                worst = max(worst, float(max(abs(complex(e))
-                                             for e in np.ravel(total))))
-    return {"max_abs": worst, "exact_zero": exact and worst == 0.0,
+            worst |= Residual.of(total)
+    return {"max_abs": worst.max_abs, "exact_zero": exact and worst.zero,
             "window": window, "cells": checked, "omega": str(omega)}
 
-
-def random_vector(rng: np.random.Generator, rep: TruncatedRep
-                  ) -> dict[int, np.ndarray]:
-    """Standard normal coordinates in the orthonormal basis, per level."""
-    return {k: rng.standard_normal(rep.dim(k))
-            for k in range(rep.N + 1) if rep.dim(k) > 0}
-
-
-def energy_bound_ratio(op: SmearedOperator, field_norm: float,
-                       vec: GradedVector) -> float:
-    """||T(f) v|| / (||f||_{3/2} ||(1 + L0) v||) for one graded vector."""
-    rep = op.rep
-    num = math.sqrt(float(vector_norm_squared(rep, op.apply(vec))))
-    shifted = {k: v * (1.0 + float(rep.h) + k) for k, v in vec.items()}
-    den = field_norm * math.sqrt(float(vector_norm_squared(rep, shifted)))
-    return num / den

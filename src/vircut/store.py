@@ -1,6 +1,8 @@
 """Versioned on-disk cache for truncated representations.
 
-The format is plain text so a cached matrix can be read (and diffed) by
+Only quotient-basis reps, the ones truncated_rep builds by default, are
+cached: the raw monomial action and tensor products are refused.  The
+format is plain text so a cached matrix can be read (and diffed) by
 eye: a magic line carrying the schema version, a small key/value header
 identifying the object, one section per stored matrix (the basis norms
 "norms:k" of each level and the blocks "block:n,k"), and a trailing
@@ -158,9 +160,9 @@ def _slug(x: Union[Fraction, int]) -> str:
 # truncated representations
 
 
-def rep_cache_path(root, c, h, N: int, mode: str, basis: str) -> Path:
+def rep_cache_path(root, c, h, N: int, mode: str) -> Path:
     c, h = as_fraction(c), as_fraction(h)
-    return Path(root) / f"rep_c{_slug(c)}_h{_slug(h)}_N{N}_{mode}_{basis}.txt"
+    return Path(root) / f"rep_c{_slug(c)}_h{_slug(h)}_N{N}_{mode}_quotient.txt"
 
 
 def save_rep(root, rep: TruncatedRep, c=None, h=None) -> Path:
@@ -168,11 +170,11 @@ def save_rep(root, rep: TruncatedRep, c=None, h=None) -> Path:
 
     Exact-mode reps carry Fraction parameters and key themselves; a
     float-mode rep only remembers float(c), so the exact key must be
-    passed in (load_or_build_rep does).  Tensor products are refused:
-    load_rep could not rebuild one from its parameters.
+    passed in (load_or_build_rep does).  Monomial-basis reps and tensor
+    products are refused.
     """
-    if rep.basis == "tensor":
-        raise CacheError("tensor-product representations are not cacheable")
+    if rep.basis != "quotient":
+        raise CacheError(f"{rep.basis}-basis representations are not cacheable")
     try:
         cv = as_fraction(rep.c if c is None else c)
         hv = as_fraction(rep.h if h is None else h)
@@ -180,37 +182,35 @@ def save_rep(root, rep: TruncatedRep, c=None, h=None) -> Path:
         raise CacheError("float-mode representation needs its exact (c, h) key") from exc
     if float(cv) != float(rep.c) or float(hv) != float(rep.h):
         raise CacheError(f"cache key ({cv}, {hv}) does not match the representation")
-    path = rep_cache_path(root, cv, hv, rep.N, rep.mode, rep.basis)
+    path = rep_cache_path(root, cv, hv, rep.N, rep.mode)
     lines = [
         f"{_MAGIC} {SCHEMA_VERSION} rep",
         f"c {fmt_rational(cv)}",
         f"h {fmt_rational(hv)}",
         f"N {rep.N}",
         f"mode {rep.mode}",
-        f"basis {rep.basis}",
+        "basis quotient",
         "order revlex",
         "dims " + " ".join(str(d) for d in rep.level_dims),
     ]
-    if rep.basis_norms is not None:
-        for k in range(rep.N + 1):
-            norms = np.asarray(rep.basis_norms[k], dtype=object).reshape(1, -1)
-            lines += _matrix_lines(f"norms:{k}", norms, rep.mode)
+    for k in range(rep.N + 1):
+        norms = np.asarray(rep.basis_norms[k], dtype=object).reshape(1, -1)
+        lines += _matrix_lines(f"norms:{k}", norms, rep.mode)
     for (n, k) in sorted(rep.blocks):
         lines += _matrix_lines(f"block:{n},{k}", rep.blocks[(n, k)], rep.mode)
     _write_file(path, lines)
     return path
 
 
-def load_rep(root, c, h, N: int, mode: str = "exact",
-             basis: str = "quotient") -> Optional[TruncatedRep]:
+def load_rep(root, c, h, N: int, mode: str = "exact") -> Optional[TruncatedRep]:
     c, h = as_fraction(c), as_fraction(h)
-    path = rep_cache_path(root, c, h, N, mode, basis)
+    path = rep_cache_path(root, c, h, N, mode)
     found = _read_file(path, "rep")
     if found is None:
         return None
     header, body = found
     want = {"c": fmt_rational(c), "h": fmt_rational(h), "N": str(N),
-            "mode": mode, "basis": basis}
+            "mode": mode, "basis": "quotient"}
     for key, value in want.items():
         if header.get(key) != value:
             raise CacheError(f"{path}: header {key}={header.get(key)!r}, expected {value!r}")
@@ -221,20 +221,15 @@ def load_rep(root, c, h, N: int, mode: str = "exact",
         raise CacheError(f"{path}: dims line has {len(dims)} levels, expected {N + 1}")
     sections = _sections(body, mode)
 
-    norms = None
-    if any(tag.startswith("norms:") for tag in sections):
-        collected = []
-        for k in range(N + 1):
-            row = sections.get(f"norms:{k}")
-            if row is None:
-                raise CacheError(f"{path}: missing norms for level {k}")
-            flat = row.reshape(-1)
-            if flat.shape[0] != dims[k]:
-                raise CacheError(f"{path}: norms at level {k} have wrong length")
-            collected.append(tuple(flat) if mode == "exact" else np.asarray(flat, dtype=float))
-        norms = tuple(collected)
-    if basis == "quotient" and norms is None:
-        raise CacheError(f"{path}: quotient-basis file carries no norms")
+    norms = []
+    for k in range(N + 1):
+        row = sections.get(f"norms:{k}")
+        if row is None:
+            raise CacheError(f"{path}: missing norms for level {k}")
+        flat = row.reshape(-1)
+        if flat.shape[0] != dims[k]:
+            raise CacheError(f"{path}: norms at level {k} have wrong length")
+        norms.append(tuple(flat) if mode == "exact" else np.asarray(flat, dtype=float))
 
     keys = {f"block:{n},{k}": (n, k) for n, k in block_keys(N)}
     tags = {tag for tag in sections if tag.startswith("block:")}
@@ -256,13 +251,11 @@ def load_rep(root, c, h, N: int, mode: str = "exact",
         mode=mode,
         level_dims=dims,
         blocks=blocks,
-        basis_norms=norms,
-        basis=basis,
+        basis_norms=tuple(norms),
     )
 
 
-def load_or_build_rep(root, c, h, N: int, mode: str = "exact",
-                      basis: str = "quotient") -> tuple[TruncatedRep, str]:
+def load_or_build_rep(root, c, h, N: int, mode: str = "exact") -> tuple[TruncatedRep, str]:
     """Return (rep, source) where source is "cache" or "built".
 
     A stale-schema or absent file triggers a rebuild (and a rewrite when
@@ -270,10 +263,10 @@ def load_or_build_rep(root, c, h, N: int, mode: str = "exact",
     silently replaced.
     """
     if root is not None:
-        cached = load_rep(root, c, h, N, mode, basis)
+        cached = load_rep(root, c, h, N, mode)
         if cached is not None:
             return cached, "cache"
-    rep = truncated_rep(c, h, N, mode=mode, basis=basis)
+    rep = truncated_rep(c, h, N, mode=mode)
     if root is not None:
         save_rep(root, rep, c=c, h=h)
     return rep, "built"

@@ -46,6 +46,7 @@ import numpy as np
 
 from .rational import (
     IndefiniteMatrixError,
+    Residual,
     as_fraction,
     dot,
     eye,
@@ -60,6 +61,7 @@ __all__ = [
     "VermaVector",
     "GramMatrix",
     "NonUnitaryError",
+    "FloatRangeError",
     "TruncatedRep",
     "enumerate_partitions",
     "partition_count",
@@ -368,6 +370,13 @@ class NonUnitaryError(ValueError):
     """The Gram matrix is indefinite: (c, h) is outside the unitary range."""
 
 
+class FloatRangeError(NonUnitaryError):
+    """A float-mode build left the float64 range; exact mode has no such limit.
+
+    A NonUnitaryError so that callers refusing a rep refuse this one too.
+    """
+
+
 # Budget for float-mode residuals (bracket relations, hermiticity) that
 # reports and the acceptance battery hold a float rep to.
 FLOAT_RESIDUAL_TOL = 1e-10
@@ -535,7 +544,9 @@ def truncated_rep(c, h, N: int, mode: str = "exact",
     monomial basis; it exists for algebra checks at points outside the
     unitary range and carries no inner product.  Float mode decides rank
     and unitarity at the fixed relative tolerance _FLOAT_TOL = 1e-10 on
-    the diagonally scaled Gram.
+    the diagonally scaled Gram, and raises FloatRangeError when its Gram
+    or quotient leaves the float64 range (an overflowed Gram would
+    otherwise read as null states or stop eigh from converging).
     """
     if N < 2:
         raise ValueError("truncation level N must be at least 2")
@@ -557,7 +568,12 @@ def truncated_rep(c, h, N: int, mode: str = "exact",
     if mode == "exact":
         dims, normsq, basis_rows, extract = _exact_level_data(cv, hv, N)
     elif mode == "float":
-        dims, normsq, basis_rows, extract = _float_level_data(cv, hv, N)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                dims, normsq, basis_rows, extract = _float_level_data(cv, hv, N)
+        except (FloatingPointError, OverflowError) as exc:
+            raise FloatRangeError(f"float mode overflows float64 at this (c, h), N={N} "
+                                  f"({exc}); exact mode has no such limit") from exc
     else:
         raise ValueError(f"unknown arithmetic mode {mode!r}")
     blocks = {}
@@ -641,8 +657,7 @@ def relation_residual_summary(rep: TruncatedRep, max_mode: int = 3) -> dict:
 
     Returns {"max_abs": float, "exact_zero": bool, "cells": [...]}.
     """
-    worst = 0.0
-    exact_zero = True
+    total = Residual()
     cells = []
     for m in range(-max_mode, max_mode + 1):
         for n in range(m + 1, max_mode + 1):
@@ -650,16 +665,11 @@ def relation_residual_summary(rep: TruncatedRep, max_mode: int = 3) -> dict:
                 res = relation_residual(rep, m, n, k)
                 if res is None or res.size == 0:
                     continue
-                if rep.mode == "exact":
-                    nz = bool((res != 0).any())
-                    exact_zero = exact_zero and not nz
-                    cell_max = float(max((abs(float(x)) for x in res.ravel()), default=0.0))
-                else:
-                    cell_max = float(abs(res).max())
-                    exact_zero = False
-                worst = max(worst, cell_max)
-                cells.append({"m": m, "n": n, "k": k, "max_abs": cell_max})
-    return {"max_abs": worst, "exact_zero": exact_zero, "cells": cells}
+                cell = Residual.of(res)
+                total |= cell
+                cells.append({"m": m, "n": n, "k": k, "max_abs": cell.max_abs})
+    return {"max_abs": total.max_abs, "exact_zero": rep.mode == "exact" and total.zero,
+            "cells": cells}
 
 
 def measure_central_charge(rep: TruncatedRep) -> Scalar:

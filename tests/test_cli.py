@@ -62,6 +62,26 @@ def test_rep_rejects_non_unitary_weights(tmp_path):
                "--out", tmp_path) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("rep", "--mode", "float", "--N", "6", "--c", "1e160"),  # eigh fails to converge
+    ("bounds", "--N", "6", "--c", "1e160"),
+    ("rep", "--mode", "float", "--N", "4", "--c", "1e400"),  # c itself is not a float64
+    ("bounds", "--N", "4", "--c", "1e300"),  # level 4 used to read as null
+], ids=["rep-eigh", "bounds-eigh", "rep-c", "bounds-dims"])
+def test_float_overflow_is_refused(argv, tmp_path, capsys):
+    assert run(*argv, "--out", tmp_path) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: float mode overflows float64")
+    assert not any(tmp_path.glob("*_report.json"))
+
+
+def test_exact_mode_is_not_limited_by_float64(tmp_path):
+    assert run("rep", "--c", "1e300", "--N", "4", "--out", tmp_path) == 0
+    result = read_report(tmp_path, "rep_report.json")["result"]
+    assert result["level_dims"] == [1, 0, 1, 1, 2]
+    assert result["relations"]["exact_zero"] is True
+
+
 def test_rep_rejects_too_small_truncation(tmp_path):
     assert run("rep", "--N", "1", "--out", tmp_path) == 2
 

@@ -99,6 +99,20 @@ def test_single_piece_values():
     assert evaluate(g1, 0.0) == pytest.approx(0.0)      # vanishes at z = 1
 
 
+def test_glued_pieces_are_the_rotated_mobius_pieces(piecewise):
+    # on the arc from p = i^j to ip the glued field is g_p = p^2 g1(z/p),
+    # whose mode-m coefficient is p^{2-m} g1_hat(m)
+    g1_hat = {-1: -1 - 1j, 0: 2, 1: -1 + 1j}
+    for j, p in enumerate(CORNERS):
+        g_p = mobius_piece(p)
+        assert piecewise.pieces[j] == tuple(g_p.coefficient(m) for m in (-1, 0, 1))
+        assert [complex(a) for a in piecewise.pieces[j]] == [
+            p ** (2 - m) * g1_hat[m] for m in (-1, 0, 1)]
+        for theta in np.linspace(j * math.pi / 2, (j + 1) * math.pi / 2, 7):
+            assert evaluate(piecewise, theta) == pytest.approx(evaluate(g_p, theta),
+                                                               abs=1e-12)
+
+
 def test_glued_field_vanishes_at_corners_exactly(piecewise):
     for left, right in corner_values(piecewise).values():
         assert left == 0 and right == 0

@@ -91,6 +91,17 @@ def test_float_relations_within_tolerance(ising8_float):
     assert summary["max_abs"] <= 1e-10
 
 
+def test_a_nan_entry_fails_the_relation_budget():
+    rep = acceptance._rep(Fraction(1, 2), 0, 6, "float")
+    blocks = dict(rep.blocks)
+    blocks[(1, 3)] = blocks[(1, 3)].copy()
+    blocks[(1, 3)][0, 0] = np.nan
+    summary = relation_residual_summary(replace(rep, blocks=blocks), max_mode=3)
+    assert np.isnan(summary["max_abs"])
+    assert not summary["max_abs"] <= verma.FLOAT_RESIDUAL_TOL
+    assert any(np.isnan(cell["max_abs"]) for cell in summary["cells"])
+
+
 def _all_ordered_pairs(rep, max_mode=3):
     """Every (m, n) with |m|,|n| <= max_mode: max abs, any nonzero, and
     the (m, n, k) of every nonempty cell."""

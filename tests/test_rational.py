@@ -11,14 +11,15 @@ from vircut import fields
 from vircut.rational import (
     CFrac,
     IndefiniteMatrixError,
+    Residual,
     as_fraction,
     dot,
     exact_rank_nullspace,
+    eye,
     fmt_rational,
-    object_eye,
-    object_zeros,
     psd_congruence,
     to_float,
+    zeros,
 )
 
 
@@ -90,12 +91,42 @@ def test_cfrac_complex_bridge():
 
 
 def test_object_helpers():
-    z = object_zeros((2, 3))
-    assert z.dtype == object and all(isinstance(v, Fraction) for v in z.ravel())
-    eye = object_eye(3)
-    assert eye[1, 1] == 1 and eye[0, 1] == 0
-    f = to_float(eye)
+    z = zeros((2, 3), "exact")
+    assert z.dtype == object and all(type(v) is Fraction for v in z.ravel())
+    one = eye(3, "exact")
+    assert all(type(v) is Fraction for v in one.ravel())
+    assert one[1, 1] == 1 and one[0, 1] == 0
+    f = to_float(one)
     assert f.dtype == np.float64 and f[2, 2] == 1.0
+    assert np.array_equal(eye(3, "float"), np.eye(3))
+    assert eye(0, "exact").shape == (0, 0)
+    with pytest.raises(ValueError, match="unknown arithmetic mode"):
+        eye(2, "interval")
+
+
+# ---------------------------------------------------------------------------
+# residual reductions
+
+
+def test_residual_reads_exactness_from_the_rationals():
+    tiny = np.array([[Fraction(0), Fraction(1, 10 ** 400)]], dtype=object)
+    res = Residual.of(tiny)
+    assert res.max_abs == 0.0  # the float rounds to zero ...
+    assert res.zero is False   # ... the rational does not
+    assert Residual.of(zeros((2, 2), "exact")).zero is True
+    assert Residual.of(np.array([[CFrac(0, -3)]], dtype=object)) == Residual(3.0, False)
+    assert Residual.of(zeros((0, 3), "exact")) == Residual()
+
+
+def test_residual_propagates_nan():
+    clean = Residual.of(np.array([[1e-3, -2e-3]]))
+    assert clean == Residual(2e-3, False)
+    bad = Residual.of(np.array([[1e-3, np.nan]]))
+    assert np.isnan(bad.max_abs)
+    # Python's max(2e-3, nan) is 2e-3; joining keeps the NaN in either order
+    assert np.isnan((clean | bad).max_abs) and np.isnan((bad | clean).max_abs)
+    assert np.isnan((bad | Residual()).max_abs)
+    assert not (clean | bad).max_abs <= 1e-10
 
 
 def test_exact_rank_nullspace():
@@ -136,7 +167,7 @@ def test_psd_congruence_refuses_indefinite():
 
 
 def test_scalar_multiplication_keeps_exactness():
-    arr = object_eye(2)
+    arr = eye(2, "exact")
     scaled = arr * Fraction(3, 7)
     assert scaled[0, 0] == Fraction(3, 7)
     assert isinstance(scaled[0, 0], Fraction)
@@ -191,7 +222,7 @@ def test_dot_equals_np_dot_on_exact_matrices(pair):
 
 @pytest.mark.parametrize("p,q,r", [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0), (2, 0, 3)])
 def test_dot_on_empty_shapes(p, q, r):
-    got = dot(object_zeros((p, q)), object_zeros((q, r)))
+    got = dot(zeros((p, q), "exact"), zeros((q, r), "exact"))
     assert got.dtype == object and got.shape == (p, r)
     assert all(type(x) is Fraction and x == 0 for x in got.ravel())
 

@@ -1,35 +1,46 @@
 """Smeared operators, vacuum norms, heat commutators, bracket residuals."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from vircut import acceptance
+from vircut.bounds import estimate_r
 from vircut.fields import (
     FourierField,
     cosine_field,
     mobius_piece,
     mode_field,
+    norm_three_halves,
     random_real_field,
 )
 from vircut.rational import CFrac
 from vircut.smear import (
     commutator_residual,
-    decomposition_check,
-    energy_bound_ratio,
     fm_sup,
     heat_commutator,
     heat_identity_residual,
     hermiticity_residual,
     lemma_recursion_checks,
     pair_safe_levels,
-    random_vector,
     smear,
     vacuum_norm,
     vacuum_norm_from_rep,
     vector_norm_squared,
 )
+from vircut.verma import relation_residual_summary
+
+
+def _perturbed(rep, key, change):
+    """rep with entry [0, 0] of block `key` replaced by change(entry)."""
+    blocks = dict(rep.blocks)
+    blk = blocks[key].copy()
+    blk[0, 0] = change(blk[0, 0])
+    blocks[key] = blk
+    return replace(rep, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +234,7 @@ def test_fm_sup_dominates_samples():
 
 
 # ---------------------------------------------------------------------------
-# decomposition and recursion
-
-
-def test_decomposition_is_blockwise_exact(ising8_float):
-    for corner in (1 + 0j, 1j):
-        res = decomposition_check(ising8_float, corner, samples=200)
-        assert res["exact_zero"] is True
-        assert res["block_residual"] == 0.0
-        assert res["arc_residual"] <= 1e-4  # truncated series on the arc
+# recursion
 
 
 def test_recursion_checks_exact_on_the_vacuum_module(ising12):
@@ -245,6 +248,26 @@ def test_recursion_checks_exact_on_the_vacuum_module(ising12):
 def test_recursion_checks_need_vacuum_module(ising_half_8):
     with pytest.raises(ValueError, match="vacuum module"):
         lemma_recursion_checks(ising_half_8)
+
+
+def test_recursion_exactness_is_read_from_the_rationals():
+    # 10^-400 rounds to 0.0 as a float, but the rational is not zero
+    rep = _perturbed(acceptance._rep(Fraction(1, 2), 0, 6), (-1, 3),
+                     lambda x: x + Fraction(1, 10 ** 400))
+    res = lemma_recursion_checks(rep)
+    assert res["recursion_max_abs"] == 0.0
+    assert res["recursion_exact"] is False
+    assert res["propagation_exact"] is False
+    assert relation_residual_summary(rep)["exact_zero"] is False
+
+
+def test_a_nan_entry_fails_every_float_check():
+    rep = acceptance._rep(Fraction(1, 2), 0, 6, "float")
+    nan = _perturbed(rep, (2, 4), lambda x: math.nan)
+    assert math.isnan(hermiticity_residual(smear(nan, cosine_field(2))).max_abs)
+    assert math.isnan(commutator_residual(nan, cosine_field(2), cosine_field(1))["max_abs"])
+    res = lemma_recursion_checks(_perturbed(rep, (-1, 3), lambda x: math.nan))
+    assert math.isnan(res["recursion_max_abs"]) and math.isnan(res["propagation_max_abs"])
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +310,44 @@ def test_bracket_support_must_fit(ising8):
 
 
 # ---------------------------------------------------------------------------
-# energy bound ratios
+# the energy bound
 
 
-def test_grading_operator_ratio_below_one(ising8_float):
-    rng = np.random.default_rng(5)
-    op = smear(ising8_float, mode_field(0))
-    for _ in range(10):
-        vec = random_vector(rng, ising8_float)
-        # ||L0 v|| < ||(1 + L0) v|| and the field norm is exactly 1
-        assert energy_bound_ratio(op, 1.0, vec) < 1.0
+def random_vector(rng, rep):
+    """Standard normal coordinates in the orthonormal basis, per level."""
+    return {k: rng.standard_normal(rep.dim(k))
+            for k in range(rep.N + 1) if rep.dim(k) > 0}
+
+
+def energy_bound_ratio(op, field_norm, vec):
+    """||T(f) v|| / (||f||_{3/2} ||(1 + L0) v||) for one graded vector."""
+    rep = op.rep
+    num = math.sqrt(float(vector_norm_squared(rep, op.apply(vec))))
+    shifted = {k: v * (1.0 + float(rep.h) + k) for k, v in vec.items()}
+    den = field_norm * math.sqrt(float(vector_norm_squared(rep, shifted)))
+    return num / den
+
+
+@pytest.mark.parametrize("c, h, N", [
+    (Fraction(1, 2), 0, 8), (Fraction(7, 10), Fraction(3, 5), 8),
+    (Fraction(1), Fraction(1, 4), 8), (Fraction(2), 0, 10),
+], ids=["1/2,0,8", "7/10,3/5,8", "1,1/4,8", "2,0,10"])
+def test_energy_bound_holds_with_the_estimated_r(c, h, N):
+    # ||L_n v_k|| <= r_hat sqrt(k^2 + k n^2 + |n|^3) ||v_k|| on every cell
+    # estimate_r sweeps (the skipped n = k = 0 cell needs h <= r_hat (1 + h),
+    # and r_hat >= 1 from the n = 0 cells), and k^2 + k n^2 + |n|^3 <=
+    # (1+k)^2 (1+|n|^{3/2})^2 with 1 + k <= 1 + L0 on level k, so the
+    # triangle inequality over the modes of f gives
+    # ||T(f) v|| <= r_hat ||f||_{3/2} ||(1 + L0) v||.
+    rep = acceptance._rep(c, h, N, "float")
+    r_hat = estimate_r(c, N, h, rep=rep).derived["r_hat"]
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        f = random_real_field(rng, max_mode=int(rng.integers(1, N + 1)))
+        op = smear(rep, f)
+        norm = norm_three_halves(f, N).partial_sum
+        ratio = energy_bound_ratio(op, norm, random_vector(rng, rep))
+        assert ratio <= r_hat * (1 + 1e-12)
 
 
 def test_vector_norm_squared_exact(ising8):

@@ -78,14 +78,11 @@ def test_float_rep_key_must_match(tmp_path, ising8_float):
         save_rep(tmp_path, ising8_float, c=Fraction(3, 4), h=H)
 
 
-def test_monomial_rep_round_trip(tmp_path):
+def test_monomial_rep_is_not_cacheable(tmp_path):
     rep = verma.truncated_rep(C, Fraction(1, 2), 4, basis="monomial")
-    save_rep(tmp_path, rep)
-    loaded = load_rep(tmp_path, C, Fraction(1, 2), 4, basis="monomial")
-    assert loaded is not None
-    assert loaded.basis == "monomial"
-    assert loaded.basis_norms is None
-    assert _blocks_equal(loaded, rep)
+    with pytest.raises(CacheError, match="monomial-basis representations are not cacheable"):
+        save_rep(tmp_path, rep)
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -119,7 +116,8 @@ def test_tensor_rep_is_not_cacheable(tmp_path, ising8):
 def test_load_or_build_rep_reports_its_source(tmp_path):
     rep, source = load_or_build_rep(tmp_path, C, H, 4)
     assert source == "built"
-    assert rep_cache_path(tmp_path, C, H, 4, "exact", "quotient").exists()
+    path = rep_cache_path(tmp_path, C, H, 4, "exact")
+    assert path.name == "rep_c1_2_h0_N4_exact_quotient.txt" and path.exists()
     again, source = load_or_build_rep(tmp_path, C, H, 4)
     assert source == "cache"
     assert _blocks_equal(rep, again)
@@ -154,8 +152,18 @@ def test_truncated_file_is_rejected(tmp_path):
         load_rep(tmp_path, C, H, 4)
 
 
+def test_file_without_norms_is_rejected(tmp_path):
+    path = save_rep(tmp_path, verma.truncated_rep(C, H, 2))
+    lines = path.read_text().splitlines()[:-1]
+    start = lines.index("matrix norms:0 1 1")
+    _restamp(path, lines[:start] + lines[start + 6:])
+    assert not any(ln.startswith("matrix norms:") for ln in path.read_text().splitlines())
+    with pytest.raises(CacheError, match="missing norms for level 0"):
+        load_rep(tmp_path, C, H, 2)
+
+
 def test_garbage_file_is_rejected(tmp_path):
-    path = rep_cache_path(tmp_path, C, H, 2, "exact", "quotient")
+    path = rep_cache_path(tmp_path, C, H, 2, "exact")
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("not a cache at all\n")
     with pytest.raises(CacheError, match="not a cache file"):
@@ -163,7 +171,7 @@ def test_garbage_file_is_rejected(tmp_path):
 
 
 def test_kind_mismatch_is_rejected(tmp_path):
-    path = rep_cache_path(tmp_path, C, H, 2, "exact", "quotient")
+    path = rep_cache_path(tmp_path, C, H, 2, "exact")
     _restamp(path, ["vircut-cache 1 gram", "c 1/2", "h 0", "level 2",
                     "matrix entries 1 1", "1"])
     with pytest.raises(CacheError, match="expected a rep file, found 'gram'"):
@@ -173,7 +181,7 @@ def test_kind_mismatch_is_rejected(tmp_path):
 def test_stale_schema_rebuilds(tmp_path):
     _, source = load_or_build_rep(tmp_path, C, H, 2)
     assert source == "built"
-    path = rep_cache_path(tmp_path, C, H, 2, "exact", "quotient")
+    path = rep_cache_path(tmp_path, C, H, 2, "exact")
     lines = path.read_text().splitlines()[:-1]
     assert lines[0] == "vircut-cache 1 rep"
     # restamp the digest so only the schema version looks old
@@ -188,7 +196,7 @@ def test_stale_schema_rebuilds(tmp_path):
 
 def test_header_mismatch_is_rejected(tmp_path):
     path = save_rep(tmp_path, verma.truncated_rep(C, H, 2))
-    target = rep_cache_path(tmp_path, C, Fraction(1, 2), 2, "exact", "quotient")
+    target = rep_cache_path(tmp_path, C, Fraction(1, 2), 2, "exact")
     target.write_text(path.read_text())
     with pytest.raises(CacheError, match="header"):
         load_rep(tmp_path, C, Fraction(1, 2), 2)
