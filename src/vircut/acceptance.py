@@ -77,7 +77,7 @@ def criterion_virasoro_relations() -> tuple[bool, str]:
                 if mode == "exact":
                     ok = ok and summary["exact_zero"]
                 else:
-                    worst_float = max(worst_float, summary["max_abs"])
+                    worst_float = float(np.maximum(worst_float, summary["max_abs"]))
                     ok = ok and summary["max_abs"] <= verma.FLOAT_RESIDUAL_TOL
     note = f"; monomial basis at {', '.join(fallbacks)}" if fallbacks else ""
     return ok, (f"8 (c,h) points, both modes; exact residuals zero, "
@@ -208,7 +208,7 @@ def criterion_vacuum_nonvanishing() -> tuple[bool, str]:
     c = Fraction(1, 2)
     rep = _rep(c, 0, 8, "float")
     closed = smear.vacuum_norm(pw, c, cutoff=8)
-    matrix = smear.vacuum_norm_from_rep(rep, pw, cutoff=8)
+    matrix = smear.vacuum_norm_from_rep(smear.smear(rep, pw, cutoff=8))
     diff = abs(float(closed) - float(matrix))
     ok = float(closed) > 0 and diff <= 1e-8
     return ok, f"closed {float(closed):.12f}, matrix diff {diff:.2e}"

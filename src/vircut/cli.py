@@ -27,7 +27,7 @@ import datetime
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Optional
@@ -67,19 +67,6 @@ class RunConfig:
     def eps_values(self) -> np.ndarray:
         lo, hi, count = parse_eps_spec(self.eps_grid)
         return bounds.default_eps_grid(lo, hi, count)
-
-    def as_dict(self) -> dict:
-        return {
-            "c": fmt_rational(self.c),
-            "h": fmt_rational(self.h),
-            "N": self.N,
-            "mode": self.mode,
-            "eps_grid": self.eps_grid,
-            "cutoff": self.cutoff,
-            "out": str(self.out),
-            "cache": None if self.cache is None else str(self.cache),
-            "inject_fault": self.inject_fault,
-        }
 
 
 _CONFIG_KEYS = ("c", "h", "N", "mode", "eps_grid", "cutoff", "out", "cache")
@@ -188,18 +175,16 @@ def encode(x):
     """JSON-safe form: floats as repr strings, rationals as p/q."""
     if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
         return x
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))  # np.float64 is a float whose repr is np.float64(...)
     if isinstance(x, Fraction):
         return fmt_rational(x)
     if isinstance(x, CFrac):
         return {"re": fmt_rational(x.re), "im": fmt_rational(x.im)}
     if isinstance(x, complex):
-        return {"re": repr(x.real), "im": repr(x.imag)}
+        return {"re": repr(float(x.real)), "im": repr(float(x.imag))}
     if isinstance(x, np.integer):
         return int(x)
-    if isinstance(x, np.floating):
-        return repr(float(x))
     if isinstance(x, np.ndarray):
         return [encode(v) for v in x.tolist()]
     if isinstance(x, Mapping):
@@ -220,7 +205,7 @@ def write_report(cfg: RunConfig, name: str, command: str, result) -> Path:
             "schema": store.SCHEMA_VERSION,
             "float_format": "repr",
         },
-        "config": {key: value for key, value in cfg.as_dict().items()
+        "config": {key: value for key, value in encode(asdict(cfg)).items()
                    if key == "out" or key in READS[command]},
         "result": encode(result),
     }
@@ -436,7 +421,7 @@ def cmd_smear(cfg: RunConfig, args: argparse.Namespace) -> int:
     vac_ok = True
     if float(rep.h) == 0.0:
         closed = smear.vacuum_norm(field, cfg.c, cutoff=cutoff)
-        matrix = smear.vacuum_norm_from_rep(rep, field, cutoff=cutoff)
+        matrix = smear.vacuum_norm_from_rep(op)
         if isinstance(closed, Fraction) and isinstance(matrix, Fraction):
             vac_ok = closed == matrix
             diff = closed - matrix

@@ -1,15 +1,18 @@
 """Truncated smeared operators T(f) = Sum_n f_hat(n) L_n and their identities.
 
 A smeared operator on a truncated representation is stored blockwise: the
-(dst, src) block collects every mode n = src - dst of the field whose
-generator maps level src into level dst.  For real fields the full
-truncated matrix is hermitian with respect to the representation's inner
-product: each mode pair (n, -n) is either kept or dropped together by the
-level cutoff, so no boundary correction is needed.  Smearing records
-the weighted coefficient mass its cutoff discards (truncation_bias) and
+(dst, src) block is f_hat(n) times the rep's L_n block from level src,
+n = src - dst being the one mode that maps src into dst, so T(f) is one
+pass over the rep's block set.  For real fields the full truncated matrix
+is hermitian with respect to the representation's inner product: each
+mode pair (n, -n) is either kept or dropped together by the level
+cutoff, so no boundary correction is needed.  Smearing records the
+weighted coefficient mass its cutoff discards (truncation_bias) and
 leaves judging it to the caller.  Hermiticity is one check in both
 arithmetic modes: each block pair is weighted by the basis norms, which
-are 1.0 in the orthonormal float bases.
+are 1.0 in the orthonormal float bases, and each unordered pair of
+levels is checked once, since the residual of the reverse pair is the
+negated adjoint of the first.
 
 The heat-commutator machinery realizes R_{n,eps} = [L_n, e^{-eps L0}].
 Since e^{-eps L0} is a scalar on each level, R_{n,eps} restricted to level
@@ -80,26 +83,14 @@ def smear(rep: TruncatedRep, field, cutoff: Optional[int] = None) -> SmearedOper
     bias = norm_three_halves(field, cutoff).tail_bound
 
     exact = rep.mode == "exact"
+    if exact and not table.is_exact:
+        raise TypeError("exact representation needs an exact field")
     blocks: dict[tuple[int, int], np.ndarray] = {}
-    for n, a in table.coefficients.items():
-        if abs(n) > cutoff:
+    for (n, src), blk in rep.blocks.items():
+        a = table.coefficients.get(n)
+        if a is None or abs(n) > cutoff or blk.size == 0:
             continue
-        if exact:
-            if not isinstance(a, CFrac):
-                raise TypeError("exact representation needs an exact field")
-            scalar = a
-        else:
-            scalar = complex(a)
-        for src in range(rep.N + 1):
-            dst = src - n
-            if not 0 <= dst <= rep.N:
-                continue
-            blk = rep.block(n, src)
-            if blk is None or blk.size == 0:
-                continue
-            term = blk * scalar
-            key = (dst, src)
-            blocks[key] = blocks[key] + term if key in blocks else term
+        blocks[(src - n, src)] = blk * (a if exact else complex(a))
     return SmearedOperator(rep, blocks, bias)
 
 
@@ -114,16 +105,22 @@ def hermiticity_residual(op: SmearedOperator) -> HermiticityReport:
 
     Zero (exactly, in rational mode) for real fields.  The adjoint
     condition is weighted by the basis norms: the residual of the
-    (dst, src) block A and the reverse block B is D_dst A - conj(B)^T D_src,
+    (dst, src) block A and the reverse block B is R = D_dst A - conj(B)^T D_src,
     D_k being the diagonal of squared norms at level k (the identity in
     float mode, so there it is A - conj(B)^T).
+
+    The residual of (src, dst) is -conj(R)^T, in both arithmetics: its two
+    terms are those of R conjugated, transposed and swapped, and
+    conjugation, scaling by the real D_k and IEEE subtraction are exact
+    under negation.  So each unordered pair of levels is checked once and
+    gives the max_abs and zero verdict of the sweep over both orders.
     """
     rep = op.rep
     exact = rep.mode == "exact"
     # raises for bases without inner product data
     norms = [np.asarray(rep.norms(k)) for k in range(rep.N + 1)]
     total = Residual()
-    for dst, src in set(op.blocks) | {(s, d) for (d, s) in op.blocks}:
+    for dst, src in {(min(key), max(key)) for key in op.blocks}:
         a, b = op.block(dst, src), op.block(src, dst)
         a = zeros((rep.dim(dst), rep.dim(src)), rep.mode) if a is None else a
         b = zeros((rep.dim(src), rep.dim(dst)), rep.mode) if b is None else b
@@ -176,12 +173,11 @@ def vacuum_norm(field, c, cutoff: Optional[int] = None) -> Union[Fraction, float
     return as_fraction(c_val) * total if exact else float(c_val) * total
 
 
-def vacuum_norm_from_rep(rep: TruncatedRep, field,
-                         cutoff: Optional[int] = None) -> Union[Fraction, float]:
+def vacuum_norm_from_rep(op: SmearedOperator) -> Union[Fraction, float]:
     """||T(f) vacuum||^2 computed from the smeared matrix blocks."""
+    rep = op.rep
     if rep.h != 0:
         raise ValueError("vacuum norm needs a vacuum module (h = 0)")
-    op = smear(rep, field, cutoff)
     if rep.mode == "exact":
         vac = np.array([CFrac(1)], dtype=object)
     else:
@@ -215,13 +211,9 @@ def heat_commutator(rep: TruncatedRep, n: int, eps: float) -> HeatCommutator:
     levels = []
     factors = []
     blocks: dict[int, np.ndarray] = {}
-    for src in range(rep.N + 1):
+    for src in range(max(0, n), min(rep.N, rep.N + n) + 1):
         dst = src - n
-        if not 0 <= dst <= rep.N:
-            continue
         b = rep.orthonormal_block(n, src)
-        if b is None:
-            continue
         e_src = np.exp(np.longdouble(-eps) * np.longdouble(h + src))
         e_dst = np.exp(np.longdouble(-eps) * np.longdouble(h + dst))
         bl = np.asarray(b, dtype=np.longdouble)
@@ -280,13 +272,13 @@ def fm_sup(k: float, m: int) -> tuple[float, float]:
     return eps_max, sup_sq
 
 
-def lemma_recursion_checks(rep: TruncatedRep, zeta=Fraction(5, 3)) -> dict:
+def lemma_recursion_checks(rep: TruncatedRep) -> dict:
     """Vacuum-sector recursion facts used by the uniqueness argument.
 
     (a) the level-2 space is one-dimensional and spanned by L_{-2} vacuum;
     (b) L_{-1} L_{-n} vacuum = (n-1) L_{-n-1} vacuum for 2 <= n < N;
-    (c) a second-representation datum differing by a scalar zeta at level 2
-        propagates to zeta at every level via (b)'s recursion.
+    (c) a second-representation datum differing by a scalar zeta = 5/3 at
+        level 2 propagates to zeta at every level via (b)'s recursion.
     """
     if rep.h != 0:
         raise ValueError("recursion checks need a vacuum module")
@@ -303,6 +295,7 @@ def lemma_recursion_checks(rep: TruncatedRep, zeta=Fraction(5, 3)) -> dict:
         rhs = rep.block(-n - 1, 0) * ((n - 1) if exact else float(n - 1))
         recursion |= Residual.of(lhs - rhs)
 
+    zeta = Fraction(5, 3)
     zeta_s = CFrac.of(zeta) if exact else complex(zeta)
     tilde = v2 * zeta_s
     propagation = Residual()

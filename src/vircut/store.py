@@ -106,7 +106,7 @@ def _write_file(path: Path, lines: list[str]) -> None:
     tmp.replace(path)
 
 
-def _read_file(path: Path, kind: str) -> Optional[tuple[dict, list[str]]]:
+def _read_file(path: Path) -> Optional[tuple[dict, list[str]]]:
     """Verify framing and digest; return (header dict, section lines).
 
     None means the file is absent or written under a different schema
@@ -122,8 +122,8 @@ def _read_file(path: Path, kind: str) -> Optional[tuple[dict, list[str]]]:
         raise CacheError(f"{path}: not a cache file")
     if magic[1] != str(SCHEMA_VERSION):
         return None
-    if magic[2] != kind:
-        raise CacheError(f"{path}: expected a {kind} file, found {magic[2]!r}")
+    if magic[2] != "rep":
+        raise CacheError(f"{path}: expected a rep file, found {magic[2]!r}")
     if not lines[-1].startswith("digest "):
         raise CacheError(f"{path}: missing digest line")
     stored = lines[-1].split()[1]
@@ -205,7 +205,7 @@ def save_rep(root, rep: TruncatedRep, c=None, h=None) -> Path:
 def load_rep(root, c, h, N: int, mode: str = "exact") -> Optional[TruncatedRep]:
     c, h = as_fraction(c), as_fraction(h)
     path = rep_cache_path(root, c, h, N, mode)
-    found = _read_file(path, "rep")
+    found = _read_file(path)
     if found is None:
         return None
     header, body = found

@@ -71,7 +71,6 @@ __all__ = [
     "gram_entry_direct",
     "block_keys",
     "truncated_rep",
-    "safe_levels",
     "relation_residual",
     "relation_residual_summary",
     "measure_central_charge",
@@ -597,45 +596,21 @@ def truncated_rep(c, h, N: int, mode: str = "exact",
 # ---------------------------------------------------------------------------
 # algebra checks
 
-def safe_levels(N: int, word: Iterable[int]) -> list[int]:
-    """Source levels from which the operator word never leaves [0, N].
-
-    word = (n1, ..., nj) means L_{n1} ... L_{nj} applied to a level-k
-    vector, rightmost factor first; every partial level must stay in
-    range (conservative, no truncation artifacts).
-    """
-    word = tuple(word)
-    out = []
-    for k in range(N + 1):
-        level = k
-        ok = True
-        for n in reversed(word):
-            level -= n
-            if not 0 <= level <= N:
-                ok = False
-                break
-        if ok:
-            out.append(k)
-    return out
-
-
 def relation_residual(rep: TruncatedRep, m: int, n: int, k: int) -> Optional[np.ndarray]:
     """Matrix of [L_m, L_n] - (m-n) L_{m+n} - central on level k, or None.
 
-    None when level k is not in the joint safe window of both orders.
-    The central term is taken from the label rep.c, not read off the
-    blocks, so blocks built at another central charge leave a residual
-    (the CLI's injected fault builds at 12c/13 and labels the result c).
+    None unless both orders stay inside the truncation: levels k, k - n,
+    k - m and k - m - n all lie in [0, N].  The central term is taken
+    from the label rep.c, not read off the blocks, so blocks built at
+    another central charge leave a residual (the CLI's injected fault
+    builds at 12c/13 and labels the result c).
     """
-    N = rep.N
-    if k not in safe_levels(N, (m, n)) or k not in safe_levels(N, (n, m)):
+    if not all(0 <= level <= rep.N for level in (k, k - n, k - m, k - m - n)):
         return None
     a = dot(rep.block(m, k - n), rep.block(n, k))
     b = dot(rep.block(n, k - m), rep.block(m, k))
     res = a - b
     if m != n:
-        if abs(m + n) > N:
-            return None  # the L_{m+n} block is outside the truncation
         res = res - (m - n) * rep.block(m + n, k)
     if m + n == 0:
         central = rep.c * (m ** 3 - m) / 12
@@ -683,7 +658,10 @@ def measure_central_charge(rep: TruncatedRep) -> Scalar:
     return 2 * (val - 4 * rep.h)
 
 
-def tensor_rep(a: TruncatedRep, b: TruncatedRep, N: int, dim_cap: int = 20000) -> TruncatedRep:
+_TENSOR_DIM_CAP = 20000  # states summed over levels
+
+
+def tensor_rep(a: TruncatedRep, b: TruncatedRep, N: int) -> TruncatedRep:
     """Graded tensor product with L_n = L_n (x) 1 + 1 (x) L_n, cut at total level N.
 
     Basis at level K: pairs (level ka block of a) x (level K - ka of b),
@@ -700,8 +678,8 @@ def tensor_rep(a: TruncatedRep, b: TruncatedRep, N: int, dim_cap: int = 20000) -
     dims = []
     for K in range(N + 1):
         dims.append(sum(a.dim(ka) * b.dim(K - ka) for ka in range(K + 1)))
-    if sum(dims) > dim_cap:
-        raise ValueError(f"tensor product dimension {sum(dims)} exceeds cap {dim_cap}")
+    if sum(dims) > _TENSOR_DIM_CAP:
+        raise ValueError(f"tensor product dimension {sum(dims)} exceeds cap {_TENSOR_DIM_CAP}")
 
     def offsets(K):
         off, pos = {}, 0
@@ -722,19 +700,17 @@ def tensor_rep(a: TruncatedRep, b: TruncatedRep, N: int, dim_cap: int = 20000) -
                 continue
             src = all_offsets[K][ka]
             # a-factor action: (ka, kb) -> (ka - n, kb)
-            if 0 <= ka - n <= a.N and a.dim(ka - n) and 0 <= Kd - (ka - n) == kb:
-                blk = a.block(n, ka)
-                if blk is not None and blk.size:
-                    dst = all_offsets[Kd][ka - n]
-                    sub = np.kron(blk, eye(db, mode))
-                    out[dst:dst + a.dim(ka - n) * db, src:src + da * db] += sub
+            blk = a.block(n, ka)
+            if blk is not None and blk.size:
+                dst = all_offsets[Kd][ka - n]
+                sub = np.kron(blk, eye(db, mode))
+                out[dst:dst + a.dim(ka - n) * db, src:src + da * db] += sub
             # b-factor action: (ka, kb) -> (ka, kb - n)
-            if 0 <= kb - n <= b.N and b.dim(kb - n) and ka <= Kd and Kd - ka == kb - n:
-                blk = b.block(n, kb)
-                if blk is not None and blk.size:
-                    dst = all_offsets[Kd][ka]
-                    sub = np.kron(eye(da, mode), blk)
-                    out[dst:dst + da * b.dim(kb - n), src:src + da * db] += sub
+            blk = b.block(n, kb)
+            if blk is not None and blk.size:
+                dst = all_offsets[Kd][ka]
+                sub = np.kron(eye(da, mode), blk)
+                out[dst:dst + da * b.dim(kb - n), src:src + da * db] += sub
         blocks[(n, K)] = out
     norms = []
     for K in range(N + 1):

@@ -7,7 +7,7 @@ never drift apart.
 
 import pytest
 
-from vircut import acceptance
+from vircut import acceptance, verma
 
 NAMES = [name for name, _ in acceptance.CRITERIA]
 
@@ -23,3 +23,20 @@ def test_criterion(name):
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {name} ({result.seconds:.2f}s): {result.detail}")
     assert result.passed, f"{name}: {result.detail}"
+
+
+def test_a_nan_float_residual_fails_the_relations_and_shows_in_the_detail(monkeypatch):
+    real = verma.relation_residual_summary
+    poisoned = []
+
+    def first_float_summary_is_nan(rep, max_mode):
+        summary = real(rep, max_mode=max_mode)
+        if rep.mode == "float" and not poisoned:
+            poisoned.append(rep)
+            summary = {**summary, "max_abs": float("nan")}
+        return summary
+
+    monkeypatch.setattr(verma, "relation_residual_summary", first_float_summary_is_nan)
+    passed, detail = acceptance.criterion_virasoro_relations()
+    assert poisoned and not passed
+    assert "worst float residual nan" in detail

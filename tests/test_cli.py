@@ -4,10 +4,11 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vircut import acceptance, store
-from vircut.cli import main
+from vircut.cli import encode, main
 
 FAULT = ("--inject-fault", "central-denominator-13")
 
@@ -55,6 +56,15 @@ def test_rep_float_mode(tmp_path):
     report = read_report(tmp_path, "rep_report.json")
     # floats are serialized as repr strings for bit-stable reports
     assert float(report["result"]["relations"]["max_abs"]) <= 1e-10
+
+
+def test_numpy_floats_are_written_as_plain_reprs(tmp_path):
+    assert run("rep", "--c", "1/2", "--N", "4", "--mode", "float",
+               "--out", tmp_path) == 0
+    measured = read_report(tmp_path, "rep_report.json")["result"]["measured_central_charge"]
+    assert float(measured) == 0.5
+    assert encode(np.float64(0.1)) == "0.1"
+    assert encode(np.complex128(1.5 - 2j)) == {"re": "1.5", "im": "-2.0"}
 
 
 def test_rep_rejects_non_unitary_weights(tmp_path):

@@ -102,6 +102,17 @@ def test_a_nan_entry_fails_the_relation_budget():
     assert any(np.isnan(cell["max_abs"]) for cell in summary["cells"])
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_relation_window_is_every_level_inside_the_truncation(mode):
+    N = 5
+    rep = acceptance._rep(Fraction(1, 2), 0, N, mode)
+    for m in range(-N, N + 1):
+        for n in range(-N, N + 1):
+            for k in range(N + 1):
+                outside = not all(0 <= level <= N for level in (k - n, k - m, k - m - n))
+                assert (verma.relation_residual(rep, m, n, k) is None) == outside, (m, n, k)
+
+
 def _all_ordered_pairs(rep, max_mode=3):
     """Every (m, n) with |m|,|n| <= max_mode: max abs, any nonzero, and
     the (m, n, k) of every nonempty cell."""

@@ -67,9 +67,11 @@ def test_cutoff_cannot_exceed_truncation(ising8):
 
 
 def test_exact_rep_refuses_float_fields(ising8):
-    lossy = FourierField({2: 0.25 + 0j, -2: 0.25 + 0j})
-    with pytest.raises(TypeError, match="exact representation needs an exact field"):
-        smear(ising8, lossy)
+    # also when every mode lies beyond the cutoff
+    for n in (2, 9):
+        lossy = FourierField({n: 0.25 + 0j, -n: 0.25 + 0j})
+        with pytest.raises(TypeError, match="exact representation needs an exact field"):
+            smear(ising8, lossy)
 
 
 def test_truncation_bias_is_recorded_for_the_piecewise_field(
@@ -159,14 +161,14 @@ def test_mobius_pieces_kill_the_vacuum():
 def test_closed_form_matches_matrix_route_exactly(ising8):
     f = cosine_field(2, 2)
     closed = vacuum_norm(f, Fraction(1, 2))
-    matrix = vacuum_norm_from_rep(ising8, f)
+    matrix = vacuum_norm_from_rep(smear(ising8, f))
     assert closed == matrix == Fraction(1, 4)
 
 
 def test_piecewise_vacuum_norm(ising8_float, piecewise):
     closed = vacuum_norm(piecewise, 0.5, cutoff=8)
     assert closed == pytest.approx(0.04631825537935441, rel=1e-12)
-    matrix = vacuum_norm_from_rep(ising8_float, piecewise, cutoff=8)
+    matrix = vacuum_norm_from_rep(smear(ising8_float, piecewise, cutoff=8))
     assert abs(closed - matrix) <= 1e-8
 
 
@@ -177,7 +179,7 @@ def test_piecewise_vacuum_norm_needs_cutoff(piecewise):
 
 def test_vacuum_norm_needs_vacuum_module(ising_half_8):
     with pytest.raises(ValueError, match="h = 0"):
-        vacuum_norm_from_rep(ising_half_8, mode_field(-2))
+        vacuum_norm_from_rep(smear(ising_half_8, mode_field(-2)))
 
 
 # ---------------------------------------------------------------------------
