@@ -11,12 +11,11 @@ Examples
 """
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
 
-from vircut import fields
+from vircut import cli, fields
 
 
 def main() -> int:
@@ -32,24 +31,21 @@ def main() -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    with open(out / "profile.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "value", "series", "gap"])
-        worst = 0.0
-        for i in range(args.samples):
-            theta = 2.0 * math.pi * i / args.samples
-            value = fields.evaluate(field, theta)
-            series = fields.evaluate_series(field, theta, args.cutoff)
-            gap = abs(value - series)
-            worst = max(worst, gap)
-            writer.writerow([repr(float(x)) for x in (theta, value, series, gap)])
+    samples = []
+    worst = 0.0
+    for i in range(args.samples):
+        theta = 2.0 * math.pi * i / args.samples
+        value = fields.evaluate(field, theta)
+        series = fields.evaluate_series(field, theta, args.cutoff)
+        gap = abs(value - series)
+        worst = max(worst, gap)
+        samples.append({"theta": theta, "value": value, "series": series, "gap": gap})
+    cli.write_rows_csv(out / "profile.csv", ["theta", "value", "series", "gap"], samples)
 
     rows = fields.coefficient_rows(field, args.cutoff)
-    with open(out / "coefficients.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "re", "im", "abs"])
-        for n, re, im in rows:
-            writer.writerow([n, *(repr(float(x)) for x in (re, im, math.hypot(re, im)))])
+    cli.write_rows_csv(out / "coefficients.csv", ["n", "re", "im", "abs"],
+                       [{"n": n, "re": re, "im": im, "abs": math.hypot(re, im)}
+                        for n, re, im in rows])
 
     print(f"{args.samples} samples, {len(rows)} modes up to |n| <= {args.cutoff}")
     print(f"worst pointwise series gap: {worst:.3e}")

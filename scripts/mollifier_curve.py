@@ -12,11 +12,10 @@ Examples
 """
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
-from vircut import bounds, fields
+from vircut import bounds, cli, fields
 
 
 def main() -> int:
@@ -41,12 +40,10 @@ def main() -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "mollifier_curve.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "piecewise_error", "piecewise_tail", "cosine_error"])
-        for pw, cos in zip(piecewise.table, control.table):
-            writer.writerow([pw["k"], repr(pw["error"]), repr(pw["tail_bound"]),
-                             repr(cos["error"])])
+    cli.write_rows_csv(path, ["k", "piecewise_error", "piecewise_tail", "cosine_error"],
+                       [{"k": pw["k"], "piecewise_error": pw["error"],
+                         "piecewise_tail": pw["tail_bound"], "cosine_error": cos["error"]}
+                        for pw, cos in zip(piecewise.table, control.table)])
 
     print(f"{'k':>10} {'piecewise':>14} {'cosine 2/(k+1)':>16}")
     for pw, cos in zip(piecewise.table, control.table):

@@ -3,7 +3,9 @@
 
 Builds one float-mode vacuum representation per level, reuses it for both
 estimates, and writes one CSV row per level so the stabilization of the
-constants is visible at a glance.
+constants is visible at a glance.  A level whose rep misses the float
+bracket-relation budget counts as failed, like a failed verdict, and the
+script exits 1.
 
 Examples
 --------
@@ -12,13 +14,12 @@ Examples
 """
 
 import argparse
-import csv
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-from vircut import bounds, verma
+from vircut import bounds, cli, verma
 
 
 def parse_levels(spec: str) -> list[int]:
@@ -51,8 +52,9 @@ def main() -> int:
         rep = verma.truncated_rep(c, h, N, mode="float")
         r = bounds.estimate_r(c, N, h=h, rep=rep)
         q = bounds.estimate_q(c, N, grid, h=h, rep=rep, r_report=r)
+        relations_ok, relations_line = cli.float_relations_gate(rep)
         seconds = time.perf_counter() - start
-        ok = r.verdict == "pass" and q.verdict == "pass"
+        ok = r.verdict == "pass" and q.verdict == "pass" and relations_ok
         rows.append({
             "N": N, "r_sq": r.constant, "q_hat": q.constant,
             "chain_bound": q.derived["chain_bound"],
@@ -64,13 +66,11 @@ def main() -> int:
         print(f"{N:>3} {r.constant!r:>22} {q.constant!r:>22} "
               f"{q.derived['chain_bound']!r:>22} {seconds:7.2f}")
         if not ok:
-            print(f"    WARNING: verdicts r={r.verdict} q={q.verdict}")
+            note = "" if relations_ok else f"; {relations_line}"
+            print(f"    WARNING: verdicts r={r.verdict} q={q.verdict}{note}")
 
     path = out / "bounds_sweep.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    cli.write_rows_csv(path, list(rows[0]), rows)
     print(f"wrote {path}")
     return 0 if all(r["verdicts_ok"] for r in rows) else 1
 

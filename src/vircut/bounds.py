@@ -26,7 +26,6 @@ reported maxima.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -67,16 +66,6 @@ class BoundReport:
             "warnings": list(self.warnings),
             "table": self.table,
         }
-
-    def write_csv(self, path) -> None:
-        """One row per table cell, columns from the first row's keys."""
-        with open(path, "w", newline="") as fh:
-            if not self.table:
-                fh.write("")
-                return
-            writer = csv.DictWriter(fh, fieldnames=list(self.table[0].keys()))
-            writer.writeheader()
-            writer.writerows(self.table)
 
 
 def _rep_for(c, N: int, h, rep) -> verma.TruncatedRep:

@@ -4,7 +4,8 @@ Subcommands mirror the library layers: `rep` builds a truncated
 representation and checks the bracket relations, `field` profiles a
 smearing field, `smear` assembles a smeared operator and audits it,
 `bounds` runs the constant-estimation sweeps, and `check-all` runs the
-full acceptance battery.
+full acceptance battery.  `bounds` and float-mode `smear` also fail when
+the rep they use misses the float bracket-relation budget.
 
 Each subcommand accepts only the settings it reads (READS below).
 Configuration is a flat key=value file overridden by flags; a file may
@@ -69,7 +70,20 @@ class RunConfig:
         return bounds.default_eps_grid(lo, hi, count)
 
 
-_CONFIG_KEYS = ("c", "h", "N", "mode", "eps_grid", "cutoff", "out", "cache")
+# Each RunConfig field's parser, and the kind of value its errors name.
+_SETTINGS = {
+    "c": (as_fraction, "rational"),
+    "h": (as_fraction, "rational"),
+    "N": (int, "integer"),
+    "cutoff": (int, "integer"),
+    "mode": (str, "text"),
+    "eps_grid": (str, "text"),
+    "out": (Path, "path"),
+    "cache": (Path, "path"),
+    "inject_fault": (str, "text"),
+}
+
+_CONFIG_KEYS = tuple(key for key in _SETTINGS if key != "inject_fault")
 
 # The settings each subcommand reads, beside --config and --out which all
 # of them take.  Every entry is a flag; all but inject_fault are also
@@ -128,31 +142,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key)
         if flag is not None:
             raw[key] = flag
-    cfg = RunConfig()
-    try:
-        if "c" in raw:
-            cfg = replace(cfg, c=as_fraction(str(raw["c"])))
-        if "h" in raw:
-            cfg = replace(cfg, h=as_fraction(str(raw["h"])))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational parameter: {exc}") from exc
-    try:
-        if "N" in raw:
-            cfg = replace(cfg, N=int(raw["N"]))
-        if "cutoff" in raw:
-            cfg = replace(cfg, cutoff=int(raw["cutoff"]))
-    except ValueError as exc:
-        raise UsageError(f"bad integer parameter: {exc}") from exc
-    if "mode" in raw:
-        cfg = replace(cfg, mode=str(raw["mode"]))
-    if "eps_grid" in raw:
-        cfg = replace(cfg, eps_grid=str(raw["eps_grid"]))
-    if "out" in raw:
-        cfg = replace(cfg, out=Path(raw["out"]))
-    if "cache" in raw:
-        cfg = replace(cfg, cache=Path(raw["cache"]))
-    if "inject_fault" in raw:
-        cfg = replace(cfg, inject_fault=raw["inject_fault"])
+    values = {}
+    for key, (parse, kind) in _SETTINGS.items():
+        if key in raw:
+            try:
+                values[key] = parse(raw[key])
+            except (ValueError, ZeroDivisionError) as exc:
+                raise UsageError(f"bad {kind} parameter: {exc}") from exc
+    cfg = RunConfig(**values)
     if cfg.N < 2:
         raise UsageError(f"N must be at least 2, got {cfg.N}")
     if cfg.mode not in ("exact", "float"):
@@ -220,6 +217,15 @@ def write_rows_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow({k: encode(v) for k, v in row.items()})
+
+
+def float_relations_gate(rep: verma.TruncatedRep) -> tuple[bool, str]:
+    """Whether a float rep's bracket residual (|m|,|n| <= 3) is within
+    FLOAT_RESIDUAL_TOL, NaN failing, and the line that reports it."""
+    max_abs = verma.relation_residual_summary(rep, max_mode=3)["max_abs"]
+    return (max_abs <= verma.FLOAT_RESIDUAL_TOL,
+            f"bracket relations |m|,|n|<=3: max abs {max_abs:.3e} "
+            f"(tolerance {verma.FLOAT_RESIDUAL_TOL:g})")
 
 
 def report_summary(br: bounds.BoundReport) -> dict:
@@ -430,7 +436,11 @@ def cmd_smear(cfg: RunConfig, args: argparse.Namespace) -> int:
             vac_ok = diff <= 1e-8
         vac = {"closed": closed, "matrix": matrix, "difference": diff, "ok": vac_ok}
 
-    ok = herm_ok and vac_ok
+    # exact mode is left ungated: its relation sweep costs more than the smear
+    relations_ok, relations_line = True, ""
+    if cfg.mode == "float":
+        relations_ok, relations_line = float_relations_gate(rep)
+    ok = herm_ok and vac_ok and relations_ok
     result = {
         "field": args.field,
         "rep_source": source,
@@ -452,6 +462,8 @@ def cmd_smear(cfg: RunConfig, args: argparse.Namespace) -> int:
               f"({'ok' if vac_ok else 'MISMATCH'})")
     if bias_notes:
         print(f"note: {bias_notes[0]}")
+    if not relations_ok:
+        print(relations_line)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -477,9 +489,10 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
             fm_rows.append({"k": k, "m": m, "eps_max": eps_max, "sup_sq": sup_sq,
                             "grid_max": worst, "violated": violated})
 
+    relations_ok, relations_line = float_relations_gate(rep)
     chain = q_report.derived
     ok = (r_report.verdict == "pass" and q_report.verdict == "pass"
-          and fm_violations == 0)
+          and fm_violations == 0 and relations_ok)
     result = {
         "r": report_summary(r_report),
         "q": report_summary(q_report),
@@ -489,10 +502,9 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
         "ok": bool(ok),
     }
     out = _ensure_out(cfg)
-    r_report.write_csv(out / "r_cells.csv")
-    q_report.write_csv(out / "q_grid.csv")
-    write_rows_csv(out / "fm_table.csv", ["k", "m", "eps_max", "sup_sq", "grid_max", "violated"],
-                   fm_rows)
+    for name, rows in (("r_cells.csv", r_report.table), ("q_grid.csv", q_report.table),
+                       ("fm_table.csv", fm_rows)):
+        write_rows_csv(out / name, list(rows[0]), rows)
     write_report(cfg, "bounds_report.json", "bounds", result)
     print(f"bounds c={fmt_rational(cfg.c)} h={fmt_rational(cfg.h)} N={cfg.N}, "
           f"eps grid {cfg.eps_grid}")
@@ -502,6 +514,8 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(f"heat-kernel sup table: {fm_violations} grid violations")
     for w in r_report.warnings + q_report.warnings:
         print(f"warning: {w}")
+    if not relations_ok:
+        print(relations_line)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -410,7 +410,7 @@ def bracket_with_cocycle(f: FourierField, g: FourierField, c):
     if not isinstance(f, FourierField) or not isinstance(g, FourierField):
         raise TypeError("bracket needs finitely supported fields")
     exact = f.is_exact and g.is_exact and not isinstance(c, float)
-    c_val = as_fraction(getattr(c, "value", c)) if exact else float(getattr(c, "value", c))
+    c_val = as_fraction(c) if exact else float(c)
     zero = CFrac(0) if exact else 0j
     h: dict[int, Coefficient] = {}
     omega = zero

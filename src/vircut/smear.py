@@ -14,13 +14,13 @@ are 1.0 in the orthonormal float bases, and each unordered pair of
 levels is checked once, since the residual of the reverse pair is the
 negated adjoint of the first.
 
-The heat-commutator machinery realizes R_{n,eps} = [L_n, e^{-eps L0}].
-Since e^{-eps L0} is a scalar on each level, R_{n,eps} restricted to level
-k is exactly (e^{-eps(h+k)} - e^{-eps(h+k-n)}) L_n.  The blocks here are
-nevertheless built as the literal difference of the two products, in
-extended precision: the subtraction cancels catastrophically for small
-eps (relative error ~ 2u/(eps m) in double), and the point of the check
-is to confirm the factored form against an honestly computed commutator.
+heat_identity_residual checks R_{n,eps} = [L_n, e^{-eps L0}].  Since
+e^{-eps L0} is a scalar on each level, R_{n,eps} restricted to level k is
+exactly (e^{-eps(h+k)} - e^{-eps(h+k-n)}) L_n, the form bounds.estimate_q
+sweeps.  The check forms R as the literal difference of the two products,
+in extended precision: the subtraction cancels catastrophically for small
+eps (relative error ~ 2u/(eps m) in double), and the point is to confirm
+the factored form against an honestly computed commutator.
 
 Everything is pure; matrices are never mutated after construction.
 """
@@ -150,17 +150,16 @@ def vacuum_norm(field, c, cutoff: Optional[int] = None) -> Union[Fraction, float
     positive modes annihilate it.  Exact (Fraction) when the field and c
     are exact, float otherwise; a cutoff restricts to 2 <= m <= cutoff.
     """
-    c_val = getattr(c, "value", c)
     if isinstance(field, PiecewiseMobiusField):
         if cutoff is None:
             raise ValueError("the piecewise field needs an explicit cutoff")
         ms = np.arange(2, cutoff + 1)
         mags = np.abs(field.coefficient_closed(-ms))
         msf = ms.astype(np.float64)
-        return float(c_val) / 12.0 * float(np.sum(mags**2 * (msf**3 - msf)))
+        return float(c) / 12.0 * float(np.sum(mags**2 * (msf**3 - msf)))
     if not isinstance(field, FourierField):
         raise TypeError(f"unsupported field type {type(field).__name__}")
-    exact = field.is_exact and not isinstance(c_val, float)
+    exact = field.is_exact and not isinstance(c, float)
     total: Union[Fraction, float] = Fraction(0) if exact else 0.0
     for n, a in field.coefficients.items():
         m = -n
@@ -170,7 +169,7 @@ def vacuum_norm(field, c, cutoff: Optional[int] = None) -> Union[Fraction, float
             total += a.abs_squared() * Fraction(m**3 - m, 12)
         else:
             total += abs(complex(a))**2 * (m**3 - m) / 12.0
-    return as_fraction(c_val) * total if exact else float(c_val) * total
+    return as_fraction(c) * total if exact else float(c) * total
 
 
 def vacuum_norm_from_rep(op: SmearedOperator) -> Union[Fraction, float]:
@@ -185,53 +184,24 @@ def vacuum_norm_from_rep(op: SmearedOperator) -> Union[Fraction, float]:
     return vector_norm_squared(rep, op.apply({0: vac}))
 
 
-@dataclass(frozen=True)
-class HeatCommutator:
-    """R_{n,eps} = [L_n, e^{-eps L0}], built levelwise in extended precision."""
-
-    n: int
-    eps: float
-    levels: tuple[int, ...]
-    factors: tuple[float, ...]  # e^{-eps(h+k)} - e^{-eps(h+k-n)} per level
-    blocks: Mapping[int, np.ndarray]
-
-
-def heat_commutator(rep: TruncatedRep, n: int, eps: float) -> HeatCommutator:
-    """Blockwise commutator with the heat semigroup.
-
-    The per-level block is exp_dst * B - exp_src * B computed as a literal
-    difference in longdouble, where B is the orthonormal-basis block of
-    L_n; the exact cancellation structure is what downstream checks verify.
-    """
+def heat_identity_residual(rep: TruncatedRep, n: int, eps: float) -> float:
+    """Worst relative deviation of ||R restricted to level k|| from
+    |f_m(eps)| ||L_n restricted to level k|| over all levels, R being
+    e_src B - e_dst B in longdouble for the orthonormal block B of L_n."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if abs(n) > rep.N:
         raise ValueError(f"|n| = {abs(n)} exceeds truncation level {rep.N}")
     h = float(rep.h)
-    levels = []
-    factors = []
-    blocks: dict[int, np.ndarray] = {}
+    worst = 0.0
     for src in range(max(0, n), min(rep.N, rep.N + n) + 1):
         dst = src - n
         b = rep.orthonormal_block(n, src)
         e_src = np.exp(np.longdouble(-eps) * np.longdouble(h + src))
         e_dst = np.exp(np.longdouble(-eps) * np.longdouble(h + dst))
         bl = np.asarray(b, dtype=np.longdouble)
-        r = e_src * bl - e_dst * bl
-        levels.append(src)
-        factors.append(float(e_src - e_dst))
-        blocks[src] = r
-    return HeatCommutator(n, eps, tuple(levels), tuple(factors), blocks)
-
-
-def heat_identity_residual(rep: TruncatedRep, n: int, eps: float) -> float:
-    """Worst relative deviation of ||R restricted to level k|| from
-    |f_m(eps)| ||L_n restricted to level k|| over all levels."""
-    hc = heat_commutator(rep, n, eps)
-    worst = 0.0
-    for src, f in zip(hc.levels, hc.factors):
-        base = opnorm(rep.orthonormal_block(n, src)) * abs(f)
-        got = opnorm(hc.blocks[src])
+        base = opnorm(b) * abs(float(e_src - e_dst))
+        got = opnorm(e_src * bl - e_dst * bl)
         if base == 0.0:
             worst = max(worst, got)
         else:
@@ -296,11 +266,11 @@ def lemma_recursion_checks(rep: TruncatedRep) -> dict:
         recursion |= Residual.of(lhs - rhs)
 
     zeta = Fraction(5, 3)
-    zeta_s = CFrac.of(zeta) if exact else complex(zeta)
+    zeta_s = zeta if exact else float(zeta)
     tilde = v2 * zeta_s
     propagation = Residual()
     for n in range(2, rep.N):
-        tilde = rep.block(-1, n).dot(tilde) * (CFrac(Fraction(1, n - 1)) if exact
+        tilde = rep.block(-1, n).dot(tilde) * (Fraction(1, n - 1) if exact
                                                else 1.0 / (n - 1))
         expected = rep.block(-n - 1, 0) * zeta_s
         propagation |= Residual.of(tilde - expected)

@@ -436,8 +436,6 @@ class TruncatedRep:
         num = to_float(blk)
         s_dst = np.sqrt([float(x) for x in self.basis_norms[k - n]])
         s_src = np.sqrt([float(x) for x in self.basis_norms[k]])
-        if num.size == 0:
-            return num
         return (s_dst[:, None] * num) / s_src[None, :]
 
     def total_dim(self) -> int:
@@ -490,12 +488,6 @@ def _float_level_data(c, h, N):
     for k in range(N + 1):
         g = _gram_level(c, h, k, "float")
         p = g.shape[0]
-        if p == 0:
-            dims.append(0)
-            normsq.append(np.zeros(0))
-            basis_rows.append(np.zeros((0, 0), dtype=np.longdouble))
-            extract.append(np.zeros((0, 0), dtype=np.longdouble))
-            continue
         diag = np.diag(g).copy()
         maxd = max(diag.max(initial=0.0), 0.0)
         if (diag < -_FLOAT_TOL * max(maxd, 1.0)).any():
@@ -551,37 +543,31 @@ def truncated_rep(c, h, N: int, mode: str = "exact",
         raise ValueError("truncation level N must be at least 2")
     cv, hv = as_fraction(c), as_fraction(h)
     if basis == "monomial":
+        dims = [partition_count(k) for k in range(N + 1)]
+        normsq = None
         blocks = {(n, k): monomial_block(n, k, cv, hv, mode) for n, k in block_keys(N)}
-        return TruncatedRep(
-            c=cv if mode == "exact" else float(cv),
-            h=hv if mode == "exact" else float(hv),
-            N=N,
-            mode=mode,
-            level_dims=tuple(partition_count(k) for k in range(N + 1)),
-            blocks=blocks,
-            basis_norms=None,
-            basis="monomial",
-        )
-    if basis != "quotient":
-        raise ValueError(f"unknown basis {basis!r}")
-    if mode == "exact":
-        dims, normsq, basis_rows, extract = _exact_level_data(cv, hv, N)
-    elif mode == "float":
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                dims, normsq, basis_rows, extract = _float_level_data(cv, hv, N)
-        except (FloatingPointError, OverflowError) as exc:
-            raise FloatRangeError(f"float mode overflows float64 at this (c, h), N={N} "
-                                  f"({exc}); exact mode has no such limit") from exc
+    elif basis == "quotient":
+        if mode == "exact":
+            dims, normsq, basis_rows, extract = _exact_level_data(cv, hv, N)
+        elif mode == "float":
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    dims, normsq, basis_rows, extract = _float_level_data(cv, hv, N)
+            except (FloatingPointError, OverflowError) as exc:
+                raise FloatRangeError(f"float mode overflows float64 at this (c, h), N={N} "
+                                      f"({exc}); exact mode has no such limit") from exc
+        else:
+            raise ValueError(f"unknown arithmetic mode {mode!r}")
+        normsq = tuple(normsq)
+        blocks = {}
+        for n, k in block_keys(N):
+            mono = monomial_block(n, k, cv, hv, mode)
+            blk = dot(dot(extract[k - n], mono), basis_rows[k].T)
+            if mode == "float":
+                blk = np.asarray(blk, dtype=np.float64)
+            blocks[(n, k)] = blk
     else:
-        raise ValueError(f"unknown arithmetic mode {mode!r}")
-    blocks = {}
-    for n, k in block_keys(N):
-        mono = monomial_block(n, k, cv, hv, mode)
-        blk = dot(dot(extract[k - n], mono), basis_rows[k].T)
-        if mode == "float":
-            blk = np.asarray(blk, dtype=np.float64)
-        blocks[(n, k)] = blk
+        raise ValueError(f"unknown basis {basis!r}")
     return TruncatedRep(
         c=cv if mode == "exact" else float(cv),
         h=hv if mode == "exact" else float(hv),
@@ -589,7 +575,8 @@ def truncated_rep(c, h, N: int, mode: str = "exact",
         mode=mode,
         level_dims=tuple(dims),
         blocks=blocks,
-        basis_norms=tuple(normsq),
+        basis_norms=normsq,
+        basis=basis,
     )
 
 

@@ -19,6 +19,7 @@ from vircut.bounds import (
     estimate_r,
     mollifier_report,
 )
+from vircut.cli import write_rows_csv
 from vircut.fields import FEJER, cosine_field, mode_field
 
 # Frozen from independent sweeps of the c = 1/2 vacuum module at N = 8.
@@ -210,6 +211,19 @@ def test_mollifier_script_rejects_k_max_zero(tmp_path):
     assert not (tmp_path / "mollifier_curve.csv").exists()
 
 
+def test_bounds_sweep_script_fails_on_an_ill_conditioned_rep(tmp_path):
+    # the float quotient at (25/28, 15/28), N=12 misses the relation budget
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_sweep.py"
+    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
+    done = subprocess.run([sys.executable, str(script), "--c", "25/28", "--h", "15/28",
+                           "--levels", "12:12", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 1
+    assert "WARNING: verdicts r=pass q=pass; bracket relations" in done.stdout
+    header, row = (tmp_path / "bounds_sweep.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["verdicts_ok"] == "False"
+
+
 def test_piecewise_mollifier_bits_are_pinned(piecewise):
     pin = GLUED_BITS["mollifier"]
     report = mollifier_report(piecewise, FEJER, k_max=pin["k_max"])
@@ -237,7 +251,7 @@ def test_weight_series_carries_across_chunks(piecewise, chunk):
 def test_report_csv_round_trip(tmp_path):
     report = decay_report(mode_field(5), 10)
     path = tmp_path / "decay.csv"
-    report.write_csv(path)
+    write_rows_csv(path, list(report.table[0]), report.table)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,abs_coefficient,scaled"
     assert len(lines) == 1 + len(report.table)

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, reports, determinism, fault hook."""
 
+import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vircut import acceptance, store
+from vircut import acceptance, cli, store
 from vircut.cli import encode, main
 
 FAULT = ("--inject-fault", "central-denominator-13")
@@ -155,6 +157,21 @@ def test_report_config_records_the_fault(tmp_path):
     assert "inject_fault" not in read_report(tmp_path / "field", "field_report.json")["config"]
 
 
+def test_faulted_bounds_fail_and_name_the_residual(tmp_path, capsys):
+    assert run("bounds", "--c", "2", "--N", "6", *FAULT, "--out", tmp_path) == 1
+    out = capsys.readouterr().out
+    # the label's central term exceeds the built one by (2 - 24/13) (27 - 3)/12 = 4/13
+    assert "bracket relations |m|,|n|<=3: max abs 3.077e-01 (tolerance 1e-10)\nFAIL" in out
+    assert read_report(tmp_path, "bounds_report.json")["result"]["ok"] is False
+
+
+def test_faulted_float_smear_fails_and_names_the_residual(tmp_path, capsys):
+    assert run("smear", "--field", "piecewise-mobius", "--c", "2", "--h", "1", "--N", "6",
+               "--mode", "float", *FAULT, "--out", tmp_path) == 1
+    assert "max abs 3.077e-01 (tolerance 1e-10)\nFAIL" in capsys.readouterr().out
+    assert read_report(tmp_path, "smear_report.json")["result"]["ok"] is False
+
+
 def test_inject_fault_is_not_a_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("inject_fault = central-denominator-13\n")
@@ -212,6 +229,27 @@ def test_keys_a_command_reads_are_validated(tmp_path, capsys):
     cfg.write_text("cutoff = 0\n")
     assert run("field", "piecewise-mobius", "--config", cfg, "--out", tmp_path) == 2
     assert "cutoff must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("c = 1/0\n", "bad rational parameter"),
+    ("h = x\n", "bad rational parameter"),
+    ("N = 3.5\n", "bad integer parameter"),
+    ("N = 3.5\nc = 1/0\n", "bad rational parameter"),  # rationals are parsed first
+])
+def test_bad_values_name_their_kind(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run("rep", "--config", cfg, "--out", tmp_path) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_one_settings_table_covers_every_key():
+    settings = set(cli._SETTINGS)
+    assert settings == {f.name for f in dataclasses.fields(cli.RunConfig)}
+    assert set(cli._CONFIG_KEYS) == settings - {"inject_fault"}
+    assert set(cli._FLAGS) == settings | {"config"}
+    assert set().union(*cli.READS.values()) | {"out"} == settings
 
 
 def test_missing_config_file(tmp_path):
@@ -360,6 +398,23 @@ def test_bounds_small_run(tmp_path):
     assert result["fm_violations"] == 0
     for name in ("r_cells.csv", "q_grid.csv", "fm_table.csv"):
         assert (tmp_path / name).exists()
+
+
+CSV_PINS = json.loads((Path(__file__).parent / "data" / "bounds_csv_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("pin", CSV_PINS, ids=lambda pin: " ".join(pin["argv"]) or "default")
+def test_bounds_csv_bytes_are_pinned(pin, tmp_path):
+    assert run("bounds", *pin["argv"], "--out", tmp_path) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in pin["sha256"]}
+    assert got == pin["sha256"]
+
+
+def test_bounds_fail_where_the_float_quotient_is_ill_conditioned(tmp_path, capsys):
+    # at (25/28, 15/28), N=12 the float rep misses the relation budget
+    assert run("bounds", "--c", "25/28", "--h", "15/28", "--N", "12", "--out", tmp_path) == 1
+    assert "(tolerance 1e-10)\nFAIL" in capsys.readouterr().out
 
 
 def test_bounds_reports_are_deterministic(tmp_path):

@@ -21,7 +21,6 @@ from vircut.rational import CFrac
 from vircut.smear import (
     commutator_residual,
     fm_sup,
-    heat_commutator,
     heat_identity_residual,
     hermiticity_residual,
     lemma_recursion_checks,
@@ -188,17 +187,9 @@ def test_vacuum_norm_needs_vacuum_module(ising_half_8):
 
 def test_heat_commutator_validation(ising8_float):
     with pytest.raises(ValueError, match="eps must be positive"):
-        heat_commutator(ising8_float, 2, 0.0)
+        heat_identity_residual(ising8_float, 2, 0.0)
     with pytest.raises(ValueError, match="exceeds truncation level"):
-        heat_commutator(ising8_float, 9, 0.5)
-
-
-def test_heat_factors_match_the_exponential_difference(ising8_float):
-    hc = heat_commutator(ising8_float, 2, 0.3)
-    for src, f in zip(hc.levels, hc.factors):
-        dst = src - 2
-        expected = math.exp(-0.3 * src) - math.exp(-0.3 * dst)
-        assert f == pytest.approx(expected, rel=1e-15)
+        heat_identity_residual(ising8_float, 9, 0.5)
 
 
 def test_heat_identity_residual_is_tiny(ising8_float):
