@@ -17,11 +17,14 @@ the quoted constant is reproducible bit for bit.
 
 The q sweep never materializes commutator matrices.  On each level the
 commutator with the heat semigroup is a scalar multiple of the generator
-block (a consequence of L0 being scalar per level, verified honestly in
-extended precision by smear.heat_identity_residual), so its norm is
-|factor| times a precomputed block norm.  The analytic maximizer of each
-factor is injected into the eps grid, which removes grid bias from the
-reported maxima.
+block, since L0 acts on level k as the scalar h + k, so its norm is
+|factor| times a precomputed block norm.  That L0 is this scalar is
+checked by the bracket-relation sweep ([L_0, L_n] = -n L_n), which
+`vircut bounds` and scripts/run_bounds_sweep.py run on every rep they
+sweep; smear.heat_identity_residual checks only the factored form
+against the literal difference of two products, which holds for any
+block.  The analytic maximizer of each factor is injected into the eps
+grid, which removes grid bias from the reported maxima.
 """
 
 from __future__ import annotations

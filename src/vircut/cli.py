@@ -5,7 +5,8 @@ representation and checks the bracket relations, `field` profiles a
 smearing field, `smear` assembles a smeared operator and audits it,
 `bounds` runs the constant-estimation sweeps, and `check-all` runs the
 full acceptance battery.  `bounds` and float-mode `smear` also fail when
-the rep they use misses the float bracket-relation budget.
+the rep they use misses the float bracket-relation budget, and exact-mode
+`smear` when the central charge read from the rep is not its label.
 
 Each subcommand accepts only the settings it reads (READS below).
 Configuration is a flat key=value file overridden by flags; a file may
@@ -436,10 +437,15 @@ def cmd_smear(cfg: RunConfig, args: argparse.Namespace) -> int:
             vac_ok = diff <= 1e-8
         vac = {"closed": closed, "matrix": matrix, "difference": diff, "ok": vac_ok}
 
-    # exact mode is left ungated: its relation sweep costs more than the smear
-    relations_ok, relations_line = True, ""
+    # float mode runs the relation gate; exact mode reads c back from the rep
+    # (one 1x1 product), since its relation sweep costs more than the smear
     if cfg.mode == "float":
         relations_ok, relations_line = float_relations_gate(rep)
+    else:
+        measured = verma.measure_central_charge(rep)
+        relations_ok = measured == rep.c
+        relations_line = (f"central charge read from the rep: {fmt_rational(measured)}, "
+                          f"label {fmt_rational(rep.c)}")
     ok = herm_ok and vac_ok and relations_ok
     result = {
         "field": args.field,

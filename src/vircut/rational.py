@@ -11,10 +11,16 @@ The package runs in two arithmetic modes, "exact" (Fraction object
 arrays) and "float" (float64 arrays); zeros and eye build the zero and
 identity matrices of a mode, dot is the matrix product of both modes,
 and opnorm is the spectral norm that both modes' float views are
-measured with.  Exact products run over the integers (see dot), so no
-Fraction arithmetic runs in their inner loop.  Residual reduces the
-residual matrices of a check to one float maximum and one exact-zero
-verdict, the same way in both modes.
+measured with.  Residual reduces the residual matrices of a check to one
+float maximum and one exact-zero verdict, the same way in both modes;
+adjoint_residual is that reduction for the adjoint condition
+diag(left) a = conj(b)^T diag(right).
+
+The exact inner loops run over Python ints, not Fractions: dot scales
+rows and columns to integers, adjoint_residual cross-multiplies the
+numerators and denominators of each entry, and psd_congruence is
+fraction-free (Bareiss) elimination.  Each forms a Fraction, or a float,
+only once per output entry.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ __all__ = [
     "opnorm",
     "to_float",
     "Residual",
+    "adjoint_residual",
     "exact_rank_nullspace",
     "psd_congruence",
 ]
@@ -267,6 +274,45 @@ class Residual:
                         self.zero and other.zero)
 
 
+def _parts(x) -> tuple[int, int, int, int]:
+    """Numerators and denominators of the real and imaginary parts of an
+    exact scalar (CFrac, Fraction or int)."""
+    re, im = (x.re, x.im) if isinstance(x, CFrac) else (x, 0)
+    return re.numerator, re.denominator, im.numerator, im.denominator
+
+
+def adjoint_residual(a: np.ndarray, b: np.ndarray, left, right) -> Residual:
+    """Residual of R = diag(left) a - conj(b)^T diag(right), for a p x q
+    and b q x p, with left and right the real weights of length p and q.
+
+    Float matrices reduce the numpy expression with Residual.of.  Exact
+    ones are reduced over the integers: each entry's real and imaginary
+    numerators are formed by cross-multiplying the numerators and
+    denominators of the four factors, the verdict is that every numerator
+    is 0, and only a nonzero entry gets a float, from the exact quotients
+    re_num/re_den and im_num/im_den.  Int true division is correctly
+    rounded, so that float is the one to_float builds from the Fraction,
+    and the report is Residual.of's on the exact R.
+    """
+    if a.dtype != object and b.dtype != object:
+        return Residual.of(a * np.asarray(left)[:, None]
+                           - np.conj(b).T * np.asarray(right)[None, :])
+    left, right = [_parts(x)[:2] for x in left], [_parts(x)[:2] for x in right]
+    b_t = b.T.tolist()
+    values = []
+    for (ln, ld), row_a, row_b in zip(left, a.tolist(), b_t):
+        for (rn, rd), x, y in zip(right, row_a, row_b):
+            xn, xd, xin, xid = _parts(x)
+            yn, yd, yin, yid = _parts(y)
+            re_num = ln * xn * rd * yd - rn * yn * ld * xd
+            im_num = ln * xin * rd * yid + rn * yin * ld * xid
+            if re_num or im_num:
+                values.append(complex(re_num / (ld * xd * rd * yd),
+                                      im_num / (ld * xid * rd * yid)))
+    return Residual(float(np.abs(np.array(values, dtype=complex)).max(initial=0.0)),
+                    not values)
+
+
 class IndefiniteMatrixError(ValueError):
     """A matrix expected to be positive semidefinite is not."""
 
@@ -324,40 +370,68 @@ def psd_congruence(matrix: np.ndarray) -> tuple[list[Fraction], np.ndarray, int]
     ``d`` the diagonal (first ``rank`` entries positive, the rest zero), and
     ``basis`` unimodular-triangular up to the pivoting permutation.  Rows of
     ``basis`` beyond ``rank`` span the kernel (for PSD matrices the radical
-    and the kernel coincide).
+    and the kernel coincide).  The pivot at each step is the largest
+    remaining diagonal entry, the first one on ties.
+
+    The elimination is fraction-free (symmetric Bareiss): the matrix is
+    scaled to integers once by the lcm L of its denominators, and step t
+    replaces each later row r by (p_t row_r - a_rt row_t) / p_{t-1}, a
+    division that is exact because every entry is then a minor.  The
+    pivot p_t is the leading (t+1)-minor, so d_t = p_t / (p_{t-1} L).  Only
+    the upper triangle of the trailing block is computed; the lower one is
+    its mirror.  The basis rows are the rows of the identity carried
+    through the same steps.  Before step t, the row of state r is
+    p_{t-1} e_r plus a combination of the states pivoted so far, so only
+    that combination is stored, in pivot order.  Basis row t is its
+    integer row over p_{t-1}, and rows at or beyond rank are over
+    p_{rank-1}.  Fractions are formed once, at the end.
 
     Raises IndefiniteMatrixError when a negative pivot shows up or when the
     remaining diagonal vanishes but the remaining block does not.
     """
-    a = np.array(matrix, dtype=object)
-    n = a.shape[0]
-    basis = eye(n, "exact")
-    d: list[Fraction] = [Fraction(0)] * n
-    rank = 0
+    n = matrix.shape[0]
+    rows = matrix.tolist()
+    scale = math.lcm(*[x.denominator for row in rows for x in row])
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    states = list(range(n))  # the original index of each row, as pivoted
+    combos: list[list[int]] = [[] for _ in range(n)]
+    pivots = [1]  # p_{-1} = 1, then p_0, p_1, ...
     for t in range(n):
-        # largest remaining diagonal entry is a valid PSD pivot
-        piv, piv_val = t, a[t, t]
+        piv, piv_val = t, a[t][t]
         for i in range(t + 1, n):
-            if a[i, i] > piv_val:
-                piv, piv_val = i, a[i, i]
+            if a[i][i] > piv_val:
+                piv, piv_val = i, a[i][i]
+        prev = pivots[-1]
         if piv_val < 0:
-            raise IndefiniteMatrixError(f"negative diagonal pivot {piv_val}")
+            raise IndefiniteMatrixError(
+                f"negative diagonal pivot {Fraction(piv_val, prev * scale)}")
         if piv_val == 0:
-            if any(a[i, j] != 0 for i in range(t, n) for j in range(t, n)):
+            if any(a[i][j] != 0 for i in range(t, n) for j in range(t, n)):
                 raise IndefiniteMatrixError("zero diagonal with nonzero off-diagonal block")
             break
         if piv != t:
-            a[[t, piv]] = a[[piv, t]]
-            a[:, [t, piv]] = a[:, [piv, t]]
-            basis[[t, piv]] = basis[[piv, t]]
-        d[t] = piv_val
-        rank += 1
-        # one-sided row updates suffice: the matching column updates of the
-        # congruence are no-ops on the trailing block once column t is zero
+            a[t], a[piv] = a[piv], a[t]
+            for row in a:
+                row[t], row[piv] = row[piv], row[t]
+            states[t], states[piv] = states[piv], states[t]
+            combos[t], combos[piv] = combos[piv], combos[t]
+        pivots.append(piv_val)
+        row_t, combo_t = a[t], combos[t]
         for r in range(t + 1, n):
-            if a[r, t] == 0:
-                continue
-            f = a[r, t] / piv_val
-            a[r, t:] = a[r, t:] - f * a[t, t:]
-            basis[r] = basis[r] - f * basis[t]
-    return d, basis, rank
+            f, row_r = row_t[r], a[r]
+            for j in range(r, n):
+                row_r[j] = a[j][r] = (piv_val * row_r[j] - f * row_t[j]) // prev
+            # state r's own coefficient goes from p_{t-1} to p_t, state t's is -f
+            combos[r] = [(piv_val * x - f * y) // prev
+                         for x, y in zip(combos[r], combo_t)] + [-f]
+    rank = len(pivots) - 1
+    basis = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for k, x in enumerate(combos[r]):
+            basis[r][states[k]] = x
+        basis[r][states[r]] = pivots[min(r, rank)]
+    d = [Fraction(pivots[t + 1], pivots[t] * scale) for t in range(rank)]
+    d += [Fraction(0)] * (n - rank)
+    scales = np.array([pivots[min(r, rank)] for r in range(n)], dtype=object)
+    return d, _FRACTION(np.array(basis, dtype=object).reshape(n, n),
+                        scales.reshape(n, 1)).reshape(n, n), rank

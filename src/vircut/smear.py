@@ -9,10 +9,11 @@ mode pair (n, -n) is either kept or dropped together by the level
 cutoff, so no boundary correction is needed.  Smearing records the
 weighted coefficient mass its cutoff discards (truncation_bias) and
 leaves judging it to the caller.  Hermiticity is one check in both
-arithmetic modes: each block pair is weighted by the basis norms, which
-are 1.0 in the orthonormal float bases, and each unordered pair of
-levels is checked once, since the residual of the reverse pair is the
-negated adjoint of the first.
+arithmetic modes (rational.adjoint_residual, over the integers in exact
+mode): each block pair is weighted by the basis norms, which are 1.0 in
+the orthonormal float bases, and each unordered pair of levels is
+checked once, since the residual of the reverse pair is the negated
+adjoint of the first.
 
 heat_identity_residual checks R_{n,eps} = [L_n, e^{-eps L0}].  Since
 e^{-eps L0} is a scalar on each level, R_{n,eps} restricted to level k is
@@ -36,7 +37,7 @@ import numpy as np
 
 from .fields import (FourierField, PiecewiseMobiusField, bracket_with_cocycle,
                      norm_three_halves, truncated_fourier)
-from .rational import CFrac, Residual, as_fraction, eye, opnorm, zeros
+from .rational import CFrac, Residual, adjoint_residual, as_fraction, eye, opnorm, zeros
 from .verma import TruncatedRep
 
 GradedVector = Mapping[int, np.ndarray]
@@ -114,17 +115,20 @@ def hermiticity_residual(op: SmearedOperator) -> HermiticityReport:
     conjugation, scaling by the real D_k and IEEE subtraction are exact
     under negation.  So each unordered pair of levels is checked once and
     gives the max_abs and zero verdict of the sweep over both orders.
+    rational.adjoint_residual reduces each pair: in exact mode it forms
+    R's numerators over the integers and a float only for a nonzero entry,
+    with the same max_abs as the float of each exact entry of R.
     """
     rep = op.rep
     exact = rep.mode == "exact"
     # raises for bases without inner product data
-    norms = [np.asarray(rep.norms(k)) for k in range(rep.N + 1)]
+    norms = [rep.norms(k) for k in range(rep.N + 1)]
     total = Residual()
     for dst, src in {(min(key), max(key)) for key in op.blocks}:
         a, b = op.block(dst, src), op.block(src, dst)
         a = zeros((rep.dim(dst), rep.dim(src)), rep.mode) if a is None else a
         b = zeros((rep.dim(src), rep.dim(dst)), rep.mode) if b is None else b
-        total |= Residual.of(a * norms[dst][:, None] - np.conj(b).T * norms[src][None, :])
+        total |= adjoint_residual(a, b, norms[dst], norms[src])
     return HermiticityReport(total.max_abs, total.zero if exact else None)
 
 

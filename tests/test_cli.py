@@ -172,6 +172,18 @@ def test_faulted_float_smear_fails_and_names_the_residual(tmp_path, capsys):
     assert read_report(tmp_path, "smear_report.json")["result"]["ok"] is False
 
 
+@pytest.mark.parametrize("h", ["1", "0"])
+def test_faulted_exact_smear_reads_the_wrong_central_charge(tmp_path, capsys, h):
+    # mode:2 is not real, so no hermiticity check runs; at h = 0 the vacuum
+    # norm compares two zeros; only the central charge sees the fault
+    argv = ("smear", "--field", "mode:2", "--c", "2", "--h", h, "--N", "6")
+    assert run(*argv, *FAULT, "--out", tmp_path / "bad") == 1
+    assert "central charge read from the rep: 24/13, label 2\nFAIL" in capsys.readouterr().out
+    assert read_report(tmp_path / "bad", "smear_report.json")["result"]["ok"] is False
+    assert run(*argv, "--out", tmp_path / "good") == 0
+    assert "central charge" not in capsys.readouterr().out
+
+
 def test_inject_fault_is_not_a_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("inject_fault = central-denominator-13\n")

@@ -1,5 +1,6 @@
 """Inner-product matrices of monomial bases."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from vircut import acceptance
 from vircut.acceptance import C_VALUES, H_VALUES
-from vircut.rational import to_float
-from vircut.verma import enumerate_partitions, gram_entry_direct, gram_matrix
+from vircut.rational import psd_congruence, to_float
+from vircut.verma import enumerate_partitions, gram_entry_direct, gram_matrix, partition_count
 
 
 def test_level_one_entry():
@@ -52,6 +53,60 @@ def test_vacuum_diagonal_at_level_two():
     g = gram_matrix(Fraction(1, 2), 0, 2).entries
     assert g[0, 0] == Fraction(1, 4)
     assert g[1, 1] == 0 and g[0, 1] == 0
+
+
+# ---------------------------------------------------------------------------
+# the Kac determinant
+
+
+def _kac_product(c, h, k):
+    """Prod over rs <= k of (h - h_{r,s}(c))^{p(k - rs)}, in Fractions.
+
+    With c = 13 - 6u and u = t + 1/t, h_{r,s} = (A t + B/t)/4 - m, where
+    A = r^2-1, B = s^2-1 and m = (rs-1)/2.  That is irrational in general,
+    but h_{r,r} = A u/4 - m is not, and the pair (r,s), (s,r) enters only
+    through h_{r,s} + h_{s,r} = (P+Q)/4 - 2m and h_{r,s} h_{s,r} =
+    PQ/16 - m (P+Q)/4 + m^2, where P + Q = (A+B) u and
+    PQ = AB (u^2 - 2) + A^2 + B^2 are rational in u.
+    """
+    u = (13 - Fraction(c)) / 6
+    total = Fraction(1)
+    for r in range(1, k + 1):
+        for s in range(r, k // r + 1):
+            a, b, m = r * r - 1, s * s - 1, Fraction(r * s - 1, 2)
+            power = partition_count(k - r * s)
+            if r == s:
+                total *= (h - (a * u / 4 - m)) ** power
+            else:
+                p_plus_q = (a + b) * u
+                p_times_q = a * b * (u * u - 2) + a * a + b * b
+                hsum = p_plus_q / 4 - 2 * m
+                hprod = p_times_q / 16 - m * p_plus_q / 4 + m * m
+                total *= (h * h - hsum * h + hprod) ** power
+    return total
+
+
+def _congruence_determinant(c, h, k):
+    d, _, rank = psd_congruence(gram_matrix(c, h, k).entries)
+    assert rank == partition_count(k)
+    return math.prod(d, start=Fraction(1))
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_congruence_determinant_follows_the_kac_formula(k):
+    # det G_k = C_k Prod (h - h_{r,s}(c))^{p(k-rs)}, with C_k independent of
+    # (c, h); two points with c > 1 and h > 0 (full rank) cancel it
+    one, two = (Fraction(2), Fraction(1)), (Fraction(17, 3), Fraction(2, 7))
+    assert (_congruence_determinant(*one, k) / _congruence_determinant(*two, k)
+            == _kac_product(*one, k) / _kac_product(*two, k))
+
+
+def test_kac_product_vanishes_on_the_kac_table():
+    # M(4, 5): h_{1,3} = 3/5 is null from level 3 on, h_{2,2} = 3/80 from level 4
+    assert _kac_product(Fraction(7, 10), Fraction(3, 5), 2) != 0
+    assert _kac_product(Fraction(7, 10), Fraction(3, 5), 3) == 0
+    assert _kac_product(Fraction(7, 10), Fraction(3, 80), 3) != 0
+    assert _kac_product(Fraction(7, 10), Fraction(3, 80), 4) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from vircut.rational import (
     CFrac,
     IndefiniteMatrixError,
     Residual,
+    adjoint_residual,
     as_fraction,
     dot,
     exact_rank_nullspace,
@@ -21,6 +22,7 @@ from vircut.rational import (
     to_float,
     zeros,
 )
+from vircut.verma import gram_matrix
 
 
 def test_as_fraction_accepts_exact_forms():
@@ -251,3 +253,227 @@ def test_dot_is_np_dot_on_float_matrices(pair):
     got, want = dot(a, b), np.dot(a, b)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# congruence against the plain Fraction elimination
+
+
+def _congruence_oracle(matrix):
+    """Symmetric Gaussian elimination on Fractions, with psd_congruence's
+    pivot rule (largest remaining diagonal entry, first on ties) and its
+    two refusals; one-sided row updates, since the trailing block stays
+    symmetric."""
+    a = np.array(matrix, dtype=object)
+    n = a.shape[0]
+    basis = eye(n, "exact")
+    d = [Fraction(0)] * n
+    rank = 0
+    for t in range(n):
+        piv, piv_val = t, a[t, t]
+        for i in range(t + 1, n):
+            if a[i, i] > piv_val:
+                piv, piv_val = i, a[i, i]
+        if piv_val < 0:
+            raise IndefiniteMatrixError(f"negative diagonal pivot {piv_val}")
+        if piv_val == 0:
+            if any(a[i, j] != 0 for i in range(t, n) for j in range(t, n)):
+                raise IndefiniteMatrixError("zero diagonal with nonzero off-diagonal block")
+            break
+        if piv != t:
+            a[[t, piv]] = a[[piv, t]]
+            a[:, [t, piv]] = a[:, [piv, t]]
+            basis[[t, piv]] = basis[[piv, t]]
+        d[t] = piv_val
+        rank += 1
+        for r in range(t + 1, n):
+            if a[r, t] == 0:
+                continue
+            f = a[r, t] / piv_val
+            a[r, t:] = a[r, t:] - f * a[t, t:]
+            basis[r] = basis[r] - f * basis[t]
+    return d, basis, rank
+
+
+def _assert_congruence_matches_the_oracle(m):
+    try:
+        want = _congruence_oracle(m)
+    except IndefiniteMatrixError as exc:
+        with pytest.raises(IndefiniteMatrixError) as got:
+            psd_congruence(m)
+        assert str(got.value) == str(exc)
+        return
+    d, basis, rank = psd_congruence(m)
+    assert rank == want[2]
+    assert len(d) == len(want[0]) and all(x == y for x, y in zip(d, want[0]))
+    assert basis.dtype == object and basis.shape == want[1].shape
+    assert all(x == y for x, y in zip(basis.ravel(), want[1].ravel()))
+    assert all(type(x) is Fraction for x in d)
+    assert all(type(x) is Fraction for x in basis.ravel())
+
+
+_SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _psd_matrix(draw):
+    """X^T diag X with rational X and diag >= 0: rank-deficient when diag
+    has zeros or X has fewer rows than columns; repeated columns of X give
+    pivot ties, zero columns give zero rows."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    m = draw(st.integers(min_value=0, max_value=6))
+    x = np.empty((m, n), dtype=object)
+    for i in range(m):
+        for j in range(n):
+            x[i, j] = draw(st.one_of(_SMALL, st.fractions(max_denominator=10 ** 12)))
+    for j in range(n):
+        kind = draw(st.sampled_from(["free", "free", "zero", "copy"]))
+        if kind == "zero":
+            x[:, j] = Fraction(0)
+        elif kind == "copy" and j:
+            x[:, j] = x[:, draw(st.integers(min_value=0, max_value=j - 1))]
+    weights = [draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(3, 7)])
+                    | st.fractions(min_value=0, max_value=10 ** 6, max_denominator=10 ** 6))
+               for _ in range(m)]
+    g = zeros((n, n), "exact")
+    for i in range(m):
+        row = x[i]
+        g = g + weights[i] * np.outer(row, row)
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(_psd_matrix())
+def test_psd_congruence_equals_the_fraction_elimination(g):
+    _assert_congruence_matches_the_oracle(g)
+
+
+@st.composite
+def _symmetric_matrix(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    g = zeros((n, n), "exact")
+    for i in range(n):
+        for j in range(i, n):
+            g[i, j] = g[j, i] = draw(_SMALL)
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(_symmetric_matrix())
+def test_psd_congruence_refuses_as_the_fraction_elimination_does(g):
+    # any symmetric matrix: the same result, or the same refusal and message
+    _assert_congruence_matches_the_oracle(g)
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([[Fraction(-1, 2)]], "negative diagonal pivot -1/2"),
+    ([[1, 2], [2, 1]], "negative diagonal pivot -3"),
+    ([[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]],
+     "negative diagonal pivot -5/12"),
+    ([[0, 1], [1, 0]], "zero diagonal with nonzero off-diagonal block"),
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 0]], "zero diagonal with nonzero off-diagonal block"),
+])
+def test_psd_congruence_refusals_name_the_cause(rows, message):
+    m = np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
+    with pytest.raises(IndefiniteMatrixError, match=f"^{message}$"):
+        psd_congruence(m)
+    _assert_congruence_matches_the_oracle(m)
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[Fraction(0)]],
+    [[Fraction(5, 3)]],
+    [[2, 2, 0], [2, 2, 0], [0, 0, 0]],          # a tie, a kernel and a zero row
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],          # ties all the way down
+])
+def test_psd_congruence_on_small_shapes(rows):
+    m = np.array([[Fraction(x) for x in row] for row in rows], dtype=object).reshape(
+        len(rows), len(rows))
+    _assert_congruence_matches_the_oracle(m)
+
+
+@pytest.mark.parametrize("c,h,N", [
+    (Fraction(7, 10), Fraction(3, 5), 8),       # null vectors at levels 3 and 6
+    (Fraction(25, 28), Fraction(15, 28), 7),
+    (Fraction(2), Fraction(1), 7),
+])
+def test_psd_congruence_on_gram_matrices(c, h, N):
+    for k in range(N + 1):
+        _assert_congruence_matches_the_oracle(gram_matrix(c, h, k).entries)
+
+
+# ---------------------------------------------------------------------------
+# the adjoint residual of both arithmetic modes
+
+
+def _adjoint_oracle(a, b, left, right):
+    """Residual.of on R = diag(left) a - conj(b)^T diag(right), formed in
+    CFrac/Fraction (or numpy float) arithmetic."""
+    return Residual.of(a * np.asarray(left, dtype=object)[:, None]
+                       - np.conj(b).T * np.asarray(right, dtype=object)[None, :])
+
+
+_PARTS = st.one_of(
+    st.fractions(max_denominator=10 ** 25),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.integers(min_value=-10 ** 20, max_value=10 ** 20),
+    st.just(Fraction(0)),
+)
+_EXACT_SCALARS = st.one_of(
+    st.builds(CFrac, _PARTS, _PARTS),
+    st.builds(CFrac, _PARTS),
+    _PARTS.map(Fraction),
+)
+
+
+@st.composite
+def _adjoint_case(draw):
+    p, q = (draw(st.integers(min_value=0, max_value=4)) for _ in range(2))
+    a, b = np.empty((p, q), dtype=object), np.empty((q, p), dtype=object)
+    for i in range(p):
+        for j in range(q):
+            a[i, j] = draw(_EXACT_SCALARS)
+            # often b is a's conjugate transpose up to the weights, so R has zeros
+            b[j, i] = draw(st.just(None) | _EXACT_SCALARS)
+    weights = st.fractions(min_value=Fraction(1, 10 ** 9), max_value=10 ** 9,
+                           max_denominator=10 ** 9)
+    left = [draw(weights) for _ in range(p)]
+    right = [draw(weights) for _ in range(q)]
+    for i in range(p):
+        for j in range(q):
+            if b[j, i] is None:
+                b[j, i] = CFrac.of(a[i, j]).conjugate() * (left[i] / right[j])
+    return a, b, left, right
+
+
+@settings(max_examples=60, deadline=None)
+@given(_adjoint_case())
+def test_adjoint_residual_equals_the_cfrac_route(case):
+    got, want = adjoint_residual(*case), _adjoint_oracle(*case)
+    assert got.zero == want.zero
+    assert got.max_abs.hex() == want.max_abs.hex()
+
+
+def test_adjoint_residual_sees_what_rounds_to_zero():
+    a = np.array([[CFrac(Fraction(1, 10 ** 400))]], dtype=object)
+    b = zeros((1, 1), "exact")
+    assert adjoint_residual(a, b, [Fraction(1)], [Fraction(1)]) == Residual(0.0, False)
+    assert adjoint_residual(a, a, [Fraction(1)], [Fraction(1)]) == Residual()
+    assert adjoint_residual(zeros((0, 3), "exact"), zeros((3, 0), "exact"),
+                            [], [Fraction(1)] * 3) == Residual()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4),
+       st.data())
+def test_adjoint_residual_is_the_numpy_expression_in_float(p, q, data):
+    a = data.draw(arrays(np.complex128, (p, q), elements=st.complex_numbers(
+        max_magnitude=1e6, allow_nan=False)))
+    b = data.draw(arrays(np.complex128, (q, p), elements=st.complex_numbers(
+        max_magnitude=1e6, allow_nan=False)))
+    left = data.draw(arrays(np.float64, (p,), elements=st.floats(0.5, 2.0)))
+    right = data.draw(arrays(np.float64, (q,), elements=st.floats(0.5, 2.0)))
+    want = Residual.of(a * left[:, None] - np.conj(b).T * right[None, :])
+    got = adjoint_residual(a, b, left, right)
+    assert got.zero == want.zero and got.max_abs.hex() == want.max_abs.hex()

@@ -17,7 +17,7 @@ from vircut.fields import (
     norm_three_halves,
     random_real_field,
 )
-from vircut.rational import CFrac
+from vircut.rational import CFrac, Residual, zeros
 from vircut.smear import (
     commutator_residual,
     fm_sup,
@@ -137,6 +137,43 @@ def test_hermiticity_residual_is_the_entrywise_condition(mode, ising8, ising8_fl
         worst, nonzero = _entrywise_hermiticity(op)
         assert report.max_abs == worst
         assert report.exact_zero == (None if mode == "float" else not nonzero)
+
+
+def _cfrac_hermiticity(op):
+    """The residual R = D_dst A - conj(B)^T D_src of each level pair formed
+    in CFrac arithmetic and reduced by Residual.of: (max abs, exact zero)."""
+    rep = op.rep
+    total = Residual()
+    for dst, src in {(min(key), max(key)) for key in op.blocks}:
+        a, b = op.block(dst, src), op.block(src, dst)
+        a = zeros((rep.dim(dst), rep.dim(src)), rep.mode) if a is None else a
+        b = zeros((rep.dim(src), rep.dim(dst)), rep.mode) if b is None else b
+        total |= Residual.of(a * np.asarray(rep.norms(dst))[:, None]
+                             - np.conj(b).T * np.asarray(rep.norms(src))[None, :])
+    return total.max_abs, total.zero
+
+
+@pytest.mark.parametrize("c,h,N", [(Fraction(7, 10), Fraction(3, 5), 9),
+                                   (Fraction(2), Fraction(1), 7)])
+def test_integer_hermiticity_equals_the_cfrac_route(c, h, N):
+    rep = acceptance._rep(c, h, N)
+    rng = np.random.default_rng(5)
+    real = random_real_field(rng, max_mode=3, denominator=8)
+    non_real = mode_field(-3, amplitude=CFrac(Fraction(1, 7), Fraction(-3, 11)))
+    ops = [smear(rep, real), smear(rep, mode_field(2)), smear(rep, non_real)]
+    # one block of the real field's operator off by a tiny and a large part
+    key = next(k for k, blk in ops[0].blocks.items() if k[0] != k[1] and blk.size)
+    blocks = dict(ops[0].blocks)
+    blk = blocks[key].copy()
+    blk[0, 0] = blk[0, 0] + CFrac(Fraction(1, 10 ** 30), Fraction(3, 7))
+    blocks[key] = blk
+    ops.append(replace(ops[0], blocks=blocks))
+    reports = [hermiticity_residual(op) for op in ops]
+    assert [r.exact_zero for r in reports] == [True, False, False, False]
+    for op, report in zip(ops, reports):
+        max_abs, zero = _cfrac_hermiticity(op)
+        assert report.max_abs.hex() == max_abs.hex()
+        assert report.exact_zero == zero
 
 
 # ---------------------------------------------------------------------------
