@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -221,15 +222,17 @@ class PiecewiseMobiusField:
         the support n = 2 mod 4, which the caller selects."""
         return 8.0 / (math.pi * nf * (nf * nf - 1.0))
 
-    def coefficient_closed(self, ns) -> np.ndarray:
+    @staticmethod
+    def coefficient_closed(ns) -> np.ndarray:
         """Complex f_hat(n) = 8i/(pi n (n^2-1)) on n = 2 mod 4, else 0, per n.
 
         Agrees exactly with coefficient_exact (covered by tests).  The
-        real part is a zero with the sign of n.
+        real part is a zero with the sign of n.  The glued field is one
+        fixed field, so this needs no instance.
         """
         ns = np.asarray(ns)
         with np.errstate(divide="ignore", invalid="ignore"):  # n = 0, +-1
-            values = self.closed_kernel(ns.astype(np.float64)) * 1j
+            values = PiecewiseMobiusField.closed_kernel(ns.astype(np.float64)) * 1j
         return np.where(ns % 4 == 2, values, 0)
 
 
@@ -298,10 +301,21 @@ def evaluate(field, theta: float):
     raise TypeError(f"unsupported field type {type(field).__name__}")
 
 
+@lru_cache(maxsize=8)
+def _series_terms(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The modes |n| <= cutoff and the glued field's coefficients there,
+    read-only; a profile evaluates one cutoff at many angles."""
+    ns = np.arange(-cutoff, cutoff + 1)
+    coeffs = PiecewiseMobiusField.coefficient_closed(ns)
+    ns.flags.writeable = coeffs.flags.writeable = False
+    return ns, coeffs
+
+
 def evaluate_series(field: PiecewiseMobiusField, theta: float, cutoff: int) -> float:
     """Partial Fourier sum of the glued field up to |n| <= cutoff."""
-    ns = np.arange(-cutoff, cutoff + 1)
-    coeffs = field.coefficient_closed(ns)
+    if not isinstance(field, PiecewiseMobiusField):
+        raise TypeError(f"unsupported field type {type(field).__name__}")
+    ns, coeffs = _series_terms(cutoff)
     return float(np.real(np.sum(coeffs * np.exp(1j * ns * theta))))
 
 

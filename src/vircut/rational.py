@@ -14,13 +14,15 @@ and opnorm is the spectral norm that both modes' float views are
 measured with.  Residual reduces the residual matrices of a check to one
 float maximum and one exact-zero verdict, the same way in both modes;
 adjoint_residual is that reduction for the adjoint condition
-diag(left) a = conj(b)^T diag(right).
+a_scale diag(left) a = conj(b_scale b)^T diag(right).
 
-The exact inner loops run over Python ints, not Fractions: dot scales
-rows and columns to integers, adjoint_residual cross-multiplies the
+The exact inner loops run over Python ints, not Fractions.  IntegerForm
+holds an exact matrix as integers over row and column scales: dot is
+the product of two forms, and block assembly and the bracket-relation
+sweep (verma) work on forms too.  adjoint_residual cross-multiplies the
 numerators and denominators of each entry, and psd_congruence is
-fraction-free (Bareiss) elimination.  Each forms a Fraction, or a float,
-only once per output entry.
+fraction-free (Bareiss) elimination.  Each forms a Fraction only for an
+entry that leaves it, and a check a float only for a nonzero entry.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "fmt_rational",
     "zeros",
     "eye",
+    "IntegerForm",
     "dot",
     "opnorm",
     "to_float",
@@ -61,7 +64,7 @@ def as_fraction(x) -> Fraction:
 
 
 def fmt_rational(x: Fraction) -> str:
-    x = Fraction(x)
+    x = x if isinstance(x, Fraction) else Fraction(x)
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
@@ -190,42 +193,135 @@ def eye(n: int, mode: str) -> np.ndarray:
     return arr
 
 
-def _integer_rows(rows: list) -> tuple[list, list]:
-    """Rows of Fractions or ints as (integer rows, scales): row / scale."""
-    ints, scales = [], []
-    for row in rows:
-        scale = math.lcm(*[x.denominator for x in row])
-        ints.append([x.numerator * (scale // x.denominator) for x in row])
-        scales.append(scale)
-    return ints, scales
+def _object(values, shape) -> np.ndarray:
+    """Python ints (nested lists) as an object array of the given shape."""
+    return np.array(values, dtype=object).reshape(shape)
 
 
+_LCM = np.frompyfunc(math.lcm, 2, 1)
 _FRACTION = np.frompyfunc(Fraction, 2, 1)
+
+
+@dataclass(frozen=True)
+class IntegerForm:
+    """An exact rational matrix as num[i, j] / (row[i] col[j]).
+
+    num holds Python ints and row and col positive ones, in object
+    arrays.  by_rows scales each row of a matrix of Fractions and ints
+    to integers by the lcm of its denominators, by_cols each column, and
+    whole the matrix by one lcm.  The product of a by_rows form and a
+    by_cols one is the integer product over row x col (a whole form can
+    stand on either side); differences and rational multiples stay
+    integer over common scales.  So an exact computation forms a
+    Fraction only for an entry that leaves it (fractions), and a check a
+    float only for a nonzero entry (residual).  Forms are temporaries:
+    each lives only in the call that makes it.
+    """
+
+    num: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+
+    @staticmethod
+    def by_rows(mat: np.ndarray) -> IntegerForm:
+        rows = mat.tolist()
+        scales = [math.lcm(*[x.denominator for x in row]) for row in rows]
+        ints = [[x.numerator * (s // x.denominator) for x in row]
+                for row, s in zip(rows, scales)]
+        return IntegerForm(_object(ints, mat.shape), _object(scales, len(rows)),
+                           _object([1] * mat.shape[1], mat.shape[1]))
+
+    @staticmethod
+    def by_cols(mat: np.ndarray) -> IntegerForm:
+        t = IntegerForm.by_rows(mat.T)
+        return IntegerForm(t.num.T, t.col, t.row)
+
+    @staticmethod
+    def whole(mat: np.ndarray) -> IntegerForm:
+        """One scale for the whole matrix, the lcm of all its denominators,
+        carried on the rows; a factor on either side of a product."""
+        flat = IntegerForm.by_rows(mat.reshape(1, -1))
+        return IntegerForm(flat.num.reshape(mat.shape),
+                           _object([flat.row[0]] * mat.shape[0], mat.shape[0]),
+                           _object([1] * mat.shape[1], mat.shape[1]))
+
+    @staticmethod
+    def identity(dim: int, s) -> IntegerForm:
+        """s times the dim x dim identity, for a Fraction or int s."""
+        s = as_fraction(s)
+        num = np.zeros((dim, dim), dtype=object)
+        np.fill_diagonal(num, s.numerator)
+        return IntegerForm(num, _object([s.denominator] * dim, dim), _object([1] * dim, dim))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.num.shape
+
+    def __matmul__(self, other: IntegerForm) -> IntegerForm:
+        """The product, when the scales of the summed index factor out of
+        the sum: the column scales of self are one number, and so are the
+        row scales of other.  A by_rows form or a whole one on the left
+        and a by_cols form or a whole one on the right qualify."""
+        if self.shape[1] != other.shape[0]:
+            raise ValueError(f"shapes {self.shape} and {other.shape} not aligned")
+        row = self.row
+        if self.shape[1]:
+            inner = self.col[0] * other.row[0]
+            if (self.col != self.col[0]).any() or (other.row != other.row[0]).any():
+                raise ValueError("a product needs one column scale on the left "
+                                 "and one row scale on the right")
+            if inner != 1:
+                row = row * inner
+        return IntegerForm(np.dot(self.num, other.num), row, other.col)
+
+    def __mul__(self, s) -> IntegerForm:
+        """The rational multiple s * self, for a Fraction or int s."""
+        s = as_fraction(s)
+        return IntegerForm(self.num * s.numerator, self.row * s.denominator, self.col)
+
+    def __sub__(self, other: IntegerForm) -> IntegerForm:
+        row, col = _LCM(self.row, other.row), _LCM(self.col, other.col)
+        return IntegerForm(self._over(row, col) - other._over(row, col), row, col)
+
+    def _over(self, row: np.ndarray, col: np.ndarray) -> np.ndarray:
+        """The numerators over the multiples row and col of the scales."""
+        return self.num * (row // self.row)[:, None] * (col // self.col)[None, :]
+
+    def fractions(self) -> np.ndarray:
+        """The matrix as an object array of Fractions; the zero entries
+        share zeros()'s one Fraction(0)."""
+        out = zeros(self.shape, "exact")
+        hit = np.nonzero(self.num)
+        out[hit] = _FRACTION(self.num[hit], self.row[hit[0]] * self.col[hit[1]])
+        return out
+
+    def residual(self) -> Residual:
+        """Residual.of of the matrix, without forming it.
+
+        The verdict is that every numerator is 0.  Only an entry with a
+        nonzero numerator gets a float, from its exact quotient: int true
+        division is correctly rounded, so that float is the one to_float
+        builds from the entry's Fraction, and max_abs is Residual.of's.
+        """
+        values = [self.num[i, j] / (self.row[i] * self.col[j])
+                  for i, j in zip(*np.nonzero(self.num))]
+        return Residual(float(np.abs(np.array(values, dtype=float)).max(initial=0.0)),
+                        not values)
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of two matrices of one arithmetic mode.
 
     Float arrays go to np.dot.  Exact (object) matrices of Fractions and
-    ints are multiplied over the integers: row i of a is scaled by the lcm
-    s_i of its denominators and column j of b by the lcm t_j of its own,
-    the Python-int matrices are multiplied, and entry (i, j) becomes one
-    Fraction(sum, s_i t_j).  The values are np.dot's, every entry is a
-    Fraction, and the integer temporaries live only in this call.
+    ints are multiplied over the integers: IntegerForm.by_rows(a) @
+    IntegerForm.by_cols(b), one Python-int product, and entry (i, j)
+    becomes one Fraction of its sum over the scales of row i of a and
+    column j of b.  The values are np.dot's, every entry is a Fraction,
+    and the integer temporaries live only in this call.
     """
     if a.dtype != object and b.dtype != object:
         return np.dot(a, b)
-    (p, q), (q_b, r) = a.shape, b.shape
-    if q != q_b:
-        raise ValueError(f"shapes {a.shape} and {b.shape} not aligned")
-    if q == 0:
-        return zeros((p, r), "exact")
-    a_int, a_scale = _integer_rows(a.tolist())
-    b_int, b_scale = _integer_rows(b.T.tolist())
-    prod = np.dot(np.array(a_int, dtype=object).reshape(p, q),
-                  np.array(b_int, dtype=object).reshape(r, q).T)
-    scale = np.outer(np.array(a_scale, dtype=object), np.array(b_scale, dtype=object))
-    return _FRACTION(prod, scale).reshape(p, r)
+    return (IntegerForm.by_rows(a) @ IntegerForm.by_cols(b)).fractions()
 
 
 def opnorm(mat: np.ndarray) -> float:
@@ -274,41 +370,44 @@ class Residual:
                         self.zero and other.zero)
 
 
-def _parts(x) -> tuple[int, int, int, int]:
-    """Numerators and denominators of the real and imaginary parts of an
-    exact scalar (CFrac, Fraction or int)."""
-    re, im = (x.re, x.im) if isinstance(x, CFrac) else (x, 0)
-    return re.numerator, re.denominator, im.numerator, im.denominator
+def adjoint_residual(a: np.ndarray, b: np.ndarray, left, right,
+                     a_scale, b_scale) -> Residual:
+    """Residual of R = a_scale diag(left) a - conj(b_scale b)^T diag(right),
+    for a p x q and b q x p, left and right the real weights of length p
+    and q, and a_scale and b_scale scalars.
 
-
-def adjoint_residual(a: np.ndarray, b: np.ndarray, left, right) -> Residual:
-    """Residual of R = diag(left) a - conj(b)^T diag(right), for a p x q
-    and b q x p, with left and right the real weights of length p and q.
-
-    Float matrices reduce the numpy expression with Residual.of.  Exact
-    ones are reduced over the integers: each entry's real and imaginary
-    numerators are formed by cross-multiplying the numerators and
-    denominators of the four factors, the verdict is that every numerator
-    is 0, and only a nonzero entry gets a float, from the exact quotients
-    re_num/re_den and im_num/im_den.  Int true division is correctly
-    rounded, so that float is the one to_float builds from the Fraction,
-    and the report is Residual.of's on the exact R.
+    Float matrices reduce that numpy expression with Residual.of.  Exact
+    ones hold real entries (Fractions and ints), and R is reduced over the
+    integers with the scalars factored out.  Entry (i, j) of
+    X = diag(left) a and of Y = b^T diag(right) are u/den and v/den, u, v
+    and den cross-multiplied from the numerators and denominators of
+    left_i, a_ij, b_ji and right_j, and R_ij = a_scale X_ij - conj(b_scale)
+    Y_ij has real part (Re a_scale u - Re b_scale v)/den and imaginary part
+    (Im a_scale u + Im b_scale v)/den.  The verdict is that both numerators
+    of every entry are 0, and only a nonzero entry gets a float, from the
+    exact quotients.  Int true division is correctly rounded, so that
+    float is the one to_float builds from the Fraction, and the report is
+    Residual.of's on the exact R.
     """
     if a.dtype != object and b.dtype != object:
-        return Residual.of(a * np.asarray(left)[:, None]
-                           - np.conj(b).T * np.asarray(right)[None, :])
-    left, right = [_parts(x)[:2] for x in left], [_parts(x)[:2] for x in right]
-    b_t = b.T.tolist()
+        return Residual.of((a * a_scale) * np.asarray(left)[:, None]
+                           - np.conj(b * b_scale).T * np.asarray(right)[None, :])
+    sa, sb = CFrac.of(a_scale), CFrac.of(b_scale)
+    # Re R_ij = (re_u u - re_v v)/(re_den den), Im R_ij = (im_u u + im_v v)/(im_den den)
+    re_u, re_v = sa.re.numerator * sb.re.denominator, sb.re.numerator * sa.re.denominator
+    im_u, im_v = sa.im.numerator * sb.im.denominator, sb.im.numerator * sa.im.denominator
+    re_den = sa.re.denominator * sb.re.denominator
+    im_den = sa.im.denominator * sb.im.denominator
+    left = [as_fraction(x).as_integer_ratio() for x in left]
+    right = [as_fraction(x).as_integer_ratio() for x in right]
     values = []
-    for (ln, ld), row_a, row_b in zip(left, a.tolist(), b_t):
+    for (ln, ld), row_a, row_b in zip(left, a.tolist(), b.T.tolist()):
         for (rn, rd), x, y in zip(right, row_a, row_b):
-            xn, xd, xin, xid = _parts(x)
-            yn, yd, yin, yid = _parts(y)
-            re_num = ln * xn * rd * yd - rn * yn * ld * xd
-            im_num = ln * xin * rd * yid + rn * yin * ld * xid
-            if re_num or im_num:
-                values.append(complex(re_num / (ld * xd * rd * yd),
-                                      im_num / (ld * xid * rd * yid)))
+            xd, yd = ld * x.denominator, rd * y.denominator
+            u, v = ln * x.numerator * yd, rn * y.numerator * xd
+            re, im = re_u * u - re_v * v, im_u * u + im_v * v
+            if re or im:
+                values.append(complex(re / (re_den * xd * yd), im / (im_den * xd * yd)))
     return Residual(float(np.abs(np.array(values, dtype=complex)).max(initial=0.0)),
                     not values)
 

@@ -1,16 +1,19 @@
 """Truncated smeared operators T(f) = Sum_n f_hat(n) L_n and their identities.
 
-A smeared operator on a truncated representation is stored blockwise: the
+A smeared operator on a truncated representation is stored factored: the
 (dst, src) block is f_hat(n) times the rep's L_n block from level src,
-n = src - dst being the one mode that maps src into dst, so T(f) is one
-pass over the rep's block set.  For real fields the full truncated matrix
+n = src - dst being the one mode that maps src into dst, and smear keeps
+the pair (block, f_hat(n)) for each, one pass over the rep's block set
+that forms no entry.  Readers that need entries (apply, commutator
+realization) form the products.  For real fields the full truncated matrix
 is hermitian with respect to the representation's inner product: each
 mode pair (n, -n) is either kept or dropped together by the level
 cutoff, so no boundary correction is needed.  Smearing records the
 weighted coefficient mass its cutoff discards (truncation_bias) and
 leaves judging it to the caller.  Hermiticity is one check in both
 arithmetic modes (rational.adjoint_residual, over the integers in exact
-mode): each block pair is weighted by the basis norms, which are 1.0 in
+mode, with the coefficients factored out of the block pair): each block
+pair is weighted by the basis norms, which are 1.0 in
 the orthonormal float bases, and each unordered pair of levels is
 checked once, since the residual of the reverse pair is the negated
 adjoint of the first.
@@ -45,27 +48,37 @@ GradedVector = Mapping[int, np.ndarray]
 
 @dataclass(frozen=True)
 class SmearedOperator:
-    """Blockwise matrix of T(f) on a truncated representation."""
+    """T(f) on a truncated representation, kept factored.
+
+    factors[(dst, src)] is (B, a): B is the rep's L_n block from level
+    src, n = src - dst, and a = f_hat(n) its coefficient (a CFrac in exact
+    mode, a complex in float mode).  The block of T(f) is a B; blocks and
+    apply form it for the readers that need entries (the vacuum norm,
+    commutator realization), and hermiticity reads the factors, so in
+    exact mode no CFrac entry is formed for it.
+    """
 
     rep: TruncatedRep
-    blocks: Mapping[tuple[int, int], np.ndarray]
+    factors: Mapping[tuple[int, int], tuple[np.ndarray, Union[CFrac, complex]]]
     truncation_bias: Optional[float]  # weighted coefficient mass beyond the cutoff
 
-    def block(self, dst: int, src: int) -> Optional[np.ndarray]:
-        return self.blocks.get((dst, src))
+    def blocks(self) -> dict[tuple[int, int], np.ndarray]:
+        """Every block of T(f), formed once."""
+        return {key: blk * a for key, (blk, a) in self.factors.items()}
 
     def apply(self, vec: GradedVector) -> dict[int, np.ndarray]:
         out: dict[int, np.ndarray] = {}
-        for (dst, src), blk in self.blocks.items():
+        for (dst, src), (blk, a) in self.factors.items():
             if src not in vec:
                 continue
-            piece = blk.dot(vec[src])
+            piece = (blk * a).dot(vec[src])
             out[dst] = out[dst] + piece if dst in out else piece
         return out
 
 
 def smear(rep: TruncatedRep, field, cutoff: Optional[int] = None) -> SmearedOperator:
-    """Assemble T(f) blockwise up to the cutoff (default: the rep's N).
+    """Pair each rep block with its coefficient, up to the cutoff (default:
+    the rep's N).  No entry of T(f) is formed here.
 
     Exact-mode representations only accept exact fields; float-mode ones
     take anything.  The weighted coefficient mass beyond the cutoff is
@@ -86,13 +99,13 @@ def smear(rep: TruncatedRep, field, cutoff: Optional[int] = None) -> SmearedOper
     exact = rep.mode == "exact"
     if exact and not table.is_exact:
         raise TypeError("exact representation needs an exact field")
-    blocks: dict[tuple[int, int], np.ndarray] = {}
+    factors = {}
     for (n, src), blk in rep.blocks.items():
         a = table.coefficients.get(n)
         if a is None or abs(n) > cutoff or blk.size == 0:
             continue
-        blocks[(src - n, src)] = blk * (a if exact else complex(a))
-    return SmearedOperator(rep, blocks, bias)
+        factors[(src - n, src)] = (blk, a if exact else complex(a))
+    return SmearedOperator(rep, factors, bias)
 
 
 @dataclass(frozen=True)
@@ -106,29 +119,31 @@ def hermiticity_residual(op: SmearedOperator) -> HermiticityReport:
 
     Zero (exactly, in rational mode) for real fields.  The adjoint
     condition is weighted by the basis norms: the residual of the
-    (dst, src) block A and the reverse block B is R = D_dst A - conj(B)^T D_src,
-    D_k being the diagonal of squared norms at level k (the identity in
-    float mode, so there it is A - conj(B)^T).
+    (dst, src) block aA and the reverse block bB (A, B rep blocks, a, b
+    their coefficients) is R = a D_dst A - conj(b B)^T D_src, D_k being
+    the diagonal of squared norms at level k (the identity in float mode,
+    so there it is aA - conj(bB)^T).  A missing block is a zero block
+    with coefficient 0.
 
     The residual of (src, dst) is -conj(R)^T, in both arithmetics: its two
     terms are those of R conjugated, transposed and swapped, and
     conjugation, scaling by the real D_k and IEEE subtraction are exact
     under negation.  So each unordered pair of levels is checked once and
     gives the max_abs and zero verdict of the sweep over both orders.
-    rational.adjoint_residual reduces each pair: in exact mode it forms
-    R's numerators over the integers and a float only for a nonzero entry,
-    with the same max_abs as the float of each exact entry of R.
+    rational.adjoint_residual reduces each pair from the factors: in exact
+    mode it forms R's numerators over the integers, with the coefficients
+    factored out, and a float only for a nonzero entry, so max_abs is the
+    float of each exact entry of R.
     """
     rep = op.rep
     exact = rep.mode == "exact"
     # raises for bases without inner product data
     norms = [rep.norms(k) for k in range(rep.N + 1)]
     total = Residual()
-    for dst, src in {(min(key), max(key)) for key in op.blocks}:
-        a, b = op.block(dst, src), op.block(src, dst)
-        a = zeros((rep.dim(dst), rep.dim(src)), rep.mode) if a is None else a
-        b = zeros((rep.dim(src), rep.dim(dst)), rep.mode) if b is None else b
-        total |= adjoint_residual(a, b, norms[dst], norms[src])
+    for dst, src in {(min(key), max(key)) for key in op.factors}:
+        a, sa = op.factors.get((dst, src), (zeros((rep.dim(dst), rep.dim(src)), rep.mode), 0))
+        b, sb = op.factors.get((src, dst), (zeros((rep.dim(src), rep.dim(dst)), rep.mode), 0))
+        total |= adjoint_residual(a, b, norms[dst], norms[src], sa, sb)
     return HermiticityReport(total.max_abs, total.zero if exact else None)
 
 
@@ -313,9 +328,9 @@ def commutator_residual(rep: TruncatedRep, f: FourierField, g: FourierField
     h, omega = bracket_with_cocycle(f, g, rep.c)
     if h.support and max(abs(n) for n in h.support) > rep.N:
         raise ValueError("bracket support exceeds the truncation level")
-    op_f = smear(rep, f)
-    op_g = smear(rep, g)
-    op_h = smear(rep, h)
+    t_f = smear(rep, f).blocks()
+    t_g = smear(rep, g).blocks()
+    t_h = smear(rep, h).blocks()
     exact = rep.mode == "exact"
     window = pair_safe_levels(rep, f, g)
 
@@ -329,14 +344,14 @@ def commutator_residual(rep: TruncatedRep, f: FourierField, g: FourierField
                 continue
             total = zeros((rep.dim(dst), rep.dim(k)), rep.mode)
             for mid in range(rep.N + 1):
-                a, b = op_f.block(dst, mid), op_g.block(mid, k)
+                a, b = t_f.get((dst, mid)), t_g.get((mid, k))
                 if a is not None and b is not None:
                     total = total + a.dot(b)
-                a, b = op_g.block(dst, mid), op_f.block(mid, k)
+                a, b = t_g.get((dst, mid)), t_f.get((mid, k))
                 if a is not None and b is not None:
                     total = total - a.dot(b)
-            if op_h.block(dst, k) is not None:
-                total = total - op_h.block(dst, k)
+            if (dst, k) in t_h:
+                total = total - t_h[(dst, k)]
             if dst == k:
                 total = total - eye(rep.dim(k), rep.mode) * omega
             checked += 1

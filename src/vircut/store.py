@@ -9,11 +9,14 @@ identifying the object, one section per stored matrix (the basis norms
 sha256 digest over everything above it.  Sections of other names are
 verified and parsed but not read, so files that also carry the per-level
 basis rows ("transform:k", written by earlier versions) still load.
-Exact-mode entries are written as p/q strings and parse back to the
-identical Fraction; float-mode entries use float.hex(), which
-round-trips bit for bit.  Loading is strict about integrity and lenient
-about age: a wrong digest, a malformed body, or block sections other
-than those of verma.block_keys(N) raise CacheError, while a
+Exact-mode entries are written as p/q strings (q > 1) or integers p and
+parse back to the identical Fraction: p and q are read with int(), and
+each distinct entry text is parsed once per file.  Float-mode entries
+use float.hex(), which round-trips bit for bit.  Loading is strict about
+integrity and lenient about age: a wrong digest, a malformed body (a
+matrix header whose sizes are not nonnegative integers, an entry the
+writer cannot have written, such as 1/0 or the decimal 1.5), or block
+sections other than those of verma.block_keys(N) raise CacheError, while a
 file written under an older schema version is treated as absent so the
 caller rebuilds it.  Schema migration is deliberately not attempted.  A
 file is keyed by the (c, h) the representation was built at: the CLI's
@@ -52,8 +55,18 @@ def _fmt_entry(x, mode: str) -> str:
 
 
 def _parse_entry(s: str, mode: str):
+    """One entry as written by _fmt_entry: an integer p or p/q with q > 0 in
+    exact mode, read with int(), and a float.hex() string in float mode.
+
+    Anything else (a decimal such as 1.5, which Fraction(str) would take,
+    or a zero denominator) raises ValueError.
+    """
     if mode == "exact":
-        return Fraction(s)
+        num, slash, den = s.partition("/")
+        q = int(den) if slash else 1
+        if q <= 0:
+            raise ValueError(f"entry {s!r} has a denominator that is not positive")
+        return Fraction(int(num), q)
     return float.fromhex(s)
 
 
@@ -66,27 +79,43 @@ def _matrix_lines(tag: str, mat: np.ndarray, mode: str) -> list[str]:
     return lines
 
 
-def _parse_matrix(header: str, body: list[str], mode: str) -> tuple[str, np.ndarray]:
+def _parse_header(header: str) -> tuple[str, int, int]:
+    """(tag, rows, cols) of a "matrix TAG ROWS COLS" line."""
     parts = header.split()
-    if len(parts) != 4 or parts[0] != "matrix":
-        raise CacheError(f"bad matrix header: {header!r}")
-    tag, rows, cols = parts[1], int(parts[2]), int(parts[3])
+    try:
+        if len(parts) != 4 or parts[0] != "matrix":
+            raise ValueError("expected 'matrix TAG ROWS COLS'")
+        rows, cols = int(parts[2]), int(parts[3])
+        if rows < 0 or cols < 0:
+            raise ValueError("negative size")
+    except ValueError as exc:
+        raise CacheError(f"bad matrix header {header!r}: {exc}") from exc
+    return parts[1], rows, cols
+
+
+def _parse_matrix(tag: str, rows: int, cols: int, body: list[str], mode: str,
+                  seen: dict) -> np.ndarray:
+    """The matrix of a section; seen maps each entry text parsed so far in
+    this file to its value, so a repeated entry (most often 0) is parsed
+    once and its immutable value shared."""
     if len(body) != rows:
         raise CacheError(f"matrix {tag}: expected {rows} rows, found {len(body)}")
-    if mode == "exact":
-        mat = np.empty((rows, cols), dtype=object)
-    else:
-        mat = np.zeros((rows, cols))
+    values = []
     for i, line in enumerate(body):
-        vals = line.split()
-        if len(vals) != cols:
+        entries = line.split()
+        if len(entries) != cols:
             raise CacheError(f"matrix {tag} row {i}: expected {cols} entries")
-        for j, s in enumerate(vals):
-            try:
-                mat[i, j] = _parse_entry(s, mode)
-            except ValueError as exc:
-                raise CacheError(f"matrix {tag} row {i}: {exc}") from exc
-    return tag, mat
+        row = []
+        for s in entries:
+            x = seen.get(s)
+            if x is None:
+                try:
+                    x = seen[s] = _parse_entry(s, mode)
+                except (ValueError, OverflowError) as exc:
+                    raise CacheError(f"matrix {tag} row {i}: {exc}") from exc
+            row.append(x)
+        values.append(row)
+    return np.array(values, dtype=object if mode == "exact" else float).reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +168,13 @@ def _read_file(path: Path) -> Optional[tuple[dict, list[str]]]:
 
 
 def _sections(lines: list[str], mode: str) -> dict:
-    out = {}
+    out, seen = {}, {}
     i = 0
     while i < len(lines):
-        header = lines[i]
-        rows = int(header.split()[2]) if header.startswith("matrix ") else 0
-        tag, mat = _parse_matrix(header, lines[i + 1 : i + 1 + rows], mode)
+        tag, rows, cols = _parse_header(lines[i])
         if tag in out:
             raise CacheError(f"duplicate matrix section {tag!r}")
-        out[tag] = mat
+        out[tag] = _parse_matrix(tag, rows, cols, lines[i + 1 : i + 1 + rows], mode, seen)
         i += 1 + rows
     return out
 
@@ -216,7 +243,10 @@ def load_rep(root, c, h, N: int, mode: str = "exact") -> Optional[TruncatedRep]:
             raise CacheError(f"{path}: header {key}={header.get(key)!r}, expected {value!r}")
     if "dims" not in header:
         raise CacheError(f"{path}: missing dims line")
-    dims = tuple(int(d) for d in header["dims"].split())
+    try:
+        dims = tuple(int(d) for d in header["dims"].split())
+    except ValueError as exc:
+        raise CacheError(f"{path}: bad dims line: {exc}") from exc
     if len(dims) != N + 1:
         raise CacheError(f"{path}: dims line has {len(dims)} levels, expected {N + 1}")
     sections = _sections(body, mode)

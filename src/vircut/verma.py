@@ -24,10 +24,14 @@ Arithmetic is dual mode.  The PBW structure constants (the coefficients
 of L_n on a monomial) are always computed with exact rationals.  "exact"
 mode keeps every matrix built from them exact: Gram matrices, the null
 quotient and the blocks, in a basis that is orthogonal with known
-rational norms squared (the D-basis).  Its matrix products (the Gram
-recursion, the extraction rows, block assembly and the relation checks)
-run over the integers through rational.dot, which scales rows and
-columns to Python ints and forms one Fraction per entry of the result.
+rational norms squared (the D-basis).  Its matrix products run over
+the integers (rational.IntegerForm): the Gram recursion and the
+extraction rows through rational.dot, which forms one Fraction per
+entry of the result; block assembly on each level's extraction and
+basis rows, integerized once per build, so a block's Fractions are
+formed once, from the product of three integer matrices; and the
+relation sweep on integer forms of the blocks, which forms no Fraction
+at all.
 "float" mode rounds each structure constant once to float64 and runs the
 same Gram recursion, the quotient and the block assembly in floating
 point, with blocks in an orthonormal basis; no Fraction array is formed,
@@ -46,6 +50,7 @@ import numpy as np
 
 from .rational import (
     IndefiniteMatrixError,
+    IntegerForm,
     Residual,
     as_fraction,
     dot,
@@ -559,13 +564,18 @@ def truncated_rep(c, h, N: int, mode: str = "exact",
         else:
             raise ValueError(f"unknown arithmetic mode {mode!r}")
         normsq = tuple(normsq)
+        if mode == "exact":  # each level's rows integerized once, for all its blocks
+            extract_forms = [IntegerForm.by_rows(w) for w in extract]
+            basis_forms = [IntegerForm.by_cols(b.T) for b in basis_rows]
         blocks = {}
         for n, k in block_keys(N):
             mono = monomial_block(n, k, cv, hv, mode)
-            blk = dot(dot(extract[k - n], mono), basis_rows[k].T)
-            if mode == "float":
-                blk = np.asarray(blk, dtype=np.float64)
-            blocks[(n, k)] = blk
+            if mode == "exact":
+                blocks[(n, k)] = (extract_forms[k - n] @ IntegerForm.whole(mono)
+                                  @ basis_forms[k]).fractions()
+            else:
+                blocks[(n, k)] = np.asarray(dot(dot(extract[k - n], mono), basis_rows[k].T),
+                                            dtype=np.float64)
     else:
         raise ValueError(f"unknown basis {basis!r}")
     return TruncatedRep(
@@ -583,6 +593,11 @@ def truncated_rep(c, h, N: int, mode: str = "exact",
 # ---------------------------------------------------------------------------
 # algebra checks
 
+def _in_window(rep: TruncatedRep, m: int, n: int, k: int) -> bool:
+    """Whether levels k, k - n, k - m and k - m - n all lie in [0, N]."""
+    return all(0 <= level <= rep.N for level in (k, k - n, k - m, k - m - n))
+
+
 def relation_residual(rep: TruncatedRep, m: int, n: int, k: int) -> Optional[np.ndarray]:
     """Matrix of [L_m, L_n] - (m-n) L_{m+n} - central on level k, or None.
 
@@ -592,7 +607,7 @@ def relation_residual(rep: TruncatedRep, m: int, n: int, k: int) -> Optional[np.
     another central charge leave a residual (the CLI's injected fault
     builds at 12c/13 and labels the result c).
     """
-    if not all(0 <= level <= rep.N for level in (k, k - n, k - m, k - m - n)):
+    if not _in_window(rep, m, n, k):
         return None
     a = dot(rep.block(m, k - n), rep.block(n, k))
     b = dot(rep.block(n, k - m), rep.block(m, k))
@@ -606,6 +621,53 @@ def relation_residual(rep: TruncatedRep, m: int, n: int, k: int) -> Optional[np.
     return res
 
 
+def _sweep_cells(rep: TruncatedRep, max_mode: int) -> list[tuple[int, int, int]]:
+    """The (m, n, k) with m < n, |m|,|n| <= max_mode, inside the window
+    and with a nonempty residual, in report order."""
+    return [(m, n, k) for m in range(-max_mode, max_mode + 1)
+            for n in range(m + 1, max_mode + 1) for k in range(rep.N + 1)
+            if _in_window(rep, m, n, k) and rep.dim(k) and rep.dim(k - m - n)]
+
+
+def _cell_forms(m: int, n: int, k: int) -> tuple:
+    """The (block, side) of each integer form the residual of (m, n, k)
+    reads, in the order of its terms."""
+    return (((m, k - n), "rows"), ((n, k), "cols"), ((n, k - m), "rows"), ((m, k), "cols"),
+            ((m + n, k), "rows"))
+
+
+def _exact_relation_residuals(rep: TruncatedRep, cells: list) -> list[Residual]:
+    """The Residual of each cell of an exact rep, over the integers.
+
+    A cell's residual is formed as an IntegerForm from the same terms as
+    relation_residual, with no Fraction per entry.  Each block is
+    integerized at most twice per sweep, as the left factor of a product
+    (by rows) and as the right one or the L_{m+n} term (by columns, by
+    rows), and each form is dropped after the last cell that reads it,
+    so about half of them are alive at once.
+    """
+    last = {use: i for i, cell in enumerate(cells) for use in _cell_forms(*cell)}
+    forms: dict = {}
+    out = []
+    for i, (m, n, k) in enumerate(cells):
+        uses = _cell_forms(m, n, k)
+        for key, side in uses:
+            if (key, side) not in forms:
+                make = IntegerForm.by_rows if side == "rows" else IntegerForm.by_cols
+                forms[key, side] = make(rep.blocks[key])
+        left_a, right_a, left_b, right_b, linear = (forms[use] for use in uses)
+        res = left_a @ right_a - left_b @ right_b - linear * (m - n)
+        if m + n == 0:
+            central = rep.c * (m ** 3 - m) / 12
+            if central != 0:
+                res = res - IntegerForm.identity(rep.dim(k), central)
+        out.append(res.residual())
+        for use in uses:
+            if last[use] == i:
+                forms.pop(use, None)
+    return out
+
+
 def relation_residual_summary(rep: TruncatedRep, max_mode: int = 3) -> dict:
     """Sweep the pairs m < n with |m|,|n| <= max_mode over their safe windows.
 
@@ -617,21 +679,25 @@ def relation_residual_summary(rep: TruncatedRep, max_mode: int = 3) -> dict:
     minus itself, and its central term vanishes.  So the unordered pairs
     give the max_abs and exact_zero of the full sweep over all (m, n).
 
+    A float rep reduces relation_residual with Residual.of.  An exact rep
+    reduces the same residual over the integers (_exact_relation_residuals):
+    exact_zero is read from integer numerators, and a cell's max_abs comes
+    from floats of its nonzero entries only, each the correctly rounded
+    exact quotient, so every cell reports Residual.of's bits.
+
     Returns {"max_abs": float, "exact_zero": bool, "cells": [...]}.
     """
+    cells = _sweep_cells(rep, max_mode)
+    if rep.mode == "exact":
+        residuals = _exact_relation_residuals(rep, cells)
+    else:
+        residuals = [Residual.of(relation_residual(rep, *cell)) for cell in cells]
     total = Residual()
-    cells = []
-    for m in range(-max_mode, max_mode + 1):
-        for n in range(m + 1, max_mode + 1):
-            for k in range(rep.N + 1):
-                res = relation_residual(rep, m, n, k)
-                if res is None or res.size == 0:
-                    continue
-                cell = Residual.of(res)
-                total |= cell
-                cells.append({"m": m, "n": n, "k": k, "max_abs": cell.max_abs})
+    for residual in residuals:
+        total |= residual
     return {"max_abs": total.max_abs, "exact_zero": rep.mode == "exact" and total.zero,
-            "cells": cells}
+            "cells": [{"m": m, "n": n, "k": k, "max_abs": residual.max_abs}
+                      for (m, n, k), residual in zip(cells, residuals)]}
 
 
 def measure_central_charge(rep: TruncatedRep) -> Scalar:

@@ -556,3 +556,27 @@ def test_result_blocks_are_unchanged(command, tmp_path, capsys):
     want = RECORDED[command]
     assert run(*command.split(), "--out", tmp_path) == want["exit"]
     assert read_report(tmp_path, want["report"])["result"] == want["result"]
+
+
+@pytest.mark.parametrize("old, new", [
+    ("matrix block:1,4 1 2\n", "matrix block:1,4 x 2\n"),
+    (None, "1/0"),
+], ids=["row-count", "zero-denominator"])
+def test_a_corrupt_cache_entry_exits_one(tmp_path, capsys, old, new):
+    cache = tmp_path / "cache"
+    argv = ("smear", "--field", "mode:2", "--c", "1/2", "--N", "4", "--cache", cache,
+            "--out", tmp_path / "out")
+    assert run(*argv) == 0
+    path = store.rep_cache_path(cache, "1/2", "0", 4, "exact")
+    lines = path.read_text().splitlines(keepends=True)[:-1]
+    if old is None:  # the first entry of the first block row
+        row = 1 + next(i for i, ln in enumerate(lines) if ln.startswith("matrix block:"))
+        lines[row] = " ".join([new, *lines[row].split()[1:]]) + "\n"
+    else:
+        lines = [new if ln == old else ln for ln in lines]
+    body = "".join(lines)
+    path.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

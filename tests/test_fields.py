@@ -194,6 +194,16 @@ def test_pointwise_values(piecewise):
             -evaluate(piecewise, theta), abs=1e-12)
 
 
+@pytest.mark.parametrize("cutoff", [2, 6, 200])
+def test_series_reads_the_memo_bit_for_bit(piecewise, cutoff):
+    ns = np.arange(-cutoff, cutoff + 1)
+    coeffs = piecewise.coefficient_closed(ns)
+    for theta in (0.0, 0.7, math.pi / 4, 2.5, -1.3, 6.0):
+        direct = float(np.real(np.sum(coeffs * np.exp(1j * ns * theta))))
+        assert evaluate_series(piecewise, theta, cutoff) == direct
+        assert evaluate_series(piecewise, theta, cutoff) == direct  # from the memo
+
+
 def test_partial_sums_converge_pointwise(piecewise):
     theta = 0.7
     exact = evaluate(piecewise, theta)

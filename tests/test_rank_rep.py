@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vircut import acceptance, verma
-from vircut.rational import exact_rank_nullspace
+from vircut.rational import Residual, exact_rank_nullspace, eye
 from vircut.verma import (
     NonUnitaryError,
     measure_central_charge,
@@ -151,6 +151,74 @@ def test_relation_summary_sweeps_the_unordered_pairs(c, h, N, mode, basis, label
         (m, n, k) for m, n, k in cells if m == n}
     if label is not None:
         assert worst > 1e-3
+
+
+def _fraction_route_summary(rep, max_mode=3):
+    """The sweep formed in Fraction arithmetic: np.dot on the Fraction
+    blocks, the residual of each cell entry by entry, Residual.of per
+    cell.  It shares only Residual.of with relation_residual_summary."""
+    total, cells = Residual(), []
+    for m in range(-max_mode, max_mode + 1):
+        for n in range(m + 1, max_mode + 1):
+            for k in range(rep.N + 1):
+                if not all(0 <= level <= rep.N for level in (k - n, k - m, k - m - n)):
+                    continue
+                if not rep.dim(k) or not rep.dim(k - m - n):
+                    continue
+                res = (np.dot(rep.block(m, k - n), rep.block(n, k))
+                       - np.dot(rep.block(n, k - m), rep.block(m, k))
+                       - (m - n) * rep.block(m + n, k))
+                if m + n == 0:
+                    res = res - eye(rep.dim(k), "exact") * (rep.c * (m ** 3 - m) / 12)
+                cell = Residual.of(res)
+                total |= cell
+                cells.append({"m": m, "n": n, "k": k, "max_abs": cell.max_abs})
+    return {"max_abs": total.max_abs, "exact_zero": total.zero, "cells": cells}
+
+
+def _relabelled(c, h, N, label):
+    return replace(truncated_rep(c, h, N), c=label)
+
+
+def _nudged(rep, key, part):
+    blocks = dict(rep.blocks)
+    blocks[key] = blocks[key].copy()
+    blocks[key][0, 0] = blocks[key][0, 0] + part
+    return replace(rep, blocks=blocks)
+
+
+@pytest.mark.parametrize("make, zero", [
+    (lambda: acceptance._rep(Fraction(7, 10), Fraction(3, 5), 8), True),
+    (lambda: acceptance._rep(Fraction(1, 2), 0, 8), True),
+    (lambda: acceptance._rep(Fraction(2), Fraction(1), 6), True),
+    (lambda: truncated_rep(Fraction(7, 10), Fraction(1, 2), 6, basis="monomial"), True),
+    # the CLI's central-denominator-13 fault: built at 12c/13, labelled c
+    (lambda: _relabelled(Fraction(24, 13), Fraction(1), 6, Fraction(2)), False),
+    (lambda: _relabelled(Fraction(18, 13), Fraction(1, 3), 7, Fraction(3, 2)), False),
+    (lambda: _nudged(acceptance._rep(Fraction(7, 10), Fraction(3, 5), 7), (1, 4),
+                     Fraction(1, 10 ** 30)), False),
+    (lambda: _nudged(acceptance._rep(Fraction(2), Fraction(1), 6), (-2, 3),
+                     Fraction(-3, 7)), False),
+], ids=["tci-3/5", "ising", "c=2,h=1", "monomial", "fault-c=2", "fault-c=3/2",
+        "nudged-tiny", "nudged-large"])
+def test_integer_relation_summary_equals_the_fraction_route(make, zero):
+    rep = make()
+    got, want = relation_residual_summary(rep, max_mode=3), _fraction_route_summary(rep)
+    assert got["exact_zero"] is want["exact_zero"] is zero
+    assert got["max_abs"].hex() == want["max_abs"].hex()
+    assert [(c["m"], c["n"], c["k"]) for c in got["cells"]] == \
+        [(c["m"], c["n"], c["k"]) for c in want["cells"]]
+    assert [c["max_abs"].hex() for c in got["cells"]] == \
+        [c["max_abs"].hex() for c in want["cells"]]
+
+
+def test_the_integer_sweep_catches_the_fault_where_the_label_enters():
+    # (2, 1, 6) under the fault: only cells with m + n = 0 and a nonzero
+    # central term (m = -n, |n| >= 2) read the label
+    summary = relation_residual_summary(
+        _relabelled(Fraction(24, 13), Fraction(1), 6, Fraction(2)), max_mode=3)
+    bad = {(c["m"], c["n"]) for c in summary["cells"] if c["max_abs"] > 0}
+    assert bad == {(-2, 2), (-3, 3)}
 
 
 def test_block_shapes_and_out_of_range(ising8):

@@ -11,6 +11,7 @@ from vircut import fields
 from vircut.rational import (
     CFrac,
     IndefiniteMatrixError,
+    IntegerForm,
     Residual,
     adjoint_residual,
     as_fraction,
@@ -236,6 +237,46 @@ def test_dot_beyond_machine_integers():
     assert dot(a, b)[0, 0] == 0
 
 
+@st.composite
+def _form_case(draw):
+    p, q = (draw(st.integers(min_value=0, max_value=4)) for _ in range(2))
+    a, b, c = draw(_exact_matrix(p, q)), draw(_exact_matrix(q, p)), draw(_exact_matrix(p, p))
+    s, t = draw(_ENTRIES), draw(_ENTRIES)
+    if draw(st.booleans()):  # often a residual that vanishes
+        c, s, t = np.dot(a, b), 1, 0
+    return a, b, c, s, t
+
+
+@settings(max_examples=100, deadline=None)
+@given(_form_case())
+def test_integer_form_is_the_fraction_expression(case):
+    a, b, c, s, t = case
+    form = (IntegerForm.by_rows(a) @ IntegerForm.by_cols(b)
+            - IntegerForm.by_rows(c) * s - IntegerForm.identity(len(c), t))
+    want = np.dot(a, b) - c * s - eye(len(c), "exact") * t
+    got = form.fractions()
+    assert got.shape == want.shape
+    assert all(type(x) is Fraction and x == y for x, y in zip(got.ravel(), want.ravel()))
+    assert form.residual() == Residual.of(want)
+    assert form.residual().max_abs.hex() == Residual.of(want).max_abs.hex()
+
+
+def test_integer_form_sees_what_rounds_to_zero():
+    tiny = np.array([[Fraction(1, 10 ** 400), Fraction(0)]], dtype=object)
+    assert IntegerForm.by_cols(tiny).residual() == Residual(0.0, False)
+    assert (IntegerForm.by_rows(tiny) - IntegerForm.by_cols(tiny)).residual() == Residual()
+
+
+def test_integer_form_products_need_rows_times_columns():
+    m = np.array([[Fraction(1, 2), Fraction(1, 3)], [Fraction(0), Fraction(5)]], dtype=object)
+    assert (IntegerForm.by_rows(m) @ IntegerForm.by_cols(m)).fractions().tolist() == \
+        np.dot(m, m).tolist()
+    for left, right in [(IntegerForm.by_cols, IntegerForm.by_cols),
+                        (IntegerForm.by_rows, IntegerForm.by_rows)]:
+        with pytest.raises(ValueError, match="one column scale on the left"):
+            left(m) @ right(m)
+
+
 _FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
 
 
@@ -407,11 +448,11 @@ def test_psd_congruence_on_gram_matrices(c, h, N):
 # the adjoint residual of both arithmetic modes
 
 
-def _adjoint_oracle(a, b, left, right):
-    """Residual.of on R = diag(left) a - conj(b)^T diag(right), formed in
-    CFrac/Fraction (or numpy float) arithmetic."""
-    return Residual.of(a * np.asarray(left, dtype=object)[:, None]
-                       - np.conj(b).T * np.asarray(right, dtype=object)[None, :])
+def _adjoint_oracle(a, b, left, right, a_scale, b_scale):
+    """Residual.of on R = a_scale diag(left) a - conj(b_scale b)^T diag(right),
+    formed entry by entry in CFrac/Fraction (or numpy float) arithmetic."""
+    return Residual.of((a * a_scale) * np.asarray(left, dtype=object)[:, None]
+                       - np.conj(b * b_scale).T * np.asarray(right, dtype=object)[None, :])
 
 
 _PARTS = st.one_of(
@@ -433,9 +474,9 @@ def _adjoint_case(draw):
     a, b = np.empty((p, q), dtype=object), np.empty((q, p), dtype=object)
     for i in range(p):
         for j in range(q):
-            a[i, j] = draw(_EXACT_SCALARS)
-            # often b is a's conjugate transpose up to the weights, so R has zeros
-            b[j, i] = draw(st.just(None) | _EXACT_SCALARS)
+            a[i, j] = draw(_PARTS)
+            # often b is a's transpose up to the weights, so R has zeros
+            b[j, i] = draw(st.just(None) | _PARTS)
     weights = st.fractions(min_value=Fraction(1, 10 ** 9), max_value=10 ** 9,
                            max_denominator=10 ** 9)
     left = [draw(weights) for _ in range(p)]
@@ -443,8 +484,13 @@ def _adjoint_case(draw):
     for i in range(p):
         for j in range(q):
             if b[j, i] is None:
-                b[j, i] = CFrac.of(a[i, j]).conjugate() * (left[i] / right[j])
-    return a, b, left, right
+                b[j, i] = a[i, j] * (left[i] / right[j])
+    a_scale = draw(_EXACT_SCALARS)
+    # often the scales of a real field's pair, conjugates of each other
+    b_scale = draw(st.just(None) | _EXACT_SCALARS)
+    if b_scale is None:
+        b_scale = CFrac.of(a_scale).conjugate()
+    return a, b, left, right, a_scale, b_scale
 
 
 @settings(max_examples=60, deadline=None)
@@ -456,12 +502,15 @@ def test_adjoint_residual_equals_the_cfrac_route(case):
 
 
 def test_adjoint_residual_sees_what_rounds_to_zero():
-    a = np.array([[CFrac(Fraction(1, 10 ** 400))]], dtype=object)
+    a = np.array([[Fraction(1, 10 ** 400)]], dtype=object)
     b = zeros((1, 1), "exact")
-    assert adjoint_residual(a, b, [Fraction(1)], [Fraction(1)]) == Residual(0.0, False)
-    assert adjoint_residual(a, a, [Fraction(1)], [Fraction(1)]) == Residual()
+    one = [Fraction(1)]
+    assert adjoint_residual(a, b, one, one, 1, 1) == Residual(0.0, False)
+    assert adjoint_residual(a, b, one, one, CFrac(0, 1), 1) == Residual(0.0, False)
+    assert adjoint_residual(a, a, one, one, 1, 1) == Residual()
+    assert adjoint_residual(a, a, one, one, CFrac(0, 1), CFrac(0, -1)) == Residual()
     assert adjoint_residual(zeros((0, 3), "exact"), zeros((3, 0), "exact"),
-                            [], [Fraction(1)] * 3) == Residual()
+                            [], [Fraction(1)] * 3, 1, 1) == Residual()
 
 
 @settings(max_examples=60, deadline=None)
@@ -474,6 +523,9 @@ def test_adjoint_residual_is_the_numpy_expression_in_float(p, q, data):
         max_magnitude=1e6, allow_nan=False)))
     left = data.draw(arrays(np.float64, (p,), elements=st.floats(0.5, 2.0)))
     right = data.draw(arrays(np.float64, (q,), elements=st.floats(0.5, 2.0)))
-    want = Residual.of(a * left[:, None] - np.conj(b).T * right[None, :])
-    got = adjoint_residual(a, b, left, right)
+    a_scale, b_scale = (data.draw(st.complex_numbers(max_magnitude=1e3, allow_nan=False))
+                        for _ in range(2))
+    want = Residual.of((a * a_scale) * left[:, None]
+                       - np.conj(b * b_scale).T * right[None, :])
+    got = adjoint_residual(a, b, left, right, a_scale, b_scale)
     assert got.zero == want.zero and got.max_abs.hex() == want.max_abs.hex()

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vircut import acceptance
 from vircut.bounds import estimate_r
@@ -47,13 +48,13 @@ def _perturbed(rep, key, change):
 
 
 def test_mode_zero_smears_to_the_grading_operator(ising8):
-    op = smear(ising8, mode_field(0))
+    blocks = smear(ising8, mode_field(0)).blocks()
     for k in range(ising8.N + 1):
         d = ising8.dim(k)
         if d == 0:
-            assert op.block(k, k) is None
+            assert (k, k) not in blocks
             continue
-        blk = op.block(k, k)
+        blk = blocks[k, k]
         expected = ising8.block(0, k)
         assert all(blk[i, j] == expected[i, j]
                    for i in range(d) for j in range(d))
@@ -107,11 +108,11 @@ def test_non_real_field_is_not_hermitian(ising8):
 
 def _entrywise_hermiticity(op):
     """D_dst[i] T[i,j] - conj(T'[j,i]) D_src[j] over every entry: (max abs, any nonzero)."""
-    rep = op.rep
+    rep, blocks = op.rep, op.blocks()
     worst, nonzero = 0.0, False
     for dst in range(rep.N + 1):
         for src in range(rep.N + 1):
-            a, b = op.block(dst, src), op.block(src, dst)
+            a, b = blocks.get((dst, src)), blocks.get((src, dst))
             for i in range(rep.dim(dst)):
                 for j in range(rep.dim(src)):
                     lhs = (0 if a is None else a[i, j]) * rep.norms(dst)[i]
@@ -140,12 +141,13 @@ def test_hermiticity_residual_is_the_entrywise_condition(mode, ising8, ising8_fl
 
 
 def _cfrac_hermiticity(op):
-    """The residual R = D_dst A - conj(B)^T D_src of each level pair formed
-    in CFrac arithmetic and reduced by Residual.of: (max abs, exact zero)."""
-    rep = op.rep
+    """The residual R = D_dst A - conj(B)^T D_src of each level pair, with
+    A and B the operator's blocks formed entry by entry (op.blocks), in
+    CFrac arithmetic, and reduced by Residual.of: (max abs, exact zero)."""
+    rep, blocks = op.rep, op.blocks()
     total = Residual()
-    for dst, src in {(min(key), max(key)) for key in op.blocks}:
-        a, b = op.block(dst, src), op.block(src, dst)
+    for dst, src in {(min(key), max(key)) for key in blocks}:
+        a, b = blocks.get((dst, src)), blocks.get((src, dst))
         a = zeros((rep.dim(dst), rep.dim(src)), rep.mode) if a is None else a
         b = zeros((rep.dim(src), rep.dim(dst)), rep.mode) if b is None else b
         total |= Residual.of(a * np.asarray(rep.norms(dst))[:, None]
@@ -161,19 +163,61 @@ def test_integer_hermiticity_equals_the_cfrac_route(c, h, N):
     real = random_real_field(rng, max_mode=3, denominator=8)
     non_real = mode_field(-3, amplitude=CFrac(Fraction(1, 7), Fraction(-3, 11)))
     ops = [smear(rep, real), smear(rep, mode_field(2)), smear(rep, non_real)]
-    # one block of the real field's operator off by a tiny and a large part
-    key = next(k for k, blk in ops[0].blocks.items() if k[0] != k[1] and blk.size)
-    blocks = dict(ops[0].blocks)
-    blk = blocks[key].copy()
-    blk[0, 0] = blk[0, 0] + CFrac(Fraction(1, 10 ** 30), Fraction(3, 7))
-    blocks[key] = blk
-    ops.append(replace(ops[0], blocks=blocks))
+    # one block of the rep off by a tiny and by a large part
+    key = next(k for k, blk in rep.blocks.items() if 0 < abs(k[0]) <= 3 and blk.size)
+    for part in (Fraction(1, 10 ** 30), Fraction(3, 7)):
+        ops.append(smear(_perturbed(rep, key, lambda x: x + part), real))
     reports = [hermiticity_residual(op) for op in ops]
-    assert [r.exact_zero for r in reports] == [True, False, False, False]
+    assert [r.exact_zero for r in reports] == [True, False, False, False, False]
     for op, report in zip(ops, reports):
         max_abs, zero = _cfrac_hermiticity(op)
         assert report.max_abs.hex() == max_abs.hex()
         assert report.exact_zero == zero
+
+
+_AMPLITUDES = st.builds(CFrac, st.fractions(min_value=-4, max_value=4, max_denominator=9),
+                        st.fractions(min_value=-4, max_value=4, max_denominator=9))
+
+
+@st.composite
+def _exact_fields(draw):
+    """Exact fields on modes |n| <= 3: real ones (f_hat(-n) = conj f_hat(n))
+    and arbitrary ones."""
+    coeffs = {n: draw(_AMPLITUDES) for n in range(-3, 4) if draw(st.booleans())}
+    if draw(st.booleans()):
+        real = {n: a for n, a in coeffs.items() if n > 0}
+        real.update({-n: a.conjugate() for n, a in real.items()})
+        if 0 in coeffs:
+            real[0] = CFrac(coeffs[0].re)
+        coeffs = real
+    return FourierField(coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_exact_fields(), st.sampled_from([(Fraction(7, 10), Fraction(3, 5), 6),
+                                          (Fraction(2), Fraction(1), 5)]))
+def test_factored_hermiticity_equals_the_eager_route(field, point):
+    op = smear(acceptance._rep(*point), field)
+    report = hermiticity_residual(op)
+    max_abs, zero = _cfrac_hermiticity(op)
+    assert report.max_abs.hex() == max_abs.hex()
+    assert report.exact_zero == zero
+    if field.real:
+        assert report.exact_zero is True
+
+
+def test_blocks_are_the_coefficient_times_the_rep_block(ising8):
+    rng = np.random.default_rng(2)
+    field = random_real_field(rng, max_mode=3, denominator=8)
+    op = smear(ising8, field)
+    entries = op.blocks()
+    assert set(entries) == set(op.factors)
+    for (dst, src), (blk, a) in op.factors.items():
+        assert blk is ising8.block(src - dst, src)
+        assert a == field.coefficient(src - dst)
+        want = np.array([[x * a for x in row] for row in blk.tolist()],
+                        dtype=object).reshape(blk.shape)
+        assert (entries[dst, src] == want).all()
 
 
 # ---------------------------------------------------------------------------

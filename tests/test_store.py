@@ -213,3 +213,47 @@ def test_block_outside_the_truncation_is_rejected(tmp_path):
     with pytest.raises(CacheError, match=r"\['block:6,4'\] are not in the truncation, "
                                          r"\['block:1,4'\] are missing"):
         load_rep(tmp_path, C, H, 4)
+
+
+def _with_first_block_entry(lines, text):
+    """lines with the first entry of the first block row replaced by text."""
+    row = 1 + next(i for i, ln in enumerate(lines) if ln.startswith("matrix block:"))
+    first, *rest = lines[row].split()
+    return lines[:row] + [" ".join([text, *rest])] + lines[row + 1:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: _with_first_block_entry(lines, "1/0"), "denominator"),
+    (lambda lines: _with_first_block_entry(lines, "1/-2"), "denominator"),
+    # the writer never emits a decimal, which Fraction("1.5") would take
+    (lambda lines: _with_first_block_entry(lines, "1.5"), "invalid literal"),
+    (lambda lines: _with_first_block_entry(lines, "1e3"), "invalid literal"),
+    (lambda lines: [ln.replace("matrix block:1,4 1 2", "matrix block:1,4 x 2")
+                    for ln in lines], "bad matrix header"),
+    (lambda lines: [ln.replace("matrix block:1,4 1 2", "matrix block:1,4 -1 2")
+                    for ln in lines], "bad matrix header"),
+    (lambda lines: [ln.replace("matrix block:1,4 1 2", "matrix block:1,4 1")
+                    for ln in lines], "bad matrix header"),
+    (lambda lines: [ln + " x" if ln.startswith("dims ") else ln for ln in lines],
+     "bad dims line"),
+], ids=["zero-denominator", "negative-denominator", "decimal", "exponent",
+        "row-count", "negative-row-count", "short-header", "dims"])
+def test_a_corrupt_entry_or_header_is_a_cache_error(tmp_path, edit, message):
+    path = save_rep(tmp_path, verma.truncated_rep(C, H, 4))
+    lines = path.read_text().splitlines()[:-1]
+    assert "matrix block:1,4 1 2" in lines
+    _restamp(path, edit(lines))
+    with pytest.raises(CacheError, match=message):
+        load_rep(tmp_path, C, H, 4)
+
+
+def test_exact_entries_parse_to_the_written_fractions(tmp_path):
+    rep = acceptance._rep(Fraction(7, 10), Fraction(3, 5), 7)
+    path = save_rep(tmp_path, rep)
+    assert any("/" in ln and "-" in ln for ln in path.read_text().splitlines()
+               if not ln.startswith(("matrix", "digest", "c ", "h ")))
+    loaded = load_rep(tmp_path, rep.c, rep.h, 7)
+    for key, blk in rep.blocks.items():
+        other = loaded.blocks[key]
+        assert all(type(y) is Fraction and x == y
+                   for x, y in zip(blk.ravel(), other.ravel()))
