@@ -18,11 +18,12 @@ a_scale diag(left) a = conj(b_scale b)^T diag(right).
 
 The exact inner loops run over Python ints, not Fractions.  IntegerForm
 holds an exact matrix as integers over row and column scales: dot is
-the product of two forms, and block assembly and the bracket-relation
-sweep (verma) work on forms too.  adjoint_residual cross-multiplies the
-numerators and denominators of each entry, and psd_congruence is
-fraction-free (Bareiss) elimination.  Each forms a Fraction only for an
-entry that leaves it, and a check a float only for a nonzero entry.
+the product of two forms, psd_congruence is fraction-free (Bareiss)
+elimination that returns its basis and extraction rows as forms, and
+block assembly and the bracket-relation sweep (verma) work on forms
+too.  adjoint_residual cross-multiplies the numerators and denominators
+of each entry.  Each forms a Fraction only for an entry that leaves it,
+and a check a float only for a nonzero entry.
 """
 
 from __future__ import annotations
@@ -214,8 +215,9 @@ class IntegerForm:
     stand on either side); differences and rational multiples stay
     integer over common scales.  So an exact computation forms a
     Fraction only for an entry that leaves it (fractions), and a check a
-    float only for a nonzero entry (residual).  Forms are temporaries:
-    each lives only in the call that makes it.
+    float only for a nonzero entry (residual).  A form lives no longer
+    than the work that makes it: one product, one relation sweep, or,
+    for a level's congruence rows, one build.
     """
 
     num: np.ndarray
@@ -233,8 +235,7 @@ class IntegerForm:
 
     @staticmethod
     def by_cols(mat: np.ndarray) -> IntegerForm:
-        t = IntegerForm.by_rows(mat.T)
-        return IntegerForm(t.num.T, t.col, t.row)
+        return IntegerForm.by_rows(mat.T).T
 
     @staticmethod
     def whole(mat: np.ndarray) -> IntegerForm:
@@ -256,6 +257,14 @@ class IntegerForm:
     @property
     def shape(self) -> tuple[int, int]:
         return self.num.shape
+
+    @property
+    def T(self) -> IntegerForm:
+        return IntegerForm(self.num.T, self.col, self.row)
+
+    def __getitem__(self, rows: slice) -> IntegerForm:
+        """The form of a slice of the rows."""
+        return IntegerForm(self.num[rows], self.row[rows], self.col)
 
     def __matmul__(self, other: IntegerForm) -> IntegerForm:
         """The product, when the scales of the summed index factor out of
@@ -462,15 +471,31 @@ def exact_rank_nullspace(matrix: np.ndarray) -> tuple[int, list[np.ndarray]]:
     return len(piv_cols), null_basis
 
 
-def psd_congruence(matrix: np.ndarray) -> tuple[list[Fraction], np.ndarray, int]:
+def _integer_rows(rows: list[list[int]], scales: list[int], cols: int) -> IntegerForm:
+    """The form of rows[i] / scales[i], for int rows and positive int
+    scales, each row reduced by the gcd of its entries and its scale:
+    by_rows's integers for that matrix, with no Fraction formed."""
+    nums, dens = [], []
+    for row, s in zip(rows, scales):
+        g = math.gcd(s, *row)
+        nums.append([x // g for x in row])
+        dens.append(s // g)
+    return IntegerForm(_object(nums, (len(rows), cols)), _object(dens, len(rows)),
+                       _object([1] * cols, cols))
+
+
+def psd_congruence(matrix: np.ndarray) -> tuple[list[Fraction], IntegerForm, IntegerForm, int]:
     """Diagonalize a PSD exact-rational symmetric matrix by congruence.
 
-    Returns ``(d, basis, rank)`` with ``basis @ matrix @ basis.T`` diagonal,
-    ``d`` the diagonal (first ``rank`` entries positive, the rest zero), and
-    ``basis`` unimodular-triangular up to the pivoting permutation.  Rows of
-    ``basis`` beyond ``rank`` span the kernel (for PSD matrices the radical
-    and the kernel coincide).  The pivot at each step is the largest
-    remaining diagonal entry, the first one on ties.
+    Returns ``(d, basis, extract, rank)``: the n x n rows B of ``basis``
+    make B matrix B^T = diag(d), ``d`` positive in its first ``rank``
+    entries and zero after, and B is unimodular-triangular up to the
+    pivoting permutation; its rows beyond ``rank`` span the kernel (for
+    PSD matrices the radical and the kernel coincide).  ``extract`` holds
+    the rank extraction rows W = D^-1 B matrix, D = diag(d).  Both are
+    IntegerForms with by_rows's integers, and d holds the only Fractions.
+    The pivot at each step is the largest remaining diagonal entry, the
+    first one on ties.
 
     The elimination is fraction-free (symmetric Bareiss): the matrix is
     scaled to integers once by the lcm L of its denominators, and step t
@@ -483,7 +508,10 @@ def psd_congruence(matrix: np.ndarray) -> tuple[list[Fraction], np.ndarray, int]
     p_{t-1} e_r plus a combination of the states pivoted so far, so only
     that combination is stored, in pivot order.  Basis row t is its
     integer row over p_{t-1}, and rows at or beyond rank are over
-    p_{rank-1}.  Fractions are formed once, at the end.
+    p_{rank-1}.  Row r of the eliminated matrix is the integer row r of B
+    times L times the matrix, and it is zero before its diagonal; so
+    W_r = B_r matrix / d_r is the final upper-triangle row r over p_r,
+    scattered back to the original states, and takes no product.
 
     Raises IndefiniteMatrixError when a negative pivot shows up or when the
     remaining diagonal vanishes but the remaining block does not.
@@ -529,8 +557,9 @@ def psd_congruence(matrix: np.ndarray) -> tuple[list[Fraction], np.ndarray, int]
         for k, x in enumerate(combos[r]):
             basis[r][states[k]] = x
         basis[r][states[r]] = pivots[min(r, rank)]
+    pos = {state: j for j, state in enumerate(states)}  # each state's pivot position
+    extract = [[a[r][pos[s]] if pos[s] >= r else 0 for s in range(n)] for r in range(rank)]
     d = [Fraction(pivots[t + 1], pivots[t] * scale) for t in range(rank)]
     d += [Fraction(0)] * (n - rank)
-    scales = np.array([pivots[min(r, rank)] for r in range(n)], dtype=object)
-    return d, _FRACTION(np.array(basis, dtype=object).reshape(n, n),
-                        scales.reshape(n, 1)).reshape(n, n), rank
+    return (d, _integer_rows(basis, [pivots[min(r, rank)] for r in range(n)], n),
+            _integer_rows(extract, pivots[1:], n), rank)

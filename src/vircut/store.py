@@ -10,23 +10,24 @@ sha256 digest over everything above it.  Sections of other names are
 verified and parsed but not read, so files that also carry the per-level
 basis rows ("transform:k", written by earlier versions) still load.
 Exact-mode entries are written as p/q strings (q > 1) or integers p and
-parse back to the identical Fraction: p and q are read with int(), and
-each distinct entry text is parsed once per file.  Float-mode entries
-use float.hex(), which round-trips bit for bit.  Loading is strict about
-integrity and lenient about age: a wrong digest, a malformed body (a
-matrix header whose sizes are not nonnegative integers, an entry the
-writer cannot have written, such as 1/0 or the decimal 1.5), or block
-sections other than those of verma.block_keys(N) raise CacheError, while a
-file written under an older schema version is treated as absent so the
-caller rebuilds it.  Schema migration is deliberately not attempted.  A
-file is keyed by the (c, h) the representation was built at: the CLI's
-injected fault builds at 12c/13 and is cached there, never under the c
-it is labelled with.
+parse back to the identical Fraction: p and q are read with int() once
+the entry matches -?[0-9]+(/[0-9]+)? with q > 0, and each distinct entry
+text is parsed once per file.  Float-mode entries use float.hex(), which
+round-trips bit for bit.  Loading is strict about integrity and lenient
+about age: a wrong digest, a malformed body (a matrix header whose sizes
+are not nonnegative integers, an entry the writer cannot have written,
+such as 1/0, 1.5 or +3), or block sections other than those of
+verma.block_keys(N) raise CacheError, while a file written under an
+older schema version is treated as absent so the caller rebuilds it.
+Schema migration is deliberately not attempted.  A file is keyed by the
+(c, h) the representation was built at: the CLI's injected fault builds
+at 12c/13 and is cached there, never under the c it is labelled with.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -54,19 +55,25 @@ def _fmt_entry(x, mode: str) -> str:
     return float(x).hex()
 
 
+# p or p/q in ASCII digits, q with a nonzero digit
+_EXACT_ENTRY = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+
+
 def _parse_entry(s: str, mode: str):
     """One entry as written by _fmt_entry: an integer p or p/q with q > 0 in
-    exact mode, read with int(), and a float.hex() string in float mode.
+    exact mode, ASCII digits only, and a float.hex() string in float mode.
 
     Anything else (a decimal such as 1.5, which Fraction(str) would take,
-    or a zero denominator) raises ValueError.
+    +3, 1_0 or a non-ASCII digit, which int() would take, or a zero
+    denominator) raises ValueError.
     """
     if mode == "exact":
-        num, slash, den = s.partition("/")
-        q = int(den) if slash else 1
-        if q <= 0:
-            raise ValueError(f"entry {s!r} has a denominator that is not positive")
-        return Fraction(int(num), q)
+        match = _EXACT_ENTRY.fullmatch(s)
+        if match is None:
+            raise ValueError(f"invalid literal {s!r} for an exact entry: expected p or p/q "
+                             "in ASCII digits, with a positive denominator q")
+        num, den = match.groups()
+        return Fraction(int(num), int(den or 1))
     return float.fromhex(s)
 
 

@@ -9,7 +9,8 @@ Generators L_n, n in Z, with commutation relations
 acting on the span of monomials L_{-a1} L_{-a2} ... L_{-aj} Phi where
 (a1 >= a2 >= ... >= aj >= 1) runs over integer partitions and Phi is the
 lowest-weight vector (L_n Phi = 0 for n > 0, L_0 Phi = h Phi).  A monomial
-over a partition of k sits at energy level k (L_0 eigenvalue h + k).
+is its word, the tuple (a1, ..., aj); over a partition of k it sits at
+energy level k (L_0 eigenvalue h + k).
 
 Within one level the monomial basis is listed in reverse-lexicographic
 order, e.g. level 4 is (4), (3,1), (2,2), (2,1,1), (1,1,1,1).  All basis
@@ -25,13 +26,12 @@ of L_n on a monomial) are always computed with exact rationals.  "exact"
 mode keeps every matrix built from them exact: Gram matrices, the null
 quotient and the blocks, in a basis that is orthogonal with known
 rational norms squared (the D-basis).  Its matrix products run over
-the integers (rational.IntegerForm): the Gram recursion and the
-extraction rows through rational.dot, which forms one Fraction per
-entry of the result; block assembly on each level's extraction and
-basis rows, integerized once per build, so a block's Fractions are
-formed once, from the product of three integer matrices; and the
-relation sweep on integer forms of the blocks, which forms no Fraction
-at all.
+the integers (rational.IntegerForm): the Gram recursion through
+rational.dot, which forms one Fraction per entry of the result; block
+assembly on the basis and extraction rows that the congruence returns
+as integer forms, so a block's Fractions are formed once, from the
+product of three integer matrices; and the relation sweep on integer
+forms of the blocks, which forms no Fraction at all.
 "float" mode rounds each structure constant once to float64 and runs the
 same Gram recursion, the quotient and the block assembly in floating
 point, with blocks in an orthonormal basis; no Fraction array is formed,
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from typing import Iterable, Mapping, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -62,15 +62,12 @@ from .rational import (
 
 __all__ = [
     "is_admissible",
-    "Partition",
-    "VermaVector",
     "GramMatrix",
     "NonUnitaryError",
     "FloatRangeError",
     "TruncatedRep",
     "enumerate_partitions",
     "partition_count",
-    "act",
     "monomial_block",
     "gram_matrix",
     "gram_entry_direct",
@@ -100,31 +97,6 @@ def is_admissible(c) -> bool:
         m += 1
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing tuple of positive integers."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
-        if any(p <= 0 for p in parts):
-            raise ValueError(f"partition parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"partition parts must be weakly decreasing: {parts}")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-
 @lru_cache(maxsize=None)
 def _partition_tuples(k: int, max_part: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
     if k < 0:
@@ -144,67 +116,16 @@ def _partition_index(k: int) -> dict:
     return {w: i for i, w in enumerate(_partition_tuples(k))}
 
 
-def enumerate_partitions(k: int) -> list[Partition]:
-    """All partitions of k, reverse-lexicographic (largest first)."""
+def enumerate_partitions(k: int) -> list[tuple[int, ...]]:
+    """All partitions of k as tuples of parts, reverse-lexicographic
+    (largest first)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return [Partition(w) for w in _partition_tuples(k)]
+    return list(_partition_tuples(k))
 
 
 def partition_count(k: int) -> int:
     return len(_partition_tuples(k)) if k >= 0 else 0
-
-
-@dataclass(frozen=True)
-class VermaVector:
-    """Finite linear combination of monomials of one fixed level."""
-
-    coefficients: Mapping[Partition, Scalar]
-    level: int
-
-    def __post_init__(self):
-        coeffs = {p if isinstance(p, Partition) else Partition(tuple(p)): v
-                  for p, v in self.coefficients.items() if v != 0}
-        object.__setattr__(self, "coefficients", coeffs)
-        for p in coeffs:
-            if p.weight != self.level:
-                raise ValueError(f"monomial {p.parts} has weight {p.weight}, expected level {self.level}")
-
-    @staticmethod
-    def monomial(parts: Iterable[int]) -> "VermaVector":
-        p = Partition(tuple(parts))
-        return VermaVector({p: Fraction(1)}, p.weight)
-
-    @staticmethod
-    def zero(level: int = 0) -> "VermaVector":
-        return VermaVector({}, level)
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def __add__(self, other: "VermaVector") -> "VermaVector":
-        if not isinstance(other, VermaVector):
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.level != other.level:
-            raise ValueError("cannot add vectors of different levels")
-        out = dict(self.coefficients)
-        for p, v in other.coefficients.items():
-            out[p] = out.get(p, Fraction(0)) + v
-        return VermaVector(out, self.level)
-
-    def __sub__(self, other: "VermaVector") -> "VermaVector":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "VermaVector":
-        return VermaVector({p: scalar * v for p, v in self.coefficients.items()}, self.level)
-
-    def coefficient(self, parts) -> Scalar:
-        key = parts if isinstance(parts, Partition) else Partition(tuple(parts))
-        return self.coefficients.get(key, Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -251,22 +172,6 @@ def _act_word(n: int, word: tuple, c: Fraction, h: Fraction):
         if cc != 0:
             _bump(out, rest, cc)
     return tuple((w, a) for w, a in out.items() if a != 0)
-
-
-def act(n: int, v: VermaVector, c, h) -> VermaVector:
-    """L_n . v computed symbolically; result sits at level v.level - n.
-
-    Words pushed below level 0 annihilate (zero vector, never an error).
-    """
-    cv, hv = as_fraction(c), as_fraction(h)
-    out: dict = {}
-    for p, a in v.coefficients.items():
-        for w, b in _act_word(n, p.parts, cv, hv):
-            _bump(out, w, a * b)
-    level = v.level - n
-    if level < 0:
-        return VermaVector.zero(0)
-    return VermaVector({Partition(w): x for w, x in out.items() if x != 0}, level)
 
 
 def monomial_block(n: int, k: int, c, h, mode: str = "exact") -> Optional[np.ndarray]:
@@ -354,17 +259,23 @@ def gram_matrix(c, h, k: int, mode: str = "exact") -> GramMatrix:
     return GramMatrix(cv, hv, k, _gram_level(cv, hv, k, mode).copy())
 
 
-def gram_entry_direct(c, h, lam, mu) -> Fraction:
+def gram_entry_direct(c, h, lam: tuple, mu: tuple) -> Fraction:
     """Independent route to one Gram entry: adjoint word applied step by step.
 
-    <L_{-l1}...L_{-lj} Phi, m_mu> = coefficient of Phi in L_{l1}(...(L_{lj-...}))
-    applied largest part first.  Used as an oracle against gram_matrix.
+    <L_{-l1}...L_{-lj} Phi, m_mu> is the coefficient of Phi in
+    L_{lj} ... L_{l1} m_mu.  The vector is a dict from word to coefficient,
+    and L_{l1} is applied first, one _act_word per word; words pushed
+    below level 0 annihilate.  Used as an oracle against gram_matrix.
     """
-    lam_parts = tuple(lam.parts if isinstance(lam, Partition) else lam)
-    v = VermaVector.monomial(tuple(mu.parts if isinstance(mu, Partition) else mu))
-    for part in lam_parts:
-        v = act(part, v, c, h)
-    return v.coefficient(())
+    cv, hv = as_fraction(c), as_fraction(h)
+    vec = {tuple(mu): Fraction(1)}
+    for part in lam:
+        out: dict = {}
+        for word, a in vec.items():
+            for w, b in _act_word(part, word, cv, hv):
+                _bump(out, w, a * b)
+        vec = out
+    return vec.get((), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -448,22 +359,18 @@ class TruncatedRep:
 
 
 def _exact_level_data(c, h, N):
-    """Per-level (dims, norms D, basis rows B, extraction rows W) for exact mode."""
+    """Per-level (dims, norms D, basis rows B, extraction rows W = D^-1 B G)
+    for exact mode, B and W as psd_congruence's integer forms."""
     dims, normsq, basis_rows, extract = [], [], [], []
     for k in range(N + 1):
-        g = _gram_level(c, h, k, "exact")
         try:
-            d, basis, rank = psd_congruence(g)
+            d, basis, w, rank = psd_congruence(_gram_level(c, h, k, "exact"))
         except IndefiniteMatrixError as exc:
             raise NonUnitaryError(
                 f"Gram matrix at level {k} is indefinite for c={c}, h={h}: {exc}") from exc
-        b = basis[:rank]
-        w = dot(b, g)
-        for i in range(rank):
-            w[i, :] = w[i, :] / d[i]
         dims.append(rank)
         normsq.append(tuple(d[:rank]))
-        basis_rows.append(b)
+        basis_rows.append(basis[:rank])
         extract.append(w)
     return dims, normsq, basis_rows, extract
 
@@ -564,15 +471,12 @@ def truncated_rep(c, h, N: int, mode: str = "exact",
         else:
             raise ValueError(f"unknown arithmetic mode {mode!r}")
         normsq = tuple(normsq)
-        if mode == "exact":  # each level's rows integerized once, for all its blocks
-            extract_forms = [IntegerForm.by_rows(w) for w in extract]
-            basis_forms = [IntegerForm.by_cols(b.T) for b in basis_rows]
         blocks = {}
         for n, k in block_keys(N):
             mono = monomial_block(n, k, cv, hv, mode)
             if mode == "exact":
-                blocks[(n, k)] = (extract_forms[k - n] @ IntegerForm.whole(mono)
-                                  @ basis_forms[k]).fractions()
+                blocks[(n, k)] = (extract[k - n] @ IntegerForm.whole(mono)
+                                  @ basis_rows[k].T).fractions()
             else:
                 blocks[(n, k)] = np.asarray(dot(dot(extract[k - n], mono), basis_rows[k].T),
                                             dtype=np.float64)

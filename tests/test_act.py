@@ -1,61 +1,58 @@
-"""Symbolic action of the modes on monomial vectors."""
+"""Symbolic action of the modes on monomials: the monomial blocks of L_n
+and the adjoint route of gram_entry_direct."""
 
 from fractions import Fraction
 
-import pytest
-
-from vircut.verma import VermaVector, act
+from vircut.verma import enumerate_partitions, gram_entry_direct, monomial_block
 
 C = Fraction(1, 2)
 H = Fraction(0)
 
 
+def _column(n, word, c=C, h=H):
+    """L_n on the monomial word, as {word: coefficient} of its nonzero entries."""
+    k = sum(word)
+    block = monomial_block(n, k, c, h)
+    col = block[:, enumerate_partitions(k).index(word)]
+    return {w: x for w, x in zip(enumerate_partitions(k - n), col) if x != 0}
+
+
 def test_l0_is_the_level():
-    v = VermaVector.monomial((3, 2, 1))
-    out = act(0, v, C, Fraction(3))
     # L_0 on a level-6 monomial over lowest weight 3 gives (3 + 6) v
-    assert out.level == 6
-    assert out.coefficient((3, 2, 1)) == 9
+    block = monomial_block(0, 6, C, Fraction(3))
+    assert block.shape == (11, 11)
+    assert _column(0, (3, 2, 1), h=Fraction(3)) == {(3, 2, 1): 9}
+    assert all(block[i, j] == (9 if i == j else 0) for i in range(11) for j in range(11))
 
 
 def test_lowering_prepends_to_the_word():
-    v = VermaVector.monomial((2,))
-    out = act(-3, v, C, H)
-    assert out.level == 5
-    assert out.coefficient((3, 2)) == 1
+    assert monomial_block(-3, 2, C, H).shape == (7, 2)
+    assert _column(-3, (2,)) == {(3, 2): 1}
 
 
 def test_lowering_straightens_out_of_order_modes():
-    # L_{-1} L_{-2} = L_{-2} L_{-1} + [L_{-1}, L_{-2}] = L_{-2} L_{-1} + L_{-3}
-    v = VermaVector.monomial((1,))
-    out = act(-2, v, C, H)
-    assert out.coefficient((2, 1)) == 1
-    assert out.level == 3
+    # L_{-2} L_{-1} is already ordered; L_{-1} L_{-2} = L_{-2} L_{-1} + [L_{-1}, L_{-2}]
+    # = L_{-2} L_{-1} + L_{-3}
+    assert _column(-2, (1,)) == {(2, 1): 1}
+    assert _column(-1, (2,)) == {(2, 1): 1, (3,): 1}
 
 
 def test_commutator_on_vacuum_includes_central_term():
     # L_2 L_{-2} Omega = [L_2, L_{-2}] Omega = (4 L_0 + c/2) Omega
-    vac = VermaVector.monomial(())
-    up = act(2, act(-2, vac, C, H), C, H)
-    assert up.level == 0
-    assert up.coefficient(()) == 4 * H + C / 2
+    up = monomial_block(2, 2, C, H)[:, 0] @ monomial_block(-2, 0, C, H)[0]
+    assert up == 4 * H + C / 2
+    assert gram_entry_direct(C, H, (2,), (2,)) == 4 * H + C / 2
 
 
 def test_annihilation_above_the_top():
-    vac = VermaVector.monomial(())
-    assert act(1, vac, C, H).is_zero()
-    assert act(5, act(-2, vac, C, H), C, H).is_zero()
+    assert monomial_block(1, 0, C, H) is None
+    assert monomial_block(5, 2, C, H) is None
+    # the oracle's vector is pushed below level 0 and vanishes
+    assert gram_entry_direct(C, H, (5,), (2,)) == 0
+    assert gram_entry_direct(C, H, (1, 1, 1), (2,)) == 0
 
 
 def test_translation_recursion_on_vacuum():
-    # L_{-1} L_{-n} Omega = (n - 1) L_{-n-1} Omega
-    vac = VermaVector.monomial(())
+    # L_{-1} L_{-n} Omega = (n - 1) L_{-n-1} Omega + L_{-n} L_{-1} Omega
     for n in range(2, 8):
-        lhs = act(-1, act(-n, vac, C, H), C, H)
-        assert lhs.coefficient((n + 1,)) == n - 1
-        assert lhs.coefficient((n, 1)) == 1  # straightened remainder term
-
-
-def test_level_mismatch_rejected():
-    with pytest.raises(ValueError):
-        VermaVector({(2, 1): Fraction(1)}, level=2)
+        assert _column(-1, (n,)) == {(n + 1,): n - 1, (n, 1): 1}

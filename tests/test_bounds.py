@@ -67,6 +67,31 @@ def test_r_is_nondecreasing_in_the_truncation(r_n8):
     assert r4.constant <= r6.constant <= r_n8.constant
 
 
+# Closed-form cells.  At h = 0 and small c the largest ratio is an L_0 cell,
+# ||L_0 v_k||^2 / k^2 = 1; at h > 0 it is L_0 at level 1, (1 + h)^2; at large
+# c it is the vacuum cell ||L_{-N} Omega||^2 / N^3 = (c/12)(1 - 1/N^2), which
+# is also q_hat.
+@pytest.mark.parametrize("c, h, N, r_sq", [
+    *[(Fraction(c), Fraction(0), N, 1) for c in ("1/2", "7/10", "1", "2") for N in (8, 12)],
+    *[(Fraction(c), Fraction(h), 12, (1 + Fraction(h)) ** 2)
+      for c, h in (("7/10", "3/5"), ("7/10", "3/2"), ("1/2", "1/2"))],
+], ids=str)
+def test_r_reads_the_l0_cell(c, h, N, r_sq):
+    report = estimate_r(c, N, h=h)
+    assert report.constant == pytest.approx(float(r_sq), rel=1e-14, abs=0)
+    assert report.witness["n"] == 0
+
+
+@pytest.mark.parametrize("c, N", [(Fraction(100), 12), (Fraction(25), 8)], ids=str)
+def test_r_and_q_read_the_vacuum_cell_at_large_c(c, N):
+    r = estimate_r(c, N)
+    q = estimate_q(c, N, r_report=r)
+    want = float(c / 12 * (1 - Fraction(1, N * N)))
+    assert r.constant == pytest.approx(want, rel=1e-14, abs=0)
+    assert q.constant == pytest.approx(want, rel=1e-14, abs=0)
+    assert r.witness["n"] == q.witness["n"] == -N
+
+
 # ---------------------------------------------------------------------------
 # heat-commutator constant q
 

@@ -87,18 +87,41 @@ def _kac_product(c, h, k):
 
 
 def _congruence_determinant(c, h, k):
-    d, _, rank = psd_congruence(gram_matrix(c, h, k).entries)
+    d, _, _, rank = psd_congruence(gram_matrix(c, h, k).entries)
     assert rank == partition_count(k)
     return math.prod(d, start=Fraction(1))
 
 
-@pytest.mark.parametrize("k", range(7))
+def _elimination_determinant(c, h, k):
+    """det G_k by plain Fraction Gaussian elimination on a list copy, first
+    nonzero pivot down each column; shares no code with the builder."""
+    a = [list(row) for row in gram_matrix(c, h, k).entries.tolist()]
+    det = Fraction(1)
+    for t in range(len(a)):
+        piv = next((i for i in range(t, len(a)) if a[i][t] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != t:
+            a[t], a[piv] = a[piv], a[t]
+            det = -det
+        det *= a[t][t]
+        for r in range(t + 1, len(a)):
+            f = a[r][t] / a[t][t]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[t])]
+    return det
+
+
+@pytest.mark.parametrize("k", range(9))
 def test_congruence_determinant_follows_the_kac_formula(k):
     # det G_k = C_k Prod (h - h_{r,s}(c))^{p(k-rs)}, with C_k independent of
-    # (c, h); two points with c > 1 and h > 0 (full rank) cancel it
+    # (c, h); two points with c > 1 and h > 0 (full rank) cancel it.  The
+    # determinant is read twice: from the congruence the builder uses, and
+    # from a Fraction elimination of its own.
     one, two = (Fraction(2), Fraction(1)), (Fraction(17, 3), Fraction(2, 7))
-    assert (_congruence_determinant(*one, k) / _congruence_determinant(*two, k)
-            == _kac_product(*one, k) / _kac_product(*two, k))
+    want = _kac_product(*one, k) / _kac_product(*two, k)
+    for det in (_congruence_determinant, _elimination_determinant):
+        assert det(*one, k) / det(*two, k) == want
 
 
 def test_kac_product_vanishes_on_the_kac_table():

@@ -145,8 +145,9 @@ def test_psd_congruence_diagonalizes():
     m = np.array([[Fraction(2), Fraction(1), Fraction(0)],
                   [Fraction(1), Fraction(2), Fraction(1)],
                   [Fraction(0), Fraction(1), Fraction(2)]], dtype=object)
-    d, basis, rank = psd_congruence(m)
+    d, basis, _, rank = psd_congruence(m)
     assert rank == 3 and all(x > 0 for x in d[:rank])
+    basis = basis.fractions()
     prod = basis.dot(m).dot(basis.T)
     for i in range(3):
         for j in range(3):
@@ -156,9 +157,9 @@ def test_psd_congruence_diagonalizes():
 def test_psd_congruence_detects_kernel():
     m = np.array([[Fraction(1), Fraction(1)],
                   [Fraction(1), Fraction(1)]], dtype=object)
-    d, basis, rank = psd_congruence(m)
+    d, basis, _, rank = psd_congruence(m)
     assert rank == 1 and d[1] == 0
-    v = basis[1]
+    v = basis.fractions()[1]
     assert all(x == 0 for x in m.dot(v))
 
 
@@ -344,13 +345,23 @@ def _assert_congruence_matches_the_oracle(m):
             psd_congruence(m)
         assert str(got.value) == str(exc)
         return
-    d, basis, rank = psd_congruence(m)
+    d, basis, extract, rank = psd_congruence(m)
     assert rank == want[2]
     assert len(d) == len(want[0]) and all(x == y for x, y in zip(d, want[0]))
-    assert basis.dtype == object and basis.shape == want[1].shape
-    assert all(x == y for x, y in zip(basis.ravel(), want[1].ravel()))
     assert all(type(x) is Fraction for x in d)
-    assert all(type(x) is Fraction for x in basis.ravel())
+    rows = basis.fractions()
+    assert rows.shape == want[1].shape
+    assert all(x == y for x, y in zip(rows.ravel(), want[1].ravel()))
+    # W = D^-1 B m, from the oracle's rows by a numpy product on Fractions
+    w = want[1][:rank].dot(np.array(m, dtype=object))
+    w = w / np.array(want[0][:rank], dtype=object).reshape(rank, 1)
+    assert extract.shape == w.shape
+    assert all(x == y for x, y in zip(extract.fractions().ravel(), w.ravel()))
+    # both forms hold the integers by_rows gives for their matrices
+    for form, mat in ((basis, rows), (extract, w)):
+        ref = IntegerForm.by_rows(mat)
+        assert ref.num.tolist() == form.num.tolist() and ref.row.tolist() == form.row.tolist()
+        assert form.col.tolist() == [1] * mat.shape[1]
 
 
 _SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=6)

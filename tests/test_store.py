@@ -19,8 +19,10 @@ from vircut.store import (
 
 C, H = Fraction(1, 2), Fraction(0)
 
-# SHA-256 of exact cache files, recorded when every exact product still ran
-# through np.dot on Fraction object arrays.
+# SHA-256 of exact cache files.  The first two were recorded when every
+# exact product still ran through np.dot on Fraction object arrays, the
+# third, (1, 1/4, 10), whose quotient drops rank from level 2 on, while the
+# congruence still returned Fraction rows.
 PINNED = json.loads((Path(__file__).parent / "data" / "exact_cache_sha256.json").read_text())
 
 
@@ -228,6 +230,10 @@ def _with_first_block_entry(lines, text):
     # the writer never emits a decimal, which Fraction("1.5") would take
     (lambda lines: _with_first_block_entry(lines, "1.5"), "invalid literal"),
     (lambda lines: _with_first_block_entry(lines, "1e3"), "invalid literal"),
+    # int() would read these three as 10/3, 3/4 and 3
+    (lambda lines: _with_first_block_entry(lines, "1_0/3"), "invalid literal"),
+    (lambda lines: _with_first_block_entry(lines, "\u0663/4"), "invalid literal"),
+    (lambda lines: _with_first_block_entry(lines, "+3"), "invalid literal"),
     (lambda lines: [ln.replace("matrix block:1,4 1 2", "matrix block:1,4 x 2")
                     for ln in lines], "bad matrix header"),
     (lambda lines: [ln.replace("matrix block:1,4 1 2", "matrix block:1,4 -1 2")
@@ -237,7 +243,8 @@ def _with_first_block_entry(lines, text):
     (lambda lines: [ln + " x" if ln.startswith("dims ") else ln for ln in lines],
      "bad dims line"),
 ], ids=["zero-denominator", "negative-denominator", "decimal", "exponent",
-        "row-count", "negative-row-count", "short-header", "dims"])
+        "underscore", "arabic-indic-digit", "plus-sign", "row-count", "negative-row-count",
+        "short-header", "dims"])
 def test_a_corrupt_entry_or_header_is_a_cache_error(tmp_path, edit, message):
     path = save_rep(tmp_path, verma.truncated_rep(C, H, 4))
     lines = path.read_text().splitlines()[:-1]
