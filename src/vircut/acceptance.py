@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import fminbound
 
 from . import bounds, fields, smear, verma
 
@@ -108,30 +108,40 @@ def criterion_translation_recursion() -> tuple[bool, str]:
                 f"propagation exact={checks['propagation_exact']}")
 
 
-def _fm_grid_best(k: int, m: int, grid: np.ndarray) -> float:
-    vals = (np.exp(-grid * k) - np.exp(-grid * (k + m))) ** 2
+def _heat_search_grid() -> tuple[np.ndarray, list[np.ndarray]]:
+    """The heat-sup search grid and rows[j] = e^{-grid j} for j <= 100,
+    built once for all cells (k + m <= 100)."""
+    grid = np.logspace(-6, math.log10(60.0), 2000)
+    return grid, [np.exp(-grid * j) for j in range(101)]
+
+
+def _fm_grid_best(k: int, m: int, grid: np.ndarray, rows: list[np.ndarray]
+                  ) -> float:
+    """Grid maximum of (e^{-eps k} - e^{-eps (k+m)})^2, refined by a bounded
+    search between the neighbours of the best grid point; rows[j] holds
+    e^{-grid j}."""
+    vals = (rows[k] - rows[k + m]) ** 2
     i = int(vals.argmax())
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
 
     def neg(e):
         return -((math.exp(-e * k) - math.exp(-e * (k + m))) ** 2)
 
-    res = minimize_scalar(neg, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-14})
-    return max(float(vals[i]), float(-res.fun))
+    _, fun, _, _ = fminbound(neg, lo, hi, xtol=1e-14, full_output=True, disp=0)
+    return max(float(vals[i]), float(-fun))
 
 
 def criterion_heat_sup() -> tuple[bool, str]:
     """Closed-form sup of the heat factor against a bracketed grid search
     for all k <= 50, m <= 50, to relative error 1e-6, plus the uniform
     bound sup^2 <= (m/(k+m))^2."""
-    grid = np.logspace(-6, math.log10(60.0), 2000)
+    grid, rows = _heat_search_grid()
     worst_rel = 0.0
     violations = 0
     for k in range(51):
         for m in range(1, 51):
             _, sup_sq = smear.fm_sup(k, m)
-            best = _fm_grid_best(k, m, grid)
+            best = _fm_grid_best(k, m, grid, rows)
             worst_rel = max(worst_rel, abs(best - sup_sq) / sup_sq)
             if sup_sq > (m / (k + m)) ** 2 * (1 + 1e-15):
                 violations += 1

@@ -297,6 +297,11 @@ def decay_report(field, n_max: int) -> BoundReport:
     )
 
 
+# Selected modes per block of the weight series: the block's (n W, W)
+# buffer is 512 KiB, so the running sums stay in cache.
+_BLOCK = 1 << 15
+
+
 def _weight_series_chunks(field: PiecewiseMobiusField, k_points: Sequence[int],
                           chunk: int = 1 << 21):
     """Cumulative n*W and W sums of the piecewise field's weight series.
@@ -305,6 +310,12 @@ def _weight_series_chunks(field: PiecewiseMobiusField, k_points: Sequence[int],
     up to max(k_points), in chunks of `chunk` consecutive integers; yields
     (k, cum_nW(k), cum_W(k)) per requested point plus the grand totals.
     The support's modes are positive, so |f_hat(n)| is the real kernel.
+
+    The chunks fix the rounding: each chunk's running sums start at 0 and
+    its totals are then added to the grand carry.  Inside a chunk the
+    running sums walk blocks of _BLOCK selected modes through one (n W, W)
+    buffer, whose first row is seeded with the sums so far; that is the
+    same sequential sum, so the blocks change no bit.
     """
     k_points = sorted(set(int(k) for k in k_points))
     n_max = k_points[-1]
@@ -313,29 +324,32 @@ def _weight_series_chunks(field: PiecewiseMobiusField, k_points: Sequence[int],
     out = {}
     targets = iter(k_points)
     target = next(targets)
+    buf = np.empty((_BLOCK, 2))
     lo = 2
     while lo <= n_max:
         hi = min(lo + chunk - 1, n_max)
         while target is not None and target < lo:
             out[target] = (cum_v, cum_w)
             target = next(targets, None)
-        sel = np.arange(lo + (2 - lo) % 4, hi + 1, 4, dtype=np.float64)
-        if sel.size:
-            w = 2.0 * field.closed_kernel(sel) * (1.0 + sel ** 1.5)
-            v = sel * w
-            cw = np.cumsum(w)
-            cv = np.cumsum(v)
-            while target is not None and lo <= target <= hi:
+        run_v = run_w = 0.0
+        for start in range(lo + (2 - lo) % 4, hi + 1, 4 * _BLOCK):
+            sel = np.arange(start, min(start + 4 * _BLOCK, hi + 1), 4,
+                            dtype=np.float64)
+            rows = buf[:sel.size]
+            rows[:, 1] = 2.0 * field.closed_kernel(sel) * (1.0 + sel ** 1.5)
+            np.multiply(sel, rows[:, 1], out=rows[:, 0])
+            rows[0, 0] += run_v
+            rows[0, 1] += run_w
+            np.cumsum(rows, axis=0, out=rows)
+            # targets past the chunk's last mode read the carry after it
+            while target is not None and target <= sel[-1]:
                 idx = int(np.searchsorted(sel, target + 0.5)) - 1
-                out[target] = (cum_v + (cv[idx] if idx >= 0 else 0.0),
-                               cum_w + (cw[idx] if idx >= 0 else 0.0))
+                out[target] = ((cum_v + rows[idx, 0], cum_w + rows[idx, 1])
+                               if idx >= 0 else (cum_v + run_v, cum_w + run_w))
                 target = next(targets, None)
-            cum_v += float(cv[-1])
-            cum_w += float(cw[-1])
-        else:
-            while target is not None and lo <= target <= hi:
-                out[target] = (cum_v, cum_w)
-                target = next(targets, None)
+            run_v, run_w = float(rows[-1, 0]), float(rows[-1, 1])
+        cum_v += run_v
+        cum_w += run_w
         lo = hi + 1
     for k in k_points:
         if k not in out:

@@ -27,7 +27,8 @@ Two kinds of fields appear:
   - closed_form, the exact scalar a = 8i/(n (n^2-1)) with f_hat(n) = a/pi:
     fourier_coefficient, and through it coefficient_rows and the CSVs.
   - coefficient_exact, the exact arc integrals of trigonometric monomials
-    as (a, b) with f_hat(n) = a/pi + b: only the oracle, read by the
+    as (a, b) with f_hat(n) = a/pi + b, summed over the Gaussian integers
+    with one fraction per monomial: only the oracle, read by the
     piecewise-field criterion and the tests.
 
 The scale for smearing bounds is norm_three_halves, the weighted l^1 sum
@@ -188,22 +189,37 @@ class PiecewiseMobiusField:
 
     pieces: tuple[tuple[CFrac, CFrac, CFrac], ...]
 
+    def __post_init__(self):
+        if any(g.re.denominator != 1 or g.im.denominator != 1
+               for piece in self.pieces for g in piece):
+            raise ValueError("Mobius pieces need Gaussian-integer coefficients")
+
     def coefficient_exact(self, n: int) -> tuple[CFrac, CFrac]:
         """Exact Fourier coefficient as (a, b) with f_hat(n) = a/pi + b.
 
-        Twelve arc integrals per mode: the oracle for closed_form.
+        The oracle for closed_form, from the arc integrals of the monomials
+        e^{i d theta}, d = m - n: over piece j's arc that integral is
+        (i^d - 1) i^{dj}/(i d), or pi/2 when d = 0.  The pieces are
+        Gaussian integers and a power of i rotates an integer pair, so for
+        each m the four arcs sum over the integers and form one fraction.
+        The 1/(2 pi) normalization halves everything.
         """
-        a_total = CFrac(0)
-        b_total = CFrac(0)
-        for j in range(4):
-            for m in (-1, 0, 1):
-                g = self.pieces[j][m + 1]
-                a, b = _arc_integral(m - n, j)
-                a_total = a_total + g * a
-                b_total = b_total + g * b
-        # arc integrals came back as a_total + b_total * pi; the 1/(2 pi)
-        # normalization turns that into (a_total/2)/pi + b_total/2
-        return a_total / 2, b_total / 2
+        a = CFrac(0)
+        b = CFrac(0)
+        for m in (-1, 0, 1):
+            d = m - n
+            x = y = 0  # Sum_j g_{j,m} i^{dj}
+            for j, piece in enumerate(self.pieces):
+                g = piece[m + 1]
+                gx, gy = _rotate(g.re.numerator, g.im.numerator, d * j)
+                x, y = x + gx, y + gy
+            if d == 0:
+                b = CFrac(Fraction(x, 4), Fraction(y, 4))  # (pi/2) (x + iy)/(2 pi)
+            else:
+                rx, ry = _rotate(x, y, d)
+                x, y = rx - x, ry - y  # times i^d - 1
+                a = a + CFrac(Fraction(y, 2 * d), Fraction(-x, 2 * d))  # /(2 i d)
+        return a, b
 
     @property
     def decay_constant(self) -> float:
@@ -236,12 +252,9 @@ class PiecewiseMobiusField:
         return np.where(ns % 4 == 2, values, 0)
 
 
-def _arc_integral(d: int, j: int) -> tuple[CFrac, CFrac]:
-    """Integral of e^{i d theta} over [j pi/2, (j+1) pi/2], as (a, b) = a + b pi."""
-    if d == 0:
-        return CFrac(0), CFrac(Fraction(1, 2))
-    num = _ipow(d * (j + 1)) - _ipow(d * j)
-    return CFrac(num.im / d, -num.re / d), CFrac(0)  # num / (i d)
+def _rotate(x: int, y: int, k: int) -> tuple[int, int]:
+    """(x + iy) i^k as an integer pair."""
+    return ((x, y), (-y, x), (-x, -y), (y, -x))[k % 4]
 
 
 def build_piecewise_mobius() -> PiecewiseMobiusField:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from vircut.bounds import (
+    _BLOCK,
     _weight_series_chunks,
     decay_report,
     default_eps_grid,
@@ -20,15 +21,16 @@ from vircut.bounds import (
     mollifier_report,
 )
 from vircut.cli import write_rows_csv
-from vircut.fields import FEJER, cosine_field, mode_field
+from vircut.fields import FEJER, PiecewiseMobiusField, cosine_field, mode_field
 
 # Frozen from independent sweeps of the c = 1/2 vacuum module at N = 8.
 R_SQ_N8 = 1.0000000000000002
 Q_HAT_N8 = 0.13011474896219252
 
-# float.hex of every rung of the glued field's Fejer ladder to 2^23 (four
-# 2^21 chunks of the weight series), recorded while the series still read
-# |f_hat(n)| through the complex closed form.
+# float.hex of every rung of the glued field's Fejer ladder: "mollifier" to
+# 2^23 (four 2^21 chunks of the weight series), recorded while the series
+# still read |f_hat(n)| through the complex closed form; "mollifier_2_26"
+# to 2^26, recorded while each chunk still ran one cumsum over all its modes.
 GLUED_BITS = json.loads(
     (Path(__file__).parent / "data" / "glued_field_bits.json").read_text())
 
@@ -249,12 +251,63 @@ def test_bounds_sweep_script_fails_on_an_ill_conditioned_rep(tmp_path):
     assert dict(zip(header.split(","), row.split(",")))["verdicts_ok"] == "False"
 
 
+def _ladder_bits(report):
+    return [{"k": row["k"], "error": float.hex(row["error"]),
+             "tail_bound": float.hex(row["tail_bound"])} for row in report.table]
+
+
 def test_piecewise_mollifier_bits_are_pinned(piecewise):
     pin = GLUED_BITS["mollifier"]
     report = mollifier_report(piecewise, FEJER, k_max=pin["k_max"])
-    got = [{"k": row["k"], "error": float.hex(row["error"]),
-            "tail_bound": float.hex(row["tail_bound"])} for row in report.table]
-    assert got == pin["rows"]
+    assert _ladder_bits(report) == pin["rows"]
+
+
+def test_the_full_criterion_ladder_to_2_26_is_pinned(piecewise):
+    # the acceptance criterion's ladder: 32 chunks of 2^21, 512 blocks
+    pin = GLUED_BITS["mollifier_2_26"]
+    assert pin["k_max"] == 1 << 26
+    report = mollifier_report(piecewise, FEJER, k_max=pin["k_max"])
+    assert _ladder_bits(report) == pin["rows"]
+
+
+def _full_chunk_series(field, k_points, chunk):
+    """The weight series with one cumsum per whole chunk, as it ran before
+    the chunks were split into blocks."""
+    k_points = sorted(set(int(k) for k in k_points))
+    n_max = k_points[-1]
+    cum_v = 0.0
+    cum_w = 0.0
+    out = {}
+    targets = iter(k_points)
+    target = next(targets)
+    lo = 2
+    while lo <= n_max:
+        hi = min(lo + chunk - 1, n_max)
+        while target is not None and target < lo:
+            out[target] = (cum_v, cum_w)
+            target = next(targets, None)
+        sel = np.arange(lo + (2 - lo) % 4, hi + 1, 4, dtype=np.float64)
+        if sel.size:
+            w = 2.0 * PiecewiseMobiusField.closed_kernel(sel) * (1.0 + sel ** 1.5)
+            v = sel * w
+            cw = np.cumsum(w)
+            cv = np.cumsum(v)
+            while target is not None and lo <= target <= hi:
+                idx = int(np.searchsorted(sel, target + 0.5)) - 1
+                out[target] = (cum_v + (cv[idx] if idx >= 0 else 0.0),
+                               cum_w + (cw[idx] if idx >= 0 else 0.0))
+                target = next(targets, None)
+            cum_v += float(cv[-1])
+            cum_w += float(cw[-1])
+        else:
+            while target is not None and lo <= target <= hi:
+                out[target] = (cum_v, cum_w)
+                target = next(targets, None)
+        lo = hi + 1
+    for k in k_points:
+        if k not in out:
+            out[k] = (cum_v, cum_w)
+    return out, cum_v, cum_w
 
 
 # Chunk boundaries: at chunk size s the chunks start at lo = 2 + s i and end
@@ -262,15 +315,25 @@ def test_piecewise_mollifier_bits_are_pinned(piecewise):
 # below and 5, 6, 11, 65, 129, 1025, 2049 close one.
 CARRY_LADDER = [1, 2, 5, 6, 7, 11, 12, 65, 66, 129, 130, 1025, 1026, 2049, 3001]
 
+# A block spans 4 _BLOCK integers.  Within 6 of these multiples of it lie,
+# at every block-sized chunk below, a block's first and last selected mode
+# and targets between two blocks, before the next block's first mode.
+SPAN = 4 * _BLOCK
+BLOCK_LADDER = [edge + d for edge in (SPAN, 2 * SPAN, 3 * SPAN, 16 * SPAN, 17 * SPAN)
+                for d in range(-6, 7)]
 
-@pytest.mark.parametrize("chunk", [4, 5, 64, 1024])
+
+@pytest.mark.parametrize("chunk", [4, 5, 64, 1024, SPAN - 4, SPAN, SPAN + 4,
+                                   3 * SPAN + 8, 1 << 21])
 def test_weight_series_carries_across_chunks(piecewise, chunk):
-    want, want_v, want_w = _weight_series_chunks(piecewise, CARRY_LADDER)
-    got, got_v, got_w = _weight_series_chunks(piecewise, CARRY_LADDER, chunk=chunk)
-    assert sorted(got) == CARRY_LADDER
-    for k in CARRY_LADDER:
-        assert got[k] == pytest.approx(want[k], rel=1e-13, abs=0.0)
-    assert (got_v, got_w) == pytest.approx((want_v, want_w), rel=1e-13, abs=0.0)
+    # a chunk of a few modes costs a Python loop step, so only chunks of a
+    # thousand integers and more walk the block ladder past 2^21
+    ladder = CARRY_LADDER + (BLOCK_LADDER if chunk >= 1024 else [])
+    want, want_v, want_w = _full_chunk_series(piecewise, ladder, chunk)
+    got, got_v, got_w = _weight_series_chunks(piecewise, ladder, chunk=chunk)
+    assert sorted(got) == ladder
+    assert got == want
+    assert (got_v, got_w) == (want_v, want_w)
 
 
 def test_report_csv_round_trip(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from vircut.fields import (
     CORNERS,
     FourierField,
+    PiecewiseMobiusField,
     bracket_with_cocycle,
     build_piecewise_mobius,
     coefficient_rows,
@@ -130,6 +131,41 @@ def test_second_derivative_jumps_have_magnitude_four(piecewise):
         left, right = one_sided_derivatives(piecewise, corner, 2)
         assert abs(right - left) == 4
         assert abs(left) == 2 and abs(right) == 2
+
+
+def _arc_integral(d, j):
+    """Integral of e^{i d theta} over [j pi/2, (j+1) pi/2], as (a, b) = a + b pi."""
+    if d == 0:
+        return CFrac(0), CFrac(Fraction(1, 2))
+    units = (CFrac(1, 0), CFrac(0, 1), CFrac(-1, 0), CFrac(0, -1))
+    num = units[d * (j + 1) % 4] - units[d * j % 4]
+    return CFrac(num.im / d, -num.re / d), CFrac(0)  # num / (i d)
+
+
+def _coefficient_by_arc_fractions(field, n):
+    """Twelve arc integrals in CFrac arithmetic: the oracle's oracle."""
+    a_total = CFrac(0)
+    b_total = CFrac(0)
+    for j in range(4):
+        for m in (-1, 0, 1):
+            g = field.pieces[j][m + 1]
+            a, b = _arc_integral(m - n, j)
+            a_total = a_total + g * a
+            b_total = b_total + g * b
+    # the arc integrals sum to a_total + b_total pi; 1/(2 pi) normalizes
+    return a_total / 2, b_total / 2
+
+
+def test_integer_arc_sums_equal_the_fraction_arc_integrals(piecewise):
+    for n in range(-400, 401):
+        assert piecewise.coefficient_exact(n) == _coefficient_by_arc_fractions(
+            piecewise, n), n
+
+
+def test_pieces_must_be_gaussian_integers(piecewise):
+    half = CFrac(Fraction(1, 2))
+    with pytest.raises(ValueError, match="Gaussian-integer"):
+        PiecewiseMobiusField(((half, half, half),) + piecewise.pieces[1:])
 
 
 def test_closed_form_coefficients(piecewise):
