@@ -50,13 +50,10 @@ def main() -> int:
     print(f"{args.samples} samples, {len(rows)} modes up to |n| <= {args.cutoff}")
     print(f"worst pointwise series gap: {worst:.3e}")
     print("corners (value left/right, d1 left/right, d2 left/right):")
-    values = fields.corner_values(field)
-    for corner, label in zip(fields.CORNERS, ("1", "i", "-1", "-i")):
-        v = values[corner]
-        d1 = fields.one_sided_derivatives(field, corner, 1)
-        d2 = fields.one_sided_derivatives(field, corner, 2)
-        print(f"  z = {label:>2}: value {v[0]}/{v[1]}, d1 {d1[0]}/{d1[1]}, "
-              f"d2 {d2[0]}/{d2[1]} (jump {abs(d2[1] - d2[0])})")
+    for row in fields.corner_table(field):
+        print(f"  z = {row['corner']:>2}: value {row['value_left']}/{row['value_right']}, "
+              f"d1 {row['d1_left']}/{row['d1_right']}, "
+              f"d2 {row['d2_left']}/{row['d2_right']} (jump {row['d2_jump']})")
     norm = fields.norm_three_halves(field, args.cutoff)
     print(f"|f|_3/2 partial {norm.partial_sum!r} + tail bound {norm.tail_bound!r}")
     print(f"wrote {out / 'profile.csv'} and {out / 'coefficients.csv'}")

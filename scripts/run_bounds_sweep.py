@@ -35,13 +35,15 @@ def main() -> int:
     ap.add_argument("--h", default="0", help="lowest weight, p/q")
     ap.add_argument("--levels", default="4:10",
                     help="truncation levels, lo:hi or comma list")
-    ap.add_argument("--eps-grid", default="1e-4:20:200", metavar="LO:HI:COUNT")
+    ap.add_argument("--eps-grid", default=bounds.DEFAULT_EPS_GRID, metavar="LO:HI:COUNT")
     ap.add_argument("--out", default="out/bounds_sweep", help="output directory")
     args = ap.parse_args()
 
     c, h = Fraction(args.c), Fraction(args.h)
-    lo, hi, count = args.eps_grid.split(":")
-    grid = bounds.default_eps_grid(float(lo), float(hi), int(count))
+    try:
+        grid = bounds.parse_eps_grid(args.eps_grid)
+    except ValueError as exc:
+        ap.error(str(exc))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

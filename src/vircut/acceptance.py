@@ -20,7 +20,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import fminbound
@@ -34,18 +33,6 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
-
-
-# Reps are shared across criteria (and with the test fixtures); the key
-# is everything the build depends on.
-@lru_cache(maxsize=None)
-def _rep_cached(c: Fraction, h: Fraction, N: int, mode: str,
-                basis: str) -> verma.TruncatedRep:
-    return verma.truncated_rep(c, h, N, mode=mode, basis=basis)
-
-
-def _rep(c, h, N: int, mode: str = "exact", basis: str = "quotient"):
-    return _rep_cached(Fraction(c), Fraction(h), N, mode, basis)
 
 
 C_VALUES = (Fraction(1, 2), Fraction(7, 10), Fraction(1), Fraction(2))
@@ -65,12 +52,10 @@ def criterion_virasoro_relations() -> tuple[bool, str]:
     for c in C_VALUES:
         for h in H_VALUES:
             for mode in ("exact", "float"):
-                basis = "quotient"
                 try:
-                    rep = _rep(c, h, 8, mode)
+                    rep = verma.truncated_rep(c, h, 8, mode)
                 except verma.NonUnitaryError:
-                    basis = "monomial"
-                    rep = _rep(c, h, 8, mode, basis)
+                    rep = verma.truncated_rep(c, h, 8, mode, basis="monomial")
                     if mode == "exact":
                         fallbacks.append(f"c={c},h={h}")
                 summary = verma.relation_residual_summary(rep, max_mode=3)
@@ -90,7 +75,7 @@ def criterion_vacuum_spectrum() -> tuple[bool, str]:
     ok = True
     dims = []
     for c in C_VALUES:
-        rep = _rep(c, 0, 8)
+        rep = verma.truncated_rep(c, 0, 8)
         ok = ok and rep.dim(1) == 0 and rep.dim(2) == 1
         dims.append(f"c={c}: {list(rep.level_dims[:3])}")
     return ok, "; ".join(dims)
@@ -99,7 +84,7 @@ def criterion_vacuum_spectrum() -> tuple[bool, str]:
 def criterion_translation_recursion() -> tuple[bool, str]:
     """L_{-1} L_{-n} acting on the vacuum equals (n-1) L_{-n-1} exactly,
     n = 2..11 at N = 12, plus the level-2 seed and its propagation."""
-    rep = _rep(Fraction(1, 2), 0, 12)
+    rep = verma.truncated_rep(Fraction(1, 2), 0, 12)
     checks = smear.lemma_recursion_checks(rep)
     ok = (checks["level2_dimension_one"] and checks["recursion_exact"]
           and checks["propagation_exact"])
@@ -157,7 +142,7 @@ def criterion_commutator_chain() -> tuple[bool, str]:
     """c = 1/2, N = 16 sweep: q_hat <= 3 r_hat^2 from the same build, and
     the per-level heat-difference identity to 1e-12 relative."""
     c, N = Fraction(1, 2), 16
-    rep = _rep(c, 0, N, "float")
+    rep = verma.truncated_rep(c, 0, N, "float")
     r_report = bounds.estimate_r(c, N, rep=rep)
     q_report = bounds.estimate_q(c, N, rep=rep, r_report=r_report)
     chain_ok = bool(q_report.derived["chain_ok"])
@@ -181,12 +166,10 @@ def criterion_piecewise_field() -> tuple[bool, str]:
     closed form (zero unless n = 2 mod 4) exactly and by quadrature, and
     the decay constant is stable between mode cutoffs 200 and 400."""
     pw = fields.build_piecewise_mobius()
-    corner_vals = fields.corner_values(pw)
-    corners_ok = all(v == (0, 0) for v in corner_vals.values())
-    d1_ok = all(l == r for l, r in
-                (fields.one_sided_derivatives(pw, p, 1) for p in fields.CORNERS))
-    jumps = [abs(r - l) for l, r in
-             (fields.one_sided_derivatives(pw, p, 2) for p in fields.CORNERS)]
+    corners = fields.corner_table(pw)
+    corners_ok = all(row["value_left"] == row["value_right"] == 0 for row in corners)
+    d1_ok = all(row["d1_left"] == row["d1_right"] for row in corners)
+    jumps = [row["d2_jump"] for row in corners]
     d2_ok = all(j == 4 for j in jumps)
 
     modes_ok = True
@@ -216,7 +199,7 @@ def criterion_vacuum_nonvanishing() -> tuple[bool, str]:
     closed form matches the matrix route to 1e-8 at matched cutoff."""
     pw = fields.build_piecewise_mobius()
     c = Fraction(1, 2)
-    rep = _rep(c, 0, 8, "float")
+    rep = verma.truncated_rep(c, 0, 8, "float")
     closed = smear.vacuum_norm(pw, c, cutoff=8)
     matrix = smear.vacuum_norm_from_rep(smear.smear(rep, pw, cutoff=8))
     diff = abs(float(closed) - float(matrix))
@@ -239,8 +222,8 @@ def criterion_mollifier() -> tuple[bool, str]:
 
 def criterion_central_charges() -> tuple[bool, str]:
     """Measured central charge is exactly additive under tensoring."""
-    a = _rep(Fraction(1, 2), 0, 4)
-    b = _rep(Fraction(4, 5), 0, 4)
+    a = verma.truncated_rep(Fraction(1, 2), 0, 4)
+    b = verma.truncated_rep(Fraction(4, 5), 0, 4)
     both = verma.measure_central_charge(verma.tensor_rep(a, a, 4))
     mixed = verma.measure_central_charge(verma.tensor_rep(a, b, 4))
     ok = both == 1 and mixed == Fraction(13, 10)
@@ -250,7 +233,7 @@ def criterion_central_charges() -> tuple[bool, str]:
 def criterion_commutator_realization() -> tuple[bool, str]:
     """[T(f), T(g)] = T(h) + omega on safe windows, exactly, for 20 random
     finitely supported real rational fields."""
-    rep = _rep(Fraction(1, 2), 0, 8)
+    rep = verma.truncated_rep(Fraction(1, 2), 0, 8)
     rng = np.random.default_rng(0)
     cells = 0
     ok = True

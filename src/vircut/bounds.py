@@ -45,7 +45,10 @@ from .smear import fm_sup
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One experiment's estimate with its full evidence table."""
+    """One experiment's estimate with its full evidence table.
+
+    A report serializes from these fields (the CLI's JSON takes all but
+    the table, which goes to CSV)."""
 
     experiment: str
     parameters: dict
@@ -56,19 +59,6 @@ class BoundReport:
     verdict: str
     derived: dict = dc_field(default_factory=dict)
     warnings: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "parameters": self.parameters,
-            "constant": self.constant,
-            "witness": self.witness,
-            "derived": self.derived,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "warnings": list(self.warnings),
-            "table": self.table,
-        }
 
 
 def _rep_for(c, N: int, h, rep) -> verma.TruncatedRep:
@@ -128,10 +118,23 @@ def estimate_r(c, N: int, h=0, rep: Optional[verma.TruncatedRep] = None
     )
 
 
-def default_eps_grid(lo: float = 1e-4, hi: float = 20.0, count: int = 200
-                     ) -> np.ndarray:
-    if count < 1 or lo <= 0 or hi <= lo:
-        raise ValueError("eps grid needs 0 < lo < hi and count >= 1")
+DEFAULT_EPS_GRID = "1e-4:20:200"
+
+
+def parse_eps_grid(spec: str) -> np.ndarray:
+    """The geometric grid of `count` points from lo to hi named by the spec
+    lo:hi:count; ValueError says what is wrong with a bad spec."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"eps grid must be lo:hi:count, got {spec!r}")
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise ValueError(f"bad eps grid {spec!r}: {exc}") from exc
+    if count < 1:
+        raise ValueError(f"eps grid {spec!r} is empty")
+    if not (0 < lo < hi):
+        raise ValueError(f"eps grid {spec!r} needs 0 < lo < hi")
     return np.logspace(math.log10(lo), math.log10(hi), count)
 
 
@@ -178,26 +181,25 @@ def _q_mode_sweep(rep: verma.TruncatedRep, norms: dict, n: int,
 
 
 def estimate_q(c, N: int, eps_grid: Optional[Sequence[float]] = None, h=0,
-               rep: Optional[verma.TruncatedRep] = None,
-               r_report: Optional[BoundReport] = None) -> BoundReport:
+               rep: Optional[verma.TruncatedRep] = None, *,
+               r_report: BoundReport) -> BoundReport:
     """Sweep ||R_{n,eps}||^2 / |n|^3 over modes and the eps grid.
 
     Each (n, eps) value is max over source levels of |factor|^2 times the
     squared block norm, with factor = e^{-eps(h+src)} - e^{-eps(h+dst)}.
     The closed-form maximizer of every per-level factor is injected into
-    the grid.  Verifies the chain q_hat <= 3 r_hat^2 against a same-run
-    r estimate, and checks every per-level factor against its closed-form
-    supremum from fm_sup.
+    the grid.  Verifies the chain q_hat <= 3 r_hat^2 against r_report,
+    the r estimate of the same rep, and checks every per-level factor
+    against its closed-form supremum from fm_sup.  The grid defaults to
+    DEFAULT_EPS_GRID.
     """
     rep = _rep_for(c, N, h, rep)
     if eps_grid is None:
-        grid = default_eps_grid()
+        grid = parse_eps_grid(DEFAULT_EPS_GRID)
     else:
         grid = np.asarray(list(eps_grid), dtype=np.float64)
         if grid.size == 0 or np.any(grid <= 0):
             raise ValueError("eps grid must be nonempty and positive")
-    if r_report is None:
-        r_report = estimate_r(c, N, h=h, rep=rep)
     norms = _block_norms(rep)
     h_f = float(rep.h)
 

@@ -60,15 +60,11 @@ class RunConfig:
     h: Fraction = Fraction(0)
     N: int = 8
     mode: str = "exact"
-    eps_grid: str = "1e-4:20:200"
+    eps_grid: str = bounds.DEFAULT_EPS_GRID
     cutoff: Optional[int] = None
     out: Path = Path("out")
     cache: Optional[Path] = None
     inject_fault: str = "none"
-
-    def eps_values(self) -> np.ndarray:
-        lo, hi, count = parse_eps_spec(self.eps_grid)
-        return bounds.default_eps_grid(lo, hi, count)
 
 
 # Each RunConfig field's parser, and the kind of value its errors name.
@@ -96,21 +92,6 @@ READS = {
     "bounds": ("c", "h", "N", "eps_grid", "cache", "inject_fault"),
     "check-all": (),
 }
-
-
-def parse_eps_spec(spec: str) -> tuple[float, float, int]:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"eps grid must be lo:hi:count, got {spec!r}")
-    try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise UsageError(f"bad eps grid {spec!r}: {exc}") from exc
-    if count < 1:
-        raise UsageError(f"eps grid {spec!r} is empty")
-    if not (0 < lo < hi):
-        raise UsageError(f"eps grid {spec!r} needs 0 < lo < hi")
-    return lo, hi, count
 
 
 def parse_config_file(path: Path) -> dict:
@@ -161,7 +142,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"central charge must be positive, got {fmt_rational(cfg.c)}")
     if cfg.h < 0:
         raise UsageError(f"lowest weight must be nonnegative, got {fmt_rational(cfg.h)}")
-    parse_eps_spec(cfg.eps_grid)
+    try:
+        bounds.parse_eps_grid(cfg.eps_grid)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return cfg
 
 
@@ -170,28 +154,21 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def encode(x):
-    """JSON-safe form: floats as repr strings, rationals as p/q."""
+    """JSON-safe form of what reports hold: floats as repr strings,
+    rationals as p/q; any other type raises TypeError."""
     if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
         return x
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, float):
         return repr(float(x))  # np.float64 is a float whose repr is np.float64(...)
     if isinstance(x, Fraction):
         return fmt_rational(x)
-    if isinstance(x, CFrac):
-        return {"re": fmt_rational(x.re), "im": fmt_rational(x.im)}
-    if isinstance(x, complex):
-        return {"re": repr(float(x.real)), "im": repr(float(x.imag))}
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return [encode(v) for v in x.tolist()]
     if isinstance(x, Mapping):
         return {str(k): encode(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple, set, frozenset)):
+    if isinstance(x, (list, tuple)):
         return [encode(v) for v in x]
     if isinstance(x, Path):
         return str(x)
-    return str(x)
+    raise TypeError(f"reports cannot hold {type(x).__name__}")
 
 
 def write_report(cfg: RunConfig, name: str, command: str, result) -> Path:
@@ -230,10 +207,8 @@ def float_relations_gate(rep: verma.TruncatedRep) -> tuple[bool, str]:
 
 
 def report_summary(br: bounds.BoundReport) -> dict:
-    """BoundReport minus its table: the table goes to CSV, not JSON."""
-    out = br.to_dict()
-    out.pop("table", None)
-    return out
+    """BoundReport's fields minus its table: the table goes to CSV, not JSON."""
+    return {key: value for key, value in vars(br).items() if key != "table"}
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +317,6 @@ def cmd_rep(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-_CORNER_LABELS = ("1", "i", "-1", "-i")
-
-
 def cmd_field(cfg: RunConfig, args: argparse.Namespace) -> int:
     field = parse_field_spec(args.spec)
     piecewise = isinstance(field, fields.PiecewiseMobiusField)
@@ -362,19 +334,7 @@ def cmd_field(cfg: RunConfig, args: argparse.Namespace) -> int:
                  "total_bound": norm.total_bound(), "verdict": norm.verdict},
     }
     if piecewise:
-        values = fields.corner_values(field)
-        corners = []
-        for j, label in enumerate(_CORNER_LABELS):
-            left_v, right_v = values[fields.CORNERS[j]]
-            d1 = fields.one_sided_derivatives(field, fields.CORNERS[j], 1)
-            d2 = fields.one_sided_derivatives(field, fields.CORNERS[j], 2)
-            corners.append({
-                "corner": label,
-                "value_left": left_v, "value_right": right_v,
-                "d1_left": d1[0], "d1_right": d1[1],
-                "d2_left": d2[0], "d2_right": d2[1],
-                "d2_jump": abs(d2[1] - d2[0]),
-            })
+        corners = fields.corner_table(field)
         result["corners"] = corners
         result["decay"] = report_summary(bounds.decay_report(field, max(cutoff, 400)))
     else:
@@ -402,12 +362,13 @@ def _ensure_out(cfg: RunConfig) -> Path:
 
 def cmd_smear(cfg: RunConfig, args: argparse.Namespace) -> int:
     field = parse_field_spec(args.field)
+    if cfg.mode == "exact" and not getattr(field, "is_exact", False):
+        raise UsageError(
+            f"exact representation needs an exact field, and {args.field} is not "
+            "one: use a rational field (mode:n or a CSV of p/q entries), or --mode float")
     rep, source = _build_rep(cfg)
     cutoff = min(cfg.cutoff, rep.N) if cfg.cutoff is not None else rep.N
-    try:
-        op = smear.smear(rep, field, cutoff=cutoff)
-    except TypeError as exc:
-        raise UsageError(str(exc)) from exc
+    op = smear.smear(rep, field, cutoff=cutoff)
     bias = op.truncation_bias
     bias_notes = [] if not bias or bias <= BIAS_TOL else [
         f"smearing cutoff {cutoff} discards weighted coefficient mass "
@@ -479,7 +440,7 @@ _FM_MS = (1, 2, 3, 5, 10, 50)
 
 
 def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
-    grid = cfg.eps_values()
+    grid = bounds.parse_eps_grid(cfg.eps_grid)
     rep, _ = _build_rep(replace(cfg, mode="float"))
     r_report = bounds.estimate_r(cfg.c, cfg.N, h=cfg.h, rep=rep)
     q_report = bounds.estimate_q(cfg.c, cfg.N, grid, h=cfg.h, rep=rep, r_report=r_report)

@@ -13,9 +13,13 @@ Two kinds of fields appear:
 
 * PiecewiseMobiusField: the C^1 field glued from four rotated copies of
   g1(z) = (i-1)z + 2 - (i+1)/z on the quarter arcs between the corner
-  points 1, i, -1, -i.  Piece j lives on theta in [j pi/2, (j+1) pi/2]
-  and equals p^2 g1(z/p) with p = i^j, i.e. its coefficient at mode m is
-  p^{2-m} g1_hat(m).  The rotation antisymmetry f(i z) = -f(z) forces
+  points 1, i, -1, -i.  It is one fixed field and takes no pieces.
+  Piece j lives on theta in [j pi/2, (j+1) pi/2] and equals p^2 g1(z/p)
+  with p = i^j, i.e. its coefficient at mode m is p^{2-m} g1_hat(m).
+  corner_table reads the exact one-sided values and first and second
+  derivatives where the pieces meet: the values vanish, the first
+  derivatives agree and the second jump by 4.  The rotation
+  antisymmetry f(i z) = -f(z) forces
   f_hat(n) = 0 unless n = 2 mod 4, and there f_hat(n) = 8i/(pi n (n^2-1)).
   Each consumer reads one of three routes to these coefficients:
 
@@ -183,16 +187,13 @@ def _corner_index(p) -> int:
 class PiecewiseMobiusField:
     """The glued field: four rotated Mobius pieces on quarter arcs.
 
-    pieces[j][m+1] is the coefficient of e^{im theta} of the piece on
-    [j pi/2, (j+1) pi/2].
+    The field is fixed and takes no arguments.  pieces[j][m+1] is the
+    coefficient of e^{im theta} of the piece g_p, p = i^j, on
+    [j pi/2, (j+1) pi/2]; every closed form below is this field's.
     """
 
-    pieces: tuple[tuple[CFrac, CFrac, CFrac], ...]
-
-    def __post_init__(self):
-        if any(g.re.denominator != 1 or g.im.denominator != 1
-               for piece in self.pieces for g in piece):
-            raise ValueError("Mobius pieces need Gaussian-integer coefficients")
+    pieces = tuple(tuple(mobius_piece(p).coefficient(m) for m in (-1, 0, 1))
+                   for p in CORNERS)
 
     def coefficient_exact(self, n: int) -> tuple[CFrac, CFrac]:
         """Exact Fourier coefficient as (a, b) with f_hat(n) = a/pi + b.
@@ -259,8 +260,7 @@ def _rotate(x: int, y: int, k: int) -> tuple[int, int]:
 
 def build_piecewise_mobius() -> PiecewiseMobiusField:
     """The unique continuous real field glued from the four Mobius pieces."""
-    return PiecewiseMobiusField(tuple(
-        tuple(mobius_piece(p).coefficient(m) for m in (-1, 0, 1)) for p in CORNERS))
+    return PiecewiseMobiusField()
 
 
 def fourier_coefficient(field, n: int) -> Coefficient:
@@ -332,28 +332,20 @@ def evaluate_series(field: PiecewiseMobiusField, theta: float, cutoff: int) -> f
     return float(np.real(np.sum(coeffs * np.exp(1j * ns * theta))))
 
 
-def one_sided_derivatives(field: PiecewiseMobiusField, corner, order: int
-                          ) -> tuple[Fraction, Fraction]:
-    """Exact one-sided theta-derivatives of the two pieces meeting a corner.
-
-    Returns (left, right) where right is the derivative of the piece that
-    starts at the corner and left that of the piece ending there.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    j = _corner_index(corner)
-    left = _piece_derivative(field, j - 1, order, j)
-    right = _piece_derivative(field, j, order, j)
-    return left, right
-
-
-def corner_values(field: PiecewiseMobiusField) -> dict[complex, tuple[Fraction, Fraction]]:
-    """Exact one-sided values at the four corners (continuity check)."""
-    out = {}
-    for j, p in enumerate(CORNERS):
-        out[p] = (_piece_derivative(field, j - 1, 0, j),
-                  _piece_derivative(field, j, 0, j))
-    return out
+def corner_table(field: PiecewiseMobiusField) -> list[dict]:
+    """Exact one-sided values and theta-derivatives at the corners 1, i,
+    -1, -i, one row each.  *_left belongs to the piece ending at the
+    corner and *_right to the piece starting there; d2_jump is
+    |d2_right - d2_left|."""
+    rows = []
+    for j, label in enumerate(("1", "i", "-1", "-i")):
+        row = {"corner": label}
+        for name, order in (("value", 0), ("d1", 1), ("d2", 2)):
+            row[name + "_left"] = _piece_derivative(field, j - 1, order, j)
+            row[name + "_right"] = _piece_derivative(field, j, order, j)
+        row["d2_jump"] = abs(row["d2_right"] - row["d2_left"])
+        rows.append(row)
+    return rows
 
 
 def _piece_derivative(field: PiecewiseMobiusField, j: int, order: int,

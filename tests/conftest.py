@@ -1,35 +1,34 @@
 """Shared fixtures.
 
-Representations come from the acceptance module's process-wide cache so
-the unit tests and the acceptance battery build each expensive
-truncation exactly once per pytest run.
+The representations are session-scoped, so each one is built once per
+pytest run.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from vircut import acceptance, fields
+from vircut import fields, verma
 
 
 @pytest.fixture(scope="session")
 def ising8():
-    return acceptance._rep(Fraction(1, 2), 0, 8)
+    return verma.truncated_rep(Fraction(1, 2), 0, 8)
 
 
 @pytest.fixture(scope="session")
 def ising8_float():
-    return acceptance._rep(Fraction(1, 2), 0, 8, "float")
+    return verma.truncated_rep(Fraction(1, 2), 0, 8, "float")
 
 
 @pytest.fixture(scope="session")
 def ising12():
-    return acceptance._rep(Fraction(1, 2), 0, 12)
+    return verma.truncated_rep(Fraction(1, 2), 0, 12)
 
 
 @pytest.fixture(scope="session")
 def ising_half_8():
-    return acceptance._rep(Fraction(1, 2), Fraction(1, 2), 8)
+    return verma.truncated_rep(Fraction(1, 2), Fraction(1, 2), 8)
 
 
 @pytest.fixture(scope="session")

@@ -14,11 +14,12 @@ import pytest
 from vircut.bounds import (
     _BLOCK,
     _weight_series_chunks,
+    DEFAULT_EPS_GRID,
     decay_report,
-    default_eps_grid,
     estimate_q,
     estimate_r,
     mollifier_report,
+    parse_eps_grid,
 )
 from vircut.cli import write_rows_csv
 from vircut.fields import FEJER, PiecewiseMobiusField, cosine_field, mode_field
@@ -119,31 +120,61 @@ def test_q_factor_cells_respect_the_closed_form_sup(q_n8):
 
 
 def test_q_is_deterministic(ising8_float, r_n8):
-    grid = default_eps_grid(1e-3, 10.0, 40)
+    grid = parse_eps_grid("1e-3:10:40")
     a = estimate_q(Fraction(1, 2), 8, eps_grid=grid, rep=ising8_float,
                    r_report=r_n8)
     b = estimate_q(Fraction(1, 2), 8, eps_grid=grid, rep=ising8_float,
                    r_report=r_n8)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
-def test_q_grid_validation(ising8_float):
+def test_q_grid_validation(ising8_float, r_n8):
     with pytest.raises(ValueError, match="nonempty and positive"):
-        estimate_q(Fraction(1, 2), 8, eps_grid=[], rep=ising8_float)
+        estimate_q(Fraction(1, 2), 8, eps_grid=[], rep=ising8_float, r_report=r_n8)
     with pytest.raises(ValueError, match="nonempty and positive"):
-        estimate_q(Fraction(1, 2), 8, eps_grid=[0.5, -1.0], rep=ising8_float)
+        estimate_q(Fraction(1, 2), 8, eps_grid=[0.5, -1.0], rep=ising8_float,
+                   r_report=r_n8)
 
 
-def test_default_eps_grid():
-    grid = default_eps_grid()
+def test_q_needs_its_r_report(ising8_float):
+    with pytest.raises(TypeError, match="r_report"):
+        estimate_q(Fraction(1, 2), 8, rep=ising8_float)
+
+
+def test_default_eps_grid(q_n8):
+    grid = parse_eps_grid(DEFAULT_EPS_GRID)
     assert grid.size == 200
     assert grid[0] == pytest.approx(1e-4)
     assert grid[-1] == pytest.approx(20.0)
     assert np.all(np.diff(np.log(grid)) > 0)
-    with pytest.raises(ValueError, match="0 < lo < hi"):
-        default_eps_grid(count=0)
-    with pytest.raises(ValueError, match="0 < lo < hi"):
-        default_eps_grid(lo=2.0, hi=1.0)
+    assert np.array_equal(grid, np.logspace(math.log10(1e-4), math.log10(20.0), 200))
+    # estimate_q's default grid is this one
+    assert q_n8.parameters["eps_grid_size"] == 200
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("1e-4:20", "must be lo:hi:count"),
+    ("1e-4:20:x", "bad eps grid"),
+    ("1:2:0", "is empty"),
+    ("20:1e-4:5", "needs 0 < lo < hi"),
+    ("0:1:5", "needs 0 < lo < hi"),
+])
+def test_bad_eps_grid_specs_are_named(spec, message):
+    with pytest.raises(ValueError, match=message):
+        parse_eps_grid(spec)
+
+
+@pytest.mark.parametrize("spec", ["1e-4:20", "20:1e-4:5"])
+def test_bounds_sweep_script_rejects_a_bad_eps_grid(tmp_path, spec):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_sweep.py"
+    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
+    done = subprocess.run([sys.executable, str(script), "--levels", "4:4",
+                           "--eps-grid", spec, "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "error: " in done.stderr and repr(spec) in done.stderr
+    assert not (tmp_path / "bounds_sweep.csv").exists()
 
 
 # ---------------------------------------------------------------------------

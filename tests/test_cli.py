@@ -11,6 +11,7 @@ import pytest
 
 from vircut import acceptance, cli, store
 from vircut.cli import encode, main
+from vircut.rational import CFrac
 
 FAULT = ("--inject-fault", "central-denominator-13")
 
@@ -66,7 +67,13 @@ def test_numpy_floats_are_written_as_plain_reprs(tmp_path):
     measured = read_report(tmp_path, "rep_report.json")["result"]["measured_central_charge"]
     assert float(measured) == 0.5
     assert encode(np.float64(0.1)) == "0.1"
-    assert encode(np.complex128(1.5 - 2j)) == {"re": "1.5", "im": "-2.0"}
+
+
+@pytest.mark.parametrize("value", [np.complex128(1.5 - 2j), CFrac(1, 2), np.int64(3),
+                                   np.arange(2), {1, 2}, object()])
+def test_encode_refuses_what_reports_do_not_hold(value):
+    with pytest.raises(TypeError, match="reports cannot hold"):
+        encode({"result": [value]})
 
 
 def test_rep_rejects_non_unitary_weights(tmp_path):
@@ -371,6 +378,23 @@ def test_smear_exact_field_on_exact_rep(tmp_path):
 def test_smear_piecewise_needs_float_rep(tmp_path, capsys):
     assert run("smear", "--c", "1/2", "--N", "4", "--out", tmp_path) == 2
     assert "exact representation needs an exact field" in capsys.readouterr().err
+
+
+def test_bare_smear_names_the_fix(tmp_path, capsys):
+    # the default field has coefficients a/pi and the default mode is exact
+    assert run("smear", "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "piecewise-mobius is not one" in err
+    assert "mode:n or a CSV of p/q entries" in err and "--mode float" in err
+    assert not (tmp_path / "smear_report.json").exists()
+
+
+def test_smear_exact_mode_refuses_a_decimal_csv(tmp_path, capsys):
+    path = tmp_path / "decimal.csv"
+    path.write_text("n,re,im\n2,0.25,-0.1\n-2,0.25,0.1\n")
+    assert run("smear", "--field", path, "--c", "1/2", "--N", "4",
+               "--out", tmp_path / "out") == 2
+    assert f"{path} is not one" in capsys.readouterr().err
 
 
 def test_smear_piecewise_on_float_rep(tmp_path):

@@ -17,7 +17,7 @@ from vircut.fields import (
     bracket_with_cocycle,
     build_piecewise_mobius,
     coefficient_rows,
-    corner_values,
+    corner_table,
     cosine_field,
     evaluate,
     evaluate_series,
@@ -26,7 +26,6 @@ from vircut.fields import (
     mobius_piece,
     mode_field,
     norm_three_halves,
-    one_sided_derivatives,
     random_real_field,
     truncated_fourier,
 )
@@ -114,23 +113,47 @@ def test_glued_pieces_are_the_rotated_mobius_pieces(piecewise):
                                                                abs=1e-12)
 
 
+def test_corner_table_rows_are_labelled_corners(piecewise):
+    table = corner_table(piecewise)
+    assert [row["corner"] for row in table] == ["1", "i", "-1", "-i"]
+    assert all(list(row) == ["corner", "value_left", "value_right", "d1_left",
+                             "d1_right", "d2_left", "d2_right", "d2_jump"]
+               for row in table)
+    assert all(type(value) is Fraction for row in table
+               for key, value in row.items() if key != "corner")
+
+
 def test_glued_field_vanishes_at_corners_exactly(piecewise):
-    for left, right in corner_values(piecewise).values():
-        assert left == 0 and right == 0
+    for row in corner_table(piecewise):
+        assert row["value_left"] == 0 and row["value_right"] == 0
 
 
 def test_first_derivatives_match_at_corners(piecewise):
-    expected = {0: -2, 1: 2, 2: -2, 3: 2}
-    for j, corner in enumerate(CORNERS):
-        left, right = one_sided_derivatives(piecewise, corner, 1)
-        assert left == right == expected[j]
+    expected = {"1": -2, "i": 2, "-1": -2, "-i": 2}
+    for row in corner_table(piecewise):
+        assert row["d1_left"] == row["d1_right"] == expected[row["corner"]]
 
 
 def test_second_derivative_jumps_have_magnitude_four(piecewise):
-    for corner in CORNERS:
-        left, right = one_sided_derivatives(piecewise, corner, 2)
-        assert abs(right - left) == 4
-        assert abs(left) == 2 and abs(right) == 2
+    for row in corner_table(piecewise):
+        assert row["d2_jump"] == abs(row["d2_right"] - row["d2_left"]) == 4
+        assert abs(row["d2_left"]) == 2 and abs(row["d2_right"]) == 2
+
+
+def test_corner_table_matches_the_rotated_pieces_numerically(piecewise):
+    # the piece on the arc ending at corner j is g_p with p = i^{j-1}; its
+    # theta-derivatives there, by central differences of evaluate
+    step = 1e-4
+    for j, row in enumerate(corner_table(piecewise)):
+        theta = j * math.pi / 2
+        for side, piece in (("left", mobius_piece(CORNERS[j - 1])),
+                            ("right", mobius_piece(CORNERS[j]))):
+            f = [evaluate(piece, theta + k * step) for k in (-1, 0, 1)]
+            assert f[1] == pytest.approx(float(row["value_" + side]), abs=1e-12)
+            assert (f[2] - f[0]) / (2 * step) == pytest.approx(
+                float(row["d1_" + side]), abs=1e-6)
+            assert (f[2] - 2 * f[1] + f[0]) / step**2 == pytest.approx(
+                float(row["d2_" + side]), abs=1e-4)
 
 
 def _arc_integral(d, j):
@@ -163,9 +186,18 @@ def test_integer_arc_sums_equal_the_fraction_arc_integrals(piecewise):
 
 
 def test_pieces_must_be_gaussian_integers(piecewise):
-    half = CFrac(Fraction(1, 2))
-    with pytest.raises(ValueError, match="Gaussian-integer"):
-        PiecewiseMobiusField(((half, half, half),) + piecewise.pieces[1:])
+    # coefficient_exact sums the pieces' numerators over the integers, which
+    # reads the fixed pieces right only while they are Gaussian integers
+    assert all(g.re.denominator == 1 and g.im.denominator == 1
+               for piece in piecewise.pieces for g in piece)
+
+
+def test_the_glued_field_is_fixed(piecewise):
+    # it takes no pieces, so no caller can hand its closed forms a field
+    # they do not describe
+    with pytest.raises(TypeError):
+        PiecewiseMobiusField(piecewise.pieces)
+    assert PiecewiseMobiusField() == piecewise
 
 
 def test_closed_form_coefficients(piecewise):

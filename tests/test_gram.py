@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vircut import acceptance
+from vircut import verma
 from vircut.acceptance import C_VALUES, H_VALUES
 from vircut.rational import psd_congruence, to_float
 from vircut.verma import enumerate_partitions, gram_entry_direct, gram_matrix, partition_count
@@ -173,8 +173,8 @@ def test_row_pruned_gram_matches_direct_entries_at_level_six(c, h):
 
 @pytest.mark.parametrize("c, h", UNITARY, ids=_ids(UNITARY))
 def test_exact_and_float_blocks_share_singular_values(c, h):
-    exact = acceptance._rep(c, h, 8)
-    floating = acceptance._rep(c, h, 8, "float")
+    exact = verma.truncated_rep(c, h, 8)
+    floating = verma.truncated_rep(c, h, 8, "float")
     assert exact.level_dims == floating.level_dims
     for key in exact.blocks:
         a = exact.orthonormal_block(*key)

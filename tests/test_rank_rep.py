@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vircut import acceptance, verma
+from vircut import verma
 from vircut.rational import Residual, exact_rank_nullspace, eye
 from vircut.verma import (
     NonUnitaryError,
@@ -52,7 +52,7 @@ def test_builder_dims_match_the_exact_gram_rank(c, h):
     ranks = tuple(exact_rank_nullspace(verma.gram_matrix(c, h, k).entries)[0]
                   for k in range(11))
     assert truncated_rep(c, h, 10, mode="float").level_dims == ranks
-    assert acceptance._rep(c, h, 8).level_dims == ranks[:9]
+    assert verma.truncated_rep(c, h, 8).level_dims == ranks[:9]
 
 
 @pytest.mark.parametrize("c,h,level", [
@@ -92,7 +92,7 @@ def test_float_relations_within_tolerance(ising8_float):
 
 
 def test_a_nan_entry_fails_the_relation_budget():
-    rep = acceptance._rep(Fraction(1, 2), 0, 6, "float")
+    rep = verma.truncated_rep(Fraction(1, 2), 0, 6, "float")
     blocks = dict(rep.blocks)
     blocks[(1, 3)] = blocks[(1, 3)].copy()
     blocks[(1, 3)][0, 0] = np.nan
@@ -105,7 +105,7 @@ def test_a_nan_entry_fails_the_relation_budget():
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_relation_window_is_every_level_inside_the_truncation(mode):
     N = 5
-    rep = acceptance._rep(Fraction(1, 2), 0, N, mode)
+    rep = verma.truncated_rep(Fraction(1, 2), 0, N, mode)
     for m in range(-N, N + 1):
         for n in range(-N, N + 1):
             for k in range(N + 1):
@@ -188,16 +188,16 @@ def _nudged(rep, key, part):
 
 
 @pytest.mark.parametrize("make, zero", [
-    (lambda: acceptance._rep(Fraction(7, 10), Fraction(3, 5), 8), True),
-    (lambda: acceptance._rep(Fraction(1, 2), 0, 8), True),
-    (lambda: acceptance._rep(Fraction(2), Fraction(1), 6), True),
+    (lambda: verma.truncated_rep(Fraction(7, 10), Fraction(3, 5), 8), True),
+    (lambda: verma.truncated_rep(Fraction(1, 2), 0, 8), True),
+    (lambda: verma.truncated_rep(Fraction(2), Fraction(1), 6), True),
     (lambda: truncated_rep(Fraction(7, 10), Fraction(1, 2), 6, basis="monomial"), True),
     # the CLI's central-denominator-13 fault: built at 12c/13, labelled c
     (lambda: _relabelled(Fraction(24, 13), Fraction(1), 6, Fraction(2)), False),
     (lambda: _relabelled(Fraction(18, 13), Fraction(1, 3), 7, Fraction(3, 2)), False),
-    (lambda: _nudged(acceptance._rep(Fraction(7, 10), Fraction(3, 5), 7), (1, 4),
+    (lambda: _nudged(verma.truncated_rep(Fraction(7, 10), Fraction(3, 5), 7), (1, 4),
                      Fraction(1, 10 ** 30)), False),
-    (lambda: _nudged(acceptance._rep(Fraction(2), Fraction(1), 6), (-2, 3),
+    (lambda: _nudged(verma.truncated_rep(Fraction(2), Fraction(1), 6), (-2, 3),
                      Fraction(-3, 7)), False),
 ], ids=["tci-3/5", "ising", "c=2,h=1", "monomial", "fault-c=2", "fault-c=3/2",
         "nudged-tiny", "nudged-large"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vircut import acceptance
+from vircut import verma
 from vircut.bounds import estimate_r
 from vircut.fields import (
     FourierField,
@@ -158,7 +158,7 @@ def _cfrac_hermiticity(op):
 @pytest.mark.parametrize("c,h,N", [(Fraction(7, 10), Fraction(3, 5), 9),
                                    (Fraction(2), Fraction(1), 7)])
 def test_integer_hermiticity_equals_the_cfrac_route(c, h, N):
-    rep = acceptance._rep(c, h, N)
+    rep = verma.truncated_rep(c, h, N)
     rng = np.random.default_rng(5)
     real = random_real_field(rng, max_mode=3, denominator=8)
     non_real = mode_field(-3, amplitude=CFrac(Fraction(1, 7), Fraction(-3, 11)))
@@ -197,7 +197,7 @@ def _exact_fields(draw):
 @given(_exact_fields(), st.sampled_from([(Fraction(7, 10), Fraction(3, 5), 6),
                                           (Fraction(2), Fraction(1), 5)]))
 def test_factored_hermiticity_equals_the_eager_route(field, point):
-    op = smear(acceptance._rep(*point), field)
+    op = smear(verma.truncated_rep(*point), field)
     report = hermiticity_residual(op)
     max_abs, zero = _cfrac_hermiticity(op)
     assert report.max_abs.hex() == max_abs.hex()
@@ -250,6 +250,22 @@ def test_piecewise_vacuum_norm(ising8_float, piecewise):
     assert closed == pytest.approx(0.04631825537935441, rel=1e-12)
     matrix = vacuum_norm_from_rep(smear(ising8_float, piecewise, cutoff=8))
     assert abs(closed - matrix) <= 1e-8
+
+
+def test_float_fourier_vacuum_norm(ising8_float):
+    # the closed form's float branch for a finitely supported field, as
+    # `vircut smear --mode float` reaches it with a decimal CSV at h = 0
+    c = Fraction(1, 2)
+    decimal = FourierField({2: 0.25 - 0.1j, -2: 0.25 + 0.1j}, real=True)
+    rational = FourierField({2: CFrac(Fraction(1, 4), Fraction(-1, 10)),
+                             -2: CFrac(Fraction(1, 4), Fraction(1, 10))}, real=True)
+    assert not decimal.is_exact and rational.is_exact
+    closed = vacuum_norm(decimal, c)
+    assert type(closed) is float
+    assert abs(closed - vacuum_norm_from_rep(smear(ising8_float, decimal))) <= 1e-8
+    exact = vacuum_norm(rational, c)
+    assert exact == Fraction(29, 1600)
+    assert closed == pytest.approx(float(exact), rel=1e-15)
 
 
 def test_piecewise_vacuum_norm_needs_cutoff(piecewise):
@@ -326,7 +342,7 @@ def test_recursion_checks_need_vacuum_module(ising_half_8):
 
 def test_recursion_exactness_is_read_from_the_rationals():
     # 10^-400 rounds to 0.0 as a float, but the rational is not zero
-    rep = _perturbed(acceptance._rep(Fraction(1, 2), 0, 6), (-1, 3),
+    rep = _perturbed(verma.truncated_rep(Fraction(1, 2), 0, 6), (-1, 3),
                      lambda x: x + Fraction(1, 10 ** 400))
     res = lemma_recursion_checks(rep)
     assert res["recursion_max_abs"] == 0.0
@@ -336,7 +352,7 @@ def test_recursion_exactness_is_read_from_the_rationals():
 
 
 def test_a_nan_entry_fails_every_float_check():
-    rep = acceptance._rep(Fraction(1, 2), 0, 6, "float")
+    rep = verma.truncated_rep(Fraction(1, 2), 0, 6, "float")
     nan = _perturbed(rep, (2, 4), lambda x: math.nan)
     assert math.isnan(hermiticity_residual(smear(nan, cosine_field(2))).max_abs)
     assert math.isnan(commutator_residual(nan, cosine_field(2), cosine_field(1))["max_abs"])
@@ -413,7 +429,7 @@ def test_energy_bound_holds_with_the_estimated_r(c, h, N):
     # (1+k)^2 (1+|n|^{3/2})^2 with 1 + k <= 1 + L0 on level k, so the
     # triangle inequality over the modes of f gives
     # ||T(f) v|| <= r_hat ||f||_{3/2} ||(1 + L0) v||.
-    rep = acceptance._rep(c, h, N, "float")
+    rep = verma.truncated_rep(c, h, N, "float")
     r_hat = estimate_r(c, N, h, rep=rep).derived["r_hat"]
     rng = np.random.default_rng(17)
     for _ in range(20):

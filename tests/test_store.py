@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vircut import acceptance, verma
+from vircut import verma
 from vircut.store import (
     CacheError,
     load_or_build_rep,
@@ -56,7 +56,7 @@ def test_exact_rep_round_trip(tmp_path, ising8):
 
 @pytest.mark.parametrize("pin", PINNED, ids=lambda p: f"{p['c']},{p['h']},N{p['N']}")
 def test_exact_cache_file_bytes_are_pinned(tmp_path, pin):
-    rep = acceptance._rep(Fraction(pin["c"]), Fraction(pin["h"]), pin["N"])
+    rep = verma.truncated_rep(Fraction(pin["c"]), Fraction(pin["h"]), pin["N"])
     path = save_rep(tmp_path, rep)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == pin["sha256"]
 
@@ -255,7 +255,7 @@ def test_a_corrupt_entry_or_header_is_a_cache_error(tmp_path, edit, message):
 
 
 def test_exact_entries_parse_to_the_written_fractions(tmp_path):
-    rep = acceptance._rep(Fraction(7, 10), Fraction(3, 5), 7)
+    rep = verma.truncated_rep(Fraction(7, 10), Fraction(3, 5), 7)
     path = save_rep(tmp_path, rep)
     assert any("/" in ln and "-" in ln for ln in path.read_text().splitlines()
                if not ln.startswith(("matrix", "digest", "c ", "h ")))
