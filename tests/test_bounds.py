@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from vircut.bounds import (
+    DEFAULT_EPS_GRID,
     _BLOCK,
     _weight_series_chunks,
-    DEFAULT_EPS_GRID,
     decay_report,
     estimate_q,
     estimate_r,
