@@ -23,10 +23,31 @@ from vircut import bounds, cli, verma
 
 
 def parse_levels(spec: str) -> list[int]:
-    if ":" in spec:
-        lo, hi = (int(p) for p in spec.split(":", 1))
-        return list(range(lo, hi + 1))
-    return [int(p) for p in spec.split(",")]
+    """lo:hi (inclusive) or a comma list; ValueError names a bad spec."""
+    try:
+        if ":" in spec:
+            lo, hi = (int(p) for p in spec.split(":", 1))
+            levels = list(range(lo, hi + 1))
+        else:
+            levels = [int(p) for p in spec.split(",")]
+    except ValueError:
+        raise ValueError(f"bad levels {spec!r}: want lo:hi or a comma list "
+                         f"of integers") from None
+    if not levels:
+        raise ValueError(f"levels {spec!r} are empty: want lo <= hi")
+    if min(levels) < 2:
+        raise ValueError(f"levels {spec!r} go below 2: a truncation level N "
+                         f"must be at least 2")
+    return levels
+
+
+def parse_fraction(flag: str, spec: str) -> Fraction:
+    """A p/q argument; ValueError names the flag on a bad or zero q."""
+    try:
+        return Fraction(spec)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad {flag} {spec!r}: want a fraction p/q with "
+                         f"q != 0") from None
 
 
 def main() -> int:
@@ -39,8 +60,9 @@ def main() -> int:
     ap.add_argument("--out", default="out/bounds_sweep", help="output directory")
     args = ap.parse_args()
 
-    c, h = Fraction(args.c), Fraction(args.h)
     try:
+        c, h = parse_fraction("--c", args.c), parse_fraction("--h", args.h)
+        levels = parse_levels(args.levels)
         grid = bounds.parse_eps_grid(args.eps_grid)
     except ValueError as exc:
         ap.error(str(exc))
@@ -49,7 +71,7 @@ def main() -> int:
 
     rows = []
     print(f"{'N':>3} {'r_hat^2':>22} {'q_hat':>22} {'3 r_hat^2':>22} {'sec':>7}")
-    for N in parse_levels(args.levels):
+    for N in levels:
         start = time.perf_counter()
         rep = verma.truncated_rep(c, h, N, mode="float")
         r = bounds.estimate_r(c, N, h=h, rep=rep)

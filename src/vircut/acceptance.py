@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import fminbound
 
 from . import bounds, fields, smear, verma
 
@@ -107,13 +106,92 @@ def _fm_grid_best(k: int, m: int, grid: np.ndarray, rows: list[np.ndarray]
     e^{-grid j}."""
     vals = (rows[k] - rows[k + m]) ** 2
     i = int(vals.argmax())
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
 
     def neg(e):
         return -((math.exp(-e * k) - math.exp(-e * (k + m))) ** 2)
 
-    _, fun, _, _ = fminbound(neg, lo, hi, xtol=1e-14, full_output=True, disp=0)
-    return max(float(vals[i]), float(-fun))
+    return max(float(vals[i]), -_bounded_min(neg, lo, hi, xtol=1e-14))
+
+
+def _bounded_min(func, a: float, b: float, xtol: float) -> float:
+    """Least value of func found on [a, b] by Brent's bounded search
+    (Brent 1973, ch. 5): golden-section steps, replaced by a parabolic
+    step through the three best points wherever that step is acceptable.
+
+    Step for step the loop of scipy's fminbound (scipy 1.17), so it
+    returns the same float; tests/test_acceptance.py checks that on
+    every heat-sup cell."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xtol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through xf, nfc and fulc
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xtol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:  # fminbound's default maxfun
+            break
+    return fx
+
+
+def _sign(x: float) -> float:
+    """+1 for x >= 0 (zero included), -1 below: numpy's sign(x) + (x == 0)."""
+    return 1.0 if x == 0 else math.copysign(1.0, x)
 
 
 def criterion_heat_sup() -> tuple[bool, str]:
@@ -180,7 +258,7 @@ def criterion_piecewise_field() -> tuple[bool, str]:
     quad_worst = 0.0
     ns = (2, -2, 3, 4, 5, 6, 10, 34)
     for n, closed in zip(ns, pw.coefficient_closed(ns)):
-        value, _ = fields.fourier_coefficient_quadrature(pw, n)
+        value = fields.fourier_coefficient_quadrature(pw, n)
         quad_worst = max(quad_worst, abs(value - closed))
     quad_ok = quad_worst <= 1e-12
 

@@ -272,25 +272,37 @@ def fourier_coefficient(field, n: int) -> Coefficient:
     raise TypeError(f"unsupported field type {type(field).__name__}")
 
 
-def fourier_coefficient_quadrature(field, n: int) -> tuple[complex, float]:
-    """Adaptive-quadrature coefficient, the independent route.
+def fourier_coefficient_quadrature(field, n: int) -> complex:
+    """Coefficient f_hat(n) by quadrature of evaluate(field, t), the route
+    independent of the closed form.
 
-    Returns (value, achieved error estimate).  Integrates the four arcs
-    separately so the integrand is smooth on each panel.
+    Integrates each of the four arcs separately with a 32-node
+    Gauss-Legendre rule: on an arc the glued field is one Mobius piece,
+    so the integrand is entire there.  One panel per arc reaches machine
+    precision up to |n| = 38 (2.5e-15 there, 5e-13 at n = 42), so from
+    |n| = 36 on each arc is split into 1 + |n| // 36 panels.
     """
-    from scipy.integrate import quad
-
+    nodes, weights = _gauss_legendre_32()
+    panels = 1 + abs(n) // 36
+    half = math.pi / 4 / panels
     total = 0j
-    err = 0.0
-    for j in range(4):
-        lo, hi = j * math.pi / 2, (j + 1) * math.pi / 2
-        re, re_err = quad(lambda t: math.cos(n * t) * evaluate(field, t), lo, hi,
-                          epsabs=1e-14, epsrel=1e-14, limit=200)
-        im, im_err = quad(lambda t: -math.sin(n * t) * evaluate(field, t), lo, hi,
-                          epsabs=1e-14, epsrel=1e-14, limit=200)
-        total += re + 1j * im
-        err += re_err + im_err
-    return total / (2 * math.pi), err / (2 * math.pi)
+    for j in range(4 * panels):
+        t = (2 * j + 1) * half + half * nodes
+        values = np.array([evaluate(field, x) for x in t])
+        total += half * np.dot(weights, values * np.exp(-1j * n * t))
+    return complex(total) / (2 * math.pi)
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre_32() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 32-node Gauss-Legendre rule on [-1, 1],
+    read-only."""
+    # imported here: only this oracle route reads numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(32)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def truncated_fourier(field: PiecewiseMobiusField, cutoff: int) -> FourierField:

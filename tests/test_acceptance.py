@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import fminbound, minimize_scalar
 
 from vircut import acceptance, verma
 
@@ -21,12 +21,24 @@ def test_registry_is_complete():
     assert len(set(NAMES)) == 10
 
 
+# Details recorded while the heat-sup search ran scipy's fminbound and the
+# quadrature ran scipy's adaptive quad.
+PINNED_DETAILS = {
+    "heat-sup-closed-form": "2550 (k,m) cells; worst closed-vs-search relative "
+                            "error 1.86e-14, 0 bound violations",
+    "piecewise-field": "corners zero=True, d1 match=True, d2 jumps=['4', '4', "
+                       "'4', '4'], modes |n|<=101 exact=True, quadrature worst "
+                       "4.4e-16, decay 3.395305 vs 3.395305",
+}
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_criterion(name):
     result = acceptance.run_criterion(name)
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {name} ({result.seconds:.2f}s): {result.detail}")
     assert result.passed, f"{name}: {result.detail}"
+    assert result.detail == PINNED_DETAILS.get(name, result.detail)
 
 
 def test_a_nan_float_residual_fails_the_relations_and_shows_in_the_detail(monkeypatch):
@@ -70,3 +82,20 @@ def test_shared_heat_rows_match_the_per_cell_search_bit_for_bit():
         for m in (1, 2, 29, 50):
             assert acceptance._fm_grid_best(k, m, grid, rows) == \
                 _fm_grid_best_per_cell(k, m, grid), (k, m)
+
+
+def test_bounded_search_matches_fminbound_on_every_cell():
+    grid, rows = acceptance._heat_search_grid()
+    for k in range(51):
+        for m in range(1, 51):
+            vals = (rows[k] - rows[k + m]) ** 2
+            i = int(vals.argmax())
+            lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+
+            def neg(e):
+                return -((math.exp(-e * k) - math.exp(-e * (k + m))) ** 2)
+
+            _, want, _, _ = fminbound(neg, lo, hi, xtol=1e-14, full_output=True,
+                                      disp=0)
+            got = acceptance._bounded_min(neg, float(lo), float(hi), xtol=1e-14)
+            assert float(got).hex() == float(want).hex(), (k, m)

@@ -177,6 +177,24 @@ def test_bounds_sweep_script_rejects_a_bad_eps_grid(tmp_path, spec):
     assert not (tmp_path / "bounds_sweep.csv").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--levels", "4:x"], "bad levels '4:x'"),
+    (["--c", "1/0"], "bad --c '1/0'"),
+    (["--levels", "6:4"], "levels '6:4' are empty"),
+    (["--levels", "1:2"], "levels '1:2' go below 2"),
+])
+def test_bounds_sweep_script_rejects_bad_arguments(tmp_path, args, message):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_sweep.py"
+    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
+    done = subprocess.run([sys.executable, str(script), *args,
+                           "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert f"error: {message}" in done.stderr
+    assert not (tmp_path / "bounds_sweep.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # coefficient decay
 
