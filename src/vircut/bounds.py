@@ -299,9 +299,13 @@ def decay_report(field, n_max: int) -> BoundReport:
     )
 
 
-# Selected modes per block of the weight series: the block's (n W, W)
-# buffer is 512 KiB, so the running sums stay in cache.
-_BLOCK = 1 << 15
+# Modes per step of the weight series.  A step spans every chunk, with
+# max(1, _BLOCK // chunks) rows, so its (n W, W) block holds at most
+# 2 _BLOCK floats (128 KiB) for any k_max.  The step's temporaries are
+# 64 KiB each, and malloc serves them from pages it already holds; at
+# 1 << 15 (256 KiB each) glibc mapped and returned them every step, and a
+# 2^26 ladder took 49,500 minor page faults against a dozen at 1 << 13.
+_BLOCK = 1 << 13
 
 
 def _weight_series_chunks(field: PiecewiseMobiusField, k_points: Sequence[int],
@@ -314,48 +318,73 @@ def _weight_series_chunks(field: PiecewiseMobiusField, k_points: Sequence[int],
     The support's modes are positive, so |f_hat(n)| is the real kernel.
 
     The chunks fix the rounding: each chunk's running sums start at 0 and
-    its totals are then added to the grand carry.  Inside a chunk the
-    running sums walk blocks of _BLOCK selected modes through one (n W, W)
-    buffer, whose first row is seeded with the sums so far; that is the
-    same sequential sum, so the blocks change no bit.
+    its totals are then added to the grand carry in chunk order.  So the
+    chunks are independent chains, and they run side by side as the
+    columns of a (rows, 2, chunks) block: row i holds (n W, W) at the
+    modes n = start_j + 4 i of every chunk j.  Each step seeds its first
+    row with the running sums and folds the block into them by
+    np.add.reduce over the rows, one vectorised add per row; a target
+    splits the fold at its row to read the sums there.  The order of
+    additions is that of one cumsum per chunk:
+    - within a column the rows are added one after another: the reduce's
+      inner loop runs over a row's (n W, W) pair and its chunks, so it is
+      never a lone column, which numpy would sum pairwise;
+    - rows past a chunk's last mode hold +0.0, which changes no bit;
+    - the chunk totals join the carry in chunk order.
     """
     k_points = sorted(set(int(k) for k in k_points))
     n_max = k_points[-1]
+    los = np.arange(2, n_max + 1, chunk, dtype=np.int64)
+    starts = los + (2 - los) % 4
+    counts = np.maximum((np.minimum(los + chunk - 1, n_max) - starts) // 4 + 1, 0)
+    rows = max(1, _BLOCK // max(1, los.size))
+    # a target reads its chunk's running sums after the chunk's last mode
+    # <= k: at row i of its column, or 0 before the chunk's first mode
+    reads: dict[int, list[tuple[int, int]]] = {}
+    partial = {}
+    for k in k_points:
+        if k >= 2:
+            j = (k - 2) // chunk
+            i = min((k - int(starts[j])) // 4, int(counts[j]) - 1)
+            if i < 0:
+                partial[k] = (0.0, 0.0)
+            else:
+                reads.setdefault(i, []).append((j, k))
+    state = np.zeros((2, los.size))
+    buf = np.empty((rows, 2, los.size))
+    first = starts.astype(np.float64)
+    depth = int(counts.max(initial=0))
+    for r0 in range(0, depth, rows):
+        r1 = min(r0 + rows, depth)
+        block = buf[:r1 - r0]
+        n = first + 4.0 * np.arange(r0, r1, dtype=np.float64)[:, None]
+        np.multiply(2.0 * field.closed_kernel(n), 1.0 + n ** 1.5, out=block[:, 1])
+        np.multiply(n, block[:, 1], out=block[:, 0])
+        if r1 > counts.min():
+            np.copyto(block, 0.0,
+                      where=(np.arange(r0, r1)[:, None] >= counts)[:, None, :])
+        a = r0
+        for stop in sorted({r1 - 1}.union(i for i in reads if r0 <= i < r1)):
+            seg = block[a - r0:stop + 1 - r0]
+            seg[0] += state
+            np.add.reduce(seg, axis=0, out=state)
+            for j, k in reads.get(stop, ()):
+                partial[k] = (float(state[0, j]), float(state[1, j]))
+            a = stop + 1
     cum_v = 0.0
     cum_w = 0.0
+    carry = []
+    for v, w in state.T.tolist():
+        carry.append((cum_v, cum_w))
+        cum_v += v
+        cum_w += w
     out = {}
-    targets = iter(k_points)
-    target = next(targets)
-    buf = np.empty((_BLOCK, 2))
-    lo = 2
-    while lo <= n_max:
-        hi = min(lo + chunk - 1, n_max)
-        while target is not None and target < lo:
-            out[target] = (cum_v, cum_w)
-            target = next(targets, None)
-        run_v = run_w = 0.0
-        for start in range(lo + (2 - lo) % 4, hi + 1, 4 * _BLOCK):
-            sel = np.arange(start, min(start + 4 * _BLOCK, hi + 1), 4,
-                            dtype=np.float64)
-            rows = buf[:sel.size]
-            rows[:, 1] = 2.0 * field.closed_kernel(sel) * (1.0 + sel ** 1.5)
-            np.multiply(sel, rows[:, 1], out=rows[:, 0])
-            rows[0, 0] += run_v
-            rows[0, 1] += run_w
-            np.cumsum(rows, axis=0, out=rows)
-            # targets past the chunk's last mode read the carry after it
-            while target is not None and target <= sel[-1]:
-                idx = int(np.searchsorted(sel, target + 0.5)) - 1
-                out[target] = ((cum_v + rows[idx, 0], cum_w + rows[idx, 1])
-                               if idx >= 0 else (cum_v + run_v, cum_w + run_w))
-                target = next(targets, None)
-            run_v, run_w = float(rows[-1, 0]), float(rows[-1, 1])
-        cum_v += run_v
-        cum_w += run_w
-        lo = hi + 1
     for k in k_points:
-        if k not in out:
-            out[k] = (cum_v, cum_w)
+        if k < 2:
+            out[k] = (0.0, 0.0)
+        else:
+            (cv, cw), (pv, pw) = carry[(k - 2) // chunk], partial[k]
+            out[k] = (cv + pv, cw + pw)
     return out, cum_v, cum_w
 
 

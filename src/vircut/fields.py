@@ -194,6 +194,8 @@ class PiecewiseMobiusField:
 
     pieces = tuple(tuple(mobius_piece(p).coefficient(m) for m in (-1, 0, 1))
                    for p in CORNERS)
+    # complex(a) of every piece coefficient, which evaluate reads
+    complex_pieces = tuple(tuple(complex(a) for a in piece) for piece in pieces)
 
     def coefficient_exact(self, n: int) -> tuple[CFrac, CFrac]:
         """Exact Fourier coefficient as (a, b) with f_hat(n) = a/pi + b.
@@ -316,7 +318,7 @@ def evaluate(field, theta: float):
     """Pointwise value Sum f_hat(n) e^{in theta}; real part for real fields."""
     if isinstance(field, PiecewiseMobiusField):
         j = int(math.floor(theta / (math.pi / 2))) % 4
-        val = sum(complex(field.pieces[j][m + 1]) * np.exp(1j * m * theta)
+        val = sum(field.complex_pieces[j][m + 1] * np.exp(1j * m * theta)
                   for m in (-1, 0, 1))
         return val.real
     if isinstance(field, FourierField):

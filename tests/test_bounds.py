@@ -1,10 +1,12 @@
 """Bound-constant experiments: r, q, decay, mollifier convergence."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,9 +33,15 @@ Q_HAT_N8 = 0.13011474896219252
 # float.hex of every rung of the glued field's Fejer ladder: "mollifier" to
 # 2^23 (four 2^21 chunks of the weight series), recorded while the series
 # still read |f_hat(n)| through the complex closed form; "mollifier_2_26"
-# to 2^26, recorded while each chunk still ran one cumsum over all its modes.
+# to 2^26, recorded while each chunk still ran one cumsum over all its modes;
+# "mollifier_one_chunk" at four tops up to 2^21 + 2 (one chunk, then two),
+# recorded while the chunks still ran one after another.
 GLUED_BITS = json.loads(
     (Path(__file__).parent / "data" / "glued_field_bits.json").read_text())
+
+# SHA-256 of scripts/mollifier_curve.py's CSV, recorded at the same time.
+MOLLIFIER_CSV_PINS = json.loads(
+    (Path(__file__).parent / "data" / "mollifier_csv_sha256.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +295,19 @@ def test_mollifier_script_rejects_k_max_zero(tmp_path):
     assert not (tmp_path / "mollifier_curve.csv").exists()
 
 
+@pytest.mark.parametrize("pin", MOLLIFIER_CSV_PINS, ids=lambda pin: " ".join(pin["argv"]))
+def test_mollifier_script_csv_bytes_are_pinned(pin, tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "mollifier_curve.py"
+    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
+    done = subprocess.run([sys.executable, str(script), *pin["argv"],
+                           "--out", str(tmp_path)], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in pin["sha256"]}
+    assert got == pin["sha256"]
+
+
 def test_bounds_sweep_script_fails_on_an_ill_conditioned_rep(tmp_path):
     # the float quotient at (25/28, 15/28), N=12 misses the relation budget
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_sweep.py"
@@ -312,7 +333,8 @@ def test_piecewise_mollifier_bits_are_pinned(piecewise):
 
 
 def test_the_full_criterion_ladder_to_2_26_is_pinned(piecewise):
-    # the acceptance criterion's ladder: 32 chunks of 2^21, 512 blocks
+    # the acceptance criterion's ladder: 32 chunks of 2^21, side by side in
+    # 2048 steps of 256 rows
     pin = GLUED_BITS["mollifier_2_26"]
     assert pin["k_max"] == 1 << 26
     report = mollifier_report(piecewise, FEJER, k_max=pin["k_max"])
@@ -359,17 +381,46 @@ def _full_chunk_series(field, k_points, chunk):
     return out, cum_v, cum_w
 
 
+@pytest.mark.parametrize("pin", GLUED_BITS["mollifier_one_chunk"],
+                         ids=lambda pin: str(pin["k_max"]))
+def test_one_chunk_ladders_keep_their_bits(piecewise, pin):
+    # up to 2^21 the series is one chunk, one column of the block, which
+    # numpy would sum pairwise if its rows held nothing else
+    ladder = [row["k"] for row in pin["rows"]]
+    assert (_weight_series_chunks(piecewise, ladder)
+            == _full_chunk_series(piecewise, ladder, 1 << 21))
+    report = mollifier_report(piecewise, FEJER, k_max=pin["k_max"])
+    assert _ladder_bits(report) == pin["rows"]
+
+
 # Chunk boundaries: at chunk size s the chunks start at lo = 2 + s i and end
 # at hi = lo + s - 1, so 2, 6, 7, 12, 66, 130, 1026 open a chunk at some size
 # below and 5, 6, 11, 65, 129, 1025, 2049 close one.
 CARRY_LADDER = [1, 2, 5, 6, 7, 11, 12, 65, 66, 129, 130, 1025, 1026, 2049, 3001]
 
-# A block spans 4 _BLOCK integers.  Within 6 of these multiples of it lie,
-# at every block-sized chunk below, a block's first and last selected mode
-# and targets between two blocks, before the next block's first mode.
-SPAN = 4 * _BLOCK
+# SPAN = 2^17 integers hold 2^15 modes.  Within 6 of these multiples of it
+# lie, at the chunk sizes near SPAN below, a chunk's first and last mode
+# and targets between two chunks, before the next chunk's first mode.
+SPAN = 1 << 17
 BLOCK_LADDER = [edge + d for edge in (SPAN, 2 * SPAN, 3 * SPAN, 16 * SPAN, 17 * SPAN)
                 for d in range(-6, 7)]
+
+
+def _step_edges(n_max, chunk):
+    """Targets within 6 of the first mode of a row step of the series to
+    n_max: steps 1, 2 and the last, in the first, a middle and the last
+    chunk.  A step holds max(1, _BLOCK // columns) rows of every chunk."""
+    cols = -(-(n_max - 1) // chunk)
+    rows = max(1, _BLOCK // cols)
+    out = set()
+    for j in (0, cols // 2, cols - 1):
+        lo = 2 + j * chunk
+        hi = min(lo + chunk - 1, n_max)
+        start = lo + (2 - lo) % 4
+        for s in {1, 2, (hi - start) // (4 * rows)}:
+            edge = start + 4 * rows * s
+            out.update(k for k in range(edge - 6, edge + 7) if lo <= k <= hi)
+    return out
 
 
 @pytest.mark.parametrize("chunk", [4, 5, 64, 1024, SPAN - 4, SPAN, SPAN + 4,
@@ -378,11 +429,30 @@ def test_weight_series_carries_across_chunks(piecewise, chunk):
     # a chunk of a few modes costs a Python loop step, so only chunks of a
     # thousand integers and more walk the block ladder past 2^21
     ladder = CARRY_LADDER + (BLOCK_LADDER if chunk >= 1024 else [])
+    if chunk in (1024, 1 << 21):
+        # 2177 columns of 3 rows a step, and 2 columns of 4096
+        ladder = sorted(set(ladder) | _step_edges(ladder[-1], chunk))
     want, want_v, want_w = _full_chunk_series(piecewise, ladder, chunk)
     got, got_v, got_w = _weight_series_chunks(piecewise, ladder, chunk=chunk)
     assert sorted(got) == ladder
     assert got == want
     assert (got_v, got_w) == (want_v, want_w)
+
+
+def test_weight_series_memory_stays_flat(piecewise):
+    # a step holds at most _BLOCK modes across all chunks, so the 32 chunks
+    # of 2^26 take no more than the 4 of 2^23 (5% for the Python bookkeeping
+    # of three more targets), and 1024 chunks of 2^12 stay under 2 MB
+    def peak(k_max, chunk=1 << 21):
+        ladder = [1 << j for j in range(k_max.bit_length())]
+        tracemalloc.start()
+        try:
+            _weight_series_chunks(piecewise, ladder, chunk=chunk)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(1 << 26) <= 1.05 * peak(1 << 23)
+    assert peak(1 << 22, chunk=1 << 12) < 2e6
 
 
 def test_report_csv_round_trip(tmp_path):

@@ -284,6 +284,16 @@ def test_pointwise_values(piecewise):
             -evaluate(piecewise, theta), abs=1e-12)
 
 
+def test_evaluate_reads_the_pieces_as_complex_bit_for_bit(piecewise):
+    # the profile's 2000 angles, against complex() of each exact coefficient
+    for i in range(2000):
+        theta = 2.0 * math.pi * i / 2000
+        j = int(math.floor(theta / (math.pi / 2))) % 4
+        direct = sum(complex(piecewise.pieces[j][m + 1]) * np.exp(1j * m * theta)
+                     for m in (-1, 0, 1)).real
+        assert evaluate(piecewise, theta) == direct
+
+
 @pytest.mark.parametrize("cutoff", [2, 6, 200])
 def test_series_reads_the_memo_bit_for_bit(piecewise, cutoff):
     ns = np.arange(-cutoff, cutoff + 1)
