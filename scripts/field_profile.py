@@ -29,7 +29,6 @@ def main() -> int:
 
     field = fields.build_piecewise_mobius()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     samples = []
     worst = 0.0

@@ -38,7 +38,6 @@ def main() -> int:
                                       ladder=[r["k"] for r in piecewise.table])
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "mollifier_curve.csv"
     cli.write_rows_csv(path, ["k", "piecewise_error", "piecewise_tail", "cosine_error"],
                        [{"k": pw["k"], "piecewise_error": pw["error"],

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sweep the bound constants r_hat^2 and q_hat over truncation levels.
 
-Builds one float-mode vacuum representation per level, reuses it for both
+Builds one float-mode representation at (c, h) per level, reuses it for both
 estimates, and writes one CSV row per level so the stabilization of the
 constants is visible at a glance.  A level whose rep misses the float
 bracket-relation budget counts as failed, like a failed verdict, and the
@@ -67,7 +67,6 @@ def main() -> int:
     except ValueError as exc:
         ap.error(str(exc))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     print(f"{'N':>3} {'r_hat^2':>22} {'q_hat':>22} {'3 r_hat^2':>22} {'sec':>7}")

@@ -54,7 +54,7 @@ def criterion_virasoro_relations() -> tuple[bool, str]:
                 try:
                     rep = verma.truncated_rep(c, h, 8, mode)
                 except verma.NonUnitaryError:
-                    rep = verma.truncated_rep(c, h, 8, mode, basis="monomial")
+                    rep = verma.monomial_action(c, h, 8, mode)
                     if mode == "exact":
                         fallbacks.append(f"c={c},h={h}")
                 summary = verma.relation_residual_summary(rep, max_mode=3)

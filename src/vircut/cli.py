@@ -190,6 +190,7 @@ def write_report(cfg: RunConfig, name: str, command: str, result) -> Path:
 
 
 def write_rows_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
@@ -281,7 +282,7 @@ def _build_rep(cfg: RunConfig):
     c = cfg.c * Fraction(12, 13) if cfg.inject_fault == "central-denominator-13" else cfg.c
     rep, source = store.load_or_build_rep(cfg.cache, c, cfg.h, cfg.N, cfg.mode)
     if c != cfg.c:
-        rep = replace(rep, c=cfg.c if rep.mode == "exact" else float(cfg.c))
+        rep = replace(rep, c=cfg.c)
     return rep, source
 
 
@@ -341,7 +342,7 @@ def cmd_field(cfg: RunConfig, args: argparse.Namespace) -> int:
         result["support"] = sorted(field.support)
         result["real"] = bool(field.real)
     rows = fields.coefficient_rows(field, cutoff)
-    write_rows_csv(_ensure_out(cfg) / "field_coefficients.csv",
+    write_rows_csv(cfg.out / "field_coefficients.csv",
                    ["n", "re", "im", "abs"],
                    [{"n": n, "re": re, "im": im, "abs": math.hypot(re, im)}
                     for n, re, im in rows])
@@ -353,11 +354,6 @@ def cmd_field(cfg: RunConfig, args: argparse.Namespace) -> int:
             c["value_left"] == c["value_right"] == 0 for c in corners)
             else "corners: one-sided values differ")
     return 0
-
-
-def _ensure_out(cfg: RunConfig) -> Path:
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    return cfg.out
 
 
 def cmd_smear(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -468,10 +464,9 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
         "fm_violations": fm_violations,
         "ok": bool(ok),
     }
-    out = _ensure_out(cfg)
     for name, rows in (("r_cells.csv", r_report.table), ("q_grid.csv", q_report.table),
                        ("fm_table.csv", fm_rows)):
-        write_rows_csv(out / name, list(rows[0]), rows)
+        write_rows_csv(cfg.out / name, list(rows[0]), rows)
     write_report(cfg, "bounds_report.json", "bounds", result)
     print(f"bounds c={fmt_rational(cfg.c)} h={fmt_rational(cfg.h)} N={cfg.N}, "
           f"eps grid {cfg.eps_grid}")

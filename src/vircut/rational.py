@@ -157,9 +157,6 @@ class CFrac:
             return NotImplemented
         return self.re == o.re and self.im == o.im
 
-    def __hash__(self):
-        return hash((self.re, self.im))
-
     def __bool__(self):
         return self.re != 0 or self.im != 0
 

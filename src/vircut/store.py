@@ -281,15 +281,8 @@ def load_rep(root, c, h, N: int, mode: str = "exact") -> Optional[TruncatedRep]:
                              f"expected {(dims[k - n], dims[k])}")
         blocks[(n, k)] = mat
 
-    return TruncatedRep(
-        c=c if mode == "exact" else float(c),
-        h=h if mode == "exact" else float(h),
-        N=N,
-        mode=mode,
-        level_dims=dims,
-        blocks=blocks,
-        basis_norms=tuple(norms),
-    )
+    return TruncatedRep(c=c, h=h, N=N, mode=mode, level_dims=dims, blocks=blocks,
+                        basis_norms=tuple(norms))
 
 
 def load_or_build_rep(root, c, h, N: int, mode: str = "exact") -> tuple[TruncatedRep, str]:

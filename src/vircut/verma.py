@@ -19,7 +19,8 @@ ordering, serialization and caching relies on that order.
 The inner product is the one induced by L_n* = L_{-n} and <Phi, Phi> = 1
 (Gram/Shapovalov matrices per level).  In the unitary range the Gram
 matrix is positive semidefinite; its kernel (null vectors) is quotiented
-away when building a truncated representation.
+away by truncated_rep.  monomial_action keeps the raw action on the
+monomial basis (basis "monomial"), with no inner product.
 
 Arithmetic is dual mode.  The PBW structure constants (the coefficients
 of L_n on a monomial) are always computed with exact rationals.  "exact"
@@ -35,7 +36,7 @@ forms of the blocks, which forms no Fraction at all.
 "float" mode rounds each structure constant once to float64 and runs the
 same Gram recursion, the quotient and the block assembly in floating
 point, with blocks in an orthonormal basis; no Fraction array is formed,
-and rational.dot is np.dot there.
+and rational.dot is np.dot there.  A float rep holds c and h as floats.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ __all__ = [
     "gram_entry_direct",
     "block_keys",
     "truncated_rep",
+    "monomial_action",
     "relation_residual",
     "relation_residual_summary",
     "measure_central_charge",
@@ -129,49 +131,99 @@ def partition_count(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# symbolic action of L_n on monomial words (PBW straightening)
+# the module at one (c, h): PBW straightening of L_n on monomial words
 
 def _bump(out: dict, word: tuple, value) -> None:
     cur = out.get(word)
     out[word] = value if cur is None else cur + value
 
 
-@lru_cache(maxsize=None)
-def _act_word(n: int, word: tuple, c: Fraction, h: Fraction):
-    """L_n applied to the monomial `word`, as a tuple of (word, coeff).
+@lru_cache(maxsize=1)
+def _module(c: Fraction, h: Fraction):
+    """The Verma module at (c, h): its memoized act(n, word) and gram(k, mode).
 
-    Recursion on the leading generator: commute L_n through L_{-word[0]}
-    and straighten the leftovers.  Terminates because every same-length
-    prepend candidate produced by the inner call already has first part
-    bounded by the part being prepended (see the sortedness of words).
+    Both memos close over the point, so their keys hold no Fraction.  The
+    one slot keeps the last point built: builds at one (c, h) share the
+    memos across N, and a build at another point drops them.
     """
-    if not word:
-        if n > 0:
-            return ()
-        if n == 0:
-            return (((), h),) if h != 0 else ()
-        return (((-n,), Fraction(1)),)
-    if n < 0 and -n >= word[0]:
-        return (((-n,) + word, Fraction(1)),)
-    head, rest = word[0], word[1:]
-    out: dict = {}
-    # L_{-head} (L_n rest), straightening where the prepend is unsorted
-    for w, a in _act_word(n, rest, c, h):
-        if not w or head >= w[0]:
-            _bump(out, (head,) + w, a)
+
+    @lru_cache(maxsize=None)
+    def act(n: int, word: tuple):
+        """L_n applied to the monomial `word`, as a tuple of (word, coeff).
+
+        Recursion on the leading generator: commute L_n through L_{-word[0]}
+        and straighten the leftovers.  Terminates because every same-length
+        prepend candidate produced by the inner call already has first part
+        bounded by the part being prepended (see the sortedness of words).
+        """
+        if not word:
+            if n > 0:
+                return ()
+            if n == 0:
+                return (((), h),) if h != 0 else ()
+            return (((-n,), Fraction(1)),)
+        if n < 0 and -n >= word[0]:
+            return (((-n,) + word, Fraction(1)),)
+        head, rest = word[0], word[1:]
+        out: dict = {}
+        # L_{-head} (L_n rest), straightening where the prepend is unsorted
+        for w, a in act(n, rest):
+            if not w or head >= w[0]:
+                _bump(out, (head,) + w, a)
+            else:
+                for w2, b in act(-head, w):
+                    _bump(out, w2, a * b)
+        # [L_n, L_{-head}] = (n + head) L_{n-head} + central delta_{n,head}
+        coef = n + head
+        if coef != 0:
+            for w, a in act(n - head, rest):
+                _bump(out, w, coef * a)
+        if n == head:
+            cc = c * (n ** 3 - n) / 12
+            if cc != 0:
+                _bump(out, rest, cc)
+        return tuple((w, a) for w, a in out.items() if a != 0)
+
+    @lru_cache(maxsize=None)
+    def gram(k: int, mode: str) -> np.ndarray:
+        """G_k by level recursion, in the arithmetic of `mode`; read-only.
+
+        Row lambda = (a, rest) of G_k is row `rest` of G_{k-a} @ L_a(k), from
+        the pairing <L_{-a} m_rest, m_mu> = <m_rest, L_a m_mu>.  Only the rows
+        of G_{k-a} indexed by some `rest` are multiplied: those are the
+        partitions of k - a with first part at most a, a minority of the
+        level for small a.
+
+        Float mode runs the same recursion on float64 arrays.  For c > 0 and
+        h >= 0 every structure constant of L_a, a > 0, is nonnegative
+        (commutators contribute (n + head) > 0, straightening contributes
+        differences of a larger and a smaller part, L_0 contributes h plus a
+        level, the central term c (n^3 - n)/12), so every Gram entry is a sum
+        of products of nonnegative numbers.  Nothing cancels: an exact zero
+        stays an exact zero, and each float entry carries only accumulated
+        rounding, at most (k + p(0) + ... + p(k-1)) u relative to first order
+        (u = 2^-53: one rounding per entry of L_a(k) and a sum of at most
+        p(k-a) nonnegative terms per level).  In practice it is far smaller:
+        against the rounded exact Gram the worst relative error for k <= 12
+        over the tested (c, h) points is 2.5 eps (eps = 2^-52), and the tests
+        hold it to 4 eps.
+        """
+        parts_k = _partition_tuples(k)
+        g = zeros((len(parts_k), len(parts_k)), mode)
+        if k == 0:
+            g[0, 0] = Fraction(1)
         else:
-            for w2, b in _act_word(-head, w, c, h):
-                _bump(out, w2, a * b)
-    # [L_n, L_{-head}] = (n + head) L_{n-head} + central delta_{n,head}
-    coef = n + head
-    if coef != 0:
-        for w, a in _act_word(n - head, rest, c, h):
-            _bump(out, w, coef * a)
-    if n == head:
-        cc = c * (n ** 3 - n) / 12
-        if cc != 0:
-            _bump(out, rest, cc)
-    return tuple((w, a) for w, a in out.items() if a != 0)
+            row = 0
+            for a, group in groupby(parts_k, key=lambda lam: lam[0]):
+                index = _partition_index(k - a)
+                needed = [index[lam[1:]] for lam in group]
+                g[row:row + len(needed), :] = dot(gram(k - a, mode)[needed, :],
+                                                  monomial_block(a, k, c, h, mode))
+                row += len(needed)
+        g.flags.writeable = False
+        return g
+
+    return act, gram
 
 
 def monomial_block(n: int, k: int, c, h, mode: str = "exact") -> Optional[np.ndarray]:
@@ -183,13 +235,13 @@ def monomial_block(n: int, k: int, c, h, mode: str = "exact") -> Optional[np.nda
     """
     if k < 0 or k - n < 0:
         return None
-    cv, hv = as_fraction(c), as_fraction(h)
+    act, _ = _module(as_fraction(c), as_fraction(h))
     src = _partition_tuples(k)
     dst_index = _partition_index(k - n)
     rows, cols, vals = [], [], []
     for j, word in enumerate(src):
         # the words of one action are distinct, so every entry is set once
-        for w, a in _act_word(n, word, cv, hv):
+        for w, a in act(n, word):
             rows.append(dst_index[w])
             cols.append(j)
             vals.append(a)
@@ -211,52 +263,13 @@ class GramMatrix:
     entries: np.ndarray  # symmetric; Fraction objects (exact) or float64
 
 
-@lru_cache(maxsize=None)
-def _gram_level(c: Fraction, h: Fraction, k: int, mode: str) -> np.ndarray:
-    """G_k by level recursion, in the arithmetic of `mode`; read-only.
-
-    Row lambda = (a, rest) of G_k is row `rest` of G_{k-a} @ L_a(k), from
-    the pairing <L_{-a} m_rest, m_mu> = <m_rest, L_a m_mu>.  Only the rows
-    of G_{k-a} indexed by some `rest` are multiplied: those are the
-    partitions of k - a with first part at most a, a minority of the
-    level for small a.
-
-    Float mode runs the same recursion on float64 arrays.  For c > 0 and
-    h >= 0 every structure constant of L_a, a > 0, is nonnegative
-    (commutators contribute (n + head) > 0, straightening contributes
-    differences of a larger and a smaller part, L_0 contributes h plus a
-    level, the central term c (n^3 - n)/12), so every Gram entry is a sum
-    of products of nonnegative numbers.  Nothing cancels: an exact zero
-    stays an exact zero, and each float entry carries only accumulated
-    rounding, at most (k + p(0) + ... + p(k-1)) u relative to first order
-    (u = 2^-53: one rounding per entry of L_a(k) and a sum of at most
-    p(k-a) nonnegative terms per level).  In practice it is far smaller:
-    against the rounded exact Gram the worst relative error for k <= 12
-    over the tested (c, h) points is 2.5 eps (eps = 2^-52), and the tests
-    hold it to 4 eps.
-    """
-    parts_k = _partition_tuples(k)
-    g = zeros((len(parts_k), len(parts_k)), mode)
-    if k == 0:
-        g[0, 0] = Fraction(1)
-    else:
-        row = 0
-        for a, group in groupby(parts_k, key=lambda lam: lam[0]):
-            index = _partition_index(k - a)
-            needed = [index[lam[1:]] for lam in group]
-            g[row:row + len(needed), :] = dot(_gram_level(c, h, k - a, mode)[needed, :],
-                                              monomial_block(a, k, c, h, mode))
-            row += len(needed)
-    g.flags.writeable = False
-    return g
-
-
 def gram_matrix(c, h, k: int, mode: str = "exact") -> GramMatrix:
     """Level-k Gram matrix in the reverse-lexicographic monomial basis."""
     if k < 0:
         raise ValueError("level must be nonnegative")
     cv, hv = as_fraction(c), as_fraction(h)
-    return GramMatrix(cv, hv, k, _gram_level(cv, hv, k, mode).copy())
+    _, gram = _module(cv, hv)
+    return GramMatrix(cv, hv, k, gram(k, mode).copy())
 
 
 def gram_entry_direct(c, h, lam: tuple, mu: tuple) -> Fraction:
@@ -264,15 +277,15 @@ def gram_entry_direct(c, h, lam: tuple, mu: tuple) -> Fraction:
 
     <L_{-l1}...L_{-lj} Phi, m_mu> is the coefficient of Phi in
     L_{lj} ... L_{l1} m_mu.  The vector is a dict from word to coefficient,
-    and L_{l1} is applied first, one _act_word per word; words pushed
-    below level 0 annihilate.  Used as an oracle against gram_matrix.
+    and L_{l1} is applied first, one act per word; words pushed below
+    level 0 annihilate.  Used as an oracle against gram_matrix.
     """
-    cv, hv = as_fraction(c), as_fraction(h)
+    act, _ = _module(as_fraction(c), as_fraction(h))
     vec = {tuple(mu): Fraction(1)}
     for part in lam:
         out: dict = {}
         for word, a in vec.items():
-            for w, b in _act_word(part, word, cv, hv):
+            for w, b in act(part, word):
                 _bump(out, w, a * b)
         vec = out
     return vec.get((), Fraction(0))
@@ -316,9 +329,10 @@ class TruncatedRep:
     object arrays in per-level orthogonal bases whose norms squared are
     basis_norms[k] (the D-basis); orthonormal_block derives the float
     orthonormal matrix.  basis names the per-level basis: "quotient" for
-    the truncated_rep quotient, "monomial" for the raw module action
-    (basis_norms is None), "tensor" for the pairing of factor bases made
-    by tensor_rep.
+    the truncated_rep quotient, "monomial" for the raw module action that
+    monomial_action builds (basis_norms is None), "tensor" for the pairing
+    of factor bases made by tensor_rep.  A float rep holds c and h as
+    floats, whatever it is given.
     """
 
     c: Scalar
@@ -329,6 +343,11 @@ class TruncatedRep:
     blocks: dict
     basis_norms: Optional[tuple]
     basis: str = "quotient"
+
+    def __post_init__(self):
+        if self.mode == "float":
+            object.__setattr__(self, "c", float(self.c))
+            object.__setattr__(self, "h", float(self.h))
 
     def dim(self, k: int) -> int:
         return self.level_dims[k] if 0 <= k <= self.N else 0
@@ -361,10 +380,11 @@ class TruncatedRep:
 def _exact_level_data(c, h, N):
     """Per-level (dims, norms D, basis rows B, extraction rows W = D^-1 B G)
     for exact mode, B and W as psd_congruence's integer forms."""
+    _, gram = _module(c, h)
     dims, normsq, basis_rows, extract = [], [], [], []
     for k in range(N + 1):
         try:
-            d, basis, w, rank = psd_congruence(_gram_level(c, h, k, "exact"))
+            d, basis, w, rank = psd_congruence(gram(k, "exact"))
         except IndefiniteMatrixError as exc:
             raise NonUnitaryError(
                 f"Gram matrix at level {k} is indefinite for c={c}, h={h}: {exc}") from exc
@@ -396,9 +416,10 @@ def _float_level_data(c, h, N):
     and the 1/sqrt(w) scaling would otherwise leave relation residuals
     around 1e-10, two orders above what downstream checks budget for.
     """
+    _, gram = _module(c, h)
     dims, normsq, basis_rows, extract = [], [], [], []
     for k in range(N + 1):
-        g = _gram_level(c, h, k, "float")
+        g = gram(k, "float")
         p = g.shape[0]
         diag = np.diag(g).copy()
         maxd = max(diag.max(initial=0.0), 0.0)
@@ -436,62 +457,56 @@ def _float_level_data(c, h, N):
     return dims, normsq, basis_rows, extract
 
 
-def truncated_rep(c, h, N: int, mode: str = "exact",
-                  basis: str = "quotient") -> TruncatedRep:
-    """Build the truncated representation for (c, h) at cutoff N.
+def truncated_rep(c, h, N: int, mode: str = "exact") -> TruncatedRep:
+    """Build the unitary quotient for (c, h) at cutoff N.
 
-    basis="quotient" (the default) quotients each level by the Gram kernel
-    and carries inner-product data; it raises NonUnitaryError when the
-    Gram matrix is indefinite (the orthonormalization is refused rather
-    than faked).  basis="monomial" keeps the raw module action on the full
-    monomial basis; it exists for algebra checks at points outside the
-    unitary range and carries no inner product.  Float mode decides rank
-    and unitarity at the fixed relative tolerance _FLOAT_TOL = 1e-10 on
-    the diagonally scaled Gram, and raises FloatRangeError when its Gram
-    or quotient leaves the float64 range (an overflowed Gram would
-    otherwise read as null states or stop eigh from converging).
+    Each level is quotiented by its Gram kernel, and the rep carries the
+    inner-product data; NonUnitaryError is raised when the Gram matrix is
+    indefinite (the orthonormalization is refused rather than faked).
+    Float mode decides rank and unitarity at the fixed relative tolerance
+    _FLOAT_TOL = 1e-10 on the diagonally scaled Gram, and raises
+    FloatRangeError when its Gram or quotient leaves the float64 range (an
+    overflowed Gram would otherwise read as null states or stop eigh from
+    converging).
     """
     if N < 2:
         raise ValueError("truncation level N must be at least 2")
     cv, hv = as_fraction(c), as_fraction(h)
-    if basis == "monomial":
-        dims = [partition_count(k) for k in range(N + 1)]
-        normsq = None
-        blocks = {(n, k): monomial_block(n, k, cv, hv, mode) for n, k in block_keys(N)}
-    elif basis == "quotient":
-        if mode == "exact":
-            dims, normsq, basis_rows, extract = _exact_level_data(cv, hv, N)
-        elif mode == "float":
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    dims, normsq, basis_rows, extract = _float_level_data(cv, hv, N)
-            except (FloatingPointError, OverflowError) as exc:
-                raise FloatRangeError(f"float mode overflows float64 at this (c, h), N={N} "
-                                      f"({exc}); exact mode has no such limit") from exc
-        else:
-            raise ValueError(f"unknown arithmetic mode {mode!r}")
-        normsq = tuple(normsq)
-        blocks = {}
-        for n, k in block_keys(N):
-            mono = monomial_block(n, k, cv, hv, mode)
-            if mode == "exact":
-                blocks[(n, k)] = (extract[k - n] @ IntegerForm.whole(mono)
-                                  @ basis_rows[k].T).fractions()
-            else:
-                blocks[(n, k)] = np.asarray(dot(dot(extract[k - n], mono), basis_rows[k].T),
-                                            dtype=np.float64)
+    if mode == "exact":
+        dims, normsq, basis_rows, extract = _exact_level_data(cv, hv, N)
+    elif mode == "float":
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                dims, normsq, basis_rows, extract = _float_level_data(cv, hv, N)
+        except (FloatingPointError, OverflowError) as exc:
+            raise FloatRangeError(f"float mode overflows float64 at this (c, h), N={N} "
+                                  f"({exc}); exact mode has no such limit") from exc
     else:
-        raise ValueError(f"unknown basis {basis!r}")
-    return TruncatedRep(
-        c=cv if mode == "exact" else float(cv),
-        h=hv if mode == "exact" else float(hv),
-        N=N,
-        mode=mode,
-        level_dims=tuple(dims),
-        blocks=blocks,
-        basis_norms=normsq,
-        basis=basis,
-    )
+        raise ValueError(f"unknown arithmetic mode {mode!r}")
+    blocks = {}
+    for n, k in block_keys(N):
+        mono = monomial_block(n, k, cv, hv, mode)
+        if mode == "exact":
+            blocks[(n, k)] = (extract[k - n] @ IntegerForm.whole(mono)
+                              @ basis_rows[k].T).fractions()
+        else:
+            blocks[(n, k)] = np.asarray(dot(dot(extract[k - n], mono), basis_rows[k].T),
+                                        dtype=np.float64)
+    return TruncatedRep(c=cv, h=hv, N=N, mode=mode, level_dims=tuple(dims), blocks=blocks,
+                        basis_norms=tuple(normsq))
+
+
+def monomial_action(c, h, N: int, mode: str = "exact") -> TruncatedRep:
+    """The raw module action on the full monomial basis, cut at level N: for
+    algebra checks outside the unitary range, where truncated_rep refuses.
+    It carries no inner product (basis_norms is None)."""
+    if N < 2:
+        raise ValueError("truncation level N must be at least 2")
+    return TruncatedRep(c=as_fraction(c), h=as_fraction(h), N=N, mode=mode,
+                        level_dims=tuple(partition_count(k) for k in range(N + 1)),
+                        blocks={(n, k): monomial_block(n, k, c, h, mode)
+                                for n, k in block_keys(N)},
+                        basis_norms=None, basis="monomial")
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def test_tricritical_half_fails_only_at_level_six():
 
 
 def test_monomial_basis_carries_relations_without_inner_product():
-    rep = truncated_rep(Fraction(7, 10), Fraction(1, 2), 8, basis="monomial")
+    rep = verma.monomial_action(Fraction(7, 10), Fraction(1, 2), 8)
     summary = relation_residual_summary(rep, max_mode=3)
     assert summary["exact_zero"]
     with pytest.raises(ValueError, match="no inner product"):
@@ -129,18 +129,18 @@ def _all_ordered_pairs(rep, max_mode=3):
     return worst, nonzero, cells
 
 
-@pytest.mark.parametrize("c, h, N, mode, basis, label", [
-    (Fraction(1, 2), 0, 8, "float", "quotient", None),
-    (Fraction(7, 10), Fraction(3, 5), 6, "exact", "quotient", None),
-    (Fraction(7, 10), Fraction(1, 2), 6, "exact", "monomial", None),
+@pytest.mark.parametrize("build, c, h, N, mode, label", [
+    (truncated_rep, Fraction(1, 2), 0, 8, "float", None),
+    (truncated_rep, Fraction(7, 10), Fraction(3, 5), 6, "exact", None),
+    (verma.monomial_action, Fraction(7, 10), Fraction(1, 2), 6, "exact", None),
     # the CLI's injected fault: built at 12c/13, labelled c = 2
-    (Fraction(24, 13), 0, 5, "float", "quotient", Fraction(2)),
-    (Fraction(24, 13), 0, 5, "exact", "quotient", Fraction(2)),
+    (truncated_rep, Fraction(24, 13), 0, 5, "float", Fraction(2)),
+    (truncated_rep, Fraction(24, 13), 0, 5, "exact", Fraction(2)),
 ], ids=["float", "exact", "monomial", "faulted-float", "faulted-exact"])
-def test_relation_summary_sweeps_the_unordered_pairs(c, h, N, mode, basis, label):
-    rep = truncated_rep(c, h, N, mode=mode, basis=basis)
+def test_relation_summary_sweeps_the_unordered_pairs(build, c, h, N, mode, label):
+    rep = build(c, h, N, mode=mode)
     if label is not None:
-        rep = replace(rep, c=label if mode == "exact" else float(label))
+        rep = replace(rep, c=label)
     worst, nonzero, cells = _all_ordered_pairs(rep)
     summary = relation_residual_summary(rep, max_mode=3)
     assert summary["max_abs"] == worst
@@ -191,7 +191,7 @@ def _nudged(rep, key, part):
     (lambda: verma.truncated_rep(Fraction(7, 10), Fraction(3, 5), 8), True),
     (lambda: verma.truncated_rep(Fraction(1, 2), 0, 8), True),
     (lambda: verma.truncated_rep(Fraction(2), Fraction(1), 6), True),
-    (lambda: truncated_rep(Fraction(7, 10), Fraction(1, 2), 6, basis="monomial"), True),
+    (lambda: verma.monomial_action(Fraction(7, 10), Fraction(1, 2), 6), True),
     # the CLI's central-denominator-13 fault: built at 12c/13, labelled c
     (lambda: _relabelled(Fraction(24, 13), Fraction(1), 6, Fraction(2)), False),
     (lambda: _relabelled(Fraction(18, 13), Fraction(1, 3), 7, Fraction(3, 2)), False),
@@ -276,6 +276,38 @@ def test_blocks_are_the_truncation_block_keys(ising8):
     assert verma.block_keys(2) == [(-2, 0), (-1, 0), (-1, 1), (0, 0), (0, 1), (0, 2),
                                    (1, 1), (1, 2), (2, 2)]
     assert list(ising8.blocks) == verma.block_keys(8)
-    monomial = truncated_rep(Fraction(1, 2), 0, 4, basis="monomial")
+    monomial = verma.monomial_action(Fraction(1, 2), 0, 4)
     assert list(monomial.blocks) == verma.block_keys(4)
     assert list(verma.tensor_rep(ising8, ising8, 4).blocks) == verma.block_keys(4)
+
+
+# ---------------------------------------------------------------------------
+# the module memo holds one (c, h)
+
+
+def test_the_module_memo_keeps_only_the_last_point():
+    for c, h in ((Fraction(1, 2), 0), (Fraction(7, 10), Fraction(3, 5)), (Fraction(2), 1)):
+        truncated_rep(c, h, 6, "float")
+    assert verma._module.cache_info().currsize == 1
+
+
+def test_one_point_builds_every_level_from_one_module():
+    verma._module.cache_clear()
+    for N in range(4, 11):
+        truncated_rep(Fraction(1, 2), 0, N, "float")
+    assert verma._module.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_point_rebuilt_after_another_equals_its_first_build(mode):
+    verma._module.cache_clear()
+    first = truncated_rep(Fraction(7, 10), Fraction(3, 5), 7, mode)
+    truncated_rep(Fraction(1, 2), Fraction(1, 16), 7, mode)
+    again = truncated_rep(Fraction(7, 10), Fraction(3, 5), 7, mode)
+    assert verma._module.cache_info().misses == 3
+    assert again.level_dims == first.level_dims and list(again.blocks) == list(first.blocks)
+    for key, blk in first.blocks.items():
+        if mode == "exact":
+            assert again.blocks[key].shape == blk.shape and (again.blocks[key] == blk).all()
+        else:
+            assert again.blocks[key].tobytes() == blk.tobytes()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,6 +71,15 @@ def test_float_rep_round_trip_is_bit_exact(tmp_path, ising8_float):
         assert np.array_equal(loaded.blocks[key], blk)
 
 
+def test_a_float_rep_holds_float_labels(tmp_path, ising8_float):
+    relabelled = replace(ising8_float, c=Fraction(2))
+    assert type(relabelled.c) is float and relabelled.c == 2.0
+    save_rep(tmp_path, ising8_float, c=C, h=H)
+    loaded = load_rep(tmp_path, C, H, 8, mode="float")
+    assert (type(loaded.c), type(loaded.h)) == (float, float)
+    assert (loaded.c, loaded.h) == (0.5, 0.0)
+
+
 def test_float_rep_needs_its_exact_key(tmp_path, ising8_float):
     with pytest.raises(CacheError, match="exact .c, h. key"):
         save_rep(tmp_path, ising8_float)
@@ -81,7 +91,7 @@ def test_float_rep_key_must_match(tmp_path, ising8_float):
 
 
 def test_monomial_rep_is_not_cacheable(tmp_path):
-    rep = verma.truncated_rep(C, Fraction(1, 2), 4, basis="monomial")
+    rep = verma.monomial_action(C, Fraction(1, 2), 4)
     with pytest.raises(CacheError, match="monomial-basis representations are not cacheable"):
         save_rep(tmp_path, rep)
     assert not any(tmp_path.iterdir())
