@@ -27,6 +27,8 @@ def main() -> int:
     ap.add_argument("--out", default="out/mollifier_curve",
                     help="output directory")
     args = ap.parse_args()
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the ladder
 
     try:
         piecewise = bounds.mollifier_report(fields.build_piecewise_mobius(),
@@ -37,7 +39,6 @@ def main() -> int:
                                       k_max=args.k_max, tol=args.tol,
                                       ladder=[r["k"] for r in piecewise.table])
 
-    out = Path(args.out)
     path = out / "mollifier_curve.csv"
     cli.write_rows_csv(path, ["k", "piecewise_error", "piecewise_tail", "cosine_error"],
                        [{"k": pw["k"], "piecewise_error": pw["error"],

@@ -67,6 +67,7 @@ def main() -> int:
     except ValueError as exc:
         ap.error(str(exc))
     out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the sweep
 
     rows = []
     print(f"{'N':>3} {'r_hat^2':>22} {'q_hat':>22} {'3 r_hat^2':>22} {'sec':>7}")

@@ -308,6 +308,23 @@ def test_mollifier_script_csv_bytes_are_pinned(pin, tmp_path):
     assert got == pin["sha256"]
 
 
+@pytest.mark.parametrize("name, args", [
+    ("run_bounds_sweep.py", ["--levels", "4:4"]),
+    # k_max 0 is refused only once the ladder starts; the --out error comes first
+    ("mollifier_curve.py", ["--k-max", "0"]),
+])
+def test_scripts_refuse_a_file_as_out_before_any_work(tmp_path, name, args):
+    script = Path(__file__).resolve().parents[1] / "scripts" / name
+    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    done = subprocess.run([sys.executable, str(script), *args, "--out", str(taken)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode != 0
+    assert "FileExistsError" in done.stderr and "k_max" not in done.stderr
+    assert done.stdout == ""
+
+
 def test_bounds_sweep_script_fails_on_an_ill_conditioned_rep(tmp_path):
     # the float quotient at (25/28, 15/28), N=12 misses the relation budget
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_sweep.py"
