@@ -18,8 +18,10 @@ the quoted constant is reproducible bit for bit.
 The q sweep never materializes commutator matrices.  On each level the
 commutator with the heat semigroup is a scalar multiple of the generator
 block, since L0 acts on level k as the scalar h + k, so its norm is
-|factor| times a precomputed block norm.  That L0 is this scalar is
-checked by the bracket-relation sweep ([L_0, L_n] = -n L_n), which
+|factor| times a precomputed block norm.  Each estimate takes the norm
+of every block once; its witness check recomputes from the rep the
+norms of the witness's mode alone.  That L0 is this scalar is checked
+by the bracket-relation sweep ([L_0, L_n] = -n L_n), which
 `vircut bounds` and scripts/run_bounds_sweep.py run on every rep they
 sweep; smear.heat_identity_residual checks only the factored form
 against the literal difference of two products, which holds for any
@@ -67,9 +69,12 @@ def _rep_for(c, N: int, h, rep) -> verma.TruncatedRep:
     return verma.truncated_rep(Fraction(c), Fraction(h), N, mode="float")
 
 
-def _block_norms(rep: verma.TruncatedRep) -> dict[tuple[int, int], float]:
-    """Operator norm of each orthonormal-basis block of L_n at level src."""
-    return {(n, src): opnorm(rep.orthonormal_block(n, src)) for n, src in rep.blocks}
+def _block_norms(rep: verma.TruncatedRep, n: Optional[int] = None
+                 ) -> dict[tuple[int, int], float]:
+    """Operator norm of each orthonormal-basis block of L_m at level src,
+    over every mode m, or over mode n alone."""
+    return {(m, src): opnorm(rep.orthonormal_block(m, src)) for m, src in rep.blocks
+            if n is None or m == n}
 
 
 def estimate_r(c, N: int, h=0, rep: Optional[verma.TruncatedRep] = None
@@ -221,17 +226,18 @@ def estimate_q(c, N: int, eps_grid: Optional[Sequence[float]] = None, h=0,
         if i_grid in (0, grid_values.size - 1) and not (
                 i_grid == grid_values.size - 1 and sweep["unbounded_max"]):
             warnings.append(f"mode {n}: eps maximizer on the grid boundary")
-        for i, eps in enumerate(sweep["eps_all"]):
-            table.append({"n": n, "eps": float(eps), "value": float(values[i]),
-                          "level": sweep["levels"][i],
-                          "injected": not bool(sweep["grid_mask"][i])})
-        if best is None or values[i_best] > best["value"]:
-            best = {"n": n, "eps": float(sweep["eps_all"][i_best]),
-                    "value": float(values[i_best]),
+        eps_all, value_list = sweep["eps_all"].tolist(), values.tolist()
+        table.extend({"n": n, "eps": eps, "value": value, "level": level,
+                      "injected": not on_grid}
+                     for eps, value, level, on_grid in zip(
+                         eps_all, value_list, sweep["levels"], sweep["grid_mask"].tolist()))
+        if best is None or value_list[i_best] > best["value"]:
+            best = {"n": n, "eps": eps_all[i_best], "value": value_list[i_best],
                     "level": sweep["levels"][i_best], "index": i_best}
 
-    # witness reproducibility: rerun the winning mode's sweep from scratch
-    redo = _q_mode_sweep(rep, _block_norms(rep), best["n"], grid, h_f)
+    # witness reproducibility: rerun the winning mode's sweep, its block
+    # norms recomputed from scratch
+    redo = _q_mode_sweep(rep, _block_norms(rep, best["n"]), best["n"], grid, h_f)
     reproduced = float(redo["values"][best["index"]]) == best["value"]
     best.pop("index")
 

@@ -214,7 +214,7 @@ class IntegerForm:
     Fraction only for an entry that leaves it (fractions), and a check a
     float only for a nonzero entry (residual).  A form lives no longer
     than the work that makes it: one product, one relation sweep, or,
-    for a level's congruence rows, one build.
+    for a level's congruence rows, the memo of its (c, h) point.
     """
 
     num: np.ndarray
@@ -260,8 +260,9 @@ class IntegerForm:
         return IntegerForm(self.num.T, self.col, self.row)
 
     def __getitem__(self, rows: slice) -> IntegerForm:
-        """The form of a slice of the rows."""
-        return IntegerForm(self.num[rows], self.row[rows], self.col)
+        """The form of a slice of the rows, copied so that it does not keep
+        the other rows alive."""
+        return IntegerForm(self.num[rows].copy(), self.row[rows].copy(), self.col)
 
     def __matmul__(self, other: IntegerForm) -> IntegerForm:
         """The product, when the scales of the summed index factor out of

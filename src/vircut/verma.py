@@ -24,19 +24,22 @@ monomial basis (basis "monomial"), with no inner product.
 
 Arithmetic is dual mode.  The PBW structure constants (the coefficients
 of L_n on a monomial) are always computed with exact rationals.  "exact"
-mode keeps every matrix built from them exact: Gram matrices, the null
-quotient and the blocks, in a basis that is orthogonal with known
-rational norms squared (the D-basis).  Its matrix products run over
-the integers (rational.IntegerForm): the Gram recursion through
-rational.dot, which forms one Fraction per entry of the result; block
-assembly on the basis and extraction rows that the congruence returns
-as integer forms, so a block's Fractions are formed once, from the
-product of three integer matrices; and the relation sweep on integer
-forms of the blocks, which forms no Fraction at all.
-"float" mode rounds each structure constant once to float64 and runs the
-same Gram recursion, the quotient and the block assembly in floating
-point, with blocks in an orthonormal basis; no Fraction array is formed,
-and rational.dot is np.dot there.  A float rep holds c and h as floats.
+mode keeps every matrix built from them exact, with blocks in a basis
+that is orthogonal with known rational norms squared (the D-basis), and
+multiplies over the integers (rational.IntegerForm): the Gram recursion
+forms one Fraction per entry of a product, a block forms its Fractions
+once, from the product of three integer matrices, and the relation sweep
+forms none.  "float" mode rounds each structure constant once to float64
+and runs the same Gram recursion, quotient and block assembly in floating
+point, with blocks in an orthonormal basis and no Fraction array; a
+float rep holds c and h as floats.
+
+One point at a time is kept, in _module: the _Module of the last (c, h)
+built holds its PBW action, its Gram levels, each level's quotient (norms,
+basis rows and extraction rows) and each quotient block.  None of these
+depends on the cutoff N, so a build at N + 1 after one at N computes only
+level N + 1 and the blocks that touch it.  A build at another point drops
+the object, which frees all of them at once.
 """
 
 from __future__ import annotations
@@ -131,61 +134,89 @@ def partition_count(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the module at one (c, h): PBW straightening of L_n on monomial words
+# the module at one (c, h): PBW straightening, Gram levels, quotient, blocks
 
 def _bump(out: dict, word: tuple, value) -> None:
     cur = out.get(word)
     out[word] = value if cur is None else cur + value
 
 
-@lru_cache(maxsize=1)
-def _module(c: Fraction, h: Fraction):
-    """The Verma module at (c, h): its memoized act(n, word) and gram(k, mode).
+# Float mode's relative tolerance: a Gram diagonal or scaled eigenvalue
+# below -_FLOAT_TOL times the largest one (or 1, if that is larger) is
+# indefinite, and a scaled eigenvalue at or below +_FLOAT_TOL times that
+# is null.
+_FLOAT_TOL = 1e-10
+_ONE = Fraction(1)
 
-    Both memos close over the point, so their keys hold no Fraction.  The
-    one slot keeps the last point built: builds at one (c, h) share the
-    memos across N, and a build at another point drops them.
+
+class _Module:
+    """The Verma module at one (c, h), with plain-dict memos of act, gram,
+    level and block keyed without c or h; memoized arrays are read-only.
+    Nothing in the memos refers back to the object, so dropping the last
+    reference to it frees them at once, not at the next cyclic collection.
     """
 
-    @lru_cache(maxsize=None)
-    def act(n: int, word: tuple):
+    def __init__(self, c: Fraction, h: Fraction):
+        self.c, self.h = c, h
+        self._act, self._gram, self._levels, self._blocks = {}, {}, {}, {}
+
+    def act(self, n: int, word: tuple) -> tuple:
         """L_n applied to the monomial `word`, as a tuple of (word, coeff).
 
         Recursion on the leading generator: commute L_n through L_{-word[0]}
         and straighten the leftovers.  Terminates because every same-length
         prepend candidate produced by the inner call already has first part
         bounded by the part being prepended (see the sortedness of words).
+        The memo skips the two constant-time cases.
         """
         if not word:
             if n > 0:
                 return ()
             if n == 0:
-                return (((), h),) if h != 0 else ()
-            return (((-n,), Fraction(1)),)
+                return (((), self.h),) if self.h != 0 else ()
+            return (((-n,), _ONE),)
         if n < 0 and -n >= word[0]:
-            return (((-n,) + word, Fraction(1)),)
+            return (((-n,) + word, _ONE),)
+        memo = self._act.get((n, word))
+        if memo is not None:
+            return memo
         head, rest = word[0], word[1:]
         out: dict = {}
         # L_{-head} (L_n rest), straightening where the prepend is unsorted
-        for w, a in act(n, rest):
+        for w, a in self.act(n, rest):
             if not w or head >= w[0]:
                 _bump(out, (head,) + w, a)
             else:
-                for w2, b in act(-head, w):
+                for w2, b in self.act(-head, w):
                     _bump(out, w2, a * b)
         # [L_n, L_{-head}] = (n + head) L_{n-head} + central delta_{n,head}
         coef = n + head
         if coef != 0:
-            for w, a in act(n - head, rest):
+            for w, a in self.act(n - head, rest):
                 _bump(out, w, coef * a)
         if n == head:
-            cc = c * (n ** 3 - n) / 12
+            cc = self.c * (n ** 3 - n) / 12
             if cc != 0:
                 _bump(out, rest, cc)
-        return tuple((w, a) for w, a in out.items() if a != 0)
+        memo = self._act[n, word] = tuple((w, a) for w, a in out.items() if a != 0)
+        return memo
 
-    @lru_cache(maxsize=None)
-    def gram(k: int, mode: str) -> np.ndarray:
+    def monomial(self, n: int, k: int, mode: str) -> np.ndarray:
+        """monomial_block for 0 <= k - n, k."""
+        src = _partition_tuples(k)
+        dst_index = _partition_index(k - n)
+        rows, cols, vals = [], [], []
+        for j, word in enumerate(src):
+            # the words of one action are distinct, so every entry is set once
+            for w, a in self.act(n, word):
+                rows.append(dst_index[w])
+                cols.append(j)
+                vals.append(a)
+        out = zeros((len(dst_index), len(src)), mode)
+        out[rows, cols] = vals
+        return out
+
+    def gram(self, k: int, mode: str) -> np.ndarray:
         """G_k by level recursion, in the arithmetic of `mode`; read-only.
 
         Row lambda = (a, rest) of G_k is row `rest` of G_{k-a} @ L_a(k), from
@@ -208,22 +239,116 @@ def _module(c: Fraction, h: Fraction):
         over the tested (c, h) points is 2.5 eps (eps = 2^-52), and the tests
         hold it to 4 eps.
         """
-        parts_k = _partition_tuples(k)
-        g = zeros((len(parts_k), len(parts_k)), mode)
-        if k == 0:
-            g[0, 0] = Fraction(1)
-        else:
-            row = 0
-            for a, group in groupby(parts_k, key=lambda lam: lam[0]):
-                index = _partition_index(k - a)
-                needed = [index[lam[1:]] for lam in group]
-                g[row:row + len(needed), :] = dot(gram(k - a, mode)[needed, :],
-                                                  monomial_block(a, k, c, h, mode))
-                row += len(needed)
-        g.flags.writeable = False
+        g = self._gram.get((k, mode))
+        if g is None:
+            parts_k = _partition_tuples(k)
+            g = zeros((len(parts_k), len(parts_k)), mode)
+            if k == 0:
+                g[0, 0] = _ONE
+            else:
+                row = 0
+                for a, group in groupby(parts_k, key=lambda lam: lam[0]):
+                    index = _partition_index(k - a)
+                    needed = [index[lam[1:]] for lam in group]
+                    g[row:row + len(needed), :] = dot(self.gram(k - a, mode)[needed, :],
+                                                      self.monomial(a, k, mode))
+                    row += len(needed)
+            g.flags.writeable = False
+            self._gram[k, mode] = g
         return g
 
-    return act, gram
+    def level(self, k: int, mode: str) -> tuple:
+        """Level k's quotient: (norms squared D, basis rows B, extraction
+        rows W = D^-1 B G), one entry of D per state kept.  Exact mode gives
+        D as Fractions and B, W as psd_congruence's integer forms."""
+        data = self._levels.get((k, mode))
+        if data is not None:
+            return data
+        if mode == "float":
+            data = self._float_level(k)
+        else:
+            try:
+                d, basis, w, rank = psd_congruence(self.gram(k, "exact"))
+            except IndefiniteMatrixError as exc:
+                raise NonUnitaryError(f"Gram matrix at level {k} is indefinite "
+                                      f"for c={self.c}, h={self.h}: {exc}") from exc
+            data = tuple(d[:rank]), basis[:rank], w
+        self._levels[k, mode] = data
+        return data
+
+    def _float_level(self, k: int) -> tuple:
+        """Float-mode level: orthonormal rows from the scaled Gram (D = 1).
+
+        Monomials with a zero Gram diagonal are null (a positive semidefinite
+        matrix with G_ii = 0 has row i zero) and are dropped; the float Gram
+        keeps zeros exact, so no threshold is needed there, and a relative one
+        would drop genuine states once the diagonal spans many orders of
+        magnitude.  Rank decisions come from a float64 eigendecomposition of
+        the diagonally scaled Gram.  The basis itself is then lifted to extended
+        precision and re-orthonormalized with one Newton-Schulz step: near
+        the unitarity boundary the smallest scaled eigenvalue can reach 1e-6
+        and the 1/sqrt(w) scaling would otherwise leave relation residuals
+        around 1e-10, two orders above what downstream checks budget for.
+        """
+        g = self.gram(k, "float")
+        p = g.shape[0]
+        diag = np.diag(g).copy()
+        maxd = max(diag.max(initial=0.0), 0.0)
+        if (diag < -_FLOAT_TOL * max(maxd, 1.0)).any():
+            raise NonUnitaryError(f"negative squared norm at level {k} "
+                                  f"for c={self.c}, h={self.h}")
+        keep0 = diag > 0
+        gs = g[np.ix_(keep0, keep0)]
+        s = 1.0 / np.sqrt(diag[keep0])
+        gs = gs * s[:, None] * s[None, :]
+        if gs.shape[0]:
+            w, u = np.linalg.eigh(gs)
+            wmax = max(abs(w).max(), 1.0)
+            if w.min() < -_FLOAT_TOL * wmax:
+                raise NonUnitaryError(
+                    f"Gram matrix at level {k} is indefinite for c={self.c}, h={self.h} "
+                    f"(eigenvalue {w.min():.3e}, tolerance {_FLOAT_TOL:g} relative)")
+            kept = w > _FLOAT_TOL * wmax
+            cols = u[:, kept] / np.sqrt(w[kept])[None, :]
+            rows = (cols * s[:, None]).T          # rows @ gs-original @ rows.T = I
+            b = np.zeros((rows.shape[0], p))
+            b[:, keep0] = rows
+        else:
+            b = np.zeros((0, p))
+        bl = b.astype(np.longdouble)
+        gl = g.astype(np.longdouble)
+        if bl.shape[0]:
+            m = bl @ gl @ bl.T
+            one = np.eye(m.shape[0], dtype=np.longdouble)
+            if float(abs(m - one).max()) < 0.1:
+                bl = ((one * 3 - m) / 2) @ bl
+        norms = np.ones(bl.shape[0])
+        norms.flags.writeable = False
+        return norms, bl, bl @ gl
+
+    def block(self, n: int, k: int, mode: str) -> np.ndarray:
+        """L_n from level k to level k - n in the quotient bases; read-only.
+        Reads the memo of both levels, so level() must have built them."""
+        blk = self._blocks.get((n, k, mode))
+        if blk is None:
+            extract, basis = self._levels[k - n, mode][2], self._levels[k, mode][1]
+            mono = self.monomial(n, k, mode)
+            if mode == "exact":
+                blk = (extract @ IntegerForm.whole(mono) @ basis.T).fractions()
+            else:
+                blk = np.asarray(dot(dot(extract, mono), basis.T), dtype=np.float64)
+            blk.flags.writeable = False
+            self._blocks[n, k, mode] = blk
+        return blk
+
+
+@lru_cache(maxsize=1)
+def _module(c: Fraction, h: Fraction) -> _Module:
+    """The _Module of the last (c, h) asked for, holding the point's PBW
+    action, Gram levels, level quotients and quotient blocks.  A call at
+    another point, or cache_clear(), drops the cache's reference to it,
+    and with no other reference left that frees all of them at once."""
+    return _Module(c, h)
 
 
 def monomial_block(n: int, k: int, c, h, mode: str = "exact") -> Optional[np.ndarray]:
@@ -235,19 +360,7 @@ def monomial_block(n: int, k: int, c, h, mode: str = "exact") -> Optional[np.nda
     """
     if k < 0 or k - n < 0:
         return None
-    act, _ = _module(as_fraction(c), as_fraction(h))
-    src = _partition_tuples(k)
-    dst_index = _partition_index(k - n)
-    rows, cols, vals = [], [], []
-    for j, word in enumerate(src):
-        # the words of one action are distinct, so every entry is set once
-        for w, a in act(n, word):
-            rows.append(dst_index[w])
-            cols.append(j)
-            vals.append(a)
-    out = zeros((len(dst_index), len(src)), mode)
-    out[rows, cols] = vals
-    return out
+    return _module(as_fraction(c), as_fraction(h)).monomial(n, k, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +381,7 @@ def gram_matrix(c, h, k: int, mode: str = "exact") -> GramMatrix:
     if k < 0:
         raise ValueError("level must be nonnegative")
     cv, hv = as_fraction(c), as_fraction(h)
-    _, gram = _module(cv, hv)
-    return GramMatrix(cv, hv, k, gram(k, mode).copy())
+    return GramMatrix(cv, hv, k, _module(cv, hv).gram(k, mode).copy())
 
 
 def gram_entry_direct(c, h, lam: tuple, mu: tuple) -> Fraction:
@@ -280,7 +392,7 @@ def gram_entry_direct(c, h, lam: tuple, mu: tuple) -> Fraction:
     and L_{l1} is applied first, one act per word; words pushed below
     level 0 annihilate.  Used as an oracle against gram_matrix.
     """
-    act, _ = _module(as_fraction(c), as_fraction(h))
+    act = _module(as_fraction(c), as_fraction(h)).act
     vec = {tuple(mu): Fraction(1)}
     for part in lam:
         out: dict = {}
@@ -377,92 +489,14 @@ class TruncatedRep:
         return sum(self.level_dims)
 
 
-def _exact_level_data(c, h, N):
-    """Per-level (dims, norms D, basis rows B, extraction rows W = D^-1 B G)
-    for exact mode, B and W as psd_congruence's integer forms."""
-    _, gram = _module(c, h)
-    dims, normsq, basis_rows, extract = [], [], [], []
-    for k in range(N + 1):
-        try:
-            d, basis, w, rank = psd_congruence(gram(k, "exact"))
-        except IndefiniteMatrixError as exc:
-            raise NonUnitaryError(
-                f"Gram matrix at level {k} is indefinite for c={c}, h={h}: {exc}") from exc
-        dims.append(rank)
-        normsq.append(tuple(d[:rank]))
-        basis_rows.append(basis[:rank])
-        extract.append(w)
-    return dims, normsq, basis_rows, extract
-
-
-# Float mode's relative tolerance: a Gram diagonal or scaled eigenvalue
-# below -_FLOAT_TOL times the largest one (or 1, if that is larger) is
-# indefinite, and a scaled eigenvalue at or below +_FLOAT_TOL times that
-# is null.
-_FLOAT_TOL = 1e-10
-
-
-def _float_level_data(c, h, N):
-    """Float-mode per-level data: orthonormal rows from the scaled Gram.
-
-    Monomials with a zero Gram diagonal are null (a positive semidefinite
-    matrix with G_ii = 0 has row i zero) and are dropped; the float Gram
-    keeps zeros exact, so no threshold is needed there, and a relative one
-    would drop genuine states once the diagonal spans many orders of
-    magnitude.  Rank decisions come from a float64 eigendecomposition of
-    the diagonally scaled Gram.  The basis itself is then lifted to extended
-    precision and re-orthonormalized with one Newton-Schulz step: near
-    the unitarity boundary the smallest scaled eigenvalue can reach 1e-6
-    and the 1/sqrt(w) scaling would otherwise leave relation residuals
-    around 1e-10, two orders above what downstream checks budget for.
-    """
-    _, gram = _module(c, h)
-    dims, normsq, basis_rows, extract = [], [], [], []
-    for k in range(N + 1):
-        g = gram(k, "float")
-        p = g.shape[0]
-        diag = np.diag(g).copy()
-        maxd = max(diag.max(initial=0.0), 0.0)
-        if (diag < -_FLOAT_TOL * max(maxd, 1.0)).any():
-            raise NonUnitaryError(f"negative squared norm at level {k} for c={c}, h={h}")
-        keep0 = diag > 0
-        gs = g[np.ix_(keep0, keep0)]
-        s = 1.0 / np.sqrt(diag[keep0])
-        gs = gs * s[:, None] * s[None, :]
-        if gs.shape[0]:
-            w, u = np.linalg.eigh(gs)
-            wmax = max(abs(w).max(), 1.0)
-            if w.min() < -_FLOAT_TOL * wmax:
-                raise NonUnitaryError(
-                    f"Gram matrix at level {k} is indefinite for c={c}, h={h} "
-                    f"(eigenvalue {w.min():.3e}, tolerance {_FLOAT_TOL:g} relative)")
-            kept = w > _FLOAT_TOL * wmax
-            cols = u[:, kept] / np.sqrt(w[kept])[None, :]
-            rows = (cols * s[:, None]).T          # rows @ gs-original @ rows.T = I
-            b = np.zeros((rows.shape[0], p))
-            b[:, keep0] = rows
-        else:
-            b = np.zeros((0, p))
-        bl = b.astype(np.longdouble)
-        gl = g.astype(np.longdouble)
-        if bl.shape[0]:
-            m = bl @ gl @ bl.T
-            one = np.eye(m.shape[0], dtype=np.longdouble)
-            if float(abs(m - one).max()) < 0.1:
-                bl = ((one * 3 - m) / 2) @ bl
-        dims.append(bl.shape[0])
-        normsq.append(np.ones(bl.shape[0]))
-        basis_rows.append(bl)
-        extract.append(bl @ gl)
-    return dims, normsq, basis_rows, extract
-
-
 def truncated_rep(c, h, N: int, mode: str = "exact") -> TruncatedRep:
     """Build the unitary quotient for (c, h) at cutoff N.
 
     Each level is quotiented by its Gram kernel, and the rep carries the
-    inner-product data; NonUnitaryError is raised when the Gram matrix is
-    indefinite (the orthonormalization is refused rather than faked).
+    inner-product data.  Its levels and read-only blocks are those of the
+    point's _Module, shared with every build there.  NonUnitaryError is
+    raised when the Gram matrix is indefinite (the orthonormalization is
+    refused rather than faked).
     Float mode decides rank and unitarity at the fixed relative tolerance
     _FLOAT_TOL = 1e-10 on the diagonally scaled Gram, and raises
     FloatRangeError when its Gram or quotient leaves the float64 range (an
@@ -471,29 +505,21 @@ def truncated_rep(c, h, N: int, mode: str = "exact") -> TruncatedRep:
     """
     if N < 2:
         raise ValueError("truncation level N must be at least 2")
-    cv, hv = as_fraction(c), as_fraction(h)
-    if mode == "exact":
-        dims, normsq, basis_rows, extract = _exact_level_data(cv, hv, N)
-    elif mode == "float":
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                dims, normsq, basis_rows, extract = _float_level_data(cv, hv, N)
-        except (FloatingPointError, OverflowError) as exc:
-            raise FloatRangeError(f"float mode overflows float64 at this (c, h), N={N} "
-                                  f"({exc}); exact mode has no such limit") from exc
-    else:
+    if mode not in ("exact", "float"):
         raise ValueError(f"unknown arithmetic mode {mode!r}")
-    blocks = {}
-    for n, k in block_keys(N):
-        mono = monomial_block(n, k, cv, hv, mode)
-        if mode == "exact":
-            blocks[(n, k)] = (extract[k - n] @ IntegerForm.whole(mono)
-                              @ basis_rows[k].T).fractions()
-        else:
-            blocks[(n, k)] = np.asarray(dot(dot(extract[k - n], mono), basis_rows[k].T),
-                                        dtype=np.float64)
-    return TruncatedRep(c=cv, h=hv, N=N, mode=mode, level_dims=tuple(dims), blocks=blocks,
-                        basis_norms=tuple(normsq))
+    cv, hv = as_fraction(c), as_fraction(h)
+    module = _module(cv, hv)
+    try:
+        # exact levels do no float arithmetic: only float mode can raise here
+        with np.errstate(over="raise", invalid="raise"):
+            levels = [module.level(k, mode) for k in range(N + 1)]
+    except (FloatingPointError, OverflowError) as exc:
+        raise FloatRangeError(f"float mode overflows float64 at this (c, h), N={N} "
+                              f"({exc}); exact mode has no such limit") from exc
+    return TruncatedRep(c=cv, h=hv, N=N, mode=mode,
+                        level_dims=tuple(len(norms) for norms, _, _ in levels),
+                        blocks={(n, k): module.block(n, k, mode) for n, k in block_keys(N)},
+                        basis_norms=tuple(norms for norms, _, _ in levels))
 
 
 def monomial_action(c, h, N: int, mode: str = "exact") -> TruncatedRep:

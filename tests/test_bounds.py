@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vircut import bounds
 from vircut.bounds import (
     DEFAULT_EPS_GRID,
     _BLOCK,
@@ -134,6 +135,38 @@ def test_q_is_deterministic(ising8_float, r_n8):
     b = estimate_q(Fraction(1, 2), 8, eps_grid=grid, rep=ising8_float,
                    r_report=r_n8)
     assert a == b
+
+
+def test_q_takes_each_block_norm_once_and_the_witness_modes_again(
+        ising8_float, r_n8, monkeypatch):
+    calls = []
+
+    def counted(mat, real=bounds.opnorm):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(bounds, "opnorm", counted)
+    q = estimate_q(Fraction(1, 2), 8, rep=ising8_float, r_report=r_n8)
+    witness_blocks = [key for key in ising8_float.blocks if key[0] == q.witness["n"]]
+    assert len(calls) == len(ising8_float.blocks) + len(witness_blocks)
+
+
+def test_q_witness_check_does_not_reuse_the_sweep_norms(ising8_float, r_n8, q_n8,
+                                                        monkeypatch):
+    # the sweep's norm of the witness block reads one part in 2^30 high
+    n, level = q_n8.witness["n"], q_n8.witness["level"]
+    witness_block, seen = ising8_float.blocks[(n, level)], []
+
+    def skewed(mat, real=bounds.opnorm):
+        if mat is witness_block and not seen:
+            seen.append(mat)
+            return real(mat) * (1 + 2.0 ** -30)
+        return real(mat)
+
+    monkeypatch.setattr(bounds, "opnorm", skewed)
+    q = estimate_q(Fraction(1, 2), 8, rep=ising8_float, r_report=r_n8)
+    assert (q.witness["n"], q.witness["level"]) == (n, level)
+    assert q.witness["reproduced"] is False and q.verdict == "fail"
 
 
 def test_q_grid_validation(ising8_float, r_n8):

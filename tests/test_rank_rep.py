@@ -1,5 +1,7 @@
 """Quotient construction, level dimensions, and the bracket relations."""
 
+import gc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from vircut import verma
+from vircut.bounds import estimate_q, estimate_r
 from vircut.rational import Residual, exact_rank_nullspace, eye
 from vircut.verma import (
     NonUnitaryError,
@@ -311,3 +314,62 @@ def test_a_point_rebuilt_after_another_equals_its_first_build(mode):
             assert again.blocks[key].shape == blk.shape and (again.blocks[key] == blk).all()
         else:
             assert again.blocks[key].tobytes() == blk.tobytes()
+
+
+def _bound_bits(rep) -> list:
+    """float.hex of the r and q constants and witnesses of a rep."""
+    r = estimate_r(rep.c, rep.N, rep=rep)
+    q = estimate_q(rep.c, rep.N, rep=rep, r_report=r)
+    return [{key: float.hex(v) if isinstance(v, float) else v
+             for key, v in {"constant": report.constant, **report.witness}.items()}
+            for report in (r, q)]
+
+
+@pytest.mark.parametrize("c, h, levels, mode", [
+    (Fraction(1, 2), 0, range(4, 13), "float"),
+    (Fraction(7, 10), Fraction(3, 5), range(4, 10), "exact"),
+])
+def test_a_sweep_over_n_equals_fresh_builds(c, h, levels, mode):
+    verma._module.cache_clear()
+    swept = [truncated_rep(c, h, N, mode) for N in levels]
+    bits = [_bound_bits(rep) for rep in swept]
+    for rep, rep_bits in zip(swept, bits):
+        verma._module.cache_clear()
+        fresh = truncated_rep(c, h, rep.N, mode)
+        assert rep.level_dims == fresh.level_dims and list(rep.blocks) == list(fresh.blocks)
+        for key, blk in fresh.blocks.items():
+            if mode == "exact":
+                assert rep.blocks[key].shape == blk.shape and (rep.blocks[key] == blk).all()
+            else:
+                assert rep.blocks[key].tobytes() == blk.tobytes()
+        assert rep_bits == _bound_bits(fresh)
+
+
+def test_dropping_the_module_frees_its_memos_without_the_cyclic_collector():
+    c, h = Fraction(7, 10), Fraction(3, 5)
+    gc.disable()
+    try:
+        verma._module.cache_clear()
+        rep = truncated_rep(c, h, 7)
+        block = weakref.ref(rep.blocks[(1, 7)])
+        gram = weakref.ref(verma._module(c, h).gram(7, "exact"))
+        del rep
+        assert block() is not None  # the memo still holds the block
+        truncated_rep(Fraction(1, 2), 0, 4)
+        assert block() is None and gram() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_built_blocks_are_read_only(mode):
+    rep = truncated_rep(Fraction(1, 2), Fraction(1, 16), 6, mode)
+    assert not any(blk.flags.writeable for blk in rep.blocks.values())
+    with pytest.raises(ValueError, match="read-only"):
+        rep.blocks[(1, 2)][0, 0] = 0
+
+
+def test_a_float_range_error_is_raised_on_every_build():
+    for _ in range(2):
+        with pytest.raises(verma.FloatRangeError):
+            truncated_rep(Fraction("1e160"), 0, 6, "float")
