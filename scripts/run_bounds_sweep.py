@@ -50,6 +50,32 @@ def parse_fraction(flag: str, spec: str) -> Fraction:
                          f"q != 0") from None
 
 
+def sweep_level(c: Fraction, h: Fraction, N: int, grid) -> dict:
+    """The CSV row of level N, scalars only: the rep and the r and q reports
+    (whose tables hold a row per cell) are dropped on return, before the
+    next level is built."""
+    start = time.perf_counter()
+    rep = verma.truncated_rep(c, h, N, mode="float")
+    r = bounds.estimate_r(c, N, h=h, rep=rep)
+    q = bounds.estimate_q(c, N, grid, h=h, rep=rep, r_report=r)
+    relations_ok, relations_line = cli.float_relations_gate(rep)
+    seconds = time.perf_counter() - start
+    ok = r.verdict == "pass" and q.verdict == "pass" and relations_ok
+    print(f"{N:>3} {r.constant!r:>22} {q.constant!r:>22} "
+          f"{q.derived['chain_bound']!r:>22} {seconds:7.2f}")
+    if not ok:
+        note = "" if relations_ok else f"; {relations_line}"
+        print(f"    WARNING: verdicts r={r.verdict} q={q.verdict}{note}")
+    return {
+        "N": N, "r_sq": r.constant, "q_hat": q.constant,
+        "chain_bound": q.derived["chain_bound"],
+        "chain_ok": q.derived["chain_ok"],
+        "r_witness_k": r.witness["k"], "r_witness_n": r.witness["n"],
+        "q_witness_n": q.witness["n"], "q_witness_eps": q.witness["eps"],
+        "verdicts_ok": ok, "seconds": round(seconds, 3),
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--c", default="1/2", help="central charge, p/q")
@@ -69,29 +95,8 @@ def main() -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the sweep
 
-    rows = []
     print(f"{'N':>3} {'r_hat^2':>22} {'q_hat':>22} {'3 r_hat^2':>22} {'sec':>7}")
-    for N in levels:
-        start = time.perf_counter()
-        rep = verma.truncated_rep(c, h, N, mode="float")
-        r = bounds.estimate_r(c, N, h=h, rep=rep)
-        q = bounds.estimate_q(c, N, grid, h=h, rep=rep, r_report=r)
-        relations_ok, relations_line = cli.float_relations_gate(rep)
-        seconds = time.perf_counter() - start
-        ok = r.verdict == "pass" and q.verdict == "pass" and relations_ok
-        rows.append({
-            "N": N, "r_sq": r.constant, "q_hat": q.constant,
-            "chain_bound": q.derived["chain_bound"],
-            "chain_ok": q.derived["chain_ok"],
-            "r_witness_k": r.witness["k"], "r_witness_n": r.witness["n"],
-            "q_witness_n": q.witness["n"], "q_witness_eps": q.witness["eps"],
-            "verdicts_ok": ok, "seconds": round(seconds, 3),
-        })
-        print(f"{N:>3} {r.constant!r:>22} {q.constant!r:>22} "
-              f"{q.derived['chain_bound']!r:>22} {seconds:7.2f}")
-        if not ok:
-            note = "" if relations_ok else f"; {relations_line}"
-            print(f"    WARNING: verdicts r={r.verdict} q={q.verdict}{note}")
+    rows = [sweep_level(c, h, N, grid) for N in levels]
 
     path = out / "bounds_sweep.csv"
     cli.write_rows_csv(path, list(rows[0]), rows)

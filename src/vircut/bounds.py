@@ -18,12 +18,14 @@ the quoted constant is reproducible bit for bit.
 The q sweep never materializes commutator matrices.  On each level the
 commutator with the heat semigroup is a scalar multiple of the generator
 block, since L0 acts on level k as the scalar h + k, so its norm is
-|factor| times a precomputed block norm.  Each estimate takes the norm
-of every block once; its witness check recomputes from the rep the
-norms of the witness's mode alone.  That L0 is this scalar is checked
-by the bracket-relation sweep ([L_0, L_n] = -n L_n), which
-`vircut bounds` and scripts/run_bounds_sweep.py run on every rep they
-sweep; smear.heat_identity_residual checks only the factored form
+|factor| times a precomputed block norm.  The estimates read each block
+norm from TruncatedRep.block_norm, which takes the norm of a float
+quotient block once per (c, h) point, for r, q and every N of a sweep;
+the witness checks recompute their norms from the rep's blocks.  That
+L0 is this scalar is checked by the bracket-relation sweep
+([L_0, L_n] = -n L_n), which `vircut bounds` and
+scripts/run_bounds_sweep.py run on every rep they sweep;
+smear.heat_identity_residual checks only the factored form
 against the literal difference of two products, which holds for any
 block.  The analytic maximizer of each factor is injected into the eps
 grid, which removes grid bias from the reported maxima.
@@ -69,12 +71,16 @@ def _rep_for(c, N: int, h, rep) -> verma.TruncatedRep:
     return verma.truncated_rep(Fraction(c), Fraction(h), N, mode="float")
 
 
-def _block_norms(rep: verma.TruncatedRep, n: Optional[int] = None
-                 ) -> dict[tuple[int, int], float]:
+def _block_norms(rep: verma.TruncatedRep) -> dict[tuple[int, int], float]:
     """Operator norm of each orthonormal-basis block of L_m at level src,
-    over every mode m, or over mode n alone."""
+    from the rep's memo (TruncatedRep.block_norm)."""
+    return {key: rep.block_norm(*key) for key in rep.blocks}
+
+
+def _fresh_norms(rep: verma.TruncatedRep, n: int) -> dict[tuple[int, int], float]:
+    """The norms of mode n's blocks, recomputed from the rep's blocks."""
     return {(m, src): opnorm(rep.orthonormal_block(m, src)) for m, src in rep.blocks
-            if n is None or m == n}
+            if m == n}
 
 
 def estimate_r(c, N: int, h=0, rep: Optional[verma.TruncatedRep] = None
@@ -181,7 +187,7 @@ def _q_mode_sweep(rep: verma.TruncatedRep, norms: dict, n: int,
     values = weighted.max(axis=1) ** 2 / m ** 3
     level_idx = weighted.argmax(axis=1)
     return {"eps_all": eps_all, "grid_mask": grid_mask, "values": values,
-            "levels": [sources[int(i)] for i in level_idx],
+            "levels": np.take(sources, level_idx).tolist(),
             "fm_violations": fm_violations, "unbounded_max": unbounded_max}
 
 
@@ -237,7 +243,7 @@ def estimate_q(c, N: int, eps_grid: Optional[Sequence[float]] = None, h=0,
 
     # witness reproducibility: rerun the winning mode's sweep, its block
     # norms recomputed from scratch
-    redo = _q_mode_sweep(rep, _block_norms(rep, best["n"]), best["n"], grid, h_f)
+    redo = _q_mode_sweep(rep, _fresh_norms(rep, best["n"]), best["n"], grid, h_f)
     reproduced = float(redo["values"][best["index"]]) == best["value"]
     best.pop("index")
 

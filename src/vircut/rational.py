@@ -206,15 +206,16 @@ class IntegerForm:
 
     num holds Python ints and row and col positive ones, in object
     arrays.  by_rows scales each row of a matrix of Fractions and ints
-    to integers by the lcm of its denominators, by_cols each column, and
-    whole the matrix by one lcm.  The product of a by_rows form and a
-    by_cols one is the integer product over row x col (a whole form can
-    stand on either side); differences and rational multiples stay
-    integer over common scales.  So an exact computation forms a
-    Fraction only for an entry that leaves it (fractions), and a check a
-    float only for a nonzero entry (residual).  A form lives no longer
-    than the work that makes it: one product, one relation sweep, or,
-    for a level's congruence rows, the memo of its (c, h) point.
+    to integers by the lcm of its denominators, and by_cols each column.
+    The product of a by_rows form and a by_cols one is the integer
+    product over row x col; a whole form, one scale on every row and 1
+    on every column (verma's monomial blocks), can stand on either side.
+    Differences and rational multiples stay integer over common scales.
+    So an exact computation forms a Fraction only for an entry that
+    leaves it (fractions), and a check a float only for a nonzero entry
+    (residual).  A form lives no longer than the work that makes it: one
+    product, one relation sweep, or, for a level's congruence rows, the
+    memo of its (c, h) point.
     """
 
     num: np.ndarray
@@ -233,15 +234,6 @@ class IntegerForm:
     @staticmethod
     def by_cols(mat: np.ndarray) -> IntegerForm:
         return IntegerForm.by_rows(mat.T).T
-
-    @staticmethod
-    def whole(mat: np.ndarray) -> IntegerForm:
-        """One scale for the whole matrix, the lcm of all its denominators,
-        carried on the rows; a factor on either side of a product."""
-        flat = IntegerForm.by_rows(mat.reshape(1, -1))
-        return IntegerForm(flat.num.reshape(mat.shape),
-                           _object([flat.row[0]] * mat.shape[0], mat.shape[0]),
-                           _object([1] * mat.shape[1], mat.shape[1]))
 
     @staticmethod
     def identity(dim: int, s) -> IntegerForm:

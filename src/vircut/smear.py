@@ -206,7 +206,9 @@ def vacuum_norm_from_rep(op: SmearedOperator) -> Union[Fraction, float]:
 def heat_identity_residual(rep: TruncatedRep, n: int, eps: float) -> float:
     """Worst relative deviation of ||R restricted to level k|| from
     |f_m(eps)| ||L_n restricted to level k|| over all levels, R being
-    e_src B - e_dst B in longdouble for the orthonormal block B of L_n."""
+    e_src B - e_dst B in longdouble for the orthonormal block B of L_n.
+    ||L_n|| is rep.block_norm's, the one the bound estimates read; the
+    norm of R is taken afresh."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if abs(n) > rep.N:
@@ -219,7 +221,7 @@ def heat_identity_residual(rep: TruncatedRep, n: int, eps: float) -> float:
         e_src = np.exp(np.longdouble(-eps) * np.longdouble(h + src))
         e_dst = np.exp(np.longdouble(-eps) * np.longdouble(h + dst))
         bl = np.asarray(b, dtype=np.longdouble)
-        base = opnorm(b) * abs(float(e_src - e_dst))
+        base = rep.block_norm(n, src) * abs(float(e_src - e_dst))
         got = opnorm(e_src * bl - e_dst * bl)
         if base == 0.0:
             worst = max(worst, got)

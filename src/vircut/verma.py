@@ -23,28 +23,33 @@ away by truncated_rep.  monomial_action keeps the raw action on the
 monomial basis (basis "monomial"), with no inner product.
 
 Arithmetic is dual mode.  The PBW structure constants (the coefficients
-of L_n on a monomial) are always computed with exact rationals.  "exact"
-mode keeps every matrix built from them exact, with blocks in a basis
-that is orthogonal with known rational norms squared (the D-basis), and
-multiplies over the integers (rational.IntegerForm): the Gram recursion
-forms one Fraction per entry of a product, a block forms its Fractions
-once, from the product of three integer matrices, and the relation sweep
-forms none.  "float" mode rounds each structure constant once to float64
-and runs the same Gram recursion, quotient and block assembly in floating
-point, with blocks in an orthonormal basis and no Fraction array; a
-float rep holds c and h as floats.
+of L_n on a monomial) are exact and held as integers: each is
+A + B c/12 + C h with ints A, B, C, and a monomial block is their int
+numerators over the one scale 12 den(c) den(h).  "exact" mode keeps every
+matrix built from them exact, with blocks in a basis that is orthogonal
+with known rational norms squared (the D-basis), and multiplies over the
+integers (rational.IntegerForm): the monomial blocks enter the Gram
+recursion and block assembly as integer forms over that scale, the Gram
+recursion forms one Fraction per entry of a product, a block forms its
+Fractions once, from the product of three integer matrices, and the
+relation sweep forms none.  "float" mode rounds each structure constant
+once to float64, numerator over scale by int true division, and runs the
+same Gram recursion, quotient and block assembly in floating point, with
+blocks in an orthonormal basis and no Fraction per entry; a float rep holds
+c and h as floats.
 
 One point at a time is kept, in _module: the _Module of the last (c, h)
 built holds its PBW action, its Gram levels, each level's quotient (norms,
-basis rows and extraction rows) and each quotient block.  None of these
-depends on the cutoff N, so a build at N + 1 after one at N computes only
-level N + 1 and the blocks that touch it.  A build at another point drops
-the object, which frees all of them at once.
+basis rows and extraction rows), each quotient block and each float
+block's operator norm (TruncatedRep.block_norm).  None of these depends
+on the cutoff N, so a build at N + 1 after one at N computes only level
+N + 1 and the blocks that touch it.  A build at another point drops the
+object, which frees all of them at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -59,6 +64,7 @@ from .rational import (
     as_fraction,
     dot,
     eye,
+    opnorm,
     psd_congruence,
     to_float,
     zeros,
@@ -136,9 +142,19 @@ def partition_count(k: int) -> int:
 # ---------------------------------------------------------------------------
 # the module at one (c, h): PBW straightening, Gram levels, quotient, blocks
 
-def _bump(out: dict, word: tuple, value) -> None:
+def _entries(flat: tuple):
+    """The (word, A, B, C) entries of a flat action tuple."""
+    return zip(flat[::4], flat[1::4], flat[2::4], flat[3::4])
+
+
+def _bump(out: dict, word: tuple, a: int, b: int, c: int) -> None:
     cur = out.get(word)
-    out[word] = value if cur is None else cur + value
+    if cur is None:
+        out[word] = [a, b, c]
+    else:
+        cur[0] += a
+        cur[1] += b
+        cur[2] += c
 
 
 # Float mode's relative tolerance: a Gram diagonal or scaled eigenvalue
@@ -151,17 +167,34 @@ _ONE = Fraction(1)
 
 class _Module:
     """The Verma module at one (c, h), with plain-dict memos of act, gram,
-    level and block keyed without c or h; memoized arrays are read-only.
+    level, block and float block norm keyed without c or h; memoized
+    arrays are read-only.
     Nothing in the memos refers back to the object, so dropping the last
     reference to it frees them at once, not at the next cyclic collection.
     """
 
     def __init__(self, c: Fraction, h: Fraction):
         self.c, self.h = c, h
+        # A + B c/12 + C h = (A scale + B weight_c + C weight_h) / scale
+        self.scale = 12 * c.denominator * h.denominator
+        self._weights = (self.scale, c.numerator * h.denominator,
+                         12 * c.denominator * h.numerator)
         self._act, self._gram, self._levels, self._blocks = {}, {}, {}, {}
+        # (n, k) -> (float block, its opnorm or None); see TruncatedRep.block_norm
+        self.norms: dict = {}
 
     def act(self, n: int, word: tuple) -> tuple:
-        """L_n applied to the monomial `word`, as a tuple of (word, coeff).
+        """L_n applied to the monomial `word`, as one flat tuple
+        (w_1, A_1, B_1, C_1, w_2, ...) of distinct words w_i and ints: the
+        coefficient of w_i is A_i + B_i c/12 + C_i h.
+
+        The structure constants are polynomials in (c, h), and one mode on
+        one monomial is affine in them: a term of L_n m picks up at most one
+        scalar, the central term c (n^3 - n)/12 or h from L_0 on Phi, and a
+        mode n < 0 picks up none, so its coefficients are the integers A.
+        The memo holds ints only and keys no (c, h); coeff evaluates an
+        entry at the point.  A triple is dropped only when it is (0, 0, 0),
+        so an entry may still vanish at the point (C h at h = 0).
 
         Recursion on the leading generator: commute L_n through L_{-word[0]}
         and straighten the leftovers.  Terminates because every same-length
@@ -173,47 +206,77 @@ class _Module:
             if n > 0:
                 return ()
             if n == 0:
-                return (((), self.h),) if self.h != 0 else ()
-            return (((-n,), _ONE),)
+                return ((), 0, 0, 1)
+            return ((-n,), 1, 0, 0)
         if n < 0 and -n >= word[0]:
-            return (((-n,) + word, _ONE),)
+            return ((-n,) + word, 1, 0, 0)
         memo = self._act.get((n, word))
         if memo is not None:
             return memo
         head, rest = word[0], word[1:]
         out: dict = {}
         # L_{-head} (L_n rest), straightening where the prepend is unsorted
-        for w, a in self.act(n, rest):
+        for w, a, b, c in _entries(self.act(n, rest)):
             if not w or head >= w[0]:
-                _bump(out, (head,) + w, a)
+                _bump(out, (head,) + w, a, b, c)
             else:
-                for w2, b in self.act(-head, w):
-                    _bump(out, w2, a * b)
+                # L_{-head} is a negative mode: its coefficients are the ints A
+                straight = self.act(-head, w)
+                for w2, x in zip(straight[::4], straight[1::4]):
+                    _bump(out, w2, a * x, b * x, c * x)
         # [L_n, L_{-head}] = (n + head) L_{n-head} + central delta_{n,head}
         coef = n + head
         if coef != 0:
-            for w, a in self.act(n - head, rest):
-                _bump(out, w, coef * a)
-        if n == head:
-            cc = self.c * (n ** 3 - n) / 12
-            if cc != 0:
-                _bump(out, rest, cc)
-        memo = self._act[n, word] = tuple((w, a) for w, a in out.items() if a != 0)
+            for w, a, b, c in _entries(self.act(n - head, rest)):
+                _bump(out, w, coef * a, coef * b, coef * c)
+        if n == head and n ** 3 != n:
+            _bump(out, rest, 0, n ** 3 - n, 0)
+        flat: list = []
+        for w, abc in out.items():
+            if any(abc):
+                flat.append(w)
+                flat.extend(abc)
+        memo = self._act[n, word] = tuple(flat)
         return memo
 
-    def monomial(self, n: int, k: int, mode: str) -> np.ndarray:
-        """monomial_block for 0 <= k - n, k."""
-        src = _partition_tuples(k)
+    def coeff(self, a: int, b: int, c: int) -> Fraction:
+        """A + B c/12 + C h at the point."""
+        wa, wb, wc = self._weights
+        return Fraction(a * wa + b * wb + c * wc, self.scale)
+
+    def _numerators(self, n: int, k: int) -> tuple[list, list, list]:
+        """Rows, columns and numerators over self.scale of the entries of
+        L_n from level k to level k - n, each set once (the words of one
+        action are distinct); an entry may be 0 at the point."""
         dst_index = _partition_index(k - n)
-        rows, cols, vals = [], [], []
-        for j, word in enumerate(src):
-            # the words of one action are distinct, so every entry is set once
-            for w, a in self.act(n, word):
+        wa, wb, wc = self._weights
+        rows, cols, nums = [], [], []
+        for j, word in enumerate(_partition_tuples(k)):
+            for w, a, b, c in _entries(self.act(n, word)):
                 rows.append(dst_index[w])
                 cols.append(j)
-                vals.append(a)
-        out = zeros((len(dst_index), len(src)), mode)
-        out[rows, cols] = vals
+                nums.append(a * wa + b * wb + c * wc)
+        return rows, cols, nums
+
+    def monomial_form(self, n: int, k: int) -> IntegerForm:
+        """The exact monomial block as integers over the one scale, with no
+        Fraction formed; a factor on either side of a product."""
+        rows, cols, nums = self._numerators(n, k)
+        p, q = partition_count(k - n), partition_count(k)
+        num = np.zeros((p, q), dtype=object)
+        num[rows, cols] = nums
+        return IntegerForm(num, np.full(p, self.scale, dtype=object),
+                           np.ones(q, dtype=object))
+
+    def monomial(self, n: int, k: int, mode: str) -> np.ndarray:
+        """monomial_block for 0 <= k - n, k.  A float entry is its int
+        numerator over the scale, int true division, which is correctly
+        rounded and so the float of the entry's Fraction."""
+        if mode == "exact":
+            return self.monomial_form(n, k).fractions()
+        rows, cols, nums = self._numerators(n, k)
+        out = zeros((partition_count(k - n), partition_count(k)), mode)
+        out[rows, cols] = [x / self.scale for x in nums]
         return out
 
     def gram(self, k: int, mode: str) -> np.ndarray:
@@ -250,8 +313,12 @@ class _Module:
                 for a, group in groupby(parts_k, key=lambda lam: lam[0]):
                     index = _partition_index(k - a)
                     needed = [index[lam[1:]] for lam in group]
-                    g[row:row + len(needed), :] = dot(self.gram(k - a, mode)[needed, :],
-                                                      self.monomial(a, k, mode))
+                    lower = self.gram(k - a, mode)[needed, :]
+                    if mode == "exact":
+                        part = (IntegerForm.by_rows(lower) @ self.monomial_form(a, k)).fractions()
+                    else:
+                        part = dot(lower, self.monomial(a, k, mode))
+                    g[row:row + len(needed), :] = part
                     row += len(needed)
             g.flags.writeable = False
             self._gram[k, mode] = g
@@ -332,11 +399,12 @@ class _Module:
         blk = self._blocks.get((n, k, mode))
         if blk is None:
             extract, basis = self._levels[k - n, mode][2], self._levels[k, mode][1]
-            mono = self.monomial(n, k, mode)
             if mode == "exact":
-                blk = (extract @ IntegerForm.whole(mono) @ basis.T).fractions()
+                blk = (extract @ self.monomial_form(n, k) @ basis.T).fractions()
             else:
+                mono = self.monomial(n, k, mode)
                 blk = np.asarray(dot(dot(extract, mono), basis.T), dtype=np.float64)
+                self.norms[n, k] = (blk, None)
             blk.flags.writeable = False
             self._blocks[n, k, mode] = blk
         return blk
@@ -389,16 +457,17 @@ def gram_entry_direct(c, h, lam: tuple, mu: tuple) -> Fraction:
 
     <L_{-l1}...L_{-lj} Phi, m_mu> is the coefficient of Phi in
     L_{lj} ... L_{l1} m_mu.  The vector is a dict from word to coefficient,
-    and L_{l1} is applied first, one act per word; words pushed below
-    level 0 annihilate.  Used as an oracle against gram_matrix.
+    and L_{l1} is applied first, one act per word, each coefficient
+    evaluated at (c, h); words pushed below level 0 annihilate.  Used as
+    an oracle against gram_matrix.
     """
-    act = _module(as_fraction(c), as_fraction(h)).act
-    vec = {tuple(mu): Fraction(1)}
+    module = _module(as_fraction(c), as_fraction(h))
+    vec = {tuple(mu): _ONE}
     for part in lam:
         out: dict = {}
         for word, a in vec.items():
-            for w, b in act(part, word):
-                _bump(out, w, a * b)
+            for w, *abc in _entries(module.act(part, word)):
+                out[w] = out.get(w, 0) + a * module.coeff(*abc)
         vec = out
     return vec.get((), Fraction(0))
 
@@ -444,7 +513,11 @@ class TruncatedRep:
     the truncated_rep quotient, "monomial" for the raw module action that
     monomial_action builds (basis_norms is None), "tensor" for the pairing
     of factor bases made by tensor_rep.  A float rep holds c and h as
-    floats, whatever it is given.
+    floats, whatever it is given.  norm_memo is the float block norms of
+    the point's _Module, which truncated_rep shares with every float rep
+    it builds there (see block_norm); it takes no part in equality, and
+    it holds every float block of the point that has been built, so a
+    rep that outlives the point's memo keeps those blocks alive.
     """
 
     c: Scalar
@@ -455,6 +528,7 @@ class TruncatedRep:
     blocks: dict
     basis_norms: Optional[tuple]
     basis: str = "quotient"
+    norm_memo: Optional[dict] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode == "float":
@@ -484,6 +558,23 @@ class TruncatedRep:
         s_dst = np.sqrt([float(x) for x in self.basis_norms[k - n]])
         s_src = np.sqrt([float(x) for x in self.basis_norms[k]])
         return (s_dst[:, None] * num) / s_src[None, :]
+
+    def block_norm(self, n: int, k: int) -> float:
+        """opnorm of orthonormal_block(n, k).
+
+        A float quotient block of truncated_rep takes its norm once per
+        point: norm_memo pairs each block of the point's memo with its norm,
+        and the norm is reused only while this rep's block is that very
+        object.  Any other block, e.g. one that dataclasses.replace swapped
+        in, and every exact block, takes a fresh norm on each call.
+        """
+        blk = self.orthonormal_block(n, k)
+        slot = (self.norm_memo or {}).get((n, k))
+        if slot is None or slot[0] is not blk:
+            return opnorm(blk)
+        if slot[1] is None:
+            slot = self.norm_memo[n, k] = (blk, opnorm(blk))
+        return slot[1]
 
     def total_dim(self) -> int:
         return sum(self.level_dims)
@@ -519,7 +610,8 @@ def truncated_rep(c, h, N: int, mode: str = "exact") -> TruncatedRep:
     return TruncatedRep(c=cv, h=hv, N=N, mode=mode,
                         level_dims=tuple(len(norms) for norms, _, _ in levels),
                         blocks={(n, k): module.block(n, k, mode) for n, k in block_keys(N)},
-                        basis_norms=tuple(norms for norms, _, _ in levels))
+                        basis_norms=tuple(norms for norms, _, _ in levels),
+                        norm_memo=module.norms if mode == "float" else None)
 
 
 def monomial_action(c, h, N: int, mode: str = "exact") -> TruncatedRep:

@@ -3,7 +3,10 @@ and the adjoint route of gram_entry_direct."""
 
 from fractions import Fraction
 
-from vircut.verma import enumerate_partitions, gram_entry_direct, monomial_block
+import numpy as np
+import pytest
+
+from vircut.verma import block_keys, enumerate_partitions, gram_entry_direct, monomial_block
 
 C = Fraction(1, 2)
 H = Fraction(0)
@@ -56,3 +59,57 @@ def test_translation_recursion_on_vacuum():
     # L_{-1} L_{-n} Omega = (n - 1) L_{-n-1} Omega + L_{-n} L_{-1} Omega
     for n in range(2, 8):
         assert _column(-1, (n,)) == {(n + 1,): n - 1, (n, 1): 1}
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle: plain Fraction straightening, no vircut code
+
+def _straighten(modes, c, h):
+    """L_{m_1} ... L_{m_j} Phi as {word: coefficient}, by swapping the first
+    adjacent pair of modes out of ascending order until every term is a
+    word: L_a L_b = L_b L_a + (a - b) L_{a+b} + (c/12)(a^3 - a) delta_{a+b,0},
+    with L_0 Phi = h Phi and L_m Phi = 0 for m > 0."""
+    out, todo = {}, [(tuple(modes), Fraction(1))]
+    while todo:
+        ms, x = todo.pop()
+        if ms and ms[-1] >= 0:
+            if ms[-1] == 0:
+                todo.append((ms[:-1], x * h))
+            continue
+        i = next((i for i in range(len(ms) - 1) if ms[i] > ms[i + 1]), None)
+        if i is None:
+            word = tuple(-m for m in ms)
+            out[word] = out.get(word, 0) + x
+            continue
+        a, b = ms[i], ms[i + 1]
+        todo.append((ms[:i] + (b, a) + ms[i + 2:], x))
+        if a != b:
+            todo.append((ms[:i] + (a + b,) + ms[i + 2:], x * (a - b)))
+        if a + b == 0:
+            todo.append((ms[:i] + ms[i + 2:], x * c * (a ** 3 - a) / 12))
+    return {w: x for w, x in out.items() if x != 0}
+
+
+# h = 0 leaves terms whose coefficient A + B c/12 + C h vanishes only there
+ORACLE_POINTS = [(Fraction(1, 2), Fraction(0)), (Fraction(7, 10), Fraction(3, 5)),
+                 (Fraction(2), Fraction(1))]
+
+
+@pytest.mark.parametrize("c, h", ORACLE_POINTS, ids=str)
+def test_every_monomial_block_to_level_8_matches_plain_straightening(c, h):
+    for n, k in block_keys(8):
+        block = monomial_block(n, k, c, h)
+        dst = enumerate_partitions(k - n)
+        for j, word in enumerate(enumerate_partitions(k)):
+            want = _straighten((n,) + tuple(-a for a in word), c, h)
+            got = {w: x for w, x in zip(dst, block[:, j]) if x != 0}
+            assert got == want, (n, word)
+            assert all(type(x) is Fraction for x in block[:, j])
+
+
+@pytest.mark.parametrize("c, h", ORACLE_POINTS, ids=str)
+def test_float_monomial_blocks_round_each_exact_entry_once(c, h):
+    for n, k in block_keys(10):
+        exact = monomial_block(n, k, c, h)
+        rounded = np.array([[float(x) for x in row] for row in exact]).reshape(exact.shape)
+        assert monomial_block(n, k, c, h, "float").tobytes() == rounded.tobytes()

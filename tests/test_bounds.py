@@ -7,13 +7,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vircut import bounds
+from vircut import bounds, rational, smear, verma
 from vircut.bounds import (
     DEFAULT_EPS_GRID,
     _BLOCK,
@@ -26,6 +27,7 @@ from vircut.bounds import (
 )
 from vircut.cli import write_rows_csv
 from vircut.fields import FEJER, PiecewiseMobiusField, cosine_field, mode_field
+from vircut.smear import heat_identity_residual
 
 # Frozen from independent sweeps of the c = 1/2 vacuum module at N = 8.
 R_SQ_N8 = 1.0000000000000002
@@ -137,36 +139,80 @@ def test_q_is_deterministic(ising8_float, r_n8):
     assert a == b
 
 
-def test_q_takes_each_block_norm_once_and_the_witness_modes_again(
-        ising8_float, r_n8, monkeypatch):
-    calls = []
+def _counted_opnorms(monkeypatch) -> dict:
+    """Count opnorm calls by the module that makes them: verma's are the
+    block-norm memo's, bounds's the witness recomputes, smear's the heat
+    identity's literal commutators."""
+    calls = {"verma": 0, "bounds": 0, "smear": 0}
 
-    def counted(mat, real=bounds.opnorm):
-        calls.append(mat)
-        return real(mat)
+    def counter(name):
+        def counted(mat, real=rational.opnorm):
+            calls[name] += 1
+            return real(mat)
+        return counted
 
-    monkeypatch.setattr(bounds, "opnorm", counted)
-    q = estimate_q(Fraction(1, 2), 8, rep=ising8_float, r_report=r_n8)
-    witness_blocks = [key for key in ising8_float.blocks if key[0] == q.witness["n"]]
-    assert len(calls) == len(ising8_float.blocks) + len(witness_blocks)
+    for name, mod in (("verma", verma), ("bounds", bounds), ("smear", smear)):
+        monkeypatch.setattr(mod, "opnorm", counter(name))
+    return calls
+
+
+def _witness_mode_blocks(rep, q) -> int:
+    return sum(1 for m, _ in rep.blocks if m == q.witness["n"])
+
+
+def test_r_q_and_the_heat_identity_take_each_block_norm_once(monkeypatch):
+    calls = _counted_opnorms(monkeypatch)
+    verma._module.cache_clear()
+    rep = verma.truncated_rep(Fraction(1, 2), 0, 8, "float")
+    r = estimate_r(Fraction(1, 2), 8, rep=rep)
+    q = estimate_q(Fraction(1, 2), 8, rep=rep, r_report=r)
+    for n in range(-8, 9):
+        if n:
+            heat_identity_residual(rep, n, 0.5)
+    assert calls["verma"] == len(rep.blocks)
+    # the r witness, then every block of the q witness's mode, afresh
+    assert calls["bounds"] == 1 + _witness_mode_blocks(rep, q)
+    # the literal commutator of every block with n != 0
+    assert calls["smear"] == sum(1 for m, _ in rep.blocks if m != 0)
+
+
+def test_a_sweep_over_n_takes_each_block_norm_once_per_point(monkeypatch):
+    calls = _counted_opnorms(monkeypatch)
+    verma._module.cache_clear()
+    witnesses = 0
+    for N in range(4, 13):
+        rep = verma.truncated_rep(Fraction(1, 2), 0, N, "float")
+        r = estimate_r(Fraction(1, 2), N, rep=rep)
+        q = estimate_q(Fraction(1, 2), N, rep=rep, r_report=r)
+        witnesses += 1 + _witness_mode_blocks(rep, q)
+    assert calls["verma"] == len(verma.block_keys(12))
+    assert calls["bounds"] == witnesses
 
 
 def test_q_witness_check_does_not_reuse_the_sweep_norms(ising8_float, r_n8, q_n8,
                                                         monkeypatch):
-    # the sweep's norm of the witness block reads one part in 2^30 high
+    # the memoized norm of the witness block reads one part in 2^30 high
     n, level = q_n8.witness["n"], q_n8.witness["level"]
-    witness_block, seen = ising8_float.blocks[(n, level)], []
-
-    def skewed(mat, real=bounds.opnorm):
-        if mat is witness_block and not seen:
-            seen.append(mat)
-            return real(mat) * (1 + 2.0 ** -30)
-        return real(mat)
-
-    monkeypatch.setattr(bounds, "opnorm", skewed)
+    blk, norm = ising8_float.norm_memo[n, level]
+    assert blk is ising8_float.blocks[(n, level)] and norm is not None
+    monkeypatch.setitem(ising8_float.norm_memo, (n, level), (blk, norm * (1 + 2.0 ** -30)))
     q = estimate_q(Fraction(1, 2), 8, rep=ising8_float, r_report=r_n8)
     assert (q.witness["n"], q.witness["level"]) == (n, level)
     assert q.witness["reproduced"] is False and q.verdict == "fail"
+
+
+def test_a_replaced_block_takes_a_fresh_norm():
+    verma._module.cache_clear()
+    rep = verma.truncated_rep(Fraction(1, 2), 0, 8, "float")
+    r = estimate_r(Fraction(1, 2), 8, rep=rep)
+    key = (r.witness["n"], r.witness["k"])
+    doubled = replace(rep, blocks={**rep.blocks, key: rep.blocks[key] * 2})
+    assert doubled.norm_memo is rep.norm_memo
+    assert estimate_r(Fraction(1, 2), 8, rep=doubled).constant == pytest.approx(4 * r.constant,
+                                                                           rel=1e-14)
+    # the memo still pairs the point's own block with its own norm
+    assert rep.norm_memo[key][0] is rep.blocks[key]
+    assert estimate_r(Fraction(1, 2), 8, rep=rep) == r
 
 
 def test_q_grid_validation(ising8_float, r_n8):
