@@ -58,7 +58,7 @@ def sweep_level(c: Fraction, h: Fraction, N: int, grid) -> dict:
     rep = verma.truncated_rep(c, h, N, mode="float")
     r = bounds.estimate_r(c, N, h=h, rep=rep)
     q = bounds.estimate_q(c, N, grid, h=h, rep=rep, r_report=r)
-    relations_ok, relations_line = cli.float_relations_gate(rep)
+    _, relations_ok, relations_line = verma.relation_verdict(rep)
     seconds = time.perf_counter() - start
     ok = r.verdict == "pass" and q.verdict == "pass" and relations_ok
     print(f"{N:>3} {r.constant!r:>22} {q.constant!r:>22} "

@@ -57,12 +57,10 @@ def criterion_virasoro_relations() -> tuple[bool, str]:
                     rep = verma.monomial_action(c, h, 8, mode)
                     if mode == "exact":
                         fallbacks.append(f"c={c},h={h}")
-                summary = verma.relation_residual_summary(rep, max_mode=3)
-                if mode == "exact":
-                    ok = ok and summary["exact_zero"]
-                else:
+                summary, passed, _ = verma.relation_verdict(rep)
+                ok = ok and passed
+                if mode == "float":
                     worst_float = float(np.maximum(worst_float, summary["max_abs"]))
-                    ok = ok and summary["max_abs"] <= verma.FLOAT_RESIDUAL_TOL
     note = f"; monomial basis at {', '.join(fallbacks)}" if fallbacks else ""
     return ok, (f"8 (c,h) points, both modes; exact residuals zero, "
                 f"worst float residual {worst_float:.2e}{note}")
@@ -70,11 +68,12 @@ def criterion_virasoro_relations() -> tuple[bool, str]:
 
 def criterion_vacuum_spectrum() -> tuple[bool, str]:
     """Vacuum representation: level 1 is empty and level 2 is a line,
-    for every tested central charge."""
+    for every tested central charge.  Levels 0-2 are all it reads, so it
+    builds at N = 2."""
     ok = True
     dims = []
     for c in C_VALUES:
-        rep = verma.truncated_rep(c, 0, 8)
+        rep = verma.truncated_rep(c, 0, 2)
         ok = ok and rep.dim(1) == 0 and rep.dim(2) == 1
         dims.append(f"c={c}: {list(rep.level_dims[:3])}")
     return ok, "; ".join(dims)

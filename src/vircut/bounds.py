@@ -41,8 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import verma
-from .fields import (FEJER, FourierField, MollifierFamily, PiecewiseMobiusField,
-                     fourier_coefficient)
+from .fields import FEJER, FourierField, MollifierFamily, PiecewiseMobiusField
 from .rational import opnorm
 from .smear import fm_sup
 
@@ -266,39 +265,26 @@ def estimate_q(c, N: int, eps_grid: Optional[Sequence[float]] = None, h=0,
     )
 
 
-def decay_report(field, n_max: int) -> BoundReport:
-    """M_hat = max |f_hat(n)| |n|^3 over 2 <= |n| <= n_max.
+def decay_report(field: PiecewiseMobiusField, n_max: int) -> BoundReport:
+    """M_hat = max |f_hat(n)| |n|^3 over 2 <= |n| <= n_max, for the glued
+    field, whose modes n = 2 mod 4 are nonzero.
 
     The stabilization diagnostic compares the maximum over the last decade
     (n_max/10, n_max] with the global maximum; a ratio well below 1 means
-    the estimate has stopped moving.
+    the estimate has stopped moving.  The decade is never empty: it holds
+    the largest n = 2 mod 4 up to n_max, which exceeds n_max // 10.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    if isinstance(field, PiecewiseMobiusField):
-        # |f_hat(-n)| = |f_hat(n)|, so the positive side carries the maximum
-        ns = np.arange(2, n_max + 1)
-        mags = np.abs(field.coefficient_closed(ns))
-        scaled = mags * ns.astype(np.float64) ** 3
-        table = [{"n": int(n), "abs_coefficient": float(a), "scaled": float(s)}
-                 for n, a, s in zip(ns, mags, scaled) if a > 0.0]
-    elif isinstance(field, FourierField):
-        rows = {}
-        for n in field.support:
-            if 2 <= abs(n) <= n_max:
-                a = abs(complex(fourier_coefficient(field, n)))
-                rows[abs(n)] = max(rows.get(abs(n), 0.0), a)
-        table = [{"n": n, "abs_coefficient": a, "scaled": a * n ** 3}
-                 for n, a in sorted(rows.items())]
-    else:
-        raise TypeError(f"unsupported field type {type(field).__name__}")
-    if not table:
-        return BoundReport("coefficient-decay-M", {"n_max": n_max}, 0.0,
-                           {}, [], None, "pass",
-                           derived={"stabilization_ratio": None})
+    # |f_hat(-n)| = |f_hat(n)|, so the positive side carries the maximum
+    ns = np.arange(2, n_max + 1)
+    mags = np.abs(field.coefficient_closed(ns))
+    scaled = mags * ns.astype(np.float64) ** 3
+    table = [{"n": int(n), "abs_coefficient": float(a), "scaled": float(s)}
+             for n, a, s in zip(ns, mags, scaled) if a > 0.0]
     best = max(table, key=lambda r: r["scaled"])
     decade = [r["scaled"] for r in table if r["n"] > n_max // 10]
-    ratio = max(decade) / best["scaled"] if decade and best["scaled"] > 0 else None
+    ratio = max(decade) / best["scaled"]
     return BoundReport(
         experiment="coefficient-decay-M",
         parameters={"n_max": n_max},

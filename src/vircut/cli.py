@@ -198,15 +198,6 @@ def write_rows_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
             writer.writerow({k: encode(v) for k, v in row.items()})
 
 
-def float_relations_gate(rep: verma.TruncatedRep) -> tuple[bool, str]:
-    """Whether a float rep's bracket residual (|m|,|n| <= 3) is within
-    FLOAT_RESIDUAL_TOL, NaN failing, and the line that reports it."""
-    max_abs = verma.relation_residual_summary(rep, max_mode=3)["max_abs"]
-    return (max_abs <= verma.FLOAT_RESIDUAL_TOL,
-            f"bracket relations |m|,|n|<=3: max abs {max_abs:.3e} "
-            f"(tolerance {verma.FLOAT_RESIDUAL_TOL:g})")
-
-
 def report_summary(br: bounds.BoundReport) -> dict:
     """BoundReport's fields minus its table: the table goes to CSV, not JSON."""
     return {key: value for key, value in vars(br).items() if key != "table"}
@@ -288,14 +279,7 @@ def _build_rep(cfg: RunConfig):
 
 def cmd_rep(cfg: RunConfig, args: argparse.Namespace) -> int:
     rep, source = _build_rep(cfg)
-    summary = verma.relation_residual_summary(rep, max_mode=3)
-    if cfg.mode == "exact":
-        ok = summary["exact_zero"]
-        residual_line = "exact zero" if ok else f"nonzero rational, max {summary['max_abs']:.3e}"
-    else:
-        ok = summary["max_abs"] <= verma.FLOAT_RESIDUAL_TOL
-        residual_line = (f"max abs {summary['max_abs']:.3e} "
-                         f"(tolerance {verma.FLOAT_RESIDUAL_TOL:g})")
+    summary, ok, relations_line = verma.relation_verdict(rep)
     measured = verma.measure_central_charge(rep)
     admissible = verma.is_admissible(cfg.c)
     result = {
@@ -305,7 +289,7 @@ def cmd_rep(cfg: RunConfig, args: argparse.Namespace) -> int:
         "relations": {k: v for k, v in summary.items() if k != "cells"},
         "measured_central_charge": measured,
         "admissible_central_charge": admissible,
-        "relations_ok": bool(ok),
+        "relations_ok": ok,
     }
     write_report(cfg, "rep_report.json", "rep", result)
     write_rows_csv(cfg.out / "level_dims.csv", ["level", "dimension"],
@@ -313,7 +297,7 @@ def cmd_rep(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(f"rep c={fmt_rational(cfg.c)} h={fmt_rational(cfg.h)} N={cfg.N} "
           f"mode={cfg.mode} ({source})")
     print(f"level dims: {list(rep.level_dims)}")
-    print(f"bracket relations |m|,|n|<=3: {residual_line}")
+    print(relations_line)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -374,12 +358,8 @@ def cmd_smear(cfg: RunConfig, args: argparse.Namespace) -> int:
     herm = smear.hermiticity_residual(op) if is_real else None
     if herm is None:
         herm_ok, herm_line = True, "skipped (field is not real)"
-    elif cfg.mode == "exact":
-        herm_ok = herm.exact_zero
-        herm_line = "exact zero" if herm_ok else f"nonzero, max {herm.max_abs:.3e}"
     else:
-        herm_ok = herm.max_abs <= verma.FLOAT_RESIDUAL_TOL
-        herm_line = f"max abs {herm.max_abs:.3e} (tolerance {verma.FLOAT_RESIDUAL_TOL:g})"
+        herm_ok, herm_line = verma.residual_verdict(cfg.mode, herm.exact_zero, herm.max_abs)
 
     vac = None
     vac_ok = True
@@ -397,7 +377,7 @@ def cmd_smear(cfg: RunConfig, args: argparse.Namespace) -> int:
     # float mode runs the relation gate; exact mode reads c back from the rep
     # (one 1x1 product), since its relation sweep costs more than the smear
     if cfg.mode == "float":
-        relations_ok, relations_line = float_relations_gate(rep)
+        _, relations_ok, relations_line = verma.relation_verdict(rep)
     else:
         measured = verma.measure_central_charge(rep)
         relations_ok = measured == rep.c
@@ -452,7 +432,7 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
             fm_rows.append({"k": k, "m": m, "eps_max": eps_max, "sup_sq": sup_sq,
                             "grid_max": worst, "violated": violated})
 
-    relations_ok, relations_line = float_relations_gate(rep)
+    _, relations_ok, relations_line = verma.relation_verdict(rep)
     chain = q_report.derived
     ok = (r_report.verdict == "pass" and q_report.verdict == "pass"
           and fm_violations == 0 and relations_ok)

@@ -119,19 +119,6 @@ class FourierField:
         zero = CFrac(0) if self.is_exact else 0j
         return self.coefficients.get(n, zero)
 
-    def __add__(self, other: "FourierField") -> "FourierField":
-        merged = dict(self.coefficients)
-        for n, a in other.coefficients.items():
-            merged[n] = merged.get(n, CFrac(0) if isinstance(a, CFrac) else 0j) + a
-        return FourierField(merged)
-
-    def __sub__(self, other: "FourierField") -> "FourierField":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "FourierField":
-        scalar = _canon(scalar)
-        return FourierField({n: scalar * a for n, a in self.coefficients.items()})
-
 
 def mode_field(n: int, amplitude=1) -> FourierField:
     """Single Fourier mode: f(theta) = amplitude * e^{in theta}."""

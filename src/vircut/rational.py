@@ -9,21 +9,22 @@ dense and small (dimensions are partition counts, a few hundred at most).
 
 The package runs in two arithmetic modes, "exact" (Fraction object
 arrays) and "float" (float64 arrays); zeros and eye build the zero and
-identity matrices of a mode, dot is the matrix product of both modes,
-and opnorm is the spectral norm that both modes' float views are
-measured with.  Residual reduces the residual matrices of a check to one
-float maximum and one exact-zero verdict, the same way in both modes;
-adjoint_residual is that reduction for the adjoint condition
-a_scale diag(left) a = conj(b_scale b)^T diag(right).
+identity matrices of a mode, and opnorm is the spectral norm that both
+modes' float views are measured with.  Residual reduces the residual
+matrices of a check to one float maximum and one exact-zero verdict,
+the same way in both modes; adjoint_residual is that reduction for the
+adjoint condition a_scale diag(left) a = conj(b_scale b)^T diag(right).
 
 The exact inner loops run over Python ints, not Fractions.  IntegerForm
-holds an exact matrix as integers over row and column scales: dot is
-the product of two forms, psd_congruence is fraction-free (Bareiss)
-elimination that returns its basis and extraction rows as forms, and
-block assembly and the bracket-relation sweep (verma) work on forms
-too.  adjoint_residual cross-multiplies the numerators and denominators
-of each entry.  Each forms a Fraction only for an entry that leaves it,
-and a check a float only for a nonzero entry.
+holds an exact matrix as integers over row and column scales, and the
+product of a by_rows form and a by_cols one is one integer product: the
+Gram recursion, block assembly and the bracket-relation sweep (verma)
+multiply forms, and psd_congruence is fraction-free (Bareiss)
+elimination that returns its basis and extraction rows as forms.
+adjoint_residual cross-multiplies the numerators and denominators of
+each entry.  Each forms a Fraction only for an entry that leaves it,
+and a check a float only for a nonzero entry.  Matrix products outside
+these loops, of float arrays or of small Fraction ones, are np.dot's.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "zeros",
     "eye",
     "IntegerForm",
-    "dot",
     "opnorm",
     "to_float",
     "Residual",
@@ -116,9 +116,6 @@ class CFrac:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return CFrac(-self.re, -self.im)
-
     def __sub__(self, other):
         o = CFrac._operand(other)
         if o is None:
@@ -140,16 +137,6 @@ class CFrac:
         return CFrac(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = CFrac._operand(other)
-        if o is None:
-            return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("CFrac division by zero")
-        return CFrac((self.re * o.re + self.im * o.im) / d,
-                     (self.im * o.re - self.re * o.im) / d)
 
     def __eq__(self, other):
         o = CFrac._operand(other)
@@ -251,11 +238,6 @@ class IntegerForm:
     def T(self) -> IntegerForm:
         return IntegerForm(self.num.T, self.col, self.row)
 
-    def __getitem__(self, rows: slice) -> IntegerForm:
-        """The form of a slice of the rows, copied so that it does not keep
-        the other rows alive."""
-        return IntegerForm(self.num[rows].copy(), self.row[rows].copy(), self.col)
-
     def __matmul__(self, other: IntegerForm) -> IntegerForm:
         """The product, when the scales of the summed index factor out of
         the sum: the column scales of self are one number, and so are the
@@ -306,21 +288,6 @@ class IntegerForm:
                   for i, j in zip(*np.nonzero(self.num))]
         return Residual(float(np.abs(np.array(values, dtype=float)).max(initial=0.0)),
                         not values)
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two matrices of one arithmetic mode.
-
-    Float arrays go to np.dot.  Exact (object) matrices of Fractions and
-    ints are multiplied over the integers: IntegerForm.by_rows(a) @
-    IntegerForm.by_cols(b), one Python-int product, and entry (i, j)
-    becomes one Fraction of its sum over the scales of row i of a and
-    column j of b.  The values are np.dot's, every entry is a Fraction,
-    and the integer temporaries live only in this call.
-    """
-    if a.dtype != object and b.dtype != object:
-        return np.dot(a, b)
-    return (IntegerForm.by_rows(a) @ IntegerForm.by_cols(b)).fractions()
 
 
 def opnorm(mat: np.ndarray) -> float:
@@ -474,15 +441,17 @@ def _integer_rows(rows: list[list[int]], scales: list[int], cols: int) -> Intege
                        _object([1] * cols, cols))
 
 
-def psd_congruence(matrix: np.ndarray) -> tuple[list[Fraction], IntegerForm, IntegerForm, int]:
-    """Diagonalize a PSD exact-rational symmetric matrix by congruence.
+def psd_congruence(matrix: np.ndarray) -> tuple[tuple[Fraction, ...], IntegerForm,
+                                                IntegerForm]:
+    """Diagonalize a PSD exact-rational symmetric matrix by congruence, on
+    the states it keeps.
 
-    Returns ``(d, basis, extract, rank)``: the n x n rows B of ``basis``
-    make B matrix B^T = diag(d), ``d`` positive in its first ``rank``
-    entries and zero after, and B is unimodular-triangular up to the
-    pivoting permutation; its rows beyond ``rank`` span the kernel (for
-    PSD matrices the radical and the kernel coincide).  ``extract`` holds
-    the rank extraction rows W = D^-1 B matrix, D = diag(d).  Both are
+    Returns ``(d, basis, extract)`` for the rank r of the n x n matrix:
+    the r x n rows B of ``basis`` make B matrix B^T = diag(d), with the r
+    entries of ``d`` positive, and B is the first r rows of a matrix that
+    is unimodular-triangular up to the pivoting permutation.  The kernel
+    (for PSD matrices the radical) is not returned.  ``extract`` holds the
+    r extraction rows W = D^-1 B matrix, D = diag(d).  Both are
     IntegerForms with by_rows's integers, and d holds the only Fractions.
     The pivot at each step is the largest remaining diagonal entry, the
     first one on ties.
@@ -497,8 +466,8 @@ def psd_congruence(matrix: np.ndarray) -> tuple[list[Fraction], IntegerForm, Int
     through the same steps.  Before step t, the row of state r is
     p_{t-1} e_r plus a combination of the states pivoted so far, so only
     that combination is stored, in pivot order.  Basis row t is its
-    integer row over p_{t-1}, and rows at or beyond rank are over
-    p_{rank-1}.  Row r of the eliminated matrix is the integer row r of B
+    integer row over p_{t-1}; the rows of the states never pivoted are
+    dropped.  Row r of the eliminated matrix is the integer row r of B
     times L times the matrix, and it is zero before its diagonal; so
     W_r = B_r matrix / d_r is the final upper-triangle row r over p_r,
     scattered back to the original states, and takes no product.
@@ -542,14 +511,13 @@ def psd_congruence(matrix: np.ndarray) -> tuple[list[Fraction], IntegerForm, Int
             combos[r] = [(piv_val * x - f * y) // prev
                          for x, y in zip(combos[r], combo_t)] + [-f]
     rank = len(pivots) - 1
-    basis = [[0] * n for _ in range(n)]
-    for r in range(n):
+    basis = [[0] * n for _ in range(rank)]
+    for r in range(rank):
         for k, x in enumerate(combos[r]):
             basis[r][states[k]] = x
-        basis[r][states[r]] = pivots[min(r, rank)]
+        basis[r][states[r]] = pivots[r]
     pos = {state: j for j, state in enumerate(states)}  # each state's pivot position
     extract = [[a[r][pos[s]] if pos[s] >= r else 0 for s in range(n)] for r in range(rank)]
-    d = [Fraction(pivots[t + 1], pivots[t] * scale) for t in range(rank)]
-    d += [Fraction(0)] * (n - rank)
-    return (d, _integer_rows(basis, [pivots[min(r, rank)] for r in range(n)], n),
-            _integer_rows(extract, pivots[1:], n), rank)
+    d = tuple(Fraction(pivots[t + 1], pivots[t] * scale) for t in range(rank))
+    return (d, _integer_rows(basis, pivots[:rank], n),
+            _integer_rows(extract, pivots[1:], n))

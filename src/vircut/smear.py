@@ -283,7 +283,7 @@ def lemma_recursion_checks(rep: TruncatedRep) -> dict:
     recursion = Residual()
     for n in range(2, rep.N):
         lhs = rep.block(-1, n).dot(rep.block(-n, 0))
-        rhs = rep.block(-n - 1, 0) * ((n - 1) if exact else float(n - 1))
+        rhs = rep.block(-n - 1, 0) * (n - 1)
         recursion |= Residual.of(lhs - rhs)
 
     zeta = Fraction(5, 3)

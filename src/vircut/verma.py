@@ -62,7 +62,6 @@ from .rational import (
     IntegerForm,
     Residual,
     as_fraction,
-    dot,
     eye,
     opnorm,
     psd_congruence,
@@ -86,6 +85,8 @@ __all__ = [
     "monomial_action",
     "relation_residual",
     "relation_residual_summary",
+    "residual_verdict",
+    "relation_verdict",
     "measure_central_charge",
     "tensor_rep",
 ]
@@ -317,7 +318,7 @@ class _Module:
                     if mode == "exact":
                         part = (IntegerForm.by_rows(lower) @ self.monomial_form(a, k)).fractions()
                     else:
-                        part = dot(lower, self.monomial(a, k, mode))
+                        part = np.dot(lower, self.monomial(a, k, mode))
                     g[row:row + len(needed), :] = part
                     row += len(needed)
             g.flags.writeable = False
@@ -335,11 +336,10 @@ class _Module:
             data = self._float_level(k)
         else:
             try:
-                d, basis, w, rank = psd_congruence(self.gram(k, "exact"))
+                data = psd_congruence(self.gram(k, "exact"))
             except IndefiniteMatrixError as exc:
                 raise NonUnitaryError(f"Gram matrix at level {k} is indefinite "
                                       f"for c={self.c}, h={self.h}: {exc}") from exc
-            data = tuple(d[:rank]), basis[:rank], w
         self._levels[k, mode] = data
         return data
 
@@ -403,7 +403,7 @@ class _Module:
                 blk = (extract @ self.monomial_form(n, k) @ basis.T).fractions()
             else:
                 mono = self.monomial(n, k, mode)
-                blk = np.asarray(dot(dot(extract, mono), basis.T), dtype=np.float64)
+                blk = np.asarray(np.dot(np.dot(extract, mono), basis.T), dtype=np.float64)
                 self.norms[n, k] = (blk, None)
             blk.flags.writeable = False
             self._blocks[n, k, mode] = blk
@@ -646,8 +646,8 @@ def relation_residual(rep: TruncatedRep, m: int, n: int, k: int) -> Optional[np.
     """
     if not _in_window(rep, m, n, k):
         return None
-    a = dot(rep.block(m, k - n), rep.block(n, k))
-    b = dot(rep.block(n, k - m), rep.block(m, k))
+    a = np.dot(rep.block(m, k - n), rep.block(n, k))
+    b = np.dot(rep.block(n, k - m), rep.block(m, k))
     res = a - b
     if m != n:
         res = res - (m - n) * rep.block(m + n, k)
@@ -737,13 +737,38 @@ def relation_residual_summary(rep: TruncatedRep, max_mode: int = 3) -> dict:
                       for (m, n, k), residual in zip(cells, residuals)]}
 
 
+def residual_verdict(mode: str, exact_zero: Optional[bool], max_abs: float,
+                     nonzero: str = "nonzero") -> tuple[bool, str]:
+    """Whether a residual of a rep in `mode` passes, and the text that
+    reports it.
+
+    Exact mode passes when every entry is zero ("exact zero", else
+    `nonzero` and the max); float mode when max_abs is within
+    FLOAT_RESIDUAL_TOL, NaN failing ("max abs ... (tolerance ...)").
+    """
+    if mode == "exact":
+        return bool(exact_zero), ("exact zero" if exact_zero
+                                  else f"{nonzero}, max {max_abs:.3e}")
+    return (max_abs <= FLOAT_RESIDUAL_TOL,
+            f"max abs {max_abs:.3e} (tolerance {FLOAT_RESIDUAL_TOL:g})")
+
+
+def relation_verdict(rep: TruncatedRep, max_mode: int = 3) -> tuple[dict, bool, str]:
+    """The bracket-relation sweep of rep (relation_residual_summary), its
+    residual_verdict, and the line that reports them."""
+    summary = relation_residual_summary(rep, max_mode)
+    ok, text = residual_verdict(rep.mode, summary["exact_zero"], summary["max_abs"],
+                                nonzero="nonzero rational")
+    return summary, ok, f"bracket relations |m|,|n|<={max_mode}: {text}"
+
+
 def measure_central_charge(rep: TruncatedRep) -> Scalar:
     """2 (<Omega, [L_2, L_{-2}] Omega> - 4h) read off the rep's matrices."""
     if rep.N < 2 or rep.dim(0) != 1:
         raise ValueError("need N >= 2 and a one-dimensional level 0")
     lower = rep.block(-2, 0)
     raise_back = rep.block(2, 2)
-    val = dot(raise_back, lower)[0, 0]
+    val = np.dot(raise_back, lower)[0, 0]
     # L_{-2} L_2 Omega vanishes: L_2 maps level 0 below the module
     return 2 * (val - 4 * rep.h)
 

@@ -19,16 +19,32 @@ NAMES = [name for name, _ in acceptance.CRITERIA]
 def test_registry_is_complete():
     assert len(acceptance.CRITERIA) == 10
     assert len(set(NAMES)) == 10
+    assert set(PINNED_DETAILS) == set(NAMES)
 
 
-# Details recorded while the heat-sup search ran scipy's fminbound and the
-# quadrature ran scipy's adaptive quad.
+# Every criterion's detail line.  The heat-sup and piecewise-field lines
+# were recorded while the heat-sup search ran scipy's fminbound and the
+# quadrature ran scipy's adaptive quad; the other eight with numpy 2.4.6.
 PINNED_DETAILS = {
+    "virasoro-relations": "8 (c,h) points, both modes; exact residuals zero, "
+                          "worst float residual 9.09e-13; monomial basis at "
+                          "c=7/10,h=1/2",
+    "vacuum-spectrum": "c=1/2: [1, 0, 1]; c=7/10: [1, 0, 1]; c=1: [1, 0, 1]; "
+                       "c=2: [1, 0, 1]",
+    "translation-recursion": "recursion n=2..11 exact=True, level-2 dim one=True, "
+                             "propagation exact=True",
     "heat-sup-closed-form": "2550 (k,m) cells; worst closed-vs-search relative "
                             "error 1.86e-14, 0 bound violations",
+    "commutator-chain": "q_hat=0.134114 <= 3 r_hat^2=3.000000: True; worst "
+                        "heat-identity residual 8.44e-16",
     "piecewise-field": "corners zero=True, d1 match=True, d2 jumps=['4', '4', "
                        "'4', '4'], modes |n|<=101 exact=True, quadrature worst "
                        "4.4e-16, decay 3.395305 vs 3.395305",
+    "vacuum-nonvanishing": "closed 0.046318255379, matrix diff 6.94e-18",
+    "mollifier-convergence": "k=67108864: error bound 6.217e-04 < 1e-3, monotone "
+                             "over 27 rungs: True",
+    "central-charge-additivity": "1/2 + 1/2 -> 1, 1/2 + 4/5 -> 13/10, both exact",
+    "commutator-realization": "20 pairs, 800 matrix cells, all residuals exactly zero",
 }
 
 
@@ -38,7 +54,7 @@ def test_criterion(name):
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {name} ({result.seconds:.2f}s): {result.detail}")
     assert result.passed, f"{name}: {result.detail}"
-    assert result.detail == PINNED_DETAILS.get(name, result.detail)
+    assert result.detail == PINNED_DETAILS[name]
 
 
 def test_a_nan_float_residual_fails_the_relations_and_shows_in_the_detail(monkeypatch):

@@ -26,7 +26,7 @@ from vircut.bounds import (
     parse_eps_grid,
 )
 from vircut.cli import write_rows_csv
-from vircut.fields import FEJER, PiecewiseMobiusField, cosine_field, mode_field
+from vircut.fields import FEJER, PiecewiseMobiusField, cosine_field
 from vircut.smear import heat_identity_residual
 
 # Frozen from independent sweeps of the c = 1/2 vacuum module at N = 8.
@@ -298,19 +298,6 @@ def test_piecewise_decay_is_stable_under_the_cutoff(piecewise):
         decay_report(piecewise, 400).constant
 
 
-def test_single_mode_decay():
-    report = decay_report(mode_field(5), 10)
-    assert report.constant == 125.0
-    assert report.witness["n"] == 5
-
-
-def test_decay_with_no_qualifying_modes():
-    report = decay_report(cosine_field(1), 10)
-    assert report.constant == 0.0
-    assert report.verdict == "pass"
-    assert report.derived["stabilization_ratio"] is None
-
-
 def test_decay_validation(piecewise):
     with pytest.raises(ValueError, match="n_max must be >= 2"):
         decay_report(piecewise, 1)
@@ -551,8 +538,8 @@ def test_weight_series_memory_stays_flat(piecewise):
     assert peak(1 << 22, chunk=1 << 12) < 2e6
 
 
-def test_report_csv_round_trip(tmp_path):
-    report = decay_report(mode_field(5), 10)
+def test_report_csv_round_trip(tmp_path, piecewise):
+    report = decay_report(piecewise, 10)
     path = tmp_path / "decay.csv"
     write_rows_csv(path, list(report.table[0]), report.table)
     lines = path.read_text().strip().splitlines()

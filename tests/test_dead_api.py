@@ -1,10 +1,14 @@
 """Every public name of the package has a reader outside its definition.
 
-References are collected with ast from the package, the scripts and the
-benchmark harness: a name read as a variable, an attribute or an import
-alias.  Strings do not count, so neither __all__ nor a docstring keeps a
-name alive, and tests do not count either: a helper only tests call
-belongs in the tests.  The only exceptions are the oracles that tests
+Public names are the module-level functions, classes and assignments and
+the public methods and properties of every class.  References are
+collected with ast from the package, the scripts and the benchmark
+harness: a name read as a variable, an attribute or an import alias (a
+method or property counts as read when its name is read as an
+attribute).  Operators (dunder methods) are not names and are not
+checked here.  Strings do not count, so neither __all__ nor a docstring
+keeps a name alive, and tests do not count either: a helper only tests
+call belongs in the tests.  The only exceptions are the oracles that tests
 check the builder against.
 """
 
@@ -36,6 +40,15 @@ def _public_definitions(tree: ast.Module) -> list[str]:
     return [n for n in names if not n.startswith("_")]
 
 
+def _public_methods(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, name) of every public method and property of the module's
+    classes."""
+    return [(node.name, item.name) for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")]
+
+
 def _references(tree: ast.Module) -> set[str]:
     out = set()
     for node in ast.walk(tree):
@@ -53,6 +66,13 @@ def test_every_public_name_has_a_reader():
     unread = [f"{path.stem}.{name}" for path in PACKAGE
               for name in _public_definitions(_tree(path))
               if name not in read and name not in ORACLES]
+    assert unread == []
+
+
+def test_every_public_method_has_a_reader():
+    read = set().union(*(_references(_tree(path)) for path in READERS))
+    unread = [f"{path.stem}.{cls}.{name}" for path in PACKAGE
+              for cls, name in _public_methods(_tree(path)) if name not in read]
     assert unread == []
 
 

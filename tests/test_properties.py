@@ -41,7 +41,8 @@ def test_reality_is_conjugate_symmetry(f):
 def test_bracket_is_bilinear(f, g, scale):
     c = Fraction(1, 2)
     h1, o1 = bracket_with_cocycle(f, g, c)
-    h2, o2 = bracket_with_cocycle(Fraction(scale) * f, g, c)
+    scaled = FourierField({n: a * Fraction(scale) for n, a in f.coefficients.items()})
+    h2, o2 = bracket_with_cocycle(scaled, g, c)
     for n in set(h1.support) | set(h2.support):
         assert h2.coefficient(n) == CFrac(scale) * h1.coefficient(n)
     assert o2 == CFrac(scale) * o1
@@ -54,8 +55,8 @@ def test_bracket_is_antisymmetric(f, g):
     h1, o1 = bracket_with_cocycle(f, g, c)
     h2, o2 = bracket_with_cocycle(g, f, c)
     for n in set(h1.support) | set(h2.support):
-        assert h1.coefficient(n) == -h2.coefficient(n)
-    assert o1 == -o2
+        assert h1.coefficient(n) + h2.coefficient(n) == 0
+    assert o1 + o2 == 0
 
 
 @settings(max_examples=60, deadline=None)
