@@ -753,13 +753,13 @@ def residual_verdict(mode: str, exact_zero: Optional[bool], max_abs: float,
             f"max abs {max_abs:.3e} (tolerance {FLOAT_RESIDUAL_TOL:g})")
 
 
-def relation_verdict(rep: TruncatedRep, max_mode: int = 3) -> tuple[dict, bool, str]:
-    """The bracket-relation sweep of rep (relation_residual_summary), its
-    residual_verdict, and the line that reports them."""
-    summary = relation_residual_summary(rep, max_mode)
+def relation_verdict(rep: TruncatedRep) -> tuple[dict, bool, str]:
+    """The |m|,|n|<=3 bracket-relation sweep of rep (relation_residual_summary),
+    its residual_verdict, and the line that reports them."""
+    summary = relation_residual_summary(rep, 3)
     ok, text = residual_verdict(rep.mode, summary["exact_zero"], summary["max_abs"],
                                 nonzero="nonzero rational")
-    return summary, ok, f"bracket relations |m|,|n|<={max_mode}: {text}"
+    return summary, ok, f"bracket relations |m|,|n|<=3: {text}"
 
 
 def measure_central_charge(rep: TruncatedRep) -> Scalar:

@@ -6,7 +6,11 @@ collected with ast from the package, the scripts and the benchmark
 harness: a name read as a variable, an attribute or an import alias (a
 method or property counts as read when its name is read as an
 attribute).  Operators (dunder methods) are not names and are not
-checked here.  Strings do not count, so neither __all__ nor a docstring
+checked here.  Method readers are not keyed by class: a read of an
+attribute of the same name on any object counts, so a method with a
+common name (`T`, `block`, `level`, `gram`, `act`; numpy's `.T` alone
+keeps every `T` alive) passes however it is used, and a sweep for
+unused methods needs a line tracer besides this test.  Strings do not count, so neither __all__ nor a docstring
 keeps a name alive, and tests do not count either: a helper only tests
 call belongs in the tests.  The only exceptions are the oracles that tests
 check the builder against.
