@@ -299,11 +299,40 @@ def decay_report(field: PiecewiseMobiusField, n_max: int) -> BoundReport:
 
 # Modes per step of the weight series.  A step spans every chunk, with
 # max(1, _BLOCK // chunks) rows, so its (n W, W) block holds at most
-# 2 _BLOCK floats (128 KiB) for any k_max.  The step's temporaries are
-# 64 KiB each, and malloc serves them from pages it already holds; at
-# 1 << 15 (256 KiB each) glibc mapped and returned them every step, and a
-# 2^26 ladder took 49,500 minor page faults against a dozen at 1 << 13.
+# 2 _BLOCK floats (128 KiB) for any k_max, and the mode array and the two
+# scratch arrays _BLOCK floats each.  All four are allocated once per
+# call; past the shortest chunk's end a step also makes the mask of its
+# rows past a chunk's last mode, and no other array.  Minor page faults
+# (ru_minflt) around the first 2^26 ladder of a process: 12 at 1 << 13;
+# 224 at 1 << 15, where a loop with a temporary per operation and step
+# took 49,350 (glibc mapped and returned each one).  Larger steps save
+# Python loop steps, but 1 << 13 is the largest size at which the
+# tracemalloc peak of a 2^26 ladder (329 KiB) stays below that loop's
+# (392 KiB); 1 << 15 peaks at 1.3 MiB.
 _BLOCK = 1 << 13
+
+
+def _fill_weights(n: np.ndarray, u: np.ndarray, t: np.ndarray,
+                  block: np.ndarray) -> None:
+    """W(n) into block[:, 1] and n W(n) into block[:, 0], one pass per
+    operation through the scratch arrays u and t of n's shape.
+
+    Bit for bit W = 2.0 * closed_kernel(n) * (1.0 + n ** 1.5): 16/u equals
+    2 (8/u), since doubling commutes with rounding in the normal range.
+    W and n W are formed in t and u and then copied into the block's
+    strided halves: numpy would buffer a strided output, and copy an input
+    that shares the block's memory, 64 KiB each at the default _BLOCK."""
+    np.multiply(math.pi, n, out=u)
+    np.multiply(n, n, out=t)
+    np.subtract(t, 1.0, out=t)
+    np.multiply(u, t, out=u)
+    np.divide(16.0, u, out=u)
+    np.power(n, 1.5, out=t)
+    np.add(t, 1.0, out=t)
+    np.multiply(u, t, out=t)
+    np.multiply(n, t, out=u)
+    np.copyto(block[:, 1], t)
+    np.copyto(block[:, 0], u)
 
 
 def _weight_series_chunks(field: PiecewiseMobiusField, k_points: Sequence[int],
@@ -329,6 +358,8 @@ def _weight_series_chunks(field: PiecewiseMobiusField, k_points: Sequence[int],
       never a lone column, which numpy would sum pairwise;
     - rows past a chunk's last mode hold +0.0, which changes no bit;
     - the chunk totals join the carry in chunk order.
+    A step fills its block with _fill_weights, one in-place pass per
+    operation into arrays allocated once per call.
     """
     k_points = sorted(set(int(k) for k in k_points))
     n_max = k_points[-1]
@@ -350,14 +381,18 @@ def _weight_series_chunks(field: PiecewiseMobiusField, k_points: Sequence[int],
                 reads.setdefault(i, []).append((j, k))
     state = np.zeros((2, los.size))
     buf = np.empty((rows, 2, los.size))
-    first = starts.astype(np.float64)
+    # the modes of the first step; each step advances them by 4 rows, which
+    # stays exact below 2^53
+    n_all = starts + 4.0 * np.arange(rows, dtype=np.float64)[:, None]
+    u_all = np.empty_like(n_all)
+    t_all = np.empty_like(n_all)
     depth = int(counts.max(initial=0))
     for r0 in range(0, depth, rows):
         r1 = min(r0 + rows, depth)
+        if r0:
+            n_all += 4.0 * rows
         block = buf[:r1 - r0]
-        n = first + 4.0 * np.arange(r0, r1, dtype=np.float64)[:, None]
-        np.multiply(2.0 * field.closed_kernel(n), 1.0 + n ** 1.5, out=block[:, 1])
-        np.multiply(n, block[:, 1], out=block[:, 0])
+        _fill_weights(n_all[:r1 - r0], u_all[:r1 - r0], t_all[:r1 - r0], block)
         if r1 > counts.min():
             np.copyto(block, 0.0,
                       where=(np.arange(r0, r1)[:, None] >= counts)[:, None, :])

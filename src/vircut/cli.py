@@ -268,10 +268,18 @@ def _build_rep(cfg: RunConfig):
     term c (n^3 - n)/13 is exactly c' (n^3 - n)/12 with c' = 12c/13, and c
     enters the action only there.  So the rep is built (and cached) at c'
     and then labelled c, and every check that reads c from the label sees
-    the faulted algebra.
+    the faulted algebra.  A build that fails at c' says so, and names the
+    requested c and the fault.
     """
-    c = cfg.c * Fraction(12, 13) if cfg.inject_fault == "central-denominator-13" else cfg.c
-    rep, source = store.load_or_build_rep(cfg.cache, c, cfg.h, cfg.N, cfg.mode)
+    faulted = cfg.inject_fault == "central-denominator-13"
+    c = cfg.c * Fraction(12, 13) if faulted else cfg.c
+    try:
+        rep, source = store.load_or_build_rep(cfg.cache, c, cfg.h, cfg.N, cfg.mode)
+    except verma.NonUnitaryError as exc:
+        if not faulted:
+            raise
+        raise type(exc)(f"{exc}; the rep was built at c={c} = 12c/13 for the requested "
+                        f"c={cfg.c} by --inject-fault central-denominator-13") from exc
     if c != cfg.c:
         rep = replace(rep, c=cfg.c)
     return rep, source

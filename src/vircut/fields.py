@@ -317,20 +317,22 @@ def evaluate(field, theta: float):
 
 @lru_cache(maxsize=8)
 def _series_terms(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """The modes |n| <= cutoff and the glued field's coefficients there,
-    read-only; a profile evaluates one cutoff at many angles."""
+    """The phases 1j n over the modes |n| <= cutoff and the glued field's
+    coefficients there, read-only; a profile evaluates one cutoff at many
+    angles."""
     ns = np.arange(-cutoff, cutoff + 1)
+    phases = 1j * ns
     coeffs = PiecewiseMobiusField.coefficient_closed(ns)
-    ns.flags.writeable = coeffs.flags.writeable = False
-    return ns, coeffs
+    phases.flags.writeable = coeffs.flags.writeable = False
+    return phases, coeffs
 
 
 def evaluate_series(field: PiecewiseMobiusField, theta: float, cutoff: int) -> float:
     """Partial Fourier sum of the glued field up to |n| <= cutoff."""
     if not isinstance(field, PiecewiseMobiusField):
         raise TypeError(f"unsupported field type {type(field).__name__}")
-    ns, coeffs = _series_terms(cutoff)
-    return float(np.real(np.sum(coeffs * np.exp(1j * ns * theta))))
+    phases, coeffs = _series_terms(cutoff)
+    return float(np.real(np.sum(coeffs * np.exp(phases * theta))))
 
 
 def corner_table(field: PiecewiseMobiusField) -> list[dict]:

@@ -18,6 +18,7 @@ from vircut import bounds, rational, smear, verma
 from vircut.bounds import (
     DEFAULT_EPS_GRID,
     _BLOCK,
+    _fill_weights,
     _weight_series_chunks,
     decay_report,
     estimate_q,
@@ -520,6 +521,24 @@ def test_weight_series_carries_across_chunks(piecewise, chunk):
     assert sorted(got) == ladder
     assert got == want
     assert (got_v, got_w) == (want_v, want_w)
+
+
+def test_fill_weights_matches_the_closed_form_bit_for_bit():
+    # every mode n = 2 mod 4 up to 2^26, in slices shaped as the series'
+    # (rows, 2, chunks) steps: a one-ulp change to a single term can round
+    # away in the ladder's sums, so the terms are compared one by one
+    rows, cols = 1 << 12, 32
+    n = np.empty((rows, cols))
+    u, t = np.empty_like(n), np.empty_like(n)
+    block = np.empty((rows, 2, cols))
+    step = 4 * rows * cols
+    for first in range(2, 1 << 26, step):
+        n[...] = np.arange(first, first + step, 4, dtype=np.float64).reshape(rows, cols)
+        _fill_weights(n, u, t, block)
+        w = 2.0 * PiecewiseMobiusField.closed_kernel(n) * (1.0 + n ** 1.5)
+        assert np.array_equal(block[:, 1].view(np.int64), w.view(np.int64))
+        assert np.array_equal(block[:, 0].view(np.int64), (n * w).view(np.int64))
+    assert n[-1, -1] == (1 << 26) - 2
 
 
 def test_weight_series_memory_stays_flat(piecewise):

@@ -4,12 +4,13 @@ import dataclasses
 import hashlib
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vircut import acceptance, cli, store
+from vircut import acceptance, cli, store, verma
 from vircut.cli import encode, main
 from vircut.rational import CFrac
 
@@ -125,6 +126,33 @@ def test_fault_breaks_relations_where_the_gram_stays_positive(tmp_path):
 
 def test_fault_turns_the_ising_gram_indefinite(tmp_path):
     assert run("rep", "--c", "1/2", "--N", "5", *FAULT, "--out", tmp_path) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("smear", "--mode", "float", "--field", "mode:2"),
+    ("rep", "--mode", "float"),
+    ("rep", "--mode", "exact"),
+], ids=" ".join)
+def test_faulted_indefinite_build_names_the_requested_c_and_the_fault(tmp_path, capsys,
+                                                                       argv):
+    # built at 12c/13 = 6/13, below the unitary range at level 6; the error
+    # must not read as if c = 1/2 itself were refused
+    code = run(*argv, "--c", "1/2", "--h", "0", "--N", "6", *FAULT, "--out", tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "indefinite for c=6/13" in err
+    assert ("built at c=6/13 = 12c/13 for the requested c=1/2 "
+            "by --inject-fault central-denominator-13") in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_faulted_build_keeps_the_error_class(tmp_path):
+    cfg = cli.RunConfig(c=Fraction(1, 2), N=6, mode="float",
+                        inject_fault="central-denominator-13")
+    with pytest.raises(verma.NonUnitaryError, match="requested c=1/2") as info:
+        cli._build_rep(cfg)
+    assert isinstance(info.value.__cause__, verma.NonUnitaryError)
+    assert type(info.value) is type(info.value.__cause__)
 
 
 def test_clean_run_after_fault(tmp_path):
