@@ -42,9 +42,7 @@ def main() -> int:
     cli.write_rows_csv(out / "profile.csv", ["theta", "value", "series", "gap"], samples)
 
     rows = fields.coefficient_rows(field, args.cutoff)
-    cli.write_rows_csv(out / "coefficients.csv", ["n", "re", "im", "abs"],
-                       [{"n": n, "re": re, "im": im, "abs": math.hypot(re, im)}
-                        for n, re, im in rows])
+    cli.write_coefficient_csv(out / "coefficients.csv", rows)
 
     print(f"{args.samples} samples, {len(rows)} modes up to |n| <= {args.cutoff}")
     print(f"worst pointwise series gap: {worst:.3e}")

@@ -5,7 +5,8 @@ Builds one float-mode representation at (c, h) per level, reuses it for both
 estimates, and writes one CSV row per level so the stabilization of the
 constants is visible at a glance.  A level whose rep misses the float
 bracket-relation budget counts as failed, like a failed verdict, and the
-script exits 1.
+script exits 1.  A bad argument, c <= 0 or h < 0 included, exits 2, and
+a non-unitary point prints `error: ...` and exits 1, as in `vircut bounds`.
 
 Examples
 --------
@@ -88,15 +89,20 @@ def main() -> int:
 
     try:
         c, h = parse_fraction("--c", args.c), parse_fraction("--h", args.h)
+        cli.check_point(c, h)
         levels = parse_levels(args.levels)
         grid = bounds.parse_eps_grid(args.eps_grid)
-    except ValueError as exc:
+    except (ValueError, cli.UsageError) as exc:
         ap.error(str(exc))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the sweep
 
     print(f"{'N':>3} {'r_hat^2':>22} {'q_hat':>22} {'3 r_hat^2':>22} {'sec':>7}")
-    rows = [sweep_level(c, h, N, grid) for N in levels]
+    try:
+        rows = [sweep_level(c, h, N, grid) for N in levels]
+    except verma.NonUnitaryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     path = out / "bounds_sweep.csv"
     cli.write_rows_csv(path, list(rows[0]), rows)

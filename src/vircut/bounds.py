@@ -98,10 +98,7 @@ def estimate_r(c, N: int, h=0, rep: Optional[verma.TruncatedRep] = None
     for src in range(rep.N + 1):
         for n in range(-rep.N, rep.N + 1):
             denom = float(src * src + src * n * n + abs(n) ** 3)
-            if (n, src) not in norms:
-                skipped += 1
-                continue
-            if denom == 0.0:
+            if (n, src) not in norms or denom == 0.0:
                 skipped += 1
                 continue
             ratio = norms[(n, src)] ** 2 / denom
@@ -148,9 +145,16 @@ def parse_eps_grid(spec: str) -> np.ndarray:
     return np.logspace(math.log10(lo), math.log10(hi), count)
 
 
+FM_SUP_SLACK = 1 + 1e-12  # a sampled heat factor's allowance over its fm_sup bound
+
+
 def _q_mode_sweep(rep: verma.TruncatedRep, norms: dict, n: int,
                   grid: np.ndarray, h_f: float) -> Optional[dict]:
     """Vectorized ||R_{n,eps}||^2/|n|^3 over the grid plus injected maximizers.
+
+    One fm_sup call per source level gives its factor's maximizer, injected
+    unless infinite (lower weight 0), and its squared supremum, which each
+    sampled factor may exceed by FM_SUP_SLACK at most.
 
     Kept as one function so the witness check can rerun it verbatim: the
     same input arrays through the same operations reproduce bit-identical
@@ -161,33 +165,26 @@ def _q_mode_sweep(rep: verma.TruncatedRep, norms: dict, n: int,
     if not sources:
         return None
     m = abs(n)
-    injected = []
-    unbounded_max = False
-    for src in sources:
-        k_low = h_f + min(src, src - n)
-        if k_low == 0.0:
-            unbounded_max = True  # factor increases toward 1, sup at infinity
-        else:
-            injected.append(math.log((k_low + m) / k_low) / m)
-    eps_all = np.concatenate([grid, np.asarray(injected)]) if injected else grid
+    eps_max, sup_sq = np.asarray([fm_sup(h_f + min(src, src - n), m) for src in sources]).T
+    injected = eps_max[np.isfinite(eps_max)]
+    eps_all = np.concatenate([grid, injected])
     order = np.argsort(eps_all, kind="stable")
     eps_all = eps_all[order]
-    grid_mask = np.concatenate([np.ones(grid.size, bool),
-                                np.zeros(len(injected), bool)])[order]
+    grid_mask = order < grid.size
 
     src_arr = np.asarray(sources, dtype=np.float64)
     dst_arr = src_arr - n
     nrm_arr = np.asarray([norms[(n, s)] for s in sources])
     factors = np.exp(-np.outer(eps_all, h_f + src_arr)) \
         - np.exp(-np.outer(eps_all, h_f + dst_arr))
-    sup_sq = np.asarray([fm_sup(h_f + min(s, s - n), m)[1] for s in sources])
-    fm_violations = int(np.sum(factors ** 2 > sup_sq[None, :] * (1 + 1e-12)))
+    fm_violations = int(np.sum(factors ** 2 > sup_sq[None, :] * FM_SUP_SLACK))
     weighted = np.abs(factors) * nrm_arr[None, :]
     values = weighted.max(axis=1) ** 2 / m ** 3
     level_idx = weighted.argmax(axis=1)
     return {"eps_all": eps_all, "grid_mask": grid_mask, "values": values,
             "levels": np.take(sources, level_idx).tolist(),
-            "fm_violations": fm_violations, "unbounded_max": unbounded_max}
+            "fm_violations": fm_violations,
+            "unbounded_max": injected.size < eps_max.size}
 
 
 def estimate_q(c, N: int, eps_grid: Optional[Sequence[float]] = None, h=0,
@@ -335,8 +332,7 @@ def _fill_weights(n: np.ndarray, u: np.ndarray, t: np.ndarray,
     np.copyto(block[:, 0], u)
 
 
-def _weight_series_chunks(field: PiecewiseMobiusField, k_points: Sequence[int],
-                          chunk: int = 1 << 21):
+def _weight_series_chunks(k_points: Sequence[int], chunk: int = 1 << 21):
     """Cumulative n*W and W sums of the piecewise field's weight series.
 
     W(n) = 2 |f_hat(n)| (1 + n^{3/2}) summed over the support n = 2 mod 4
@@ -476,7 +472,7 @@ def mollifier_report(field, family: MollifierFamily = FEJER,
         if ladder[-1] < 2:
             raise ValueError("the piecewise field's tail bound needs a top "
                              f"smoothing order >= 2, got {ladder[-1]}")
-        sums, _, w_all = _weight_series_chunks(field, ladder)
+        sums, _, w_all = _weight_series_chunks(ladder)
         tail_const = _piecewise_tail_bound(ladder[-1])
         table = []
         for k in ladder:

@@ -380,15 +380,15 @@ FEJER = MollifierFamily()
 
 @dataclass(frozen=True)
 class NormReport:
-    """Partial sums of the norm Sum |f_hat(n)| (1 + |n|^{3/2}) with tail bound."""
+    """Partial sum of the norm Sum |f_hat(n)| (1 + |n|^{3/2}) up to a
+    cutoff, and a rigorous bound on the rest (0.0 when the field has no
+    mode beyond the cutoff)."""
 
-    cutoff: int
     partial_sum: float
-    tail_bound: Optional[float]
-    verdict: str  # "finite" or "unknown"
+    tail_bound: float
 
-    def total_bound(self) -> Optional[float]:
-        return None if self.tail_bound is None else self.partial_sum + self.tail_bound
+    def total_bound(self) -> float:
+        return self.partial_sum + self.tail_bound
 
 
 def _weight(n) -> float:
@@ -409,14 +409,14 @@ def norm_three_halves(field, cutoff: int) -> NormReport:
                       for n, a in field.coefficients.items() if abs(n) <= cutoff)
         tail = sum(abs(a) * _weight(n)
                    for n, a in field.coefficients.items() if abs(n) > cutoff)
-        return NormReport(cutoff, float(partial), float(tail), "finite")
+        return NormReport(float(partial), float(tail))
     if isinstance(field, PiecewiseMobiusField):
         ns = np.arange(2, cutoff + 1)
         mags = np.abs(field.coefficient_closed(ns))
         partial = 2.0 * float(np.sum(mags * (1.0 + ns.astype(np.float64) ** 1.5)))
         m_hat = field.decay_constant
         tail = 2.0 * m_hat * (0.5 / cutoff**2 + 2.0 / math.sqrt(cutoff))
-        return NormReport(cutoff, partial, tail, "finite")
+        return NormReport(partial, tail)
     raise TypeError(f"unsupported field type {type(field).__name__}")
 
 

@@ -60,7 +60,7 @@ class SmearedOperator:
 
     rep: TruncatedRep
     factors: Mapping[tuple[int, int], tuple[np.ndarray, Union[CFrac, complex]]]
-    truncation_bias: Optional[float]  # weighted coefficient mass beyond the cutoff
+    truncation_bias: float  # weighted coefficient mass beyond the cutoff
 
     def blocks(self) -> dict[tuple[int, int], np.ndarray]:
         """Every block of T(f), formed once."""
@@ -201,6 +201,16 @@ def vacuum_norm_from_rep(op: SmearedOperator) -> Union[Fraction, float]:
     else:
         vac = np.array([1.0 + 0j])
     return vector_norm_squared(rep, op.apply({0: vac}))
+
+
+def vacuum_norm_agreement(closed, matrix) -> tuple[Union[Fraction, float], bool]:
+    """The difference of the closed-form and matrix vacuum norms, and
+    whether they agree: exactly when both are Fractions, else when
+    |closed - matrix| <= 1e-8."""
+    if isinstance(closed, Fraction) and isinstance(matrix, Fraction):
+        return closed - matrix, closed == matrix
+    diff = abs(float(closed) - float(matrix))
+    return diff, diff <= 1e-8
 
 
 def heat_identity_residual(rep: TruncatedRep, n: int, eps: float) -> float:

@@ -12,14 +12,14 @@ basis rows ("transform:k", written by earlier versions) still load.
 Exact-mode entries are written as p/q strings (q > 1) or integers p and
 parse back to the identical Fraction: p and q are read with int() once
 the entry matches -?[0-9]+(/[0-9]+)? with q > 0, and each distinct entry
-text is parsed once per file.  Float-mode entries use float.hex(), which
-round-trips bit for bit.  Loading is strict about integrity and lenient
-about age: a wrong digest, a malformed body (a matrix header whose sizes
-are not nonnegative integers, an entry the writer cannot have written,
-such as 1/0, 1.5 or +3), or block sections other than those of
-verma.block_keys(N) raise CacheError, while a file written under an
-older schema version is treated as absent so the caller rebuilds it.
-Schema migration is deliberately not attempted.  A file is keyed by the
+text is parsed once per file.  Float-mode entries use float.hex() of a
+finite float, which round-trips bit for bit.  Loading is strict about
+integrity and lenient about age: a wrong digest, a malformed body (a
+matrix header whose sizes are not nonnegative integers, an entry the
+writer cannot have written, such as 1/0, 1.5, +3 or nan), or block
+sections other than those of verma.block_keys(N) raise CacheError,
+while a file written under an older schema version is treated as absent
+so the caller rebuilds it.  Schema migration is deliberately not attempted.  A file is keyed by the
 (c, h) the representation was built at: the CLI's injected fault builds
 at 12c/13 and is cached there, never under the c it is labelled with.
 """
@@ -27,6 +27,7 @@ at 12c/13 and is cached there, never under the c it is labelled with.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -61,11 +62,13 @@ _EXACT_ENTRY = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 def _parse_entry(s: str, mode: str):
     """One entry as written by _fmt_entry: an integer p or p/q with q > 0 in
-    exact mode, ASCII digits only, and a float.hex() string in float mode.
+    exact mode, ASCII digits only, and in float mode the float.hex() of a
+    finite float, the one text s with float.fromhex(s).hex() == s.
 
     Anything else (a decimal such as 1.5, which Fraction(str) would take,
-    +3, 1_0 or a non-ASCII digit, which int() would take, or a zero
-    denominator) raises ValueError.
+    +3, 1_0 or a non-ASCII digit, which int() would take, a zero
+    denominator, or nan, inf or 0x1p0, which float.fromhex would take)
+    raises ValueError.  Mode "hex" takes any float.fromhex text.
     """
     if mode == "exact":
         match = _EXACT_ENTRY.fullmatch(s)
@@ -74,7 +77,11 @@ def _parse_entry(s: str, mode: str):
                              "in ASCII digits, with a positive denominator q")
         num, den = match.groups()
         return Fraction(int(num), int(den or 1))
-    return float.fromhex(s)
+    x = float.fromhex(s)
+    if mode == "float" and (not math.isfinite(x) or x.hex() != s):
+        raise ValueError(f"invalid literal {s!r} for a float entry: expected the "
+                         "float.hex() of a finite float")
+    return x
 
 
 def _matrix_lines(tag: str, mat: np.ndarray, mode: str) -> list[str]:
@@ -103,8 +110,8 @@ def _parse_header(header: str) -> tuple[str, int, int]:
 def _parse_matrix(tag: str, rows: int, cols: int, body: list[str], mode: str,
                   seen: dict) -> np.ndarray:
     """The matrix of a section; seen maps each entry text parsed so far in
-    this file to its value, so a repeated entry (most often 0) is parsed
-    once and its immutable value shared."""
+    this file in this mode to its value, so a repeated entry (most often 0)
+    is parsed once and its immutable value shared."""
     if len(body) != rows:
         raise CacheError(f"matrix {tag}: expected {rows} rows, found {len(body)}")
     values = []
@@ -181,7 +188,10 @@ def _sections(lines: list[str], mode: str) -> dict:
         tag, rows, cols = _parse_header(lines[i])
         if tag in out:
             raise CacheError(f"duplicate matrix section {tag!r}")
-        out[tag] = _parse_matrix(tag, rows, cols, lines[i + 1 : i + 1 + rows], mode, seen)
+        # the unread sections of earlier versions keep the float parse they had
+        kind = "hex" if mode == "float" and not tag.startswith(("norms:", "block:")) else mode
+        out[tag] = _parse_matrix(tag, rows, cols, lines[i + 1 : i + 1 + rows], kind,
+                                 seen.setdefault(kind, {}))
         i += 1 + rows
     return out
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import groupby
 from typing import Optional, Union
 
@@ -438,9 +438,6 @@ def monomial_block(n: int, k: int, c, h, mode: str = "exact") -> Optional[np.nda
 class GramMatrix:
     """Inner-product matrix of level-k monomials for parameters (c, h)."""
 
-    c: Fraction
-    h: Fraction
-    level: int
     entries: np.ndarray  # symmetric; Fraction objects (exact) or float64
 
 
@@ -448,8 +445,7 @@ def gram_matrix(c, h, k: int, mode: str = "exact") -> GramMatrix:
     """Level-k Gram matrix in the reverse-lexicographic monomial basis."""
     if k < 0:
         raise ValueError("level must be nonnegative")
-    cv, hv = as_fraction(c), as_fraction(h)
-    return GramMatrix(cv, hv, k, _module(cv, hv).gram(k, mode).copy())
+    return GramMatrix(_module(as_fraction(c), as_fraction(h)).gram(k, mode).copy())
 
 
 def gram_entry_direct(c, h, lam: tuple, mu: tuple) -> Fraction:
@@ -666,42 +662,26 @@ def _sweep_cells(rep: TruncatedRep, max_mode: int) -> list[tuple[int, int, int]]
             if _in_window(rep, m, n, k) and rep.dim(k) and rep.dim(k - m - n)]
 
 
-def _cell_forms(m: int, n: int, k: int) -> tuple:
-    """The (block, side) of each integer form the residual of (m, n, k)
-    reads, in the order of its terms."""
-    return (((m, k - n), "rows"), ((n, k), "cols"), ((n, k - m), "rows"), ((m, k), "cols"),
-            ((m + n, k), "rows"))
-
-
 def _exact_relation_residuals(rep: TruncatedRep, cells: list) -> list[Residual]:
     """The Residual of each cell of an exact rep, over the integers.
 
     A cell's residual is formed as an IntegerForm from the same terms as
     relation_residual, with no Fraction per entry.  Each block is
-    integerized at most twice per sweep, as the left factor of a product
-    (by rows) and as the right one or the L_{m+n} term (by columns, by
-    rows), and each form is dropped after the last cell that reads it,
-    so about half of them are alive at once.
+    integerized at most twice, on first use: by rows as a product's left
+    factor or the L_{m+n} term, by columns as a right factor.  The forms
+    live until the sweep returns.
     """
-    last = {use: i for i, cell in enumerate(cells) for use in _cell_forms(*cell)}
-    forms: dict = {}
+    rows = cache(lambda key: IntegerForm.by_rows(rep.blocks[key]))
+    cols = cache(lambda key: IntegerForm.by_cols(rep.blocks[key]))
     out = []
-    for i, (m, n, k) in enumerate(cells):
-        uses = _cell_forms(m, n, k)
-        for key, side in uses:
-            if (key, side) not in forms:
-                make = IntegerForm.by_rows if side == "rows" else IntegerForm.by_cols
-                forms[key, side] = make(rep.blocks[key])
-        left_a, right_a, left_b, right_b, linear = (forms[use] for use in uses)
-        res = left_a @ right_a - left_b @ right_b - linear * (m - n)
+    for m, n, k in cells:
+        res = (rows((m, k - n)) @ cols((n, k)) - rows((n, k - m)) @ cols((m, k))
+               - rows((m + n, k)) * (m - n))
         if m + n == 0:
             central = rep.c * (m ** 3 - m) / 12
             if central != 0:
                 res = res - IntegerForm.identity(rep.dim(k), central)
         out.append(res.residual())
-        for use in uses:
-            if last[use] == i:
-                forms.pop(use, None)
     return out
 
 

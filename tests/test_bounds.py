@@ -270,6 +270,9 @@ def test_bounds_sweep_script_rejects_a_bad_eps_grid(tmp_path, spec):
     (["--c", "1/0"], "bad --c '1/0'"),
     (["--levels", "6:4"], "levels '6:4' are empty"),
     (["--levels", "1:2"], "levels '1:2' go below 2"),
+    # the point is checked as `vircut bounds` checks it
+    (["--c", "0"], "central charge must be positive, got 0"),
+    (["--h=-1/2"], "lowest weight must be nonnegative, got -1/2"),
 ])
 def test_bounds_sweep_script_rejects_bad_arguments(tmp_path, args, message):
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_sweep.py"
@@ -280,6 +283,19 @@ def test_bounds_sweep_script_rejects_bad_arguments(tmp_path, args, message):
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert f"error: {message}" in done.stderr
+    assert not (tmp_path / "bounds_sweep.csv").exists()
+
+
+def test_bounds_sweep_script_reports_a_non_unitary_point(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_sweep.py"
+    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
+    done = subprocess.run([sys.executable, str(script), "--c", "1/2", "--h", "1/3",
+                           "--levels", "4:4", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: Gram matrix at level 2 is indefinite for "
+                                  "c=1/2, h=1/3")
     assert not (tmp_path / "bounds_sweep.csv").exists()
 
 
@@ -471,7 +487,7 @@ def test_one_chunk_ladders_keep_their_bits(piecewise, pin):
     # up to 2^21 the series is one chunk, one column of the block, which
     # numpy would sum pairwise if its rows held nothing else
     ladder = [row["k"] for row in pin["rows"]]
-    assert (_weight_series_chunks(piecewise, ladder)
+    assert (_weight_series_chunks(ladder)
             == _full_chunk_series(piecewise, ladder, 1 << 21))
     report = mollifier_report(piecewise, FEJER, k_max=pin["k_max"])
     assert _ladder_bits(report) == pin["rows"]
@@ -517,7 +533,7 @@ def test_weight_series_carries_across_chunks(piecewise, chunk):
         # 2177 columns of 3 rows a step, and 2 columns of 4096
         ladder = sorted(set(ladder) | _step_edges(ladder[-1], chunk))
     want, want_v, want_w = _full_chunk_series(piecewise, ladder, chunk)
-    got, got_v, got_w = _weight_series_chunks(piecewise, ladder, chunk=chunk)
+    got, got_v, got_w = _weight_series_chunks(ladder, chunk=chunk)
     assert sorted(got) == ladder
     assert got == want
     assert (got_v, got_w) == (want_v, want_w)
@@ -549,7 +565,7 @@ def test_weight_series_memory_stays_flat(piecewise):
         ladder = [1 << j for j in range(k_max.bit_length())]
         tracemalloc.start()
         try:
-            _weight_series_chunks(piecewise, ladder, chunk=chunk)
+            _weight_series_chunks(ladder, chunk=chunk)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

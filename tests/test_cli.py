@@ -510,6 +510,23 @@ def test_bounds_uses_the_cache(tmp_path, monkeypatch):
         read_report(tmp_path / "b", "bounds_report.json")["result"]
 
 
+def test_a_nan_in_a_float_cache_exits_one(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ("bounds", "--c", "1/2", "--N", "4", "--eps-grid", "1e-3:10:40",
+            "--cache", cache, "--out", tmp_path / "out")
+    assert run(*argv) == 0
+    path = store.rep_cache_path(cache, "1/2", "0", 4, "float")
+    lines = path.read_text().splitlines(keepends=True)[:-1]
+    row = 1 + next(i for i, ln in enumerate(lines) if ln.startswith("matrix block:"))
+    lines[row] = " ".join(["nan", *lines[row].split()[1:]]) + "\n"
+    body = "".join(lines)
+    path.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "invalid literal 'nan'" in err
+
+
 def test_faulted_bounds_are_the_bounds_at_twelve_thirteenths_c(tmp_path):
     argv = ("bounds", "--N", "4", "--eps-grid", "1e-3:10:40")
     run(*argv, "--c", "2", *FAULT, "--out", tmp_path / "fault")

@@ -315,7 +315,7 @@ def test_truncated_fourier_is_real_with_sparse_support(piecewise):
 def test_norm_of_single_mobius_piece():
     report = norm_three_halves(mobius_piece(1 + 0j), cutoff=1)
     assert report.partial_sum == pytest.approx(2 + 4 * math.sqrt(2))
-    assert report.tail_bound in (None, 0.0)
+    assert report.tail_bound == 0.0
 
 
 def test_norm_of_cosine():

@@ -1,14 +1,17 @@
 """Mutation battery: break a float rep on purpose and see which checks notice.
 
-Each mutation changes the blocks of the float (c, h, N) = (1/2, 0, 12)
-quotient, and each check runs on the mutated rep as the CLI and the
-acceptance battery run it.  A check's outcome is "pass", "fail", or
-"LinAlgError" when it raises that.  The table pins which check catches
-which mutation, the blind spots included: the r and q witnesses recompute
-their cells from the same mutated blocks, the chain only compares the two
-estimates, and the heat identity and every norm are blind to a block's
-transposition, so only the relation sweep fails the L_0 and transposed
-mutations.
+Each mutation changes the blocks or the c label of the float
+(c, h, N) = (1/2, 0, 12) quotient, and each check runs on the mutated rep
+as the CLI and the acceptance battery run it.  A check's outcome is
+"pass", "fail", or "LinAlgError" when it raises that.  The table pins
+which check catches which mutation, the blind spots included: the r and q
+witnesses recompute their cells from the same mutated blocks, the chain
+only compares the two estimates, and the heat identity and every norm are
+blind to a block's transposition, so only the relation sweep fails the
+L_0 mutation and the relabelled c.  Rescaling the level-5 basis is a
+similarity, which keeps every bracket relation, and it moves r_hat^2
+while the r witness, recomputed from the same blocks, still reproduces
+it: only hermiticity, which reads the basis as orthonormal, catches it.
 """
 
 import math
@@ -18,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vircut import bounds, smear, verma
+from vircut import bounds, fields, smear, verma
 
 HEAT_EPS = (1e-4, 1e-2, 0.5, 3.0, 20.0)
 HEAT_TOL = 1e-12  # the commutator-chain criterion's budget
@@ -28,20 +31,31 @@ NAN_BLOCK = (-1, 3)
 # L_1 from level 5 to level 4: square (2 x 2) and not symmetric
 TRANSPOSED_BLOCK = (1, 5)
 
-CHECKS = ("relations", "heat identity", "r witness", "q witness", "chain_ok")
+# every mode |n| <= 12 with coefficient 1: a real field whose smear reads
+# every block
+FIELD = fields.FourierField(dict.fromkeys(range(-12, 13), 1), real=True)
+
+CHECKS = ("relations", "hermiticity", "heat identity", "r witness", "q witness",
+          "chain_ok")
 
 # which check catches which mutation ("pass" means it does not)
 EXPECTED = {
     "none": dict.fromkeys(CHECKS, "pass"),
-    "L_0 -> 1.5 L_0 + 0.01": {"relations": "fail", "heat identity": "pass",
-                              "r witness": "pass", "q witness": "pass",
-                              "chain_ok": "pass"},
-    "NaN in one block": {"relations": "fail", "heat identity": "LinAlgError",
-                         "r witness": "LinAlgError", "q witness": "LinAlgError",
-                         "chain_ok": "LinAlgError"},
-    "one block transposed": {"relations": "fail", "heat identity": "pass",
-                             "r witness": "pass", "q witness": "pass",
-                             "chain_ok": "pass"},
+    "L_0 -> 1.5 L_0 + 0.01": {"relations": "fail", "hermiticity": "pass",
+                              "heat identity": "pass", "r witness": "pass",
+                              "q witness": "pass", "chain_ok": "pass"},
+    "NaN in one block": {"relations": "fail", "hermiticity": "fail",
+                         "heat identity": "LinAlgError", "r witness": "LinAlgError",
+                         "q witness": "LinAlgError", "chain_ok": "LinAlgError"},
+    "one block transposed": {"relations": "fail", "hermiticity": "fail",
+                             "heat identity": "pass", "r witness": "pass",
+                             "q witness": "pass", "chain_ok": "pass"},
+    "c relabelled c + 1/2": {"relations": "fail", "hermiticity": "pass",
+                             "heat identity": "pass", "r witness": "pass",
+                             "q witness": "pass", "chain_ok": "pass"},
+    "level 5 rescaled": {"relations": "pass", "hermiticity": "fail",
+                         "heat identity": "pass", "r witness": "pass",
+                         "q witness": "pass", "chain_ok": "pass"},
 }
 
 
@@ -59,12 +73,18 @@ def _mutants(rep):
                  for k in range(rep.N + 1)}
     nan = rep.blocks[NAN_BLOCK].copy()
     nan[0, 0] = math.nan
+    # the level-5 basis halved: blocks out of level 5 x 2 and into it x 0.5,
+    # exact in binary; the L_0 block (0, 5) is both and stays as it is
+    rescaled = {(n, k): blk * (2.0 if k == 5 else 1.0) * (0.5 if k - n == 5 else 1.0)
+                for (n, k), blk in rep.blocks.items() if 5 in (k, k - n)}
     return {
         "none": rep,
         "L_0 -> 1.5 L_0 + 0.01": _with_blocks(rep, scaled_l0),
         "NaN in one block": _with_blocks(rep, {NAN_BLOCK: nan}),
         "one block transposed": _with_blocks(
             rep, {TRANSPOSED_BLOCK: rep.blocks[TRANSPOSED_BLOCK].T.copy()}),
+        "c relabelled c + 1/2": replace(rep, c=rep.c + Fraction(1, 2)),
+        "level 5 rescaled": _with_blocks(rep, rescaled),
     }
 
 
@@ -84,14 +104,20 @@ def _heat_identity_ok(rep):
     return worst <= HEAT_TOL
 
 
+def _hermiticity_ok(rep):
+    herm = smear.hermiticity_residual(smear.smear(rep, FIELD))
+    return verma.residual_verdict(rep.mode, herm.exact_zero, herm.max_abs)[0]
+
+
 def _table_row(rep):
     row = {"relations": _outcome(lambda: verma.relation_verdict(rep)[1]),
+           "hermiticity": _outcome(lambda: _hermiticity_ok(rep)),
            "heat identity": _outcome(lambda: _heat_identity_ok(rep))}
     try:
         r_report = bounds.estimate_r(rep.c, rep.N, rep=rep)
         q_report = bounds.estimate_q(rep.c, rep.N, rep=rep, r_report=r_report)
     except np.linalg.LinAlgError:
-        return {**row, **dict.fromkeys(CHECKS[2:], "LinAlgError")}
+        return {**row, **dict.fromkeys(CHECKS[3:], "LinAlgError")}
     return {**row,
             "r witness": "pass" if r_report.witness["reproduced"] else "fail",
             "q witness": "pass" if q_report.witness["reproduced"] else "fail",
@@ -102,6 +128,13 @@ def test_the_mutated_blocks_differ_from_the_originals(rep):
     b = rep.blocks[TRANSPOSED_BLOCK]
     assert b.shape == (2, 2) and not np.array_equal(b, b.T)
     assert rep.blocks[NAN_BLOCK].shape == (2, 1)
+
+
+def test_the_rescaled_level_moves_r_hat(rep):
+    # its r witness reproduces the moved constant, so the table shows a pass
+    rescaled = _mutants(rep)["level 5 rescaled"]
+    assert (bounds.estimate_r(rep.c, rep.N, rep=rescaled).constant
+            != bounds.estimate_r(rep.c, rep.N, rep=rep).constant)
 
 
 def test_every_mutation_is_caught_and_the_table_is_pinned(rep):

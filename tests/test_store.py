@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -262,6 +263,16 @@ def test_a_corrupt_entry_or_header_is_a_cache_error(tmp_path, edit, message):
     _restamp(path, edit(lines))
     with pytest.raises(CacheError, match=message):
         load_rep(tmp_path, C, H, 4)
+
+
+@pytest.mark.parametrize("text", ["nan", "-inf", "0x1p0", "1.5", "0X1.0000000000000P+0"])
+def test_a_float_entry_must_be_the_hex_text_of_a_finite_float(tmp_path, text):
+    # float.fromhex takes every one of these, and the writer emits none:
+    # it writes float.hex() of a finite float
+    path = save_rep(tmp_path, verma.truncated_rep(C, H, 4, mode="float"), c=C, h=H)
+    _restamp(path, _with_first_block_entry(path.read_text().splitlines()[:-1], text))
+    with pytest.raises(CacheError, match=re.escape(f"invalid literal '{text}' for a float entry")):
+        load_rep(tmp_path, C, H, 4, mode="float")
 
 
 def test_exact_entries_parse_to_the_written_fractions(tmp_path):
