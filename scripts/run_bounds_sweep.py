@@ -53,8 +53,8 @@ def parse_fraction(flag: str, spec: str) -> Fraction:
 
 def sweep_level(c: Fraction, h: Fraction, N: int, grid) -> dict:
     """The CSV row of level N, scalars only: the rep and the r and q reports
-    (whose tables hold a row per cell) are dropped on return, before the
-    next level is built."""
+    (whose tables hold a column per field, a value per cell) are dropped
+    on return, before the next level is built."""
     start = time.perf_counter()
     rep = verma.truncated_rep(c, h, N, mode="float")
     r = bounds.estimate_r(c, N, h=h, rep=rep)

@@ -12,8 +12,12 @@ truncated representation:
 * M_hat from the cubic coefficient decay |f_hat(n)| <= M/|n|^3.
 
 Estimates are reported per (c, h, N) and never extrapolated: each report
-carries its full per-cell table, and the witness cell is re-evaluated so
-the quoted constant is reproducible bit for bit.
+carries its full per-cell table, as a Table of named columns, and the
+witness cell is re-evaluated so the quoted constant is reproducible bit
+for bit.  A constant is the maximum over its cells, the first maximal
+cell its witness; a NaN cell (a block with a non-finite entry has NaN
+norm) is the maximum, so its witness cannot reproduce and the verdict
+fails.
 
 The q sweep never materializes commutator matrices.  On each level the
 commutator with the heat semigroup is a scalar multiple of the generator
@@ -34,9 +38,10 @@ grid, which removes grid bias from the reported maxima.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -46,18 +51,44 @@ from .rational import opnorm
 from .smear import fm_sup
 
 
+class Table(Sequence):
+    """A report's per-cell table: read-only rows over named numpy columns.
+
+    table[i] builds row i as a dict of Python scalars (int, float, bool)
+    in column order, and iteration builds every row the same way, so a
+    CSV writer sees the rows a list of dicts would hold.  Only the columns
+    are kept: a row dict exists only while it is read."""
+
+    def __init__(self, **columns):
+        self._columns = {name: np.asarray(col) for name, col in columns.items()}
+
+    def __len__(self) -> int:
+        return len(next(iter(self._columns.values())))
+
+    def __getitem__(self, i: int) -> dict:
+        return {name: col[i].item() for name, col in self._columns.items()}
+
+    def __iter__(self):
+        names = list(self._columns)
+        for values in zip(*(col.tolist() for col in self._columns.values())):
+            yield dict(zip(names, values))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """One experiment's estimate with its full evidence table.
 
     A report serializes from these fields (the CLI's JSON takes all but
-    the table, which goes to CSV)."""
+    the table, which goes to CSV, a row per cell)."""
 
     experiment: str
     parameters: dict
     constant: float
     witness: dict
-    table: list[dict]
+    table: Table
     tolerance: Optional[float]
     verdict: str
     derived: dict = dc_field(default_factory=dict)
@@ -92,21 +123,19 @@ def estimate_r(c, N: int, h=0, rep: Optional[verma.TruncatedRep] = None
     """
     rep = _rep_for(c, N, h, rep)
     norms = _block_norms(rep)
-    table = []
+    cells = {"k": [], "n": [], "norm_sq": [], "denominator": [], "ratio": []}
     skipped = 0
-    best = None
     for src in range(rep.N + 1):
         for n in range(-rep.N, rep.N + 1):
             denom = float(src * src + src * n * n + abs(n) ** 3)
             if (n, src) not in norms or denom == 0.0:
                 skipped += 1
                 continue
-            ratio = norms[(n, src)] ** 2 / denom
-            row = {"k": src, "n": n, "norm_sq": norms[(n, src)] ** 2,
-                   "denominator": denom, "ratio": ratio}
-            table.append(row)
-            if best is None or ratio > best["ratio"]:
-                best = row
+            norm_sq = norms[(n, src)] ** 2
+            for name, value in zip(cells, (src, n, norm_sq, denom, norm_sq / denom)):
+                cells[name].append(value)
+    i = int(np.argmax(cells["ratio"]))
+    best = {name: column[i] for name, column in cells.items()}
     # witness reproducibility: recompute the winning cell from scratch
     re_norm = opnorm(rep.orthonormal_block(best["n"], best["k"]))
     reproduced = re_norm ** 2 / best["denominator"] == best["ratio"]
@@ -117,10 +146,10 @@ def estimate_r(c, N: int, h=0, rep: Optional[verma.TruncatedRep] = None
         constant=best["ratio"],
         witness={"k": best["k"], "n": best["n"], "ratio": best["ratio"],
                  "reproduced": reproduced},
-        table=table,
+        table=Table(**cells),
         tolerance=None,
         verdict="pass" if reproduced else "fail",
-        derived={"r_hat": math.sqrt(best["ratio"]), "cells": len(table),
+        derived={"r_hat": math.sqrt(best["ratio"]), "cells": len(cells["ratio"]),
                  "skipped": skipped},
     )
 
@@ -156,12 +185,15 @@ def _q_mode_sweep(rep: verma.TruncatedRep, norms: dict, n: int,
     unless infinite (lower weight 0), and its squared supremum, which each
     sampled factor may exceed by FM_SUP_SLACK at most.
 
+    A zero block adds no level; a NaN norm (a non-finite block) stays, and
+    makes every value of the mode NaN.
+
     Kept as one function so the witness check can rerun it verbatim: the
     same input arrays through the same operations reproduce bit-identical
     floats, which a scalar-math recomputation would not.
     """
     sources = [src for src in range(rep.N + 1) if (n, src) in norms
-               and norms[(n, src)] > 0.0]
+               and norms[(n, src)] != 0.0]
     if not sources:
         return None
     m = abs(n)
@@ -182,7 +214,7 @@ def _q_mode_sweep(rep: verma.TruncatedRep, norms: dict, n: int,
     values = weighted.max(axis=1) ** 2 / m ** 3
     level_idx = weighted.argmax(axis=1)
     return {"eps_all": eps_all, "grid_mask": grid_mask, "values": values,
-            "levels": np.take(sources, level_idx).tolist(),
+            "levels": np.take(sources, level_idx),
             "fm_violations": fm_violations,
             "unbounded_max": injected.size < eps_max.size}
 
@@ -211,8 +243,7 @@ def estimate_q(c, N: int, eps_grid: Optional[Sequence[float]] = None, h=0,
     h_f = float(rep.h)
 
     warnings: list[str] = []
-    table = []
-    best = None
+    cells = {"n": [], "eps": [], "value": [], "level": [], "injected": []}
     fm_violations = 0
     for n in range(-rep.N, rep.N + 1):
         if n == 0:
@@ -222,26 +253,25 @@ def estimate_q(c, N: int, eps_grid: Optional[Sequence[float]] = None, h=0,
             continue
         fm_violations += sweep["fm_violations"]
         values = sweep["values"]
-        i_best = int(values.argmax())
         grid_values = values[sweep["grid_mask"]]
         i_grid = int(grid_values.argmax())
-        if i_grid in (0, grid_values.size - 1) and not (
+        if math.isnan(grid_values[i_grid]):  # argmax stops at the first NaN
+            warnings.append(f"mode {n}: non-finite cells")
+        elif i_grid in (0, grid_values.size - 1) and not (
                 i_grid == grid_values.size - 1 and sweep["unbounded_max"]):
             warnings.append(f"mode {n}: eps maximizer on the grid boundary")
-        eps_all, value_list = sweep["eps_all"].tolist(), values.tolist()
-        table.extend({"n": n, "eps": eps, "value": value, "level": level,
-                      "injected": not on_grid}
-                     for eps, value, level, on_grid in zip(
-                         eps_all, value_list, sweep["levels"], sweep["grid_mask"].tolist()))
-        if best is None or value_list[i_best] > best["value"]:
-            best = {"n": n, "eps": eps_all[i_best], "value": value_list[i_best],
-                    "level": sweep["levels"][i_best], "index": i_best}
+        for name, column in zip(cells, (np.full(values.size, n), sweep["eps_all"], values,
+                                        sweep["levels"], ~sweep["grid_mask"])):
+            cells[name].append(column)
+    cells = {name: np.concatenate(parts) for name, parts in cells.items()}
+    i = int(cells["value"].argmax())
+    best = {name: column[i].item() for name, column in cells.items() if name != "injected"}
 
     # witness reproducibility: rerun the winning mode's sweep, its block
     # norms recomputed from scratch
     redo = _q_mode_sweep(rep, _fresh_norms(rep, best["n"]), best["n"], grid, h_f)
-    reproduced = float(redo["values"][best["index"]]) == best["value"]
-    best.pop("index")
+    first = int(np.searchsorted(cells["n"], best["n"]))  # the mode's first cell
+    reproduced = float(redo["values"][i - first]) == best["value"]
 
     r_sq = r_report.constant
     chain_ok = best["value"] <= 3.0 * r_sq
@@ -253,7 +283,7 @@ def estimate_q(c, N: int, eps_grid: Optional[Sequence[float]] = None, h=0,
                     "mode": rep.mode, "eps_grid_size": int(grid.size)},
         constant=best["value"],
         witness={**best, "reproduced": reproduced},
-        table=table,
+        table=Table(**cells),
         tolerance=None,
         verdict="pass" if (chain_ok and reproduced and not fm_violations) else "fail",
         derived={"q_hat": best["value"], "r_hat_sq": r_sq,
@@ -277,20 +307,20 @@ def decay_report(field: PiecewiseMobiusField, n_max: int) -> BoundReport:
     ns = np.arange(2, n_max + 1)
     mags = np.abs(field.coefficient_closed(ns))
     scaled = mags * ns.astype(np.float64) ** 3
-    table = [{"n": int(n), "abs_coefficient": float(a), "scaled": float(s)}
-             for n, a, s in zip(ns, mags, scaled) if a > 0.0]
-    best = max(table, key=lambda r: r["scaled"])
-    decade = [r["scaled"] for r in table if r["n"] > n_max // 10]
-    ratio = max(decade) / best["scaled"]
+    support = mags > 0.0
+    ns, mags, scaled = ns[support], mags[support], scaled[support]
+    i = int(scaled.argmax())
+    best = scaled[i].item()
+    ratio = scaled[ns > n_max // 10].max().item() / best
     return BoundReport(
         experiment="coefficient-decay-M",
         parameters={"n_max": n_max},
-        constant=best["scaled"],
-        witness={"n": best["n"], "scaled": best["scaled"]},
-        table=table,
+        constant=best,
+        witness={"n": ns[i].item(), "scaled": best},
+        table=Table(n=ns, abs_coefficient=mags, scaled=scaled),
         tolerance=None,
         verdict="pass",
-        derived={"m_hat": best["scaled"], "stabilization_ratio": ratio},
+        derived={"m_hat": best, "stabilization_ratio": ratio},
     )
 
 
@@ -462,30 +492,24 @@ def mollifier_report(field, family: MollifierFamily = FEJER,
         raise ValueError(f"smoothing orders must be >= 0, got {ladder[0]}")
 
     if isinstance(field, FourierField):
-        table = []
-        for k in ladder:
-            err = sum((1.0 - family.multiplier(k, n)) * abs(complex(a))
-                      * (1.0 + abs(n) ** 1.5)
-                      for n, a in field.coefficients.items())
-            table.append({"k": k, "error": float(err), "tail_bound": 0.0})
+        errors = [float(sum((1.0 - family.multiplier(k, n)) * abs(complex(a))
+                            * (1.0 + abs(n) ** 1.5)
+                            for n, a in field.coefficients.items()))
+                  for k in ladder]
+        tail_const = 0.0
     elif isinstance(field, PiecewiseMobiusField):
         if ladder[-1] < 2:
             raise ValueError("the piecewise field's tail bound needs a top "
                              f"smoothing order >= 2, got {ladder[-1]}")
         sums, _, w_all = _weight_series_chunks(ladder)
         tail_const = _piecewise_tail_bound(ladder[-1])
-        table = []
-        for k in ladder:
-            cum_v, cum_w = sums[k]
-            err = cum_v / (k + 1.0) + (w_all - cum_w) + tail_const
-            table.append({"k": k, "error": float(err),
-                          "tail_bound": float(tail_const)})
+        errors = [sums[k][0] / (k + 1.0) + (w_all - sums[k][1]) + tail_const
+                  for k in ladder]
     else:
         raise TypeError(f"unsupported field type {type(field).__name__}")
 
-    final = table[-1]["error"]
-    monotone = all(table[i + 1]["error"] <= table[i]["error"] + 1e-15
-                   for i in range(len(table) - 1))
+    final = errors[-1]
+    monotone = all(errors[i + 1] <= errors[i] + 1e-15 for i in range(len(errors) - 1))
     warnings = () if monotone else ("error sequence is not monotone",)
     return BoundReport(
         experiment="mollifier-convergence",
@@ -493,7 +517,7 @@ def mollifier_report(field, family: MollifierFamily = FEJER,
                     "ladder_points": len(ladder)},
         constant=final,
         witness={"k": ladder[-1], "error": final},
-        table=table,
+        table=Table(k=ladder, error=errors, tail_bound=np.full(len(ladder), tail_const)),
         tolerance=tol,
         verdict="pass" if (final < tol and monotone) else "fail",
         derived={"monotone": monotone},

@@ -37,7 +37,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import bounds, fields, smear, store, verma
-from .rational import CFrac, as_fraction, fmt_rational
+from .rational import CFrac, Residual, adjoint_residual, as_fraction, fmt_rational
 
 FAULTS = ("none", "central-denominator-13")
 
@@ -424,6 +424,20 @@ _FM_KS = (0, 1, 2, 5, 10, 25, 50)
 _FM_MS = (1, 2, 3, 5, 10, 50)
 
 
+def _adjointness_verdict(rep: verma.TruncatedRep) -> tuple[bool, str]:
+    """Whether every block (-n, k - n) of rep is the adjoint of block (n, k)
+    in the rep's inner product, by residual_verdict, and the line that
+    reports it.  A rescaled level keeps the bracket relations (it is a
+    similarity) but breaks this."""
+    total = Residual()
+    for (n, k), blk in rep.blocks.items():
+        if n > 0:
+            total |= adjoint_residual(blk, rep.blocks[-n, k - n], rep.norms(k - n),
+                                      rep.norms(k), 1, 1)
+    ok, text = verma.residual_verdict(rep.mode, total.zero, total.max_abs)
+    return ok, f"adjointness L_-n = L_n^*: {text}"
+
+
 def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     grid = bounds.parse_eps_grid(cfg.eps_grid)
     rep, _ = _build_rep(replace(cfg, mode="float"))
@@ -441,10 +455,11 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
                             "grid_max": worst, "violated": violated})
     fm_violations = sum(row["violated"] for row in fm_rows)
 
+    adjoint_ok, adjoint_line = _adjointness_verdict(rep)
     _, relations_ok, relations_line = verma.relation_verdict(rep)
     chain = q_report.derived
     ok = (r_report.verdict == "pass" and q_report.verdict == "pass"
-          and fm_violations == 0 and relations_ok)
+          and fm_violations == 0 and adjoint_ok and relations_ok)
     result = {
         "r": report_summary(r_report),
         "q": report_summary(q_report),
@@ -465,6 +480,8 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(f"heat-kernel sup table: {fm_violations} grid violations")
     for w in r_report.warnings + q_report.warnings:
         print(f"warning: {w}")
+    if not adjoint_ok:
+        print(adjoint_line)
     if not relations_ok:
         print(relations_line)
     print("PASS" if ok else "FAIL")

@@ -291,11 +291,21 @@ class IntegerForm:
 
 
 def opnorm(mat: np.ndarray) -> float:
-    """Largest singular value of a numeric matrix; 0 for an empty one."""
+    """Largest singular value of a numeric matrix; 0 for an empty one, NaN
+    for one with a non-finite entry (on which LAPACK either fails to
+    converge or returns NaN).  The entries are read only when the SVD
+    fails or is not finite: on every call, that check would cost a fifth
+    of a small SVD."""
     if mat.size == 0:
         return 0.0
-    return float(np.linalg.svd(np.asarray(mat, dtype=np.float64),
-                               compute_uv=False).max())
+    mat = np.asarray(mat, dtype=np.float64)
+    try:
+        top = float(np.linalg.svd(mat, compute_uv=False).max())
+    except np.linalg.LinAlgError:
+        if np.isfinite(mat).all():
+            raise
+        return math.nan
+    return top if math.isfinite(top) or np.isfinite(mat).all() else math.nan
 
 
 def to_float(arr: np.ndarray) -> np.ndarray:

@@ -218,7 +218,7 @@ def heat_identity_residual(rep: TruncatedRep, n: int, eps: float) -> float:
     |f_m(eps)| ||L_n restricted to level k|| over all levels, R being
     e_src B - e_dst B in longdouble for the orthonormal block B of L_n.
     ||L_n|| is rep.block_norm's, the one the bound estimates read; the
-    norm of R is taken afresh."""
+    norm of R is taken afresh.  NaN if a block has a non-finite entry."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if abs(n) > rep.N:
@@ -233,6 +233,8 @@ def heat_identity_residual(rep: TruncatedRep, n: int, eps: float) -> float:
         bl = np.asarray(b, dtype=np.longdouble)
         base = rep.block_norm(n, src) * abs(float(e_src - e_dst))
         got = opnorm(e_src * bl - e_dst * bl)
+        if math.isnan(got):
+            return got  # max would drop it
         if base == 0.0:
             worst = max(worst, got)
         else:

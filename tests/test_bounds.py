@@ -127,6 +127,34 @@ def test_q_chain_inequality(q_n8, r_n8):
     assert q_n8.constant <= q_n8.derived["chain_bound"]
 
 
+def test_q_table_holds_columns_not_a_row_dict_per_cell():
+    c = Fraction(1, 2)
+    rep = verma.truncated_rep(c, Fraction(0), 12, mode="float")
+    r = estimate_r(c, 12, rep=rep)  # fills the rep's block norms first
+    tracemalloc.start()
+    try:
+        q = estimate_q(c, 12, rep=rep, r_report=r)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a five-key dict per cell held 1141 KiB
+    assert held < 512 * 1024
+    rows = list(q.table)
+    assert len(q.table) == len(rows) == 4910
+    header = ["n", "eps", "value", "level", "injected"]  # q_grid.csv's
+    assert {tuple(row) for row in rows} == {tuple(header)}
+    assert {tuple(map(type, row.values())) for row in rows + [q.table[0], q.table[-1]]} \
+        == {(int, float, float, int, bool)}
+    assert rows[-1] == q.table[-1] and rows[0] == q.table[0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_matrix_has_nan_norm(bad):
+    mat = np.eye(3)
+    mat[1, 2] = bad
+    assert math.isnan(rational.opnorm(mat))
+
+
 def test_q_factor_cells_respect_the_closed_form_sup(q_n8):
     assert not any("fm_sup" in w for w in q_n8.warnings)
 
