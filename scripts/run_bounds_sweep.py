@@ -3,10 +3,10 @@
 
 Builds one float-mode representation at (c, h) per level, reuses it for both
 estimates, and writes one CSV row per level so the stabilization of the
-constants is visible at a glance.  A level whose rep misses the float
-bracket-relation budget counts as failed, like a failed verdict, and the
-script exits 1.  A bad argument, c <= 0 or h < 0 included, exits 2, and
-a non-unitary point prints `error: ...` and exits 1, as in `vircut bounds`.
+constants is visible at a glance.  A level whose rep fails verma.rep_verdict
+counts as failed, like a failed verdict, and the script exits 1.  A bad
+argument, c <= 0 or h < 0 included, exits 2, and a non-unitary point
+prints `error: ...` and exits 1, as in `vircut bounds`.
 
 Examples
 --------
@@ -59,13 +59,13 @@ def sweep_level(c: Fraction, h: Fraction, N: int, grid) -> dict:
     rep = verma.truncated_rep(c, h, N, mode="float")
     r = bounds.estimate_r(c, N, h=h, rep=rep)
     q = bounds.estimate_q(c, N, grid, h=h, rep=rep, r_report=r)
-    _, relations_ok, relations_line = verma.relation_verdict(rep)
+    _, rep_ok, rep_lines = verma.rep_verdict(rep)
     seconds = time.perf_counter() - start
-    ok = r.verdict == "pass" and q.verdict == "pass" and relations_ok
+    ok = r.verdict == "pass" and q.verdict == "pass" and rep_ok
     print(f"{N:>3} {r.constant!r:>22} {q.constant!r:>22} "
           f"{q.derived['chain_bound']!r:>22} {seconds:7.2f}")
     if not ok:
-        note = "" if relations_ok else f"; {relations_line}"
+        note = "" if rep_ok else "; " + "; ".join(rep_lines)
         print(f"    WARNING: verdicts r={r.verdict} q={q.verdict}{note}")
     return {
         "N": N, "r_sq": r.constant, "q_hat": q.constant,

@@ -4,9 +4,10 @@ Subcommands mirror the library layers: `rep` builds a truncated
 representation and checks the bracket relations, `field` profiles a
 smearing field, `smear` assembles a smeared operator and audits it,
 `bounds` runs the constant-estimation sweeps, and `check-all` runs the
-full acceptance battery.  `bounds` and float-mode `smear` also fail when
-the rep they use misses the float bracket-relation budget, and exact-mode
-`smear` when the central charge read from the rep is not its label.
+full acceptance battery.  A command fails when the rep it uses fails
+verma.rep_verdict (the bracket relations and L_-n = L_n^*); exact-mode
+`smear` checks the adjointness and, in place of the costlier relation
+sweep, the central charge read from the rep against its label.
 
 Each subcommand accepts only the settings it reads (READS below).
 Configuration is a flat key=value file overridden by flags; a file may
@@ -37,7 +38,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import bounds, fields, smear, store, verma
-from .rational import CFrac, Residual, adjoint_residual, as_fraction, fmt_rational
+from .rational import CFrac, as_fraction, fmt_rational
 
 FAULTS = ("none", "central-denominator-13")
 
@@ -300,7 +301,7 @@ def _build_rep(cfg: RunConfig):
 
 def cmd_rep(cfg: RunConfig, args: argparse.Namespace) -> int:
     rep, source = _build_rep(cfg)
-    summary, ok, relations_line = verma.relation_verdict(rep)
+    summary, ok, rep_lines = verma.rep_verdict(rep)
     measured = verma.measure_central_charge(rep)
     admissible = verma.is_admissible(cfg.c)
     result = {
@@ -318,7 +319,7 @@ def cmd_rep(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(f"rep c={fmt_rational(cfg.c)} h={fmt_rational(cfg.h)} N={cfg.N} "
           f"mode={cfg.mode} ({source})")
     print(f"level dims: {list(rep.level_dims)}")
-    print(relations_line)
+    print("\n".join(rep_lines))
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -383,16 +384,17 @@ def cmd_smear(cfg: RunConfig, args: argparse.Namespace) -> int:
         diff, vac_ok = smear.vacuum_norm_agreement(closed, matrix)
         vac = {"closed": closed, "matrix": matrix, "difference": diff, "ok": vac_ok}
 
-    # float mode runs the relation gate; exact mode reads c back from the rep
-    # (one 1x1 product), since its relation sweep costs more than the smear
+    # exact mode reads c back from the rep (one 1x1 product) in place of the
+    # relation sweep, which costs more than the smear
     if cfg.mode == "float":
-        _, relations_ok, relations_line = verma.relation_verdict(rep)
+        _, rep_ok, rep_lines = verma.rep_verdict(rep)
     else:
         measured = verma.measure_central_charge(rep)
-        relations_ok = measured == rep.c
-        relations_line = (f"central charge read from the rep: {fmt_rational(measured)}, "
-                          f"label {fmt_rational(rep.c)}")
-    ok = herm_ok and vac_ok and relations_ok
+        adjoint_ok, adjoint_line = verma.adjointness_verdict(rep)
+        rep_ok = measured == rep.c and adjoint_ok
+        rep_lines = [f"central charge read from the rep: {fmt_rational(measured)}, "
+                     f"label {fmt_rational(rep.c)}"] + ([] if adjoint_ok else [adjoint_line])
+    ok = herm_ok and vac_ok and rep_ok
     result = {
         "field": args.field,
         "rep_source": source,
@@ -414,28 +416,14 @@ def cmd_smear(cfg: RunConfig, args: argparse.Namespace) -> int:
               f"({'ok' if vac_ok else 'MISMATCH'})")
     if bias_notes:
         print(f"note: {bias_notes[0]}")
-    if not relations_ok:
-        print(relations_line)
+    if not rep_ok:
+        print("\n".join(rep_lines))
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
 
 _FM_KS = (0, 1, 2, 5, 10, 25, 50)
 _FM_MS = (1, 2, 3, 5, 10, 50)
-
-
-def _adjointness_verdict(rep: verma.TruncatedRep) -> tuple[bool, str]:
-    """Whether every block (-n, k - n) of rep is the adjoint of block (n, k)
-    in the rep's inner product, by residual_verdict, and the line that
-    reports it.  A rescaled level keeps the bracket relations (it is a
-    similarity) but breaks this."""
-    total = Residual()
-    for (n, k), blk in rep.blocks.items():
-        if n > 0:
-            total |= adjoint_residual(blk, rep.blocks[-n, k - n], rep.norms(k - n),
-                                      rep.norms(k), 1, 1)
-    ok, text = verma.residual_verdict(rep.mode, total.zero, total.max_abs)
-    return ok, f"adjointness L_-n = L_n^*: {text}"
 
 
 def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -455,11 +443,10 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
                             "grid_max": worst, "violated": violated})
     fm_violations = sum(row["violated"] for row in fm_rows)
 
-    adjoint_ok, adjoint_line = _adjointness_verdict(rep)
-    _, relations_ok, relations_line = verma.relation_verdict(rep)
+    _, rep_ok, rep_lines = verma.rep_verdict(rep)
     chain = q_report.derived
     ok = (r_report.verdict == "pass" and q_report.verdict == "pass"
-          and fm_violations == 0 and adjoint_ok and relations_ok)
+          and fm_violations == 0 and rep_ok)
     result = {
         "r": report_summary(r_report),
         "q": report_summary(q_report),
@@ -480,10 +467,8 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(f"heat-kernel sup table: {fm_violations} grid violations")
     for w in r_report.warnings + q_report.warnings:
         print(f"warning: {w}")
-    if not adjoint_ok:
-        print(adjoint_line)
-    if not relations_ok:
-        print(relations_line)
+    if not rep_ok:
+        print("\n".join(rep_lines))
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -36,22 +36,6 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = [
-    "CFrac",
-    "IndefiniteMatrixError",
-    "as_fraction",
-    "fmt_rational",
-    "zeros",
-    "eye",
-    "IntegerForm",
-    "opnorm",
-    "to_float",
-    "Residual",
-    "adjoint_residual",
-    "exact_rank_nullspace",
-    "psd_congruence",
-]
-
 
 def as_fraction(x) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to Fraction."""

@@ -7,8 +7,9 @@ eye: a magic line carrying the schema version, a small key/value header
 identifying the object, one section per stored matrix (the basis norms
 "norms:k" of each level and the blocks "block:n,k"), and a trailing
 sha256 digest over everything above it.  Sections of other names are
-verified and parsed but not read, so files that also carry the per-level
-basis rows ("transform:k", written by earlier versions) still load.
+verified by the digest, framed by their header and skipped unparsed, so
+files that also carry the per-level basis rows ("transform:k", written by
+earlier versions) still load.
 Exact-mode entries are written as p/q strings (q > 1) or integers p and
 parse back to the identical Fraction: p and q are read with int() once
 the entry matches -?[0-9]+(/[0-9]+)? with q > 0, and each distinct entry
@@ -68,7 +69,7 @@ def _parse_entry(s: str, mode: str):
     Anything else (a decimal such as 1.5, which Fraction(str) would take,
     +3, 1_0 or a non-ASCII digit, which int() would take, a zero
     denominator, or nan, inf or 0x1p0, which float.fromhex would take)
-    raises ValueError.  Mode "hex" takes any float.fromhex text.
+    raises ValueError.
     """
     if mode == "exact":
         match = _EXACT_ENTRY.fullmatch(s)
@@ -78,7 +79,7 @@ def _parse_entry(s: str, mode: str):
         num, den = match.groups()
         return Fraction(int(num), int(den or 1))
     x = float.fromhex(s)
-    if mode == "float" and (not math.isfinite(x) or x.hex() != s):
+    if not math.isfinite(x) or x.hex() != s:
         raise ValueError(f"invalid literal {s!r} for a float entry: expected the "
                          "float.hex() of a finite float")
     return x
@@ -110,8 +111,8 @@ def _parse_header(header: str) -> tuple[str, int, int]:
 def _parse_matrix(tag: str, rows: int, cols: int, body: list[str], mode: str,
                   seen: dict) -> np.ndarray:
     """The matrix of a section; seen maps each entry text parsed so far in
-    this file in this mode to its value, so a repeated entry (most often 0)
-    is parsed once and its immutable value shared."""
+    this file to its value, so a repeated entry (most often 0) is parsed
+    once and its immutable value shared."""
     if len(body) != rows:
         raise CacheError(f"matrix {tag}: expected {rows} rows, found {len(body)}")
     values = []
@@ -188,10 +189,9 @@ def _sections(lines: list[str], mode: str) -> dict:
         tag, rows, cols = _parse_header(lines[i])
         if tag in out:
             raise CacheError(f"duplicate matrix section {tag!r}")
-        # the unread sections of earlier versions keep the float parse they had
-        kind = "hex" if mode == "float" and not tag.startswith(("norms:", "block:")) else mode
-        out[tag] = _parse_matrix(tag, rows, cols, lines[i + 1 : i + 1 + rows], kind,
-                                 seen.setdefault(kind, {}))
+        # a section of another name is framed by its header and skipped unparsed
+        if tag.startswith(("norms:", "block:")):
+            out[tag] = _parse_matrix(tag, rows, cols, lines[i + 1 : i + 1 + rows], mode, seen)
         i += 1 + rows
     return out
 

@@ -61,6 +61,7 @@ from .rational import (
     IndefiniteMatrixError,
     IntegerForm,
     Residual,
+    adjoint_residual,
     as_fraction,
     eye,
     opnorm,
@@ -69,27 +70,6 @@ from .rational import (
     zeros,
 )
 
-__all__ = [
-    "is_admissible",
-    "GramMatrix",
-    "NonUnitaryError",
-    "FloatRangeError",
-    "TruncatedRep",
-    "enumerate_partitions",
-    "partition_count",
-    "monomial_block",
-    "gram_matrix",
-    "gram_entry_direct",
-    "block_keys",
-    "truncated_rep",
-    "monomial_action",
-    "relation_residual",
-    "relation_residual_summary",
-    "residual_verdict",
-    "relation_verdict",
-    "measure_central_charge",
-    "tensor_rep",
-]
 
 Scalar = Union[Fraction, float]
 
@@ -740,6 +720,30 @@ def relation_verdict(rep: TruncatedRep) -> tuple[dict, bool, str]:
     ok, text = residual_verdict(rep.mode, summary["exact_zero"], summary["max_abs"],
                                 nonzero="nonzero rational")
     return summary, ok, f"bracket relations |m|,|n|<=3: {text}"
+
+
+def adjointness_verdict(rep: TruncatedRep) -> tuple[bool, str]:
+    """Whether every block (-n, k - n) of rep is the adjoint of block (n, k)
+    in the rep's inner product, by residual_verdict, and the line that
+    reports it.  A rescaled level keeps the bracket relations (it is a
+    similarity) but breaks this."""
+    total = Residual()
+    for (n, k), blk in rep.blocks.items():
+        if n > 0:
+            total |= adjoint_residual(blk, rep.blocks[-n, k - n], rep.norms(k - n),
+                                      rep.norms(k), 1, 1)
+    ok, text = residual_verdict(rep.mode, total.zero, total.max_abs)
+    return ok, f"adjointness L_-n = L_n^*: {text}"
+
+
+def rep_verdict(rep: TruncatedRep) -> tuple[dict, bool, list[str]]:
+    """The trust gate of a quotient-basis rep: its relation summary, whether
+    relation_verdict and adjointness_verdict both pass, and the relations
+    line, then the adjointness line if that fails."""
+    summary, relations_ok, relations_line = relation_verdict(rep)
+    adjoint_ok, adjoint_line = adjointness_verdict(rep)
+    return (summary, relations_ok and adjoint_ok,
+            [relations_line] + ([] if adjoint_ok else [adjoint_line]))
 
 
 def measure_central_charge(rep: TruncatedRep) -> Scalar:

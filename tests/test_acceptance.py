@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import fminbound, minimize_scalar
 
-from vircut import acceptance, verma
+from vircut import acceptance, smear, verma
 
 NAMES = [name for name, _ in acceptance.CRITERIA]
 
@@ -72,6 +72,20 @@ def test_a_nan_float_residual_fails_the_relations_and_shows_in_the_detail(monkey
     passed, detail = acceptance.criterion_virasoro_relations()
     assert poisoned and not passed
     assert "worst float residual nan" in detail
+
+
+def test_a_nan_heat_identity_residual_fails_the_chain_and_shows_in_the_detail(monkeypatch):
+    real = smear.heat_identity_residual
+    calls = []
+
+    def first_residual_is_nan(rep, n, eps):
+        calls.append((n, eps))
+        return math.nan if len(calls) == 1 else real(rep, n, eps)
+
+    monkeypatch.setattr(smear, "heat_identity_residual", first_residual_is_nan)
+    passed, detail = acceptance.criterion_commutator_chain()
+    assert len(calls) > 1 and not passed
+    assert detail.endswith("worst heat-identity residual nan")
 
 
 def _fm_grid_best_per_cell(k, m, grid):

@@ -1,6 +1,7 @@
 """Bound-constant experiments: r, q, decay, mollifier convergence."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -447,6 +448,28 @@ def test_bounds_sweep_script_fails_on_an_ill_conditioned_rep(tmp_path):
     assert "WARNING: verdicts r=pass q=pass; bracket relations" in done.stdout
     header, row = (tmp_path / "bounds_sweep.csv").read_text().splitlines()
     assert dict(zip(header.split(","), row.split(",")))["verdicts_ok"] == "False"
+
+
+def test_bounds_sweep_refuses_a_rescaled_level(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_sweep.py"
+    spec = importlib.util.spec_from_file_location("run_bounds_sweep", script)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    build = verma.truncated_rep
+
+    def level_5_halved(c, h, N, mode):
+        # a similarity: the relations hold and the adjointness breaks
+        rep = build(c, h, N, mode=mode)
+        return replace(rep, blocks={
+            (n, k): blk * (2 if k == 5 else 1) / (2 if k - n == 5 else 1)
+            for (n, k), blk in rep.blocks.items()})
+
+    monkeypatch.setattr(verma, "truncated_rep", level_5_halved)
+    row = sweep.sweep_level(Fraction(1, 2), Fraction(0), 8, parse_eps_grid(DEFAULT_EPS_GRID))
+    assert row["verdicts_ok"] is False
+    out = capsys.readouterr().out
+    assert "WARNING: verdicts r=pass q=pass; bracket relations |m|,|n|<=3: max abs " in out
+    assert "(tolerance 1e-10); adjointness L_-n = L_n^*: max abs " in out
 
 
 def _ladder_bits(report):

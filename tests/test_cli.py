@@ -448,6 +448,57 @@ def test_smear_non_real_field_skips_hermiticity(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the rep gate on a rescaled level
+
+# (c, h, N) and mode of each rescaled cache
+RESCALED = {"float": ("1/2", "0", 8), "exact": ("7/10", "3/5", 9)}
+
+
+def _rescaled_cache(cache, mode):
+    """A digest-valid cache of RESCALED[mode] with the level-5 basis halved:
+    blocks out of level 5 times 2, into it divided by 2, exact in both
+    arithmetics.  A similarity keeps every bracket relation and breaks
+    only the adjointness L_-n = L_n^*.  Returns the flags of its point."""
+    c, h, N = RESCALED[mode]
+    rep = verma.truncated_rep(Fraction(c), Fraction(h), N, mode=mode)
+    blocks = {(n, k): blk * (2 if k == 5 else 1) / (2 if k - n == 5 else 1)
+              for (n, k), blk in rep.blocks.items()}
+    store.save_rep(cache, dataclasses.replace(rep, blocks=blocks),
+                   c=Fraction(c), h=Fraction(h))
+    return ("--c", c, "--h", h, "--N", N, "--mode", mode, "--cache", cache)
+
+
+def test_float_smear_refuses_a_rescaled_level(tmp_path, capsys):
+    point = _rescaled_cache(tmp_path / "cache", "float")
+    # mode:-3 is not real, so no hermiticity check runs; only the gate sees it
+    assert run("smear", "--field", "mode:-3", *point, "--out", tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "\nadjointness L_-n = L_n^*: max abs " in out and out.endswith("\nFAIL\n")
+    result = read_report(tmp_path, "smear_report.json")["result"]
+    assert result["rep_source"] == "cache" and result["ok"] is False
+
+
+def test_exact_smear_refuses_a_rescaled_level(tmp_path, capsys):
+    point = _rescaled_cache(tmp_path / "cache", "exact")
+    assert run("smear", "--field", "mode:2", *point, "--out", tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "\nadjointness L_-n = L_n^*: nonzero, max " in out and out.endswith("\nFAIL\n")
+    assert read_report(tmp_path, "smear_report.json")["result"]["ok"] is False
+
+
+@pytest.mark.parametrize("mode", sorted(RESCALED))
+def test_rep_refuses_a_rescaled_level(tmp_path, capsys, mode):
+    point = _rescaled_cache(tmp_path / "cache", mode)
+    assert run("rep", *point, "--out", tmp_path) == 1
+    out = capsys.readouterr().out
+    # the relations hold; the adjointness line follows theirs
+    relations = "exact zero" if mode == "exact" else "max abs "
+    assert f"\nbracket relations |m|,|n|<=3: {relations}" in out
+    assert "\nadjointness L_-n = L_n^*: " in out and out.endswith("\nFAIL\n")
+    assert read_report(tmp_path, "rep_report.json")["result"]["relations_ok"] is False
+
+
+# ---------------------------------------------------------------------------
 # bounds
 
 

@@ -7,13 +7,16 @@ as the CLI and the acceptance battery run it.  A check's outcome is
 which check catches which mutation, the blind spots included: the r and q
 witnesses recompute their cells from the same mutated blocks, the chain
 only compares the two estimates, and the heat identity and every norm are
-blind to a block's transposition, so only the relation sweep fails the
-L_0 mutation and the relabelled c.  A NaN block has NaN norm, which every
-check reads as a failure.  Rescaling the level-5 basis is a similarity,
-which keeps every bracket relation, and it moves r_hat^2 while the r
-witness, recomputed from the same blocks, still reproduces it: only
-hermiticity and the adjointness gate of `vircut bounds`, which read the
-basis as orthonormal, catch it.  The bounds column is the exit status of
+blind to a block's transposition and to a permutation of one block's
+states, so only the relation sweep, and the gates that run it, fail the
+L_0 mutation and the relabelled c.  A NaN block has NaN norm, which every check reads as a
+failure.  Rescaling the level-5 basis is a similarity, which keeps every
+bracket relation, and it moves r_hat^2 while the r witness, recomputed
+from the same blocks, still reproduces it: only hermiticity and the
+adjointness half of the rep gate, which read the basis as orthonormal,
+catch it.  The rep_verdict column is that gate (verma.rep_verdict: the
+relation sweep and the adjointness L_-n = L_n^*), which every command
+that trusts a rep reads; the bounds column is the exit status of
 `vircut bounds` run on the mutated rep.
 """
 
@@ -33,30 +36,40 @@ HEAT_TOL = 1e-12  # the commutator-chain criterion's budget
 NAN_BLOCK = (-1, 3)
 # L_1 from level 5 to level 4: square (2 x 2) and not symmetric
 TRANSPOSED_BLOCK = (1, 5)
+# L_{-1} from level 7 to level 8 (5 x 3), whose first two rows differ
+PERMUTED_BLOCK = (-1, 7)
 
 # every mode |n| <= 12 with coefficient 1: a real field whose smear reads
 # every block
 FIELD = fields.FourierField(dict.fromkeys(range(-12, 13), 1), real=True)
 
 CHECKS = ("relations", "hermiticity", "heat identity", "r witness", "q witness",
-          "chain_ok", "bounds")
+          "chain_ok", "rep_verdict", "bounds")
 
 # which check catches which mutation ("pass" means it does not)
 EXPECTED = {
     "none": dict.fromkeys(CHECKS, "pass"),
     "L_0 -> 1.5 L_0 + 0.01": {"relations": "fail", "hermiticity": "pass",
                               "heat identity": "pass", "r witness": "pass",
-                              "q witness": "pass", "chain_ok": "pass", "bounds": "fail"},
+                              "q witness": "pass", "chain_ok": "pass",
+                              "rep_verdict": "fail", "bounds": "fail"},
     "NaN in one block": dict.fromkeys(CHECKS, "fail"),
     "one block transposed": {"relations": "fail", "hermiticity": "fail",
                              "heat identity": "pass", "r witness": "pass",
-                             "q witness": "pass", "chain_ok": "pass", "bounds": "fail"},
+                             "q witness": "pass", "chain_ok": "pass",
+                             "rep_verdict": "fail", "bounds": "fail"},
     "c relabelled c + 1/2": {"relations": "fail", "hermiticity": "pass",
                              "heat identity": "pass", "r witness": "pass",
-                             "q witness": "pass", "chain_ok": "pass", "bounds": "fail"},
+                             "q witness": "pass", "chain_ok": "pass",
+                             "rep_verdict": "fail", "bounds": "fail"},
     "level 5 rescaled": {"relations": "pass", "hermiticity": "fail",
                          "heat identity": "pass", "r witness": "pass",
-                         "q witness": "pass", "chain_ok": "pass", "bounds": "fail"},
+                         "q witness": "pass", "chain_ok": "pass",
+                         "rep_verdict": "fail", "bounds": "fail"},
+    "one block's states permuted": {"relations": "fail", "hermiticity": "fail",
+                                    "heat identity": "pass", "r witness": "pass",
+                                    "q witness": "pass", "chain_ok": "pass",
+                                    "rep_verdict": "fail", "bounds": "fail"},
 }
 
 
@@ -74,6 +87,7 @@ def _mutants(rep):
                  for k in range(rep.N + 1)}
     nan = rep.blocks[NAN_BLOCK].copy()
     nan[0, 0] = math.nan
+    permuted = rep.blocks[PERMUTED_BLOCK][[1, 0, 2, 3, 4]]
     # the level-5 basis halved: blocks out of level 5 x 2 and into it x 0.5,
     # exact in binary; the L_0 block (0, 5) is both and stays as it is
     rescaled = {(n, k): blk * (2.0 if k == 5 else 1.0) * (0.5 if k - n == 5 else 1.0)
@@ -86,6 +100,7 @@ def _mutants(rep):
             rep, {TRANSPOSED_BLOCK: rep.blocks[TRANSPOSED_BLOCK].T.copy()}),
         "c relabelled c + 1/2": replace(rep, c=rep.c + Fraction(1, 2)),
         "level 5 rescaled": _with_blocks(rep, rescaled),
+        "one block's states permuted": _with_blocks(rep, {PERMUTED_BLOCK: permuted}),
     }
 
 
@@ -127,13 +142,16 @@ def _table_row(rep, out):
         row.update({"r witness": "pass" if r_report.witness["reproduced"] else "fail",
                     "q witness": "pass" if q_report.witness["reproduced"] else "fail",
                     "chain_ok": "pass" if q_report.derived["chain_ok"] else "fail"})
-    return {**row, "bounds": _outcome(lambda: _bounds_ok(rep, out))}
+    return {**row, "rep_verdict": _outcome(lambda: verma.rep_verdict(rep)[1]),
+            "bounds": _outcome(lambda: _bounds_ok(rep, out))}
 
 
 def test_the_mutated_blocks_differ_from_the_originals(rep):
     b = rep.blocks[TRANSPOSED_BLOCK]
     assert b.shape == (2, 2) and not np.array_equal(b, b.T)
     assert rep.blocks[NAN_BLOCK].shape == (2, 1)
+    permuted = rep.blocks[PERMUTED_BLOCK]
+    assert permuted.shape == (5, 3) and not np.array_equal(permuted[0], permuted[1])
 
 
 def test_the_rescaled_level_moves_r_hat(rep):

@@ -120,6 +120,19 @@ def test_file_with_transform_sections_still_loads(tmp_path, mode):
         assert list(loaded.norms(k)) == list(rep.norms(k))
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_an_unread_section_is_skipped_unparsed(tmp_path, mode):
+    rep = verma.truncated_rep(C, H, 4, mode=mode)
+    path = save_rep(tmp_path, rep, c=C, h=H)
+    lines = path.read_text().splitlines()[:-1]
+    first_block = next(i for i, ln in enumerate(lines) if ln.startswith("matrix block:"))
+    # no entry parser takes these, in either mode
+    extra = ["matrix notes 2 3", "not a number", "1/0 nan 1.5"]
+    _restamp(path, lines[:first_block] + extra + lines[first_block:])
+    loaded = load_rep(tmp_path, C, H, 4, mode=mode)
+    assert _blocks_equal(loaded, rep)
+
+
 def test_tensor_rep_is_not_cacheable(tmp_path, ising8):
     pair = verma.tensor_rep(ising8, ising8, 4)
     with pytest.raises(CacheError, match="not cacheable"):
