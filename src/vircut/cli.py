@@ -308,7 +308,7 @@ def cmd_rep(cfg: RunConfig, args: argparse.Namespace) -> int:
         "source": source,
         "level_dims": list(rep.level_dims),
         "total_dim": rep.total_dim(),
-        "relations": {k: v for k, v in summary.items() if k != "cells"},
+        "relations": summary,
         "measured_central_charge": measured,
         "admissible_central_charge": admissible,
         "relations_ok": ok,
@@ -375,7 +375,7 @@ def cmd_smear(cfg: RunConfig, args: argparse.Namespace) -> int:
     herm, herm_ok, herm_line = None, True, "skipped (field is not real)"
     if getattr(field, "real", True):
         herm = smear.hermiticity_residual(op)
-        herm_ok, herm_line = verma.residual_verdict(cfg.mode, herm.exact_zero, herm.max_abs)
+        herm_ok, herm_line = verma.residual_verdict(cfg.mode, herm.zero, herm.max_abs)
 
     vac, vac_ok = None, True
     if float(rep.h) == 0.0:
@@ -402,7 +402,7 @@ def cmd_smear(cfg: RunConfig, args: argparse.Namespace) -> int:
         "truncation_bias": op.truncation_bias,
         "bias_warnings": bias_notes,
         "hermiticity": None if herm is None else
-        {"max_abs": herm.max_abs, "exact_zero": herm.exact_zero},
+        {"max_abs": herm.max_abs, "exact_zero": herm.zero if cfg.mode == "exact" else None},
         "hermiticity_ok": herm_ok,
         "vacuum_norm": vac,
         "ok": bool(ok),

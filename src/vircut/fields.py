@@ -427,7 +427,7 @@ def bracket_with_cocycle(f: FourierField, g: FourierField, c):
     omega = (c/12) Sum_n f_hat(n) g_hat(-n) (n^3-n), so that on any safe
     window [T(f), T(g)] = T(h) + omega * identity.  The denominator 12 here
     belongs to the checking side of that identity and is fixed, like the
-    one in verma.relation_residual.
+    one in verma's bracket-relation sweep (relation_residual_summary).
     """
     if not isinstance(f, FourierField) or not isinstance(g, FourierField):
         raise TypeError("bracket needs finitely supported fields")

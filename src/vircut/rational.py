@@ -13,7 +13,8 @@ identity matrices of a mode, and opnorm is the spectral norm that both
 modes' float views are measured with.  Residual reduces the residual
 matrices of a check to one float maximum and one exact-zero verdict,
 the same way in both modes; adjoint_residual is that reduction for the
-adjoint condition a_scale diag(left) a = conj(b_scale b)^T diag(right).
+adjoint condition a_scale diag(left) a = conj(b_scale b)^T diag(right),
+whose weights only exact matrices carry (float bases are orthonormal).
 
 The exact inner loops run over Python ints, not Fractions.  IntegerForm
 holds an exact matrix as integers over row and column scales, and the
@@ -207,12 +208,11 @@ class IntegerForm:
         return IntegerForm.by_rows(mat.T).T
 
     @staticmethod
-    def identity(dim: int, s) -> IntegerForm:
-        """s times the dim x dim identity, for a Fraction or int s."""
-        s = as_fraction(s)
+    def identity(dim: int) -> IntegerForm:
+        """The dim x dim identity."""
         num = np.zeros((dim, dim), dtype=object)
-        np.fill_diagonal(num, s.numerator)
-        return IntegerForm(num, _object([s.denominator] * dim, dim), _object([1] * dim, dim))
+        np.fill_diagonal(num, 1)
+        return IntegerForm(num, _object([1] * dim, dim), _object([1] * dim, dim))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -336,9 +336,11 @@ def adjoint_residual(a: np.ndarray, b: np.ndarray, left, right,
     for a p x q and b q x p, left and right the real weights of length p
     and q, and a_scale and b_scale scalars.
 
-    Float matrices reduce that numpy expression with Residual.of.  Exact
-    ones hold real entries (Fractions and ints), and R is reduced over the
-    integers with the scalars factored out.  Entry (i, j) of
+    Float matrices are taken in orthonormal bases, so their weights are 1
+    and left and right are not read: R = a_scale a - conj(b_scale b)^T,
+    reduced with Residual.of.  Exact ones hold real entries (Fractions and
+    ints), and R is reduced over the integers with the scalars factored
+    out.  Entry (i, j) of
     X = diag(left) a and of Y = b^T diag(right) are u/den and v/den, u, v
     and den cross-multiplied from the numerators and denominators of
     left_i, a_ij, b_ji and right_j, and R_ij = a_scale X_ij - conj(b_scale)
@@ -350,8 +352,7 @@ def adjoint_residual(a: np.ndarray, b: np.ndarray, left, right,
     Residual.of's on the exact R.
     """
     if a.dtype != object and b.dtype != object:
-        return Residual.of((a * a_scale) * np.asarray(left)[:, None]
-                           - np.conj(b * b_scale).T * np.asarray(right)[None, :])
+        return Residual.of(a * a_scale - np.conj(b * b_scale).T)
     sa, sb = CFrac.of(a_scale), CFrac.of(b_scale)
     # Re R_ij = (re_u u - re_v v)/(re_den den), Im R_ij = (im_u u + im_v v)/(im_den den)
     re_u, re_v = sa.re.numerator * sb.re.denominator, sb.re.numerator * sa.re.denominator

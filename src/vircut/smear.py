@@ -12,9 +12,9 @@ cutoff, so no boundary correction is needed.  Smearing records the
 weighted coefficient mass its cutoff discards (truncation_bias) and
 leaves judging it to the caller.  Hermiticity is one check in both
 arithmetic modes (rational.adjoint_residual, over the integers in exact
-mode, with the coefficients factored out of the block pair): each block
-pair is weighted by the basis norms, which are 1.0 in
-the orthonormal float bases, and each unordered pair of levels is
+mode, with the coefficients factored out of the block pair): an exact
+block pair is weighted by the D-basis norms, a float rep's bases are
+orthonormal and carry no weights, and each unordered pair of levels is
 checked once, since the residual of the reverse pair is the negated
 adjoint of the first.
 
@@ -108,22 +108,17 @@ def smear(rep: TruncatedRep, field, cutoff: Optional[int] = None) -> SmearedOper
     return SmearedOperator(rep, factors, bias)
 
 
-@dataclass(frozen=True)
-class HermiticityReport:
-    max_abs: float
-    exact_zero: Optional[bool]  # None in float mode
-
-
-def hermiticity_residual(op: SmearedOperator) -> HermiticityReport:
+def hermiticity_residual(op: SmearedOperator) -> Residual:
     """Deviation of T from its adjoint in the representation inner product.
 
-    Zero (exactly, in rational mode) for real fields.  The adjoint
-    condition is weighted by the basis norms: the residual of the
-    (dst, src) block aA and the reverse block bB (A, B rep blocks, a, b
-    their coefficients) is R = a D_dst A - conj(b B)^T D_src, D_k being
-    the diagonal of squared norms at level k (the identity in float mode,
-    so there it is aA - conj(bB)^T).  A missing block is a zero block
-    with coefficient 0.
+    Zero (exactly, in rational mode) for real fields; the zero verdict
+    is the exact one only in exact mode.  The adjoint condition is
+    weighted by the basis norms: the residual of the (dst, src) block aA
+    and the reverse block bB (A, B rep blocks, a, b their coefficients)
+    is R = a D_dst A - conj(b B)^T D_src, D_k being the diagonal of
+    squared norms at level k (the identity in float mode, whose bases are
+    orthonormal, so there it is aA - conj(bB)^T).  A missing block is a
+    zero block with coefficient 0.
 
     The residual of (src, dst) is -conj(R)^T, in both arithmetics: its two
     terms are those of R conjugated, transposed and swapped, and
@@ -136,20 +131,21 @@ def hermiticity_residual(op: SmearedOperator) -> HermiticityReport:
     float of each exact entry of R.
     """
     rep = op.rep
-    exact = rep.mode == "exact"
-    # raises for bases without inner product data
+    # raises for bases without inner product data; None for a float rep
     norms = [rep.norms(k) for k in range(rep.N + 1)]
     total = Residual()
     for dst, src in {(min(key), max(key)) for key in op.factors}:
         a, sa = op.factors.get((dst, src), (zeros((rep.dim(dst), rep.dim(src)), rep.mode), 0))
         b, sb = op.factors.get((src, dst), (zeros((rep.dim(src), rep.dim(dst)), rep.mode), 0))
         total |= adjoint_residual(a, b, norms[dst], norms[src], sa, sb)
-    return HermiticityReport(total.max_abs, total.zero if exact else None)
+    return total
 
 
 def vector_norm_squared(rep: TruncatedRep, vec: GradedVector
                         ) -> Union[Fraction, float]:
-    """Squared norm of a graded vector in the rep's inner product."""
+    """Squared norm of a graded vector in the rep's inner product: weighted
+    by the D-basis norms in exact mode, plain in float mode, whose bases
+    are orthonormal."""
     rep.norms(0)  # raises for bases without inner product data
     if rep.mode == "exact":
         total = Fraction(0)

@@ -6,10 +6,12 @@ format is plain text so a cached matrix can be read (and diffed) by
 eye: a magic line carrying the schema version, a small key/value header
 identifying the object, one section per stored matrix (the basis norms
 "norms:k" of each level and the blocks "block:n,k"), and a trailing
-sha256 digest over everything above it.  Sections of other names are
-verified by the digest, framed by their header and skipped unparsed, so
-files that also carry the per-level basis rows ("transform:k", written by
-earlier versions) still load.
+sha256 digest over everything above it.  A float rep's bases are
+orthonormal, so its norms rows read 1.0 throughout: they are written so,
+and a float file with any other norm raises CacheError.  Sections of
+other names are verified by the digest, framed by their header and
+skipped unparsed, so files that also carry the per-level basis rows
+("transform:k", written by earlier versions) still load.
 Exact-mode entries are written as p/q strings (q > 1) or integers p and
 parse back to the identical Fraction: p and q are read with int() once
 the entry matches -?[0-9]+(/[0-9]+)? with q > 0, and each distinct entry
@@ -238,8 +240,9 @@ def save_rep(root, rep: TruncatedRep, c=None, h=None) -> Path:
         "dims " + " ".join(str(d) for d in rep.level_dims),
     ]
     for k in range(rep.N + 1):
-        norms = np.asarray(rep.basis_norms[k], dtype=object).reshape(1, -1)
-        lines += _matrix_lines(f"norms:{k}", norms, rep.mode)
+        norms = rep.basis_norms[k] if rep.mode == "exact" else np.ones(rep.dim(k))
+        lines += _matrix_lines(f"norms:{k}", np.asarray(norms, dtype=object).reshape(1, -1),
+                               rep.mode)
     for (n, k) in sorted(rep.blocks):
         lines += _matrix_lines(f"block:{n},{k}", rep.blocks[(n, k)], rep.mode)
     _write_file(path, lines)
@@ -276,7 +279,10 @@ def load_rep(root, c, h, N: int, mode: str = "exact") -> Optional[TruncatedRep]:
         flat = row.reshape(-1)
         if flat.shape[0] != dims[k]:
             raise CacheError(f"{path}: norms at level {k} have wrong length")
-        norms.append(tuple(flat) if mode == "exact" else np.asarray(flat, dtype=float))
+        if mode == "float" and (flat != 1.0).any():
+            raise CacheError(f"{path}: norms at level {k} are not all 1.0, and a float "
+                             "basis is orthonormal")
+        norms.append(tuple(flat))
 
     keys = {f"block:{n},{k}": (n, k) for n, k in block_keys(N)}
     tags = {tag for tag in sections if tag.startswith("block:")}
@@ -292,7 +298,7 @@ def load_rep(root, c, h, N: int, mode: str = "exact") -> Optional[TruncatedRep]:
         blocks[(n, k)] = mat
 
     return TruncatedRep(c=c, h=h, N=N, mode=mode, level_dims=dims, blocks=blocks,
-                        basis_norms=tuple(norms))
+                        basis_norms=tuple(norms) if mode == "exact" else None)
 
 
 def load_or_build_rep(root, c, h, N: int, mode: str = "exact") -> tuple[TruncatedRep, str]:

@@ -307,8 +307,9 @@ class _Module:
 
     def level(self, k: int, mode: str) -> tuple:
         """Level k's quotient: (norms squared D, basis rows B, extraction
-        rows W = D^-1 B G), one entry of D per state kept.  Exact mode gives
-        D as Fractions and B, W as psd_congruence's integer forms."""
+        rows W = D^-1 B G), one row of B per state kept.  Exact mode gives
+        D as Fractions and B, W as psd_congruence's integer forms; float
+        mode's rows are orthonormal, so its D is the identity and is None."""
         data = self._levels.get((k, mode))
         if data is not None:
             return data
@@ -324,7 +325,7 @@ class _Module:
         return data
 
     def _float_level(self, k: int) -> tuple:
-        """Float-mode level: orthonormal rows from the scaled Gram (D = 1).
+        """Float-mode level: orthonormal rows from the scaled Gram (D = I).
 
         Monomials with a zero Gram diagonal are null (a positive semidefinite
         matrix with G_ii = 0 has row i zero) and are dropped; the float Gram
@@ -369,9 +370,7 @@ class _Module:
             one = np.eye(m.shape[0], dtype=np.longdouble)
             if float(abs(m - one).max()) < 0.1:
                 bl = ((one * 3 - m) / 2) @ bl
-        norms = np.ones(bl.shape[0])
-        norms.flags.writeable = False
-        return norms, bl, bl @ gl
+        return None, bl, bl @ gl
 
     def block(self, n: int, k: int, mode: str) -> np.ndarray:
         """L_n from level k to level k - n in the quotient bases; read-only.
@@ -482,18 +481,20 @@ class TruncatedRep:
 
     blocks[(n, k)] is the matrix of L_n from level k to level k - n, for
     every (n, k) in block_keys(N).  In float mode blocks are float64
-    in per-level orthonormal bases.  In exact mode blocks are Fraction
-    object arrays in per-level orthogonal bases whose norms squared are
+    in per-level orthonormal bases, so a float rep carries no norms
+    (basis_norms is None).  In exact mode blocks are Fraction object
+    arrays in per-level orthogonal bases whose norms squared are
     basis_norms[k] (the D-basis); orthonormal_block derives the float
     orthonormal matrix.  basis names the per-level basis: "quotient" for
     the truncated_rep quotient, "monomial" for the raw module action that
-    monomial_action builds (basis_norms is None), "tensor" for the pairing
-    of factor bases made by tensor_rep.  A float rep holds c and h as
-    floats, whatever it is given.  norm_memo is the float block norms of
-    the point's _Module, which truncated_rep shares with every float rep
-    it builds there (see block_norm); it takes no part in equality, and
-    it holds every float block of the point that has been built, so a
-    rep that outlives the point's memo keeps those blocks alive.
+    monomial_action builds, which has no inner product, "tensor" for the
+    pairing of factor bases made by tensor_rep.  A float rep holds c and
+    h as floats, whatever it is given.  norm_memo is the float block
+    norms of the point's _Module, which truncated_rep shares with every
+    float rep it builds there (see block_norm); it takes no part in
+    equality, and it holds every float block of the point that has been
+    built, so a rep that outlives the point's memo keeps those blocks
+    alive.
     """
 
     c: Scalar
@@ -517,13 +518,15 @@ class TruncatedRep:
     def block(self, n: int, k: int) -> Optional[np.ndarray]:
         return self.blocks.get((n, k))
 
-    def norms(self, k: int):
-        if self.basis_norms is None:
+    def norms(self, k: int) -> Optional[tuple]:
+        """Level k's basis norms squared; None in float mode, whose bases
+        are orthonormal."""
+        if self.basis == "monomial":
             raise ValueError("monomial-basis action carries no inner product data")
-        return self.basis_norms[k]
+        return None if self.basis_norms is None else self.basis_norms[k]
 
     def orthonormal_block(self, n: int, k: int) -> Optional[np.ndarray]:
-        if self.basis_norms is None:
+        if self.basis == "monomial":
             raise ValueError("monomial-basis action has no orthonormal structure")
         blk = self.block(n, k)
         if blk is None:
@@ -584,16 +587,16 @@ def truncated_rep(c, h, N: int, mode: str = "exact") -> TruncatedRep:
         raise FloatRangeError(f"float mode overflows float64 at this (c, h), N={N} "
                               f"({exc}); exact mode has no such limit") from exc
     return TruncatedRep(c=cv, h=hv, N=N, mode=mode,
-                        level_dims=tuple(len(norms) for norms, _, _ in levels),
+                        level_dims=tuple(basis.shape[0] for _, basis, _ in levels),
                         blocks={(n, k): module.block(n, k, mode) for n, k in block_keys(N)},
-                        basis_norms=tuple(norms for norms, _, _ in levels),
+                        basis_norms=None if mode == "float" else tuple(d for d, _, _ in levels),
                         norm_memo=module.norms if mode == "float" else None)
 
 
 def monomial_action(c, h, N: int, mode: str = "exact") -> TruncatedRep:
     """The raw module action on the full monomial basis, cut at level N: for
     algebra checks outside the unitary range, where truncated_rep refuses.
-    It carries no inner product (basis_norms is None)."""
+    It carries no inner product."""
     if N < 2:
         raise ValueError("truncation level N must be at least 2")
     return TruncatedRep(c=as_fraction(c), h=as_fraction(h), N=N, mode=mode,
@@ -606,62 +609,46 @@ def monomial_action(c, h, N: int, mode: str = "exact") -> TruncatedRep:
 # ---------------------------------------------------------------------------
 # algebra checks
 
-def _in_window(rep: TruncatedRep, m: int, n: int, k: int) -> bool:
-    """Whether levels k, k - n, k - m and k - m - n all lie in [0, N]."""
-    return all(0 <= level <= rep.N for level in (k, k - n, k - m, k - m - n))
-
-
-def relation_residual(rep: TruncatedRep, m: int, n: int, k: int) -> Optional[np.ndarray]:
-    """Matrix of [L_m, L_n] - (m-n) L_{m+n} - central on level k, or None.
-
-    None unless both orders stay inside the truncation: levels k, k - n,
-    k - m and k - m - n all lie in [0, N].  The central term is taken
-    from the label rep.c, not read off the blocks, so blocks built at
-    another central charge leave a residual (the CLI's injected fault
-    builds at 12c/13 and labels the result c).
-    """
-    if not _in_window(rep, m, n, k):
-        return None
-    a = np.dot(rep.block(m, k - n), rep.block(n, k))
-    b = np.dot(rep.block(n, k - m), rep.block(m, k))
-    res = a - b
-    if m != n:
-        res = res - (m - n) * rep.block(m + n, k)
-    if m + n == 0:
-        central = rep.c * (m ** 3 - m) / 12
-        if central != 0:
-            res = res - central * eye(rep.dim(k), rep.mode)
-    return res
-
-
 def _sweep_cells(rep: TruncatedRep, max_mode: int) -> list[tuple[int, int, int]]:
-    """The (m, n, k) with m < n, |m|,|n| <= max_mode, inside the window
-    and with a nonempty residual, in report order."""
+    """The (m, n, k) with m < n, |m|,|n| <= max_mode and a nonempty
+    residual whose both orders stay inside the truncation (levels k,
+    k - n, k - m and k - m - n all lie in [0, N]), in report order."""
     return [(m, n, k) for m in range(-max_mode, max_mode + 1)
             for n in range(m + 1, max_mode + 1) for k in range(rep.N + 1)
-            if _in_window(rep, m, n, k) and rep.dim(k) and rep.dim(k - m - n)]
+            if all(0 <= level <= rep.N for level in (k - n, k - m, k - m - n))
+            and rep.dim(k) and rep.dim(k - m - n)]
 
 
-def _exact_relation_residuals(rep: TruncatedRep, cells: list) -> list[Residual]:
-    """The Residual of each cell of an exact rep, over the integers.
+def _relation_residuals(rep: TruncatedRep, cells: list) -> list[Residual]:
+    """The Residual of [L_m, L_n] - (m-n) L_{m+n} - central on level k, for
+    each cell (m, n, k) of _sweep_cells.
 
-    A cell's residual is formed as an IntegerForm from the same terms as
-    relation_residual, with no Fraction per entry.  Each block is
-    integerized at most twice, on first use: by rows as a product's left
-    factor or the L_{m+n} term, by columns as a right factor.  The forms
-    live until the sweep returns.
+    The central term is taken from the label rep.c, not read off the
+    blocks, so blocks built at another central charge leave a residual
+    (the CLI's injected fault builds at 12c/13 and labels the result c).
+    The mode supplies the factors and the reduction.  A float rep's
+    blocks multiply through np.dot and reduce with Residual.of.  An exact
+    rep's residual is an IntegerForm, with no Fraction per entry, reduced
+    by IntegerForm.residual: each block is integerized at most twice, on
+    first use, by rows as a product's left factor or the L_{m+n} term, by
+    columns as a right factor, and the forms live until the sweep returns.
     """
-    rows = cache(lambda key: IntegerForm.by_rows(rep.blocks[key]))
-    cols = cache(lambda key: IntegerForm.by_cols(rep.blocks[key]))
+    if rep.mode == "exact":
+        rows = cache(lambda key: IntegerForm.by_rows(rep.blocks[key]))
+        cols = cache(lambda key: IntegerForm.by_cols(rep.blocks[key]))
+        dot, identity, reduce = IntegerForm.__matmul__, IntegerForm.identity, IntegerForm.residual
+    else:
+        rows = cols = rep.blocks.__getitem__
+        dot, identity, reduce = np.dot, np.eye, Residual.of
     out = []
     for m, n, k in cells:
-        res = (rows((m, k - n)) @ cols((n, k)) - rows((n, k - m)) @ cols((m, k))
+        res = (dot(rows((m, k - n)), cols((n, k))) - dot(rows((n, k - m)), cols((m, k)))
                - rows((m + n, k)) * (m - n))
         if m + n == 0:
             central = rep.c * (m ** 3 - m) / 12
             if central != 0:
-                res = res - IntegerForm.identity(rep.dim(k), central)
-        out.append(res.residual())
+                res = res - identity(rep.dim(k)) * central
+        out.append(reduce(res))
     return out
 
 
@@ -676,25 +663,17 @@ def relation_residual_summary(rep: TruncatedRep, max_mode: int = 3) -> dict:
     minus itself, and its central term vanishes.  So the unordered pairs
     give the max_abs and exact_zero of the full sweep over all (m, n).
 
-    A float rep reduces relation_residual with Residual.of.  An exact rep
-    reduces the same residual over the integers (_exact_relation_residuals):
-    exact_zero is read from integer numerators, and a cell's max_abs comes
-    from floats of its nonzero entries only, each the correctly rounded
-    exact quotient, so every cell reports Residual.of's bits.
+    Each cell is reduced by _relation_residuals: in exact mode exact_zero
+    is read from integer numerators, and a cell's max_abs comes from
+    floats of its nonzero entries only, each the correctly rounded exact
+    quotient, so every cell reports Residual.of's bits.
 
-    Returns {"max_abs": float, "exact_zero": bool, "cells": [...]}.
+    Returns {"max_abs": float, "exact_zero": bool}.
     """
-    cells = _sweep_cells(rep, max_mode)
-    if rep.mode == "exact":
-        residuals = _exact_relation_residuals(rep, cells)
-    else:
-        residuals = [Residual.of(relation_residual(rep, *cell)) for cell in cells]
     total = Residual()
-    for residual in residuals:
+    for residual in _relation_residuals(rep, _sweep_cells(rep, max_mode)):
         total |= residual
-    return {"max_abs": total.max_abs, "exact_zero": rep.mode == "exact" and total.zero,
-            "cells": [{"m": m, "n": n, "k": k, "max_abs": residual.max_abs}
-                      for (m, n, k), residual in zip(cells, residuals)]}
+    return {"max_abs": total.max_abs, "exact_zero": rep.mode == "exact" and total.zero}
 
 
 def residual_verdict(mode: str, exact_zero: Optional[bool], max_abs: float,
@@ -764,14 +743,15 @@ def tensor_rep(a: TruncatedRep, b: TruncatedRep, N: int) -> TruncatedRep:
     """Graded tensor product with L_n = L_n (x) 1 + 1 (x) L_n, cut at total level N.
 
     Basis at level K: pairs (level ka block of a) x (level K - ka of b),
-    ka ascending; norms squared multiply, and the result is labelled
-    basis="tensor".  Central charge adds.
+    ka ascending; in exact mode norms squared multiply (float bases stay
+    orthonormal), and the result is labelled basis="tensor".  Central
+    charge adds.
     """
     if a.mode != b.mode:
         raise ValueError("tensor factors must share the arithmetic mode")
     if N > a.N or N > b.N:
         raise ValueError("factors must be truncated at least at N")
-    if a.basis_norms is None or b.basis_norms is None:
+    if "monomial" in (a.basis, b.basis):
         raise ValueError("tensor factors need inner-product data (quotient basis)")
     mode = a.mode
     dims = []
@@ -811,14 +791,11 @@ def tensor_rep(a: TruncatedRep, b: TruncatedRep, N: int) -> TruncatedRep:
                 sub = np.kron(eye(da, mode), blk)
                 out[dst:dst + da * b.dim(kb - n), src:src + da * db] += sub
         blocks[(n, K)] = out
-    norms = []
-    for K in range(N + 1):
-        row = []
-        for ka in range(K + 1):
-            for i in range(a.dim(ka)):
-                for j in range(b.dim(K - ka)):
-                    row.append(a.norms(ka)[i] * b.norms(K - ka)[j])
-        norms.append(tuple(row) if mode == "exact" else np.asarray(row, dtype=float))
+    norms = None
+    if mode == "exact":
+        norms = tuple(tuple(x * y for ka in range(K + 1)
+                            for x in a.norms(ka) for y in b.norms(K - ka))
+                      for K in range(N + 1))
     return TruncatedRep(
         c=a.c + b.c,
         h=a.h + b.h,
@@ -826,6 +803,6 @@ def tensor_rep(a: TruncatedRep, b: TruncatedRep, N: int) -> TruncatedRep:
         mode=mode,
         level_dims=tuple(dims),
         blocks=blocks,
-        basis_norms=tuple(norms),
+        basis_norms=norms,
         basis="tensor",
     )

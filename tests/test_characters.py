@@ -9,6 +9,13 @@ The character of the irreducible module (r, s) of M(p, p') (Rocha-Caridi
 
 so the dimension of level N is the coefficient of q^N.  The partition
 numbers are counted here, not taken from verma.
+
+Beyond the minimal models (Feigin and Fuchs, LNM 1060, 1984): the Verma
+module is reducible only where the Kac determinant vanishes, at some
+h = h_{r,s}(c).  For c > 1 and h > 0 every h_{r,s}(c) is negative or
+non-real, and at c = 1 they are the (r - s)^2/4; off them level k has
+p(k) states.  At c = 1 and h = m^2/4 the character is
+(q^{m^2/4} - q^{(m+2)^2/4})/eta, so level k has p(k) - p(k - m - 1).
 """
 
 from fractions import Fraction
@@ -81,3 +88,20 @@ def test_the_character_of_the_ising_vacuum():
                          ids=[f"M({p},{p + 1})-h={h}" for p, _, h, _, _ in POINTS])
 def test_builder_dims_match_the_character(p, c, h, r, s, mode, N):
     assert truncated_rep(c, h, N, mode).level_dims == character_dims(p, r, s, N)
+
+
+# c >= 1 at h off the Kac table: the irreducible Verma module
+GENERIC_POINTS = [(Fraction(c), Fraction(h)) for c in ("1", "3/2", "2", "4", "10", "26")
+                  for h in ("1/2", "5")]
+
+
+@pytest.mark.parametrize("c, h", GENERIC_POINTS, ids=[f"c={c},h={h}" for c, h in GENERIC_POINTS])
+def test_exact_dims_off_the_kac_table_are_the_partition_numbers(c, h):
+    assert truncated_rep(c, h, 10).level_dims == tuple(_partition_numbers(10))
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_exact_dims_at_c_one_and_h_m_squared_over_four(m):
+    parts = _partition_numbers(10)
+    dims = tuple(parts[k] - (parts[k - m - 1] if k > m else 0) for k in range(11))
+    assert truncated_rep(Fraction(1), Fraction(m * m, 4), 10).level_dims == dims

@@ -478,6 +478,36 @@ def test_float_smear_refuses_a_rescaled_level(tmp_path, capsys):
     assert result["rep_source"] == "cache" and result["ok"] is False
 
 
+def _norms_four_cache(cache):
+    """The float rescaled cache with its level-5 norms row set to 4.0, so
+    that the halved basis reads as orthogonal with norms squared 4 and
+    the adjointness weighted by those norms holds; the digest is
+    recomputed, so only the orthonormality of a float basis is wrong.
+    Returns the flags of its point."""
+    point = _rescaled_cache(cache, "float")
+    c, h, N = RESCALED["float"]
+    path = store.rep_cache_path(cache, c, h, N, "float")
+    lines = path.read_text().splitlines(keepends=True)[:-1]
+    row = 1 + lines.index("matrix norms:5 1 2\n")
+    lines[row] = "0x1.0000000000000p+2 0x1.0000000000000p+2\n"
+    body = "".join(lines)
+    path.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
+    return point
+
+
+@pytest.mark.parametrize("argv", [("bounds",), ("rep",), ("smear", "--field", "mode:2")],
+                         ids=["bounds", "rep", "smear"])
+def test_a_float_cache_with_norms_other_than_one_exits_one(tmp_path, capsys, argv):
+    point = _norms_four_cache(tmp_path / "cache")
+    if argv[0] == "bounds":  # bounds builds in float mode and takes no --mode
+        point = point[:point.index("--mode")] + point[point.index("--mode") + 2:]
+    capsys.readouterr()
+    assert run(*argv, *point, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "norms at level 5" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exact_smear_refuses_a_rescaled_level(tmp_path, capsys):
     point = _rescaled_cache(tmp_path / "cache", "exact")
     assert run("smear", "--field", "mode:2", *point, "--out", tmp_path) == 1

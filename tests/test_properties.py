@@ -95,7 +95,7 @@ def test_fm_sup_dominates_every_sample(k, m):
 @given(real_fields())
 def test_real_fields_smear_to_hermitian_operators(ising8, f):
     report = hermiticity_residual(smear(ising8, f))
-    assert report.exact_zero is True
+    assert report.zero is True
 
 
 @settings(max_examples=15, deadline=None)

@@ -84,6 +84,11 @@ def test_monomial_basis_carries_relations_without_inner_product():
         rep.norms(0)
 
 
+def test_a_float_rep_is_orthonormal_and_carries_no_norms(ising8, ising8_float):
+    assert ising8_float.basis_norms is None and ising8_float.norms(3) is None
+    assert ising8.norms(3) == ising8.basis_norms[3] and len(ising8.norms(3)) == 1
+
+
 def test_exact_relations_are_identically_zero(ising8):
     summary = relation_residual_summary(ising8, max_mode=3)
     assert summary["exact_zero"] and summary["max_abs"] == 0.0
@@ -102,18 +107,33 @@ def test_a_nan_entry_fails_the_relation_budget():
     summary = relation_residual_summary(replace(rep, blocks=blocks), max_mode=3)
     assert np.isnan(summary["max_abs"])
     assert not summary["max_abs"] <= verma.FLOAT_RESIDUAL_TOL
-    assert any(np.isnan(cell["max_abs"]) for cell in summary["cells"])
+
+
+def _in_window(rep, m, n, k):
+    """Whether levels k, k - n, k - m and k - m - n all lie in [0, N]."""
+    return all(0 <= level <= rep.N for level in (k, k - n, k - m, k - m - n))
+
+
+def _cell_residual(rep, m, n, k):
+    """[L_m, L_n] - (m-n) L_{m+n} - central on level k, by np.dot on the
+    rep's blocks, in the rep's arithmetic (Fraction or float64 entries),
+    with the central term read from the label rep.c."""
+    res = (np.dot(rep.block(m, k - n), rep.block(n, k))
+           - np.dot(rep.block(n, k - m), rep.block(m, k)))
+    if m != n:
+        res = res - (m - n) * rep.block(m + n, k)
+    if m + n == 0:
+        res = res - eye(rep.dim(k), rep.mode) * (rep.c * (m ** 3 - m) / 12)
+    return res
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_relation_window_is_every_level_inside_the_truncation(mode):
     N = 5
     rep = verma.truncated_rep(Fraction(1, 2), 0, N, mode)
-    for m in range(-N, N + 1):
-        for n in range(-N, N + 1):
-            for k in range(N + 1):
-                outside = not all(0 <= level <= N for level in (k - n, k - m, k - m - n))
-                assert (verma.relation_residual(rep, m, n, k) is None) == outside, (m, n, k)
+    assert verma._sweep_cells(rep, N) == [
+        (m, n, k) for m in range(-N, N + 1) for n in range(m + 1, N + 1)
+        for k in range(N + 1) if _in_window(rep, m, n, k) and rep.dim(k) and rep.dim(k - m - n)]
 
 
 def _all_ordered_pairs(rep, max_mode=3):
@@ -123,8 +143,10 @@ def _all_ordered_pairs(rep, max_mode=3):
     for m in range(-max_mode, max_mode + 1):
         for n in range(-max_mode, max_mode + 1):
             for k in range(rep.N + 1):
-                res = verma.relation_residual(rep, m, n, k)
-                if res is None or res.size == 0:
+                if not _in_window(rep, m, n, k):
+                    continue
+                res = _cell_residual(rep, m, n, k)
+                if res.size == 0:
                     continue
                 cells.add((m, n, k))
                 nonzero = nonzero or bool((res != 0).any())
@@ -148,7 +170,7 @@ def test_relation_summary_sweeps_the_unordered_pairs(build, c, h, N, mode, label
     summary = relation_residual_summary(rep, max_mode=3)
     assert summary["max_abs"] == worst
     assert summary["exact_zero"] == (mode == "exact" and not nonzero)
-    swept = {(cell["m"], cell["n"], cell["k"]) for cell in summary["cells"]}
+    swept = set(verma._sweep_cells(rep, 3))
     assert swept == {(m, n, k) for m, n, k in cells if m < n}
     assert cells == swept | {(n, m, k) for m, n, k in swept} | {
         (m, n, k) for m, n, k in cells if m == n}
@@ -164,16 +186,9 @@ def _fraction_route_summary(rep, max_mode=3):
     for m in range(-max_mode, max_mode + 1):
         for n in range(m + 1, max_mode + 1):
             for k in range(rep.N + 1):
-                if not all(0 <= level <= rep.N for level in (k - n, k - m, k - m - n)):
+                if not _in_window(rep, m, n, k) or not rep.dim(k) or not rep.dim(k - m - n):
                     continue
-                if not rep.dim(k) or not rep.dim(k - m - n):
-                    continue
-                res = (np.dot(rep.block(m, k - n), rep.block(n, k))
-                       - np.dot(rep.block(n, k - m), rep.block(m, k))
-                       - (m - n) * rep.block(m + n, k))
-                if m + n == 0:
-                    res = res - eye(rep.dim(k), "exact") * (rep.c * (m ** 3 - m) / 12)
-                cell = Residual.of(res)
+                cell = Residual.of(_cell_residual(rep, m, n, k))
                 total |= cell
                 cells.append({"m": m, "n": n, "k": k, "max_abs": cell.max_abs})
     return {"max_abs": total.max_abs, "exact_zero": total.zero, "cells": cells}
@@ -209,18 +224,20 @@ def test_integer_relation_summary_equals_the_fraction_route(make, zero):
     got, want = relation_residual_summary(rep, max_mode=3), _fraction_route_summary(rep)
     assert got["exact_zero"] is want["exact_zero"] is zero
     assert got["max_abs"].hex() == want["max_abs"].hex()
-    assert [(c["m"], c["n"], c["k"]) for c in got["cells"]] == \
-        [(c["m"], c["n"], c["k"]) for c in want["cells"]]
-    assert [c["max_abs"].hex() for c in got["cells"]] == \
+    # cell by cell, through the sweep's own cells and reduction
+    cells = verma._sweep_cells(rep, 3)
+    assert cells == [(c["m"], c["n"], c["k"]) for c in want["cells"]]
+    assert [cell.max_abs.hex() for cell in verma._relation_residuals(rep, cells)] == \
         [c["max_abs"].hex() for c in want["cells"]]
 
 
 def test_the_integer_sweep_catches_the_fault_where_the_label_enters():
     # (2, 1, 6) under the fault: only cells with m + n = 0 and a nonzero
     # central term (m = -n, |n| >= 2) read the label
-    summary = relation_residual_summary(
-        _relabelled(Fraction(24, 13), Fraction(1), 6, Fraction(2)), max_mode=3)
-    bad = {(c["m"], c["n"]) for c in summary["cells"] if c["max_abs"] > 0}
+    rep = _relabelled(Fraction(24, 13), Fraction(1), 6, Fraction(2))
+    cells = verma._sweep_cells(rep, 3)
+    bad = {(m, n) for (m, n, _), cell in zip(cells, verma._relation_residuals(rep, cells))
+           if cell.max_abs > 0}
     assert bad == {(-2, 2), (-3, 3)}
 
 

@@ -269,7 +269,7 @@ def _form_case(draw):
 def test_integer_form_is_the_fraction_expression(case):
     a, b, c, s, t = case
     form = (IntegerForm.by_rows(a) @ IntegerForm.by_cols(b)
-            - IntegerForm.by_rows(c) * s - IntegerForm.identity(len(c), t))
+            - IntegerForm.by_rows(c) * s - IntegerForm.identity(len(c)) * t)
     want = np.dot(a, b) - c * s - eye(len(c), "exact") * t
     got = form.fractions()
     assert got.shape == want.shape
@@ -531,11 +531,9 @@ def test_adjoint_residual_is_the_numpy_expression_in_float(p, q, data):
         max_magnitude=1e6, allow_nan=False)))
     b = data.draw(arrays(np.complex128, (q, p), elements=st.complex_numbers(
         max_magnitude=1e6, allow_nan=False)))
-    left = data.draw(arrays(np.float64, (p,), elements=st.floats(0.5, 2.0)))
-    right = data.draw(arrays(np.float64, (q,), elements=st.floats(0.5, 2.0)))
     a_scale, b_scale = (data.draw(st.complex_numbers(max_magnitude=1e3, allow_nan=False))
                         for _ in range(2))
-    want = Residual.of((a * a_scale) * left[:, None]
-                       - np.conj(b * b_scale).T * right[None, :])
-    got = adjoint_residual(a, b, left, right, a_scale, b_scale)
+    # float bases are orthonormal: no weights are read
+    want = Residual.of(a * a_scale - np.conj(b * b_scale).T)
+    got = adjoint_residual(a, b, None, None, a_scale, b_scale)
     assert got.zero == want.zero and got.max_abs.hex() == want.max_abs.hex()
