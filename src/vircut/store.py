@@ -4,14 +4,14 @@ Only quotient-basis reps, the ones truncated_rep builds by default, are
 cached: the raw monomial action and tensor products are refused.  The
 format is plain text so a cached matrix can be read (and diffed) by
 eye: a magic line carrying the schema version, a small key/value header
-identifying the object, one section per stored matrix (the basis norms
-"norms:k" of each level and the blocks "block:n,k"), and a trailing
-sha256 digest over everything above it.  A float rep's bases are
-orthonormal, so its norms rows read 1.0 throughout: they are written so,
-and a float file with any other norm raises CacheError.  Sections of
-other names are verified by the digest, framed by their header and
-skipped unparsed, so files that also carry the per-level basis rows
-("transform:k", written by earlier versions) still load.
+identifying the object, one section per stored matrix (the blocks
+"block:n,k", and in exact mode the basis norms "norms:k" of each level),
+and a trailing sha256 digest over everything above it.  A float rep's
+bases are orthonormal, so it has no norms to store.  Sections a mode
+does not read are verified by the digest, framed by their header and
+skipped unparsed, so files written by earlier versions, which also carry
+the per-level basis rows "transform:k" or float norms rows of 1.0, still
+load to the same blocks.
 Exact-mode entries are written as p/q strings (q > 1) or integers p and
 parse back to the identical Fraction: p and q are read with int() once
 the entry matches -?[0-9]+(/[0-9]+)? with q > 0, and each distinct entry
@@ -186,13 +186,14 @@ def _read_file(path: Path) -> Optional[tuple[dict, list[str]]]:
 
 def _sections(lines: list[str], mode: str) -> dict:
     out, seen = {}, {}
+    read = ("norms:", "block:") if mode == "exact" else ("block:",)
     i = 0
     while i < len(lines):
         tag, rows, cols = _parse_header(lines[i])
         if tag in out:
             raise CacheError(f"duplicate matrix section {tag!r}")
-        # a section of another name is framed by its header and skipped unparsed
-        if tag.startswith(("norms:", "block:")):
+        # a section the mode does not read is framed by its header and skipped unparsed
+        if tag.startswith(read):
             out[tag] = _parse_matrix(tag, rows, cols, lines[i + 1 : i + 1 + rows], mode, seen)
         i += 1 + rows
     return out
@@ -239,8 +240,7 @@ def save_rep(root, rep: TruncatedRep, c=None, h=None) -> Path:
         "order revlex",
         "dims " + " ".join(str(d) for d in rep.level_dims),
     ]
-    for k in range(rep.N + 1):
-        norms = rep.basis_norms[k] if rep.mode == "exact" else np.ones(rep.dim(k))
+    for k, norms in enumerate(rep.basis_norms or ()):  # None in float mode
         lines += _matrix_lines(f"norms:{k}", np.asarray(norms, dtype=object).reshape(1, -1),
                                rep.mode)
     for (n, k) in sorted(rep.blocks):
@@ -272,16 +272,13 @@ def load_rep(root, c, h, N: int, mode: str = "exact") -> Optional[TruncatedRep]:
     sections = _sections(body, mode)
 
     norms = []
-    for k in range(N + 1):
+    for k in range(N + 1 if mode == "exact" else 0):
         row = sections.get(f"norms:{k}")
         if row is None:
             raise CacheError(f"{path}: missing norms for level {k}")
         flat = row.reshape(-1)
         if flat.shape[0] != dims[k]:
             raise CacheError(f"{path}: norms at level {k} have wrong length")
-        if mode == "float" and (flat != 1.0).any():
-            raise CacheError(f"{path}: norms at level {k} are not all 1.0, and a float "
-                             "basis is orthonormal")
         norms.append(tuple(flat))
 
     keys = {f"block:{n},{k}": (n, k) for n, k in block_keys(N)}

@@ -331,23 +331,22 @@ class _Module:
         matrix with G_ii = 0 has row i zero) and are dropped; the float Gram
         keeps zeros exact, so no threshold is needed there, and a relative one
         would drop genuine states once the diagonal spans many orders of
-        magnitude.  Rank decisions come from a float64 eigendecomposition of
-        the diagonally scaled Gram.  The basis itself is then lifted to extended
-        precision and re-orthonormalized with one Newton-Schulz step: near
-        the unitarity boundary the smallest scaled eigenvalue can reach 1e-6
-        and the 1/sqrt(w) scaling would otherwise leave relation residuals
-        around 1e-10, two orders above what downstream checks budget for.
+        magnitude.  The rest are scaled by 1/sqrt|G_ii|, so a negative
+        diagonal becomes a -1 on the scaled diagonal and an eigenvalue at or
+        below -1, which the one indefiniteness check refuses.  Rank decisions
+        come from a float64 eigendecomposition of the diagonally scaled Gram.
+        The basis itself is then lifted to extended precision and
+        re-orthonormalized with one Newton-Schulz step: near the unitarity
+        boundary the smallest scaled eigenvalue can reach 1e-6 and the
+        1/sqrt(w) scaling would otherwise leave relation residuals around
+        1e-10, two orders above what downstream checks budget for.
         """
         g = self.gram(k, "float")
         p = g.shape[0]
-        diag = np.diag(g).copy()
-        maxd = max(diag.max(initial=0.0), 0.0)
-        if (diag < -_FLOAT_TOL * max(maxd, 1.0)).any():
-            raise NonUnitaryError(f"negative squared norm at level {k} "
-                                  f"for c={self.c}, h={self.h}")
-        keep0 = diag > 0
+        diag = np.diag(g)
+        keep0 = diag != 0
         gs = g[np.ix_(keep0, keep0)]
-        s = 1.0 / np.sqrt(diag[keep0])
+        s = 1.0 / np.sqrt(abs(diag[keep0]))
         gs = gs * s[:, None] * s[None, :]
         if gs.shape[0]:
             w, u = np.linalg.eigh(gs)

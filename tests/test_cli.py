@@ -403,6 +403,17 @@ def test_smear_exact_field_on_exact_rep(tmp_path):
     assert report["result"]["hermiticity"]["exact_zero"] is True
 
 
+def test_exact_smear_reads_the_cache_rep_wrote(tmp_path):
+    point = ("--c", "7/10", "--h", "3/5", "--N", "9", "--cache", tmp_path / "cache")
+    assert run("rep", *point, "--out", tmp_path / "rep") == 0
+    real = tmp_path / "real.csv"
+    real.write_text("n,re,im\n0,1/3,0\n2,1/2,-1/5\n-2,1/2,1/5\n")
+    for name, field in (("mode-2", "mode:2"), ("real", real)):
+        assert run("smear", "--field", field, *point, "--out", tmp_path / name) == 0
+        result = read_report(tmp_path / name, "smear_report.json")["result"]
+        assert result["rep_source"] == "cache" and result["ok"] is True
+
+
 def test_smear_piecewise_needs_float_rep(tmp_path, capsys):
     assert run("smear", "--c", "1/2", "--N", "4", "--out", tmp_path) == 2
     assert "exact representation needs an exact field" in capsys.readouterr().err
@@ -448,28 +459,53 @@ def test_smear_non_real_field_skips_hermiticity(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the rep gate on a rescaled level
+# the rep gate on a mutated cache
 
-# (c, h, N) and mode of each rescaled cache
-RESCALED = {"float": ("1/2", "0", 8), "exact": ("7/10", "3/5", 9)}
+# (c, h, N) of each mode's mutated cache
+MUTATED = {"float": ("1/2", "0", 8), "exact": ("7/10", "3/5", 9)}
 
 
-def _rescaled_cache(cache, mode):
-    """A digest-valid cache of RESCALED[mode] with the level-5 basis halved:
-    blocks out of level 5 times 2, into it divided by 2, exact in both
-    arithmetics.  A similarity keeps every bracket relation and breaks
-    only the adjointness L_-n = L_n^*.  Returns the flags of its point."""
-    c, h, N = RESCALED[mode]
+def _rescaled(rep):
+    """rep with the level-5 basis halved: blocks out of level 5 times 2,
+    into it divided by 2, exact in both arithmetics.  A similarity keeps
+    every bracket relation and breaks only the adjointness L_-n = L_n^*."""
+    return dataclasses.replace(rep, blocks={
+        (n, k): blk * (2 if k == 5 else 1) / (2 if k - n == 5 else 1)
+        for (n, k), blk in rep.blocks.items()})
+
+
+def _dropped(rep):
+    """rep with the last state of level 8 dropped from every block (and
+    from the exact norms).  The compressed rep stays hermitian with
+    L_0 = h + k; only the bracket relations break."""
+    def cut(k):
+        return slice(None, -1 if k == 8 else None)
+    return dataclasses.replace(
+        rep, level_dims=tuple(d - (k == 8) for k, d in enumerate(rep.level_dims)),
+        blocks={(n, k): blk[cut(k - n), cut(k)] for (n, k), blk in rep.blocks.items()},
+        basis_norms=rep.basis_norms and tuple(d[cut(k)] for k, d in enumerate(rep.basis_norms)))
+
+
+def _mutated_cache(cache, mode, mutate):
+    """A digest-valid cache of mutate(rep) at MUTATED[mode]; returns the
+    flags of its point."""
+    c, h, N = MUTATED[mode]
     rep = verma.truncated_rep(Fraction(c), Fraction(h), N, mode=mode)
-    blocks = {(n, k): blk * (2 if k == 5 else 1) / (2 if k - n == 5 else 1)
-              for (n, k), blk in rep.blocks.items()}
-    store.save_rep(cache, dataclasses.replace(rep, blocks=blocks),
-                   c=Fraction(c), h=Fraction(h))
+    store.save_rep(cache, mutate(rep), c=Fraction(c), h=Fraction(h))
     return ("--c", c, "--h", h, "--N", N, "--mode", mode, "--cache", cache)
 
 
+def _argv(command, point):
+    """argv of command at point; bounds builds in float mode and takes no
+    --mode."""
+    if command[0] == "bounds":
+        i = point.index("--mode")
+        point = point[:i] + point[i + 2:]
+    return (*command, *point)
+
+
 def test_float_smear_refuses_a_rescaled_level(tmp_path, capsys):
-    point = _rescaled_cache(tmp_path / "cache", "float")
+    point = _mutated_cache(tmp_path / "cache", "float", _rescaled)
     # mode:-3 is not real, so no hermiticity check runs; only the gate sees it
     assert run("smear", "--field", "mode:-3", *point, "--out", tmp_path) == 1
     out = capsys.readouterr().out
@@ -478,47 +514,53 @@ def test_float_smear_refuses_a_rescaled_level(tmp_path, capsys):
     assert result["rep_source"] == "cache" and result["ok"] is False
 
 
-def _norms_four_cache(cache):
-    """The float rescaled cache with its level-5 norms row set to 4.0, so
-    that the halved basis reads as orthogonal with norms squared 4 and
-    the adjointness weighted by those norms holds; the digest is
-    recomputed, so only the orthonormality of a float basis is wrong.
-    Returns the flags of its point."""
-    point = _rescaled_cache(cache, "float")
-    c, h, N = RESCALED["float"]
+def _old_format_norms_four_cache(cache):
+    """The float rescaled cache in the format of earlier versions, which
+    wrote a "norms:k" row per level before the blocks, with level 5's row
+    at 4.0 and the digest restamped.  Read as norms squared, those rows
+    would make the halved basis orthogonal and the weighted adjointness
+    hold.  Returns the flags of its point."""
+    point = _mutated_cache(cache, "float", _rescaled)
+    c, h, N = MUTATED["float"]
     path = store.rep_cache_path(cache, c, h, N, "float")
     lines = path.read_text().splitlines(keepends=True)[:-1]
-    row = 1 + lines.index("matrix norms:5 1 2\n")
-    lines[row] = "0x1.0000000000000p+2 0x1.0000000000000p+2\n"
-    body = "".join(lines)
+    dims = next(ln for ln in lines if ln.startswith("dims ")).split()[1:]
+    first_block = next(i for i, ln in enumerate(lines) if ln.startswith("matrix block:"))
+    norms = []
+    for k, dim in enumerate(map(int, dims)):
+        entry = (4.0 if k == 5 else 1.0).hex()
+        norms += [f"matrix norms:{k} 1 {dim}\n", " ".join([entry] * dim) + "\n"]
+    body = "".join(lines[:first_block] + norms + lines[first_block:])
     path.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
+    assert "matrix norms:5 1 2\n0x1.0000000000000p+2 0x1.0000000000000p+2\n" in body
     return point
 
 
-@pytest.mark.parametrize("argv", [("bounds",), ("rep",), ("smear", "--field", "mode:2")],
+@pytest.mark.parametrize("command", [("bounds",), ("rep",), ("smear", "--field", "mode:2")],
                          ids=["bounds", "rep", "smear"])
-def test_a_float_cache_with_norms_other_than_one_exits_one(tmp_path, capsys, argv):
-    point = _norms_four_cache(tmp_path / "cache")
-    if argv[0] == "bounds":  # bounds builds in float mode and takes no --mode
-        point = point[:point.index("--mode")] + point[point.index("--mode") + 2:]
+def test_a_float_cache_with_norms_other_than_one_exits_one(tmp_path, capsys, command):
+    # a float file's norms rows go unread, so the gate sees the rescaled blocks
+    point = _old_format_norms_four_cache(tmp_path / "cache")
     capsys.readouterr()
-    assert run(*argv, *point, "--out", tmp_path / "out") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "norms at level 5" in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    assert run(*_argv(command, point), "--out", tmp_path / "out") == 1
+    out = capsys.readouterr().out
+    assert out.endswith("\nadjointness L_-n = L_n^*: max abs 8.436e+00 (tolerance 1e-10)\nFAIL\n")
+    # bounds now writes its failing report
+    result = read_report(tmp_path / "out", f"{command[0]}_report.json")["result"]
+    assert result["relations_ok" if command[0] == "rep" else "ok"] is False
 
 
 def test_exact_smear_refuses_a_rescaled_level(tmp_path, capsys):
-    point = _rescaled_cache(tmp_path / "cache", "exact")
+    point = _mutated_cache(tmp_path / "cache", "exact", _rescaled)
     assert run("smear", "--field", "mode:2", *point, "--out", tmp_path) == 1
     out = capsys.readouterr().out
     assert "\nadjointness L_-n = L_n^*: nonzero, max " in out and out.endswith("\nFAIL\n")
     assert read_report(tmp_path, "smear_report.json")["result"]["ok"] is False
 
 
-@pytest.mark.parametrize("mode", sorted(RESCALED))
+@pytest.mark.parametrize("mode", sorted(MUTATED))
 def test_rep_refuses_a_rescaled_level(tmp_path, capsys, mode):
-    point = _rescaled_cache(tmp_path / "cache", mode)
+    point = _mutated_cache(tmp_path / "cache", mode, _rescaled)
     assert run("rep", *point, "--out", tmp_path) == 1
     out = capsys.readouterr().out
     # the relations hold; the adjointness line follows theirs
@@ -526,6 +568,20 @@ def test_rep_refuses_a_rescaled_level(tmp_path, capsys, mode):
     assert f"\nbracket relations |m|,|n|<=3: {relations}" in out
     assert "\nadjointness L_-n = L_n^*: " in out and out.endswith("\nFAIL\n")
     assert read_report(tmp_path, "rep_report.json")["result"]["relations_ok"] is False
+
+
+@pytest.mark.parametrize("mode, command, relations", [
+    ("exact", ("rep",), "nonzero rational, max 2.784e+01"),
+    ("float", ("rep",), "max abs 4.445e+01 (tolerance 1e-10)"),
+    ("float", ("smear", "--field", "mode:2"), "max abs 4.445e+01 (tolerance 1e-10)"),
+    ("float", ("bounds",), "max abs 4.445e+01 (tolerance 1e-10)"),
+], ids=["exact-rep", "float-rep", "float-smear", "float-bounds"])
+def test_a_dropped_state_fails_the_relation_sweep(tmp_path, capsys, mode, command, relations):
+    # exact smear does not run the relation sweep, so it passes this cache
+    point = _mutated_cache(tmp_path / "cache", mode, _dropped)
+    assert run(*_argv(command, point), "--out", tmp_path) == 1
+    out = capsys.readouterr().out
+    assert f"\nbracket relations |m|,|n|<=3: {relations}\nFAIL\n" in out
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,11 @@ rep onto the other states: the blocks stay adjoint pairs and L_0 stays
 the gates that run it fail.  The rep_verdict column is that gate (verma.rep_verdict: the
 relation sweep and the adjointness L_-n = L_n^*), which every command
 that trusts a rep reads; the bounds column is the exit status of
-`vircut bounds` run on the mutated rep.
+`vircut bounds` run on the mutated rep.  The store column saves the
+mutant under (1/2, 0) and loads it back: the store refuses the NaN block
+(the writer's hex text of nan is no entry the parser takes) and the
+relabelled c (its key no longer matches), and loads every other mutant
+to the same blocks, leaving it to the gate.
 """
 
 import math
@@ -30,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vircut import bounds, cli, fields, smear, verma
+from vircut import bounds, cli, fields, smear, store, verma
 
 HEAT_EPS = (1e-4, 1e-2, 0.5, 3.0, 20.0)
 HEAT_TOL = 1e-12  # the commutator-chain criterion's budget
@@ -49,7 +53,7 @@ DROPPED_LEVEL = 8
 FIELD = fields.FourierField(dict.fromkeys(range(-12, 13), 1), real=True)
 
 CHECKS = ("relations", "hermiticity", "heat identity", "r witness", "q witness",
-          "chain_ok", "rep_verdict", "bounds")
+          "chain_ok", "rep_verdict", "bounds", "store")
 
 # which check catches which mutation ("pass" means it does not)
 EXPECTED = {
@@ -57,28 +61,34 @@ EXPECTED = {
     "L_0 -> 1.5 L_0 + 0.01": {"relations": "fail", "hermiticity": "pass",
                               "heat identity": "pass", "r witness": "pass",
                               "q witness": "pass", "chain_ok": "pass",
-                              "rep_verdict": "fail", "bounds": "fail"},
+                              "rep_verdict": "fail", "bounds": "fail",
+                              "store": "pass"},
     "NaN in one block": dict.fromkeys(CHECKS, "fail"),
     "one block transposed": {"relations": "fail", "hermiticity": "fail",
                              "heat identity": "pass", "r witness": "pass",
                              "q witness": "pass", "chain_ok": "pass",
-                             "rep_verdict": "fail", "bounds": "fail"},
+                             "rep_verdict": "fail", "bounds": "fail",
+                             "store": "pass"},
     "c relabelled c + 1/2": {"relations": "fail", "hermiticity": "pass",
                              "heat identity": "pass", "r witness": "pass",
                              "q witness": "pass", "chain_ok": "pass",
-                             "rep_verdict": "fail", "bounds": "fail"},
+                             "rep_verdict": "fail", "bounds": "fail",
+                             "store": "fail"},
     "level 5 rescaled": {"relations": "pass", "hermiticity": "fail",
                          "heat identity": "pass", "r witness": "pass",
                          "q witness": "pass", "chain_ok": "pass",
-                         "rep_verdict": "fail", "bounds": "fail"},
+                         "rep_verdict": "fail", "bounds": "fail",
+                         "store": "pass"},
     "one block's states permuted": {"relations": "fail", "hermiticity": "fail",
                                     "heat identity": "pass", "r witness": "pass",
                                     "q witness": "pass", "chain_ok": "pass",
-                                    "rep_verdict": "fail", "bounds": "fail"},
+                                    "rep_verdict": "fail", "bounds": "fail",
+                                    "store": "pass"},
     "one state of level 8 dropped": {"relations": "fail", "hermiticity": "pass",
                                      "heat identity": "pass", "r witness": "pass",
                                      "q witness": "pass", "chain_ok": "pass",
-                                     "rep_verdict": "fail", "bounds": "fail"},
+                                     "rep_verdict": "fail", "bounds": "fail",
+                                     "store": "pass"},
 }
 
 
@@ -148,6 +158,21 @@ def _bounds_ok(rep, out):
         return cli.main(["bounds", "--c", "1/2", "--N", str(rep.N), "--out", str(out)]) == 0
 
 
+def _store_ok(rep, root):
+    """Whether rep saves under (1/2, 0) and loads back; a CacheError, at
+    save or at load, is the store noticing.  A load that changed a block
+    would be a store fault, so it fails the test."""
+    c, h = Fraction(1, 2), Fraction(0)
+    try:
+        store.save_rep(root, rep, c=c, h=h)
+        loaded = store.load_rep(root, c, h, rep.N, mode="float")
+    except store.CacheError:
+        return False
+    assert loaded.level_dims == rep.level_dims and set(loaded.blocks) == set(rep.blocks)
+    assert all(loaded.blocks[key].tobytes() == blk.tobytes() for key, blk in rep.blocks.items())
+    return True
+
+
 def _table_row(rep, out):
     row = {"relations": _outcome(lambda: verma.relation_verdict(rep)[1]),
            "hermiticity": _outcome(lambda: _hermiticity_ok(rep)),
@@ -162,7 +187,8 @@ def _table_row(rep, out):
                     "q witness": "pass" if q_report.witness["reproduced"] else "fail",
                     "chain_ok": "pass" if q_report.derived["chain_ok"] else "fail"})
     return {**row, "rep_verdict": _outcome(lambda: verma.rep_verdict(rep)[1]),
-            "bounds": _outcome(lambda: _bounds_ok(rep, out))}
+            "bounds": _outcome(lambda: _bounds_ok(rep, out)),
+            "store": _outcome(lambda: _store_ok(rep, out / "cache"))}
 
 
 def test_the_mutated_blocks_differ_from_the_originals(rep):

@@ -68,6 +68,13 @@ def test_non_unitary_weights_refused(c, h, level):
         truncated_rep(c, h, level + 1)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_negative_weight_is_refused_as_indefinite(mode):
+    # G_1 = 2h = -2; in float mode the scaled diagonal reads -1
+    with pytest.raises(NonUnitaryError, match="Gram matrix at level 1 is indefinite"):
+        truncated_rep(Fraction(1, 2), -1, 4, mode)
+
+
 def test_tricritical_half_fails_only_at_level_six():
     c, h = Fraction(7, 10), Fraction(1, 2)
     rep = truncated_rep(c, h, 5)  # positive semidefinite through level 5
@@ -345,6 +352,7 @@ def _bound_bits(rep) -> list:
 @pytest.mark.parametrize("c, h, levels, mode", [
     (Fraction(1, 2), 0, range(4, 13), "float"),
     (Fraction(7, 10), Fraction(3, 5), range(4, 10), "exact"),
+    (Fraction(7, 10), Fraction(3, 5), range(4, 9), "float"),
 ])
 def test_a_sweep_over_n_equals_fresh_builds(c, h, levels, mode):
     verma._module.cache_clear()

@@ -72,6 +72,23 @@ def test_float_rep_round_trip_is_bit_exact(tmp_path, ising8_float):
         assert np.array_equal(loaded.blocks[key], blk)
 
 
+def test_a_float_file_stores_no_norms_and_loads_old_norms_rows_unread(tmp_path, ising8_float):
+    # a float basis is orthonormal; earlier versions still wrote each
+    # level's norms as a "norms:k" row of 1.0 before the blocks
+    path = save_rep(tmp_path, ising8_float, c=C, h=H)
+    lines = path.read_text().splitlines()[:-1]
+    assert not any(ln.startswith("matrix norms:") for ln in lines)
+    first_block = next(i for i, ln in enumerate(lines) if ln.startswith("matrix block:"))
+    norms = []
+    for k, dim in enumerate(ising8_float.level_dims):
+        norms += [f"matrix norms:{k} 1 {dim}", " ".join([(1.0).hex()] * dim)]
+    _restamp(path, lines[:first_block] + norms + lines[first_block:])
+    loaded = load_rep(tmp_path, C, H, 8, mode="float")
+    assert loaded.basis_norms is None and list(loaded.blocks) == list(ising8_float.blocks)
+    for key, blk in ising8_float.blocks.items():
+        assert loaded.blocks[key].tobytes() == blk.tobytes()
+
+
 def test_a_float_rep_holds_float_labels(tmp_path, ising8_float):
     relabelled = replace(ising8_float, c=Fraction(2))
     assert type(relabelled.c) is float and relabelled.c == 2.0
