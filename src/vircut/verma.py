@@ -25,7 +25,14 @@ monomial basis (basis "monomial"), with no inner product.
 Arithmetic is dual mode.  The PBW structure constants (the coefficients
 of L_n on a monomial) are exact and held as integers: each is
 A + B c/12 + C h with ints A, B, C, and a monomial block is their int
-numerators over the one scale 12 den(c) den(h).  "exact" mode keeps every
+numerators over the one scale 12 den(c) den(h) (a raising block, n < 0,
+is the ints A themselves).  _Module._pbw straightens whole blocks: the
+columns of the words with head a come from lower blocks by one sparse
+product and one scaled block, in int64 when a bound on the sum of the
+absolute values of the terms, which bounds every partial sum, proves it
+below 2^62 (numpy's integer products wrap silently), else on Python ints.
+_Module.act, the same straightening word by word on dicts, is kept for
+the oracle gram_entry_direct only.  "exact" mode keeps every
 matrix built from them exact, with blocks in a basis that is orthogonal
 with known rational norms squared (the D-basis), and multiplies over the
 integers (rational.IntegerForm): the monomial blocks enter the Gram
@@ -33,17 +40,18 @@ recursion and block assembly as integer forms over that scale, the Gram
 recursion forms one Fraction per entry of a product, a block forms its
 Fractions once, from the product of three integer matrices, and the
 relation sweep forms none.  "float" mode rounds each structure constant
-once to float64, numerator over scale by int true division, and runs the
-same Gram recursion, quotient and block assembly in floating point, with
-blocks in an orthonormal basis and no Fraction per entry; a float rep holds
-c and h as floats.
+once to float64, numerator over scale (a float64 division when both are
+below 2^53 and so convert exactly, else int true division; either is
+correctly rounded), and runs the same Gram recursion, quotient and block
+assembly in floating point, with blocks in an orthonormal basis and no
+Fraction per entry; a float rep holds c and h as floats.
 
 One point at a time is kept, in _module: the _Module of the last (c, h)
-built holds its PBW action, its Gram levels, each level's quotient (norms,
-basis rows and extraction rows), each quotient block and each float
-block's operator norm (TruncatedRep.block_norm).  None of these depends
-on the cutoff N, so a build at N + 1 after one at N computes only level
-N + 1 and the blocks that touch it.  A build at another point drops the
+built holds its integer PBW blocks, its Gram levels, each level's
+quotient (norms, basis rows and extraction rows), each quotient block
+and each float block's operator norm (TruncatedRep.block_norm).  None of
+these depends on the cutoff N, so a build at N + 1 after one at N
+computes only level N + 1 and the blocks that touch it.  A build at another point drops the
 object, which frees all of them at once.
 """
 
@@ -123,6 +131,75 @@ def partition_count(k: int) -> int:
 # ---------------------------------------------------------------------------
 # the module at one (c, h): PBW straightening, Gram levels, quotient, blocks
 
+@lru_cache(maxsize=None)
+def _head_groups(k: int) -> tuple:
+    """The words of level k by head part a, in basis order: (a, cols, rests)
+    with cols the slice of the group's columns and rests the index of each
+    word's tail (the word less its head) in level k - a.  The empty word
+    of level 0 has head 0."""
+    out, start = [], 0
+    for a, group in groupby(_partition_tuples(k), key=lambda lam: lam[0] if lam else 0):
+        index = _partition_index(k - a)
+        rests = np.array([index[lam[1:]] for lam in group], dtype=np.intp)
+        out.append((a, slice(start, start + len(rests)), rests))
+        start += len(rests)
+    return tuple(out)
+
+
+# numpy's int64 matmul wraps silently on overflow, so an integer PBW block
+# is built in int64 only when the sum of the absolute values of its terms,
+# which bounds every partial sum, is below _INT64_BOUND; otherwise on
+# Python ints.  An integer below _EXACT_FLOAT converts to float64 exactly.
+_INT64_BOUND = 1 << 62
+_EXACT_FLOAT = 1 << 53
+
+
+def _int_dtype(bound: int):
+    return np.int64 if bound < _INT64_BOUND else object
+
+
+def _by_rows(block: np.ndarray) -> tuple:
+    """A raising block's nonzeros by rows, the left factor of _assemble's
+    products: (rows hit, where each row's run starts, columns, values as a
+    column, the largest row sum of |values|).  Raising blocks are sparse
+    (L_{-a} mostly prepends), so a product gathers and sums rows of the
+    right factor."""
+    rows, cols = np.nonzero(block)              # rows ascending
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    hit = rows[starts]
+    vals = block[rows, cols][:, None]
+    peak = int(np.add.reduceat(np.abs(vals), starts).max()) if vals.size else 0
+    return hit, starts, cols[:, None], vals, peak
+
+
+def _assemble(shape: tuple, groups: list) -> tuple:
+    """(block, peak) of the integer block whose columns cols of each group
+    (cols, rests, product, scaled, value) are x @ y[:, rests] for the
+    product (x, y), plus coef z[:, rests] for scaled = (coef, z), plus
+    value at rows rests; a missing term is None.  x is a _by_rows form, y
+    and z are _pbw triples, and peak is the largest |entry|.  A group runs
+    in int64 when its bound rowsum(x) peak(y) + |coef| peak(z) + |value|,
+    which bounds every partial sum, is below _INT64_BOUND, and the block
+    is int64 when every group is."""
+    bounds = [abs(value) + (product[0][4] * product[1][1] if product else 0)
+              + (abs(scaled[0]) * scaled[1][1] if scaled else 0)
+              for _, _, product, scaled, value in groups]
+    out = np.zeros(shape, _int_dtype(max(bounds, default=0)))
+    for (cols, rests, product, scaled, value), bound in zip(groups, bounds):
+        dtype = _int_dtype(bound)
+        if product:
+            (hit, starts, xcols, vals, _), y = product[0], product[1][0]
+            gathered = y[xcols, rests].astype(dtype, copy=False)
+            gathered *= vals.astype(dtype, copy=False)
+            out[hit, cols] += np.add.reduceat(gathered, starts)
+        if scaled and scaled[1][1]:     # else coef need not fit in int64
+            coef, z = scaled[0], scaled[1][0]
+            out[:, cols] += coef * z[:, rests].astype(dtype, copy=False)
+        if value:
+            out[rests, np.arange(cols.start, cols.stop)] += value
+    return out, int(np.abs(out).max(initial=0))
+
+
 def _entries(flat: tuple):
     """The (word, A, B, C) entries of a flat action tuple."""
     return zip(flat[::4], flat[1::4], flat[2::4], flat[3::4])
@@ -147,9 +224,10 @@ _ONE = Fraction(1)
 
 
 class _Module:
-    """The Verma module at one (c, h), with plain-dict memos of act, gram,
-    level, block and float block norm keyed without c or h; memoized
-    arrays are read-only.
+    """The Verma module at one (c, h), with plain-dict memos keyed without c
+    or h: integer PBW blocks (_pbw), Gram levels, level quotients, quotient
+    blocks, float block norms, and act's words, which only the oracle
+    gram_entry_direct fills; memoized arrays are read-only.
     Nothing in the memos refers back to the object, so dropping the last
     reference to it frees them at once, not at the next cyclic collection.
     """
@@ -160,7 +238,7 @@ class _Module:
         self.scale = 12 * c.denominator * h.denominator
         self._weights = (self.scale, c.numerator * h.denominator,
                          12 * c.denominator * h.numerator)
-        self._act, self._gram, self._levels, self._blocks = {}, {}, {}, {}
+        self._act, self._pbw_memo, self._gram, self._levels, self._blocks = {}, {}, {}, {}, {}
         # (n, k) -> (float block, its opnorm or None); see TruncatedRep.block_norm
         self.norms: dict = {}
 
@@ -225,40 +303,81 @@ class _Module:
         wa, wb, wc = self._weights
         return Fraction(a * wa + b * wb + c * wc, self.scale)
 
-    def _numerators(self, n: int, k: int) -> tuple[list, list, list]:
-        """Rows, columns and numerators over self.scale of the entries of
-        L_n from level k to level k - n, each set once (the words of one
-        action are distinct); an entry may be 0 at the point."""
-        dst_index = _partition_index(k - n)
-        wa, wb, wc = self._weights
-        rows, cols, nums = [], [], []
-        for j, word in enumerate(_partition_tuples(k)):
-            for w, a, b, c in _entries(self.act(n, word)):
-                rows.append(dst_index[w])
-                cols.append(j)
-                nums.append(a * wa + b * wb + c * wc)
-        return rows, cols, nums
+    def _pbw(self, n: int, k: int) -> tuple:
+        """(block, peak, rows) of L_n from level k to level k - n, memoized
+        read-only: the integer matrix, its largest |entry|, and for a
+        raising block (n < 0) its _by_rows form, else None.  A lowering
+        block (n >= 0) holds the numerators over self.scale, a raising block
+        its integer entries; int64, or Python ints in an object array where
+        _assemble's bound reaches _INT64_BOUND.
+
+        Straightening by whole blocks: the columns of the words (a, rest)
+        with head a come from the columns `rest` of lower blocks.  With
+        R(b, j) = L_{-b} from level j,
+          R(b, k)[:, a]  = prepend b, a single 1, when a <= b, else
+                           R(a, k-a+b) R(b, k-a) + (a - b) R(a+b, k-a),
+          L_n(k)[:, a]   = R(a, k-a-n) L_n(k-a) + (n + a) L_{n-a}(k-a)
+                           + (c/12)(n^3 - n) delta_{n,a},
+        where L_{n-a} is a lowering block, L_0 on `rest`, or, for n < a, the
+        raising block R(a-n, k-a) times the scale; L_0(k) is (h + k) I.
+        """
+        hit = self._pbw_memo.get((n, k))
+        if hit is not None:
+            return hit
+        scale, wc, wh = self._weights
+        if n == 0:
+            d = k * scale + wh
+            num = np.zeros((partition_count(k),) * 2, _int_dtype(abs(d)))
+            np.fill_diagonal(num, d)
+            hit = num, abs(d)
+        else:
+            groups = []
+            for a, cols, rests in _head_groups(k):
+                product = scaled = None
+                value = 0
+                if n < 0 and a <= -n:
+                    # a prepend: L_{-b} m_word = m_(b, word) for b = -n >= a
+                    index = _partition_index(k - n)
+                    rests = [index[(-n,) + w] for w in _partition_tuples(k)[cols]]
+                    value = 1
+                else:
+                    # L_n L_{-a} = L_{-a} L_n + (n + a) L_{n-a} + central delta_{n,a}
+                    if k - a - n >= 0:
+                        product = self._pbw(-a, k - a - n)[2], self._pbw(n, k - a)
+                    if n == a:
+                        # L_0 on `rest` at level k - a, and the central term
+                        value = 2 * n * ((k - a) * scale + wh) + (n ** 3 - n) * wc
+                    else:
+                        # a raising L_{n-a} in a lowering block is scaled up
+                        lift = scale if n - a < 0 <= n else 1
+                        scaled = (n + a) * lift, self._pbw(n - a, k - a)
+                groups.append((cols, rests, product, scaled, value))
+            hit = _assemble((partition_count(k - n), partition_count(k)), groups)
+        hit[0].flags.writeable = False
+        # a raising block stands on the left of products, as its rows
+        hit = hit + (_by_rows(hit[0]) if n < 0 else None,)
+        self._pbw_memo[n, k] = hit
+        return hit
 
     def monomial_form(self, n: int, k: int) -> IntegerForm:
-        """The exact monomial block as integers over the one scale, with no
-        Fraction formed; a factor on either side of a product."""
-        rows, cols, nums = self._numerators(n, k)
-        p, q = partition_count(k - n), partition_count(k)
-        num = np.zeros((p, q), dtype=object)
-        num[rows, cols] = nums
-        return IntegerForm(num, np.full(p, self.scale, dtype=object),
-                           np.ones(q, dtype=object))
+        """The exact monomial block as integers over one scale on every row,
+        with no Fraction formed; a factor on either side of a product."""
+        num = self._pbw(n, k)[0].astype(object)
+        return IntegerForm(num, np.full(num.shape[0], 1 if n < 0 else self.scale, dtype=object),
+                           np.ones(num.shape[1], dtype=object))
 
     def monomial(self, n: int, k: int, mode: str) -> np.ndarray:
         """monomial_block for 0 <= k - n, k.  A float entry is its int
-        numerator over the scale, int true division, which is correctly
-        rounded and so the float of the entry's Fraction."""
+        numerator over the scale: a float64 division when both convert
+        exactly, int true division otherwise.  Either is correctly rounded,
+        and so the float of the entry's Fraction."""
         if mode == "exact":
             return self.monomial_form(n, k).fractions()
-        rows, cols, nums = self._numerators(n, k)
-        out = zeros((partition_count(k - n), partition_count(k)), mode)
-        out[rows, cols] = [x / self.scale for x in nums]
-        return out
+        num, peak, _ = self._pbw(n, k)
+        scale = 1 if n < 0 else self.scale
+        if peak < _EXACT_FLOAT and scale < _EXACT_FLOAT:
+            return num.astype(np.float64) / scale
+        return (num.astype(object) / scale).astype(np.float64)
 
     def gram(self, k: int, mode: str) -> np.ndarray:
         """G_k by level recursion, in the arithmetic of `mode`; read-only.
@@ -290,17 +409,13 @@ class _Module:
             if k == 0:
                 g[0, 0] = _ONE
             else:
-                row = 0
-                for a, group in groupby(parts_k, key=lambda lam: lam[0]):
-                    index = _partition_index(k - a)
-                    needed = [index[lam[1:]] for lam in group]
-                    lower = self.gram(k - a, mode)[needed, :]
+                for a, rows, rests in _head_groups(k):
+                    lower = self.gram(k - a, mode)[rests, :]
                     if mode == "exact":
                         part = (IntegerForm.by_rows(lower) @ self.monomial_form(a, k)).fractions()
                     else:
                         part = np.dot(lower, self.monomial(a, k, mode))
-                    g[row:row + len(needed), :] = part
-                    row += len(needed)
+                    g[rows, :] = part
             g.flags.writeable = False
             self._gram[k, mode] = g
         return g

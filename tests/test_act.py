@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vircut.verma import block_keys, enumerate_partitions, gram_entry_direct, monomial_block
+from vircut.verma import (_Module, block_keys, enumerate_partitions, gram_entry_direct,
+                          monomial_block, partition_count)
 
 C = Fraction(1, 2)
 H = Fraction(0)
@@ -90,9 +91,21 @@ def _straighten(modes, c, h):
     return {w: x for w, x in out.items() if x != 0}
 
 
-# h = 0 leaves terms whose coefficient A + B c/12 + C h vanishes only there
+# Numerators past the int64 bound by level 8, numerators past 2^53 over a
+# scale below it, in blocks built both in int64 and on Python ints.
+MIXED = (Fraction(7, 10 ** 13 + 1), Fraction(2, 7))
+# h = 0 leaves terms whose coefficient A + B c/12 + C h vanishes only there;
+# an 18-digit denominator puts the scale itself past 2^53, and (-2, -1/3)
+# is a signed, non-unitary point.
 ORACLE_POINTS = [(Fraction(1, 2), Fraction(0)), (Fraction(7, 10), Fraction(3, 5)),
-                 (Fraction(2), Fraction(1))]
+                 (Fraction(2), Fraction(1)), MIXED,
+                 (Fraction(1, 10 ** 17 + 3), Fraction(2, 7)), (Fraction(-2), Fraction(-1, 3))]
+
+
+def test_the_mixed_point_takes_both_integer_routes():
+    lowering = [_Module(*MIXED)._pbw(n, k) for n, k in block_keys(8) if n >= 0]
+    assert {num.dtype for num, _, _ in lowering} == {np.dtype(np.int64), np.dtype(object)}
+    assert any(num.dtype == np.int64 and peak >= 2 ** 53 for num, peak, _ in lowering)
 
 
 @pytest.mark.parametrize("c, h", ORACLE_POINTS, ids=str)
@@ -113,3 +126,33 @@ def test_float_monomial_blocks_round_each_exact_entry_once(c, h):
         exact = monomial_block(n, k, c, h)
         rounded = np.array([[float(x) for x in row] for row in exact]).reshape(exact.shape)
         assert monomial_block(n, k, c, h, "float").tobytes() == rounded.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the block kernel against the word-by-word route of gram_entry_direct
+
+def _act_numerators(module, n, k):
+    """L_n from level k as numerators over module.scale, word by word
+    through _Module.act."""
+    wa, wb, wc = module._weights
+    dst = {w: i for i, w in enumerate(enumerate_partitions(k - n))}
+    out = np.zeros((partition_count(k - n), partition_count(k)), dtype=object)
+    for j, word in enumerate(enumerate_partitions(k)):
+        flat = module.act(n, word)
+        for w, a, b, c in zip(flat[::4], flat[1::4], flat[2::4], flat[3::4]):
+            out[dst[w], j] = a * wa + b * wb + c * wc
+    return out
+
+
+def test_block_kernel_matches_the_act_route_just_under_the_int64_bound():
+    # at (25/28, 15/28) the numerators of level 16 pass 2^60
+    module = _Module(Fraction(25, 28), Fraction(15, 28))
+    peak = 0
+    for n, k in block_keys(16):
+        want = _act_numerators(module, n, k)
+        form = module.monomial_form(n, k)
+        assert (form.num * module.scale == want * form.row[:, None]).all(), (n, k)
+        rounded = np.array([x / module.scale for x in want.ravel()]).reshape(want.shape)
+        assert module.monomial(n, k, "float").tobytes() == rounded.tobytes(), (n, k)
+        peak = max([peak, *map(abs, want.ravel())])
+    assert peak.bit_length() == 61
