@@ -26,9 +26,14 @@ def main() -> int:
                     help="Fourier modes kept in the series comparison")
     ap.add_argument("--out", default="out/field_profile", help="output directory")
     args = ap.parse_args()
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the samples
+    if args.samples < 1:
+        ap.error(f"--samples must be >= 1, got {args.samples}")
+    if args.cutoff < 1:
+        ap.error(f"--cutoff must be >= 1, got {args.cutoff}")
 
     field = fields.build_piecewise_mobius()
-    out = Path(args.out)
 
     samples = []
     worst = 0.0

@@ -324,42 +324,39 @@ def decay_report(field: PiecewiseMobiusField, n_max: int) -> BoundReport:
     )
 
 
-# Modes per step of the weight series.  A step spans every chunk, with
-# max(1, _BLOCK // chunks) rows, so its (n W, W) block holds at most
-# 2 _BLOCK floats (128 KiB) for any k_max, and the mode array and the two
-# scratch arrays _BLOCK floats each.  All four are allocated once per
-# call; past the shortest chunk's end a step also makes the mask of its
-# rows past a chunk's last mode, and no other array.  Minor page faults
-# (ru_minflt) around the first 2^26 ladder of a process: 12 at 1 << 13;
-# 224 at 1 << 15, where a loop with a temporary per operation and step
-# took 49,350 (glibc mapped and returned each one).  Larger steps save
-# Python loop steps, but 1 << 13 is the largest size at which the
-# tracemalloc peak of a 2^26 ladder (329 KiB) stays below that loop's
-# (392 KiB); 1 << 15 peaks at 1.3 MiB.
-_BLOCK = 1 << 13
+# Modes per step of the weight series.  A step spans every chunk (at
+# least two columns), with max(1, _BLOCK // columns) rows, so its (n W, W)
+# block holds at most 2 _BLOCK floats (256 KiB) for any k_max, and the mode
+# array and the one scratch array _BLOCK floats each.  All three are
+# allocated once per call; past the shortest chunk's end a step also makes
+# the mask of its rows past a chunk's last mode, and no other array.
+# The 2^26 ladder on a 2-core Xeon (Python 3.11.7, numpy 2.4.6), medians of
+# 15 alternating in-process runs, with its tracemalloc peak and the minor
+# page faults of a fresh process's first ladder: 150 ms, 327 KiB and 12
+# faults at 1 << 13; 133 ms, 521 KiB and 77 at 1 << 14; 128 ms, 1033 KiB
+# and 271 at 1 << 15.  In the field-analysis benchmark 1 << 15 was no
+# faster than 1 << 14 (4 alternating pairs, 2 won) and its peak RSS was
+# 0.36 MB higher in all 4.
+_BLOCK = 1 << 14
 
 
-def _fill_weights(n: np.ndarray, u: np.ndarray, t: np.ndarray,
-                  block: np.ndarray) -> None:
-    """W(n) into block[:, 1] and n W(n) into block[:, 0], one pass per
-    operation through the scratch arrays u and t of n's shape.
+def _fill_weights(n: np.ndarray, u: np.ndarray, block: np.ndarray) -> None:
+    """n W(n) into block[0] and W(n) into block[1], one pass per operation
+    through the scratch array u of n's shape; block[1] serves as the
+    second scratch array until W lands there.
 
     Bit for bit W = 2.0 * closed_kernel(n) * (1.0 + n ** 1.5): 16/u equals
-    2 (8/u), since doubling commutes with rounding in the normal range.
-    W and n W are formed in t and u and then copied into the block's
-    strided halves: numpy would buffer a strided output, and copy an input
-    that shares the block's memory, 64 KiB each at the default _BLOCK."""
+    2 (8/u), since doubling commutes with rounding in the normal range."""
+    w = block[1]
     np.multiply(math.pi, n, out=u)
-    np.multiply(n, n, out=t)
-    np.subtract(t, 1.0, out=t)
-    np.multiply(u, t, out=u)
+    np.multiply(n, n, out=w)
+    np.subtract(w, 1.0, out=w)
+    np.multiply(u, w, out=u)
     np.divide(16.0, u, out=u)
-    np.power(n, 1.5, out=t)
-    np.add(t, 1.0, out=t)
-    np.multiply(u, t, out=t)
-    np.multiply(n, t, out=u)
-    np.copyto(block[:, 1], t)
-    np.copyto(block[:, 0], u)
+    np.power(n, 1.5, out=w)
+    np.add(w, 1.0, out=w)
+    np.multiply(u, w, out=w)
+    np.multiply(n, w, out=block[0])
 
 
 def _weight_series_chunks(k_points: Sequence[int], chunk: int = 1 << 21):
@@ -373,16 +370,19 @@ def _weight_series_chunks(k_points: Sequence[int], chunk: int = 1 << 21):
     The chunks fix the rounding: each chunk's running sums start at 0 and
     its totals are then added to the grand carry in chunk order.  So the
     chunks are independent chains, and they run side by side as the
-    columns of a (rows, 2, chunks) block: row i holds (n W, W) at the
-    modes n = start_j + 4 i of every chunk j.  Each step seeds its first
-    row with the running sums and folds the block into them by
-    np.add.reduce over the rows, one vectorised add per row; a target
-    splits the fold at its row to read the sums there.  The order of
-    additions is that of one cumsum per chunk:
+    columns of a contiguous (2, rows, columns) block: plane 0 holds n W and
+    plane 1 holds W, and row i of a plane holds the modes n = start_j + 4 i
+    of every chunk j.  Each step seeds its first row with the running sums
+    and folds the block into them by np.add.reduce over the rows, one
+    vectorised add per row; a target splits the fold at its row to read
+    the sums there.  The order of additions is that of one cumsum per
+    chunk:
     - within a column the rows are added one after another: the reduce's
-      inner loop runs over a row's (n W, W) pair and its chunks, so it is
-      never a lone column, which numpy would sum pairwise;
-    - rows past a chunk's last mode hold +0.0, which changes no bit;
+      inner loop runs along a row, over the columns, so it is never a lone
+      column, which numpy would sum pairwise.  A single chunk therefore
+      gets an empty partner column (count 0);
+    - rows past a chunk's last mode, and the partner column, hold +0.0,
+      which changes no bit;
     - the chunk totals join the carry in chunk order.
     A step fills its block with _fill_weights, one in-place pass per
     operation into arrays allocated once per call.
@@ -392,7 +392,12 @@ def _weight_series_chunks(k_points: Sequence[int], chunk: int = 1 << 21):
     los = np.arange(2, n_max + 1, chunk, dtype=np.int64)
     starts = los + (2 - los) % 4
     counts = np.maximum((np.minimum(los + chunk - 1, n_max) - starts) // 4 + 1, 0)
-    rows = max(1, _BLOCK // max(1, los.size))
+    if los.size == 1:
+        # the partner column repeats the modes, all masked to +0.0
+        starts = np.repeat(starts, 2)
+        counts = np.append(counts, 0)
+    cols = starts.size
+    rows = max(1, _BLOCK // cols)
     # a target reads its chunk's running sums after the chunk's last mode
     # <= k: at row i of its column, or 0 before the chunk's first mode
     reads: dict[int, list[tuple[int, int]]] = {}
@@ -405,35 +410,33 @@ def _weight_series_chunks(k_points: Sequence[int], chunk: int = 1 << 21):
                 partial[k] = (0.0, 0.0)
             else:
                 reads.setdefault(i, []).append((j, k))
-    state = np.zeros((2, los.size))
-    buf = np.empty((rows, 2, los.size))
+    state = np.zeros((2, cols))
+    buf = np.empty((2, rows, cols))
     # the modes of the first step; each step advances them by 4 rows, which
     # stays exact below 2^53
     n_all = starts + 4.0 * np.arange(rows, dtype=np.float64)[:, None]
     u_all = np.empty_like(n_all)
-    t_all = np.empty_like(n_all)
     depth = int(counts.max(initial=0))
     for r0 in range(0, depth, rows):
         r1 = min(r0 + rows, depth)
         if r0:
             n_all += 4.0 * rows
-        block = buf[:r1 - r0]
-        _fill_weights(n_all[:r1 - r0], u_all[:r1 - r0], t_all[:r1 - r0], block)
+        block = buf[:, :r1 - r0]
+        _fill_weights(n_all[:r1 - r0], u_all[:r1 - r0], block)
         if r1 > counts.min():
-            np.copyto(block, 0.0,
-                      where=(np.arange(r0, r1)[:, None] >= counts)[:, None, :])
+            np.copyto(block, 0.0, where=np.arange(r0, r1)[:, None] >= counts)
         a = r0
         for stop in sorted({r1 - 1}.union(i for i in reads if r0 <= i < r1)):
-            seg = block[a - r0:stop + 1 - r0]
-            seg[0] += state
-            np.add.reduce(seg, axis=0, out=state)
+            seg = block[:, a - r0:stop + 1 - r0]
+            seg[:, 0] += state
+            np.add.reduce(seg, axis=1, out=state)
             for j, k in reads.get(stop, ()):
                 partial[k] = (float(state[0, j]), float(state[1, j]))
             a = stop + 1
     cum_v = 0.0
     cum_w = 0.0
     carry = []
-    for v, w in state.T.tolist():
+    for v, w in state[:, :los.size].T.tolist():
         carry.append((cum_v, cum_w))
         cum_v += v
         cum_w += w

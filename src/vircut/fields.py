@@ -316,23 +316,33 @@ def evaluate(field, theta: float):
 
 
 @lru_cache(maxsize=8)
-def _series_terms(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """The phases 1j n over the modes |n| <= cutoff and the glued field's
-    coefficients there, read-only; a profile evaluates one cutoff at many
-    angles."""
+def _series_terms(cutoff: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The glued field's support among the modes |n| <= cutoff, read-only:
+    the index of its first mode (n = 2 mod 4) in that range, whose support
+    modes follow at a stride of 4, and the phases 1j n and the coefficients
+    there.  A profile evaluates one cutoff at many angles."""
     ns = np.arange(-cutoff, cutoff + 1)
-    phases = 1j * ns
-    coeffs = PiecewiseMobiusField.coefficient_closed(ns)
+    first = (2 + cutoff) % 4
+    phases = 1j * ns[first::4]
+    coeffs = PiecewiseMobiusField.coefficient_closed(ns[first::4])
     phases.flags.writeable = coeffs.flags.writeable = False
-    return phases, coeffs
+    return first, phases, coeffs
 
 
 def evaluate_series(field: PiecewiseMobiusField, theta: float, cutoff: int) -> float:
-    """Partial Fourier sum of the glued field up to |n| <= cutoff."""
+    """Partial Fourier sum of the glued field up to |n| <= cutoff.
+
+    Only the support modes are exponentiated; their terms go to their
+    slots among zeros for all 2 cutoff + 1 modes, so numpy's pairwise sum
+    adds them in the same association as the full series."""
     if not isinstance(field, PiecewiseMobiusField):
         raise TypeError(f"unsupported field type {type(field).__name__}")
-    phases, coeffs = _series_terms(cutoff)
-    return float(np.real(np.sum(coeffs * np.exp(phases * theta))))
+    first, phases, coeffs = _series_terms(cutoff)
+    powers = phases * theta
+    np.exp(powers, out=powers)
+    terms = np.zeros(2 * cutoff + 1, dtype=np.complex128)
+    np.multiply(coeffs, powers, out=terms[first::4])
+    return float(np.add.reduce(terms).real)
 
 
 def corner_table(field: PiecewiseMobiusField) -> list[dict]:

@@ -48,6 +48,11 @@ GLUED_BITS = json.loads(
 MOLLIFIER_CSV_PINS = json.loads(
     (Path(__file__).parent / "data" / "mollifier_csv_sha256.json").read_text())
 
+# SHA-256 of scripts/field_profile.py's two CSVs, recorded while
+# fields.evaluate_series still exponentiated every mode |n| <= cutoff.
+FIELD_PROFILE_CSV_PINS = json.loads(
+    (Path(__file__).parent / "data" / "field_profile_csv_sha256.json").read_text())
+
 
 @pytest.fixture(scope="module")
 def r_n8(ising8_float):
@@ -407,6 +412,35 @@ def test_mollifier_script_rejects_k_max_zero(tmp_path):
     assert not (tmp_path / "mollifier_curve.csv").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--samples", "0"], "--samples must be >= 1, got 0"),
+    (["--cutoff", "0"], "--cutoff must be >= 1, got 0"),
+])
+def test_field_profile_script_rejects_empty_sizes(tmp_path, args, message):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "field_profile.py"
+    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
+    out = tmp_path / "profile"
+    done = subprocess.run([sys.executable, str(script), *args, "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 2
+    assert message in done.stderr and "Traceback" not in done.stderr
+    assert done.stdout == ""
+    assert not (out / "profile.csv").exists()
+
+
+@pytest.mark.parametrize("pin", FIELD_PROFILE_CSV_PINS, ids=lambda pin: " ".join(pin["argv"]))
+def test_field_profile_script_csv_bytes_are_pinned(pin, tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "field_profile.py"
+    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
+    done = subprocess.run([sys.executable, str(script), *pin["argv"],
+                           "--out", str(tmp_path)], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in pin["sha256"]}
+    assert got == pin["sha256"]
+
+
 @pytest.mark.parametrize("pin", MOLLIFIER_CSV_PINS, ids=lambda pin: " ".join(pin["argv"]))
 def test_mollifier_script_csv_bytes_are_pinned(pin, tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "mollifier_curve.py"
@@ -422,8 +456,10 @@ def test_mollifier_script_csv_bytes_are_pinned(pin, tmp_path):
 
 @pytest.mark.parametrize("name, args", [
     ("run_bounds_sweep.py", ["--levels", "4:4"]),
-    # k_max 0 is refused only once the ladder starts; the --out error comes first
+    # k_max 0 and cutoff 0 are refused after --out is made; the --out error
+    # comes first
     ("mollifier_curve.py", ["--k-max", "0"]),
+    ("field_profile.py", ["--cutoff", "0"]),
 ])
 def test_scripts_refuse_a_file_as_out_before_any_work(tmp_path, name, args):
     script = Path(__file__).resolve().parents[1] / "scripts" / name
@@ -433,7 +469,7 @@ def test_scripts_refuse_a_file_as_out_before_any_work(tmp_path, name, args):
     done = subprocess.run([sys.executable, str(script), *args, "--out", str(taken)],
                           capture_output=True, text=True, env=env)
     assert done.returncode != 0
-    assert "FileExistsError" in done.stderr and "k_max" not in done.stderr
+    assert "FileExistsError" in done.stderr and "must be >= 1" not in done.stderr
     assert done.stdout == ""
 
 
@@ -485,7 +521,7 @@ def test_piecewise_mollifier_bits_are_pinned(piecewise):
 
 def test_the_full_criterion_ladder_to_2_26_is_pinned(piecewise):
     # the acceptance criterion's ladder: 32 chunks of 2^21, side by side in
-    # 2048 steps of 256 rows
+    # 1024 steps of 512 rows
     pin = GLUED_BITS["mollifier_2_26"]
     assert pin["k_max"] == 1 << 26
     report = mollifier_report(piecewise, FEJER, k_max=pin["k_max"])
@@ -535,8 +571,8 @@ def _full_chunk_series(field, k_points, chunk):
 @pytest.mark.parametrize("pin", GLUED_BITS["mollifier_one_chunk"],
                          ids=lambda pin: str(pin["k_max"]))
 def test_one_chunk_ladders_keep_their_bits(piecewise, pin):
-    # up to 2^21 the series is one chunk, one column of the block, which
-    # numpy would sum pairwise if its rows held nothing else
+    # up to 2^21 the series is one chunk, one column of the block beside an
+    # empty partner: numpy would sum a lone column pairwise
     ladder = [row["k"] for row in pin["rows"]]
     assert (_weight_series_chunks(ladder)
             == _full_chunk_series(piecewise, ladder, 1 << 21))
@@ -560,11 +596,12 @@ BLOCK_LADDER = [edge + d for edge in (SPAN, 2 * SPAN, 3 * SPAN, 16 * SPAN, 17 * 
 def _step_edges(n_max, chunk):
     """Targets within 6 of the first mode of a row step of the series to
     n_max: steps 1, 2 and the last, in the first, a middle and the last
-    chunk.  A step holds max(1, _BLOCK // columns) rows of every chunk."""
-    cols = -(-(n_max - 1) // chunk)
-    rows = max(1, _BLOCK // cols)
+    chunk.  A step holds max(1, _BLOCK // columns) rows of every chunk, and
+    a lone chunk has an empty partner column."""
+    chunks = -(-(n_max - 1) // chunk)
+    rows = max(1, _BLOCK // max(2, chunks))
     out = set()
-    for j in (0, cols // 2, cols - 1):
+    for j in (0, chunks // 2, chunks - 1):
         lo = 2 + j * chunk
         hi = min(lo + chunk - 1, n_max)
         start = lo + (2 - lo) % 4
@@ -581,7 +618,7 @@ def test_weight_series_carries_across_chunks(piecewise, chunk):
     # thousand integers and more walk the block ladder past 2^21
     ladder = CARRY_LADDER + (BLOCK_LADDER if chunk >= 1024 else [])
     if chunk in (1024, 1 << 21):
-        # 2177 columns of 3 rows a step, and 2 columns of 4096
+        # 2177 columns of 7 rows a step, and 2 columns of 8192
         ladder = sorted(set(ladder) | _step_edges(ladder[-1], chunk))
     want, want_v, want_w = _full_chunk_series(piecewise, ladder, chunk)
     got, got_v, got_w = _weight_series_chunks(ladder, chunk=chunk)
@@ -592,19 +629,19 @@ def test_weight_series_carries_across_chunks(piecewise, chunk):
 
 def test_fill_weights_matches_the_closed_form_bit_for_bit():
     # every mode n = 2 mod 4 up to 2^26, in slices shaped as the series'
-    # (rows, 2, chunks) steps: a one-ulp change to a single term can round
+    # (2, rows, chunks) steps: a one-ulp change to a single term can round
     # away in the ladder's sums, so the terms are compared one by one
     rows, cols = 1 << 12, 32
     n = np.empty((rows, cols))
-    u, t = np.empty_like(n), np.empty_like(n)
-    block = np.empty((rows, 2, cols))
+    u = np.empty_like(n)
+    block = np.empty((2, rows, cols))
     step = 4 * rows * cols
     for first in range(2, 1 << 26, step):
         n[...] = np.arange(first, first + step, 4, dtype=np.float64).reshape(rows, cols)
-        _fill_weights(n, u, t, block)
+        _fill_weights(n, u, block)
         w = 2.0 * PiecewiseMobiusField.closed_kernel(n) * (1.0 + n ** 1.5)
-        assert np.array_equal(block[:, 1].view(np.int64), w.view(np.int64))
-        assert np.array_equal(block[:, 0].view(np.int64), (n * w).view(np.int64))
+        assert np.array_equal(block[1].view(np.int64), w.view(np.int64))
+        assert np.array_equal(block[0].view(np.int64), (n * w).view(np.int64))
     assert n[-1, -1] == (1 << 26) - 2
 
 

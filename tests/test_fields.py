@@ -285,14 +285,20 @@ def test_evaluate_reads_the_pieces_as_complex_bit_for_bit(piecewise):
         assert evaluate(piecewise, theta) == direct
 
 
-@pytest.mark.parametrize("cutoff", [2, 6, 200])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 6, 200])
 def test_series_reads_the_memo_bit_for_bit(piecewise, cutoff):
+    # against the sum over all 2 cutoff + 1 modes, by float.hex so that the
+    # sign of a zero counts: the quarter turns, where terms cancel, at every
+    # cutoff, and the profile's 2000 angles at cutoff 200
     ns = np.arange(-cutoff, cutoff + 1)
     coeffs = piecewise.coefficient_closed(ns)
-    for theta in (0.0, 0.7, math.pi / 4, 2.5, -1.3, 6.0):
-        direct = float(np.real(np.sum(coeffs * np.exp(1j * ns * theta))))
-        assert evaluate_series(piecewise, theta, cutoff) == direct
-        assert evaluate_series(piecewise, theta, cutoff) == direct  # from the memo
+    thetas = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 0.7, math.pi / 4, 2.5, -1.3, 6.0]
+    if cutoff == 200:
+        thetas += [2.0 * math.pi * i / 2000 for i in range(2000)]
+    for theta in thetas:
+        direct = float.hex(float(np.real(np.sum(coeffs * np.exp(1j * ns * theta)))))
+        assert float.hex(evaluate_series(piecewise, theta, cutoff)) == direct, theta
+        assert float.hex(evaluate_series(piecewise, theta, cutoff)) == direct  # from the memo
 
 
 def test_partial_sums_converge_pointwise(piecewise):
