@@ -118,8 +118,8 @@ def estimate_r(c, N: int, h=0, rep: Optional[verma.TruncatedRep] = None
     """Sweep every (level, mode) cell for the energy-bound ratio.
 
     The reported constant is r_hat^2 = max ||L_n|_k||^2/(k^2 + k n^2 +
-    |n|^3); cells with an empty or out-of-range window are flagged, and
-    the (0, 0) cell has a vanishing denominator and is skipped.
+    |n|^3); cells with no block and the (0, 0) cell, whose denominator
+    vanishes, are skipped and counted in derived["skipped"].
     """
     rep = _rep_for(c, N, h, rep)
     norms = _block_norms(rep)
@@ -169,8 +169,8 @@ def parse_eps_grid(spec: str) -> np.ndarray:
         raise ValueError(f"bad eps grid {spec!r}: {exc}") from exc
     if count < 1:
         raise ValueError(f"eps grid {spec!r} is empty")
-    if not (0 < lo < hi):
-        raise ValueError(f"eps grid {spec!r} needs 0 < lo < hi")
+    if not (0 < lo < hi < math.inf):
+        raise ValueError(f"eps grid {spec!r} needs 0 < lo < hi < inf")
     return np.logspace(math.log10(lo), math.log10(hi), count)
 
 

@@ -149,6 +149,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if cfg.cutoff is not None and cfg.cutoff < 1:
         raise UsageError(f"cutoff must be at least 1, got {cfg.cutoff}")
     check_point(cfg.c, cfg.h)
+    for key in ("out", "cache"):
+        path = getattr(cfg, key)
+        if path is not None and path.exists() and not path.is_dir():
+            raise UsageError(f"{key} {path} exists and is not a directory")
     try:
         bounds.parse_eps_grid(cfg.eps_grid)
     except ValueError as exc:

@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import fminbound, minimize_scalar
 
 from vircut import acceptance, smear, verma
 
@@ -91,6 +90,7 @@ def test_a_nan_heat_identity_residual_fails_the_chain_and_shows_in_the_detail(mo
 def _fm_grid_best_per_cell(k, m, grid):
     """The heat-sup search as it ran before the rows were shared: a fresh
     np.exp per cell, then minimize_scalar's bounded method."""
+    minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
     vals = (np.exp(-grid * k) - np.exp(-grid * (k + m))) ** 2
     i = int(vals.argmax())
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
@@ -115,6 +115,7 @@ def test_shared_heat_rows_match_the_per_cell_search_bit_for_bit():
 
 
 def test_bounded_search_matches_fminbound_on_every_cell():
+    fminbound = pytest.importorskip("scipy.optimize").fminbound
     grid, rows = acceptance._heat_search_grid()
     for k in range(51):
         for m in range(1, 51):

@@ -1,5 +1,6 @@
 """Bound-constant experiments: r, q, decay, mollifier convergence."""
 
+import csv
 import hashlib
 import importlib.util
 import json
@@ -52,6 +53,17 @@ MOLLIFIER_CSV_PINS = json.loads(
 # fields.evaluate_series still exponentiated every mode |n| <= cutoff.
 FIELD_PROFILE_CSV_PINS = json.loads(
     (Path(__file__).parent / "data" / "field_profile_csv_sha256.json").read_text())
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    """Run scripts/<name> in a fresh interpreter on this tree's src, where a
+    RuntimeWarning is an error, as the suite's filterwarnings make it."""
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(SCRIPTS / name), *map(str, args)],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -280,19 +292,18 @@ def test_default_eps_grid(q_n8):
     ("1:2:0", "is empty"),
     ("20:1e-4:5", "needs 0 < lo < hi"),
     ("0:1:5", "needs 0 < lo < hi"),
+    ("1e-4:inf:5", "needs 0 < lo < hi < inf"),
+    ("1e-4:1e400:5", "needs 0 < lo < hi < inf"),
 ])
 def test_bad_eps_grid_specs_are_named(spec, message):
     with pytest.raises(ValueError, match=message):
         parse_eps_grid(spec)
 
 
-@pytest.mark.parametrize("spec", ["1e-4:20", "20:1e-4:5"])
+@pytest.mark.parametrize("spec", ["1e-4:20", "20:1e-4:5", "1e-4:inf:5", "1e-4:1e400:5"])
 def test_bounds_sweep_script_rejects_a_bad_eps_grid(tmp_path, spec):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_sweep.py"
-    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
-    done = subprocess.run([sys.executable, str(script), "--levels", "4:4",
-                           "--eps-grid", spec, "--out", str(tmp_path)],
-                          capture_output=True, text=True, env=env)
+    done = run_script("run_bounds_sweep.py", "--levels", "4:4",
+                      "--eps-grid", spec, "--out", tmp_path)
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert "error: " in done.stderr and repr(spec) in done.stderr
@@ -309,11 +320,7 @@ def test_bounds_sweep_script_rejects_a_bad_eps_grid(tmp_path, spec):
     (["--h=-1/2"], "lowest weight must be nonnegative, got -1/2"),
 ])
 def test_bounds_sweep_script_rejects_bad_arguments(tmp_path, args, message):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_sweep.py"
-    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
-    done = subprocess.run([sys.executable, str(script), *args,
-                           "--out", str(tmp_path)],
-                          capture_output=True, text=True, env=env)
+    done = run_script("run_bounds_sweep.py", *args, "--out", tmp_path)
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert f"error: {message}" in done.stderr
@@ -321,16 +328,27 @@ def test_bounds_sweep_script_rejects_bad_arguments(tmp_path, args, message):
 
 
 def test_bounds_sweep_script_reports_a_non_unitary_point(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_sweep.py"
-    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
-    done = subprocess.run([sys.executable, str(script), "--c", "1/2", "--h", "1/3",
-                           "--levels", "4:4", "--out", str(tmp_path)],
-                          capture_output=True, text=True, env=env)
+    done = run_script("run_bounds_sweep.py", "--c", "1/2", "--h", "1/3",
+                      "--levels", "4:4", "--out", tmp_path)
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: Gram matrix at level 2 is indefinite for "
                                   "c=1/2, h=1/3")
     assert not (tmp_path / "bounds_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("args, levels", [
+    (["--levels", "4:6"], [4, 5, 6]),
+    # a Kac point with h != 0 and a level-3 null vector
+    (["--c", "7/10", "--h", "3/5", "--levels", "4:8"], [4, 5, 6, 7, 8]),
+], ids=["c1/2,h0", "c7/10,h3/5"])
+def test_bounds_sweep_script_passes_every_row(tmp_path, args, levels):
+    done = run_script("run_bounds_sweep.py", *args, "--out", tmp_path)
+    assert done.returncode == 0, done.stderr
+    with open(tmp_path / "bounds_sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["N"]) for row in rows] == levels
+    assert all(row["verdicts_ok"] == "True" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +420,20 @@ def test_cosine_mollifier_accepts_order_zero():
 
 
 def test_mollifier_script_rejects_k_max_zero(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "mollifier_curve.py"
-    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
-    done = subprocess.run([sys.executable, str(script), "--k-max", "0",
-                           "--out", str(tmp_path)], capture_output=True,
-                          text=True, env=env)
+    done = run_script("mollifier_curve.py", "--k-max", "0", "--out", tmp_path)
     assert done.returncode != 0
     assert "k_max must be >= 1, got 0" in done.stderr
     assert not (tmp_path / "mollifier_curve.csv").exists()
+
+
+def test_mollifier_script_runs_one_chunk_clean(tmp_path):
+    # k_max <= 2^21: the whole weight series in one chunk
+    done = run_script("mollifier_curve.py", "--k-max", "1048576", "--tol", "0.01",
+                      "--out", tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "piecewise verdict: pass" in done.stdout
+    last = (tmp_path / "mollifier_curve.csv").read_text().splitlines()[-1]
+    assert last.startswith("1048576,")
 
 
 @pytest.mark.parametrize("args, message", [
@@ -417,11 +441,8 @@ def test_mollifier_script_rejects_k_max_zero(tmp_path):
     (["--cutoff", "0"], "--cutoff must be >= 1, got 0"),
 ])
 def test_field_profile_script_rejects_empty_sizes(tmp_path, args, message):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "field_profile.py"
-    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
     out = tmp_path / "profile"
-    done = subprocess.run([sys.executable, str(script), *args, "--out", str(out)],
-                          capture_output=True, text=True, env=env)
+    done = run_script("field_profile.py", *args, "--out", out)
     assert done.returncode == 2
     assert message in done.stderr and "Traceback" not in done.stderr
     assert done.stdout == ""
@@ -430,11 +451,7 @@ def test_field_profile_script_rejects_empty_sizes(tmp_path, args, message):
 
 @pytest.mark.parametrize("pin", FIELD_PROFILE_CSV_PINS, ids=lambda pin: " ".join(pin["argv"]))
 def test_field_profile_script_csv_bytes_are_pinned(pin, tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "field_profile.py"
-    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
-    done = subprocess.run([sys.executable, str(script), *pin["argv"],
-                           "--out", str(tmp_path)], capture_output=True,
-                          text=True, env=env)
+    done = run_script("field_profile.py", *pin["argv"], "--out", tmp_path)
     assert done.returncode == 0, done.stderr
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in pin["sha256"]}
@@ -443,11 +460,7 @@ def test_field_profile_script_csv_bytes_are_pinned(pin, tmp_path):
 
 @pytest.mark.parametrize("pin", MOLLIFIER_CSV_PINS, ids=lambda pin: " ".join(pin["argv"]))
 def test_mollifier_script_csv_bytes_are_pinned(pin, tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "mollifier_curve.py"
-    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
-    done = subprocess.run([sys.executable, str(script), *pin["argv"],
-                           "--out", str(tmp_path)], capture_output=True,
-                          text=True, env=env)
+    done = run_script("mollifier_curve.py", *pin["argv"], "--out", tmp_path)
     assert done.returncode == 0, done.stderr
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in pin["sha256"]}
@@ -462,12 +475,9 @@ def test_mollifier_script_csv_bytes_are_pinned(pin, tmp_path):
     ("field_profile.py", ["--cutoff", "0"]),
 ])
 def test_scripts_refuse_a_file_as_out_before_any_work(tmp_path, name, args):
-    script = Path(__file__).resolve().parents[1] / "scripts" / name
-    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
     taken = tmp_path / "taken"
     taken.write_text("")
-    done = subprocess.run([sys.executable, str(script), *args, "--out", str(taken)],
-                          capture_output=True, text=True, env=env)
+    done = run_script(name, *args, "--out", taken)
     assert done.returncode != 0
     assert "FileExistsError" in done.stderr and "must be >= 1" not in done.stderr
     assert done.stdout == ""
@@ -475,11 +485,8 @@ def test_scripts_refuse_a_file_as_out_before_any_work(tmp_path, name, args):
 
 def test_bounds_sweep_script_fails_on_an_ill_conditioned_rep(tmp_path):
     # the float quotient at (25/28, 15/28), N=12 misses the relation budget
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_sweep.py"
-    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
-    done = subprocess.run([sys.executable, str(script), "--c", "25/28", "--h", "15/28",
-                           "--levels", "12:12", "--out", str(tmp_path)],
-                          capture_output=True, text=True, env=env)
+    done = run_script("run_bounds_sweep.py", "--c", "25/28", "--h", "15/28",
+                      "--levels", "12:12", "--out", tmp_path)
     assert done.returncode == 1
     assert "WARNING: verdicts r=pass q=pass; bracket relations" in done.stdout
     header, row = (tmp_path / "bounds_sweep.csv").read_text().splitlines()
@@ -487,8 +494,8 @@ def test_bounds_sweep_script_fails_on_an_ill_conditioned_rep(tmp_path):
 
 
 def test_bounds_sweep_refuses_a_rescaled_level(monkeypatch, capsys):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_sweep.py"
-    spec = importlib.util.spec_from_file_location("run_bounds_sweep", script)
+    spec = importlib.util.spec_from_file_location("run_bounds_sweep",
+                                                  SCRIPTS / "run_bounds_sweep.py")
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
     build = verma.truncated_rep

@@ -311,6 +311,33 @@ def test_backwards_eps_grid(tmp_path):
     assert run("bounds", "--eps-grid", "5:1:10", "--out", tmp_path) == 2
 
 
+def test_infinite_eps_grid(tmp_path, capsys):
+    assert run("bounds", "--N", "4", "--eps-grid", "1e-4:inf:5", "--out", tmp_path) == 2
+    assert capsys.readouterr().err == "error: eps grid '1e-4:inf:5' needs 0 < lo < hi < inf\n"
+    assert not (tmp_path / "bounds_report.json").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("rep",), "out"),
+    (("field", "mode:2"), "out"),
+    (("smear", "--field", "mode:2"), "out"),
+    (("bounds",), "out"),
+    (("check-all",), "out"),
+    (("rep",), "cache"),
+    (("smear", "--field", "mode:2"), "cache"),
+    (("bounds",), "cache"),
+], ids=lambda x: x if isinstance(x, str) else x[0])
+def test_a_file_as_out_or_cache_is_refused_before_any_work(tmp_path, capsys, argv, flag):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken if flag == "out" else tmp_path / "out"
+    cache = ("--cache", taken) if flag == "cache" else ()
+    assert run(*argv, "--out", out, *cache) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} {taken} exists and is not a directory\n")
+    assert taken.read_text() == ""
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # field
 

@@ -240,7 +240,7 @@ def test_coefficient_rows_bits_are_pinned(piecewise):
 def _adaptive_quadrature(field, n):
     """The coefficient by scipy's adaptive quad on each of the four arcs,
     the package's route before its Gauss-Legendre rule."""
-    from scipy.integrate import quad
+    quad = pytest.importorskip("scipy.integrate").quad
 
     total = 0j
     for j in range(4):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vircut import verma
+from vircut import cli, verma
 from vircut.store import (
     CacheError,
     load_or_build_rep,
@@ -60,6 +60,15 @@ def test_exact_rep_round_trip(tmp_path, ising8):
 def test_exact_cache_file_bytes_are_pinned(tmp_path, pin):
     rep = verma.truncated_rep(Fraction(pin["c"]), Fraction(pin["h"]), pin["N"])
     path = save_rep(tmp_path, rep)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == pin["sha256"]
+
+
+@pytest.mark.parametrize("pin", PINNED, ids=lambda p: f"{p['c']},{p['h']},N{p['N']}")
+def test_vircut_rep_writes_the_pinned_exact_cache_files(tmp_path, pin):
+    assert cli.main(["rep", "--c", pin["c"], "--h", pin["h"], "--N", str(pin["N"]),
+                     "--cache", str(tmp_path / "cache"),
+                     "--out", str(tmp_path / "report")]) == 0
+    path, = (tmp_path / "cache").iterdir()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == pin["sha256"]
 
 
