@@ -27,8 +27,8 @@ norm from TruncatedRep.block_norm, which takes the norm of a float
 quotient block once per (c, h) point, for r, q and every N of a sweep;
 the witness checks recompute their norms from the rep's blocks.  That
 L0 is this scalar is checked by the bracket-relation sweep
-([L_0, L_n] = -n L_n), which `vircut bounds` and
-scripts/run_bounds_sweep.py run on every rep they sweep;
+([L_0, L_n] = -n L_n), which `vircut bounds` and `vircut sweep`
+run on every rep they sweep;
 smear.heat_identity_residual checks only the factored form
 against the literal difference of two products, which holds for any
 block.  The analytic maximizer of each factor is injected into the eps

@@ -3,18 +3,22 @@
 Subcommands mirror the library layers: `rep` builds a truncated
 representation and checks the bracket relations, `field` profiles a
 smearing field, `smear` assembles a smeared operator and audits it,
-`bounds` runs the constant-estimation sweeps, and `check-all` runs the
-full acceptance battery.  A command fails when the rep it uses fails
-verma.rep_verdict (the bracket relations and L_-n = L_n^*); exact-mode
-`smear` checks the adjointness and, in place of the costlier relation
-sweep, the central charge read from the rep against its label.
+`bounds` runs the constant-estimation sweeps at one truncation level and
+`sweep` runs r and q over several, `profile` tabulates the glued field
+against its Fourier series, `mollifier` runs its Fejer error ladder, and
+`check-all` runs the full acceptance battery.  A command fails when the
+rep it uses fails verma.rep_verdict (the bracket relations and
+L_-n = L_n^*); exact-mode `smear` checks the adjointness and, in place of
+the costlier relation sweep, the central charge read from the rep
+against its label.
 
 Each subcommand accepts only the settings it reads (READS below).
 Configuration is a flat key=value file overridden by flags; a file may
 set any known key, so one file can drive several subcommands: each
 parses and validates only the keys it reads and ignores the others, and
 a report's config block holds only those keys (inject_fault included,
-which is a flag and never a file key).  Reports are
+which is a flag and never a file key).  Flags and file values go through
+the same parsers and checks, all of them before any work.  Reports are
 JSON files whose floats are printed with repr so the exact double can be
 recovered; rationals are p/q strings.  Output is deterministic for a
 fixed configuration except for the timestamp, which lives only in the
@@ -66,6 +70,10 @@ class RunConfig:
     out: Path = Path("out")
     cache: Optional[Path] = None
     inject_fault: str = "none"
+    levels: str = "4:10"
+    samples: int = 1000
+    k_max: int = 1 << 26
+    tol: float = 1e-3
 
 
 # Each RunConfig field's parser, and the kind of value its errors name.
@@ -79,7 +87,16 @@ _SETTINGS = {
     "out": (Path, "path"),
     "cache": (Path, "path"),
     "inject_fault": (str, "text"),
+    "levels": (str, "text"),
+    "samples": (int, "integer"),
+    "k_max": (int, "integer"),
+    "tol": (float, "real"),
 }
+
+# The integer settings with a least value; None (cutoff's default) is
+# always allowed.  k_max is the top of the glued field's ladder, whose
+# tail bound needs an order of two or more.
+_AT_LEAST = {"N": 2, "cutoff": 1, "samples": 1, "k_max": 2}
 
 _CONFIG_KEYS = tuple(key for key in _SETTINGS if key != "inject_fault")
 
@@ -92,6 +109,9 @@ READS = {
     "smear": ("c", "h", "N", "mode", "cache", "cutoff", "inject_fault"),
     "bounds": ("c", "h", "N", "eps_grid", "cache", "inject_fault"),
     "check-all": (),
+    "sweep": ("c", "h", "levels", "eps_grid"),
+    "profile": ("samples", "cutoff"),
+    "mollifier": ("k_max", "tol"),
 }
 
 
@@ -122,39 +142,71 @@ def check_point(c: Fraction, h: Fraction) -> None:
         raise UsageError(f"lowest weight must be nonnegative, got {fmt_rational(h)}")
 
 
+def parse_levels(spec: str) -> list[int]:
+    """lo:hi (inclusive) or a comma list; ValueError names a bad spec."""
+    try:
+        if ":" in spec:
+            lo, hi = (int(p) for p in spec.split(":", 1))
+            levels = list(range(lo, hi + 1))
+        else:
+            levels = [int(p) for p in spec.split(",")]
+    except ValueError:
+        raise ValueError(f"bad levels {spec!r}: want lo:hi or a comma list "
+                         f"of integers") from None
+    if not levels:
+        raise ValueError(f"levels {spec!r} are empty: want lo <= hi")
+    if min(levels) < 2:
+        raise ValueError(f"levels {spec!r} go below 2: a truncation level N "
+                         f"must be at least 2")
+    return levels
+
+
+def _check_directory(key: str, path: Path) -> None:
+    """UsageError unless path is a directory or can be made one: its
+    nearest existing ancestor must be a directory."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise UsageError(f"{key} {path} exists and is not a directory" if existing == path
+                         else f"{key} {path} is below {existing}, which is not a directory")
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the config file, then flags, for the keys the command
-    reads; other known keys of the file are ignored, not validated."""
+    reads; other known keys of the file are ignored, not validated.  A bad
+    value is named as given: the flag or the file key, and its text."""
     reads = ("out",) + READS[args.command]
     raw = {}
     if args.config is not None:
         raw.update(parse_config_file(Path(args.config)))
-    raw = {key: value for key, value in raw.items() if key in reads}
+    raw = {key: (value, key) for key, value in raw.items() if key in reads}
     for key in reads:
         flag = getattr(args, key)
         if flag is not None:
-            raw[key] = flag
+            raw[key] = (flag, "--" + key.replace("_", "-"))
     values = {}
     for key, (parse, kind) in _SETTINGS.items():
         if key in raw:
+            text, name = raw[key]
             try:
-                values[key] = parse(raw[key])
+                values[key] = parse(text)
             except (ValueError, ZeroDivisionError) as exc:
-                raise UsageError(f"bad {kind} parameter: {exc}") from exc
+                raise UsageError(f"bad {kind} parameter {name} {text!r}: {exc}") from exc
     cfg = RunConfig(**values)
-    if cfg.N < 2:
-        raise UsageError(f"N must be at least 2, got {cfg.N}")
+    for key, least in _AT_LEAST.items():
+        value = getattr(cfg, key)
+        if value is not None and value < least:
+            raise UsageError(f"{key} must be at least {least}, got {value}")
+    if not 0 < cfg.tol < math.inf:
+        raise UsageError(f"tol must be positive and finite, got {cfg.tol!r}")
     if cfg.mode not in ("exact", "float"):
         raise UsageError(f"mode must be exact or float, got {cfg.mode!r}")
-    if cfg.cutoff is not None and cfg.cutoff < 1:
-        raise UsageError(f"cutoff must be at least 1, got {cfg.cutoff}")
     check_point(cfg.c, cfg.h)
-    for key in ("out", "cache"):
-        path = getattr(cfg, key)
-        if path is not None and path.exists() and not path.is_dir():
-            raise UsageError(f"{key} {path} exists and is not a directory")
+    _check_directory("out", cfg.out)
+    if cfg.cache is not None:
+        _check_directory("cache", cfg.cache)
     try:
         bounds.parse_eps_grid(cfg.eps_grid)
+        parse_levels(cfg.levels)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return cfg
@@ -430,11 +482,19 @@ _FM_KS = (0, 1, 2, 5, 10, 25, 50)
 _FM_MS = (1, 2, 3, 5, 10, 50)
 
 
-def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
-    grid = bounds.parse_eps_grid(cfg.eps_grid)
+def _estimate_rq(cfg: RunConfig, grid: np.ndarray):
+    """(r report, q report, rep gate ok, rep gate lines) at cfg's point and
+    N, on its float rep, which is dropped on return."""
     rep, _ = _build_rep(replace(cfg, mode="float"))
     r_report = bounds.estimate_r(cfg.c, cfg.N, h=cfg.h, rep=rep)
     q_report = bounds.estimate_q(cfg.c, cfg.N, grid, h=cfg.h, rep=rep, r_report=r_report)
+    _, rep_ok, rep_lines = verma.rep_verdict(rep)
+    return r_report, q_report, rep_ok, rep_lines
+
+
+def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
+    grid = bounds.parse_eps_grid(cfg.eps_grid)
+    r_report, q_report, rep_ok, rep_lines = _estimate_rq(cfg, grid)
 
     fm_rows = []
     for k in _FM_KS:
@@ -447,7 +507,6 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
                             "grid_max": worst, "violated": violated})
     fm_violations = sum(row["violated"] for row in fm_rows)
 
-    _, rep_ok, rep_lines = verma.rep_verdict(rep)
     chain = q_report.derived
     ok = (r_report.verdict == "pass" and q_report.verdict == "pass"
           and fm_violations == 0 and rep_ok)
@@ -477,6 +536,103 @@ def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
+    """One CSV row per truncation level; a level whose rep fails the rep
+    gate counts as failed, like a failed verdict."""
+    from time import perf_counter
+
+    grid = bounds.parse_eps_grid(cfg.eps_grid)
+    print(f"{'N':>3} {'r_hat^2':>22} {'q_hat':>22} {'3 r_hat^2':>22} {'sec':>7}")
+    rows = []
+    for N in parse_levels(cfg.levels):
+        start = perf_counter()
+        r, q, rep_ok, rep_lines = _estimate_rq(replace(cfg, N=N), grid)
+        seconds = perf_counter() - start
+        ok = r.verdict == "pass" and q.verdict == "pass" and rep_ok
+        print(f"{N:>3} {r.constant!r:>22} {q.constant!r:>22} "
+              f"{q.derived['chain_bound']!r:>22} {seconds:7.2f}")
+        if not ok:
+            note = "" if rep_ok else "; " + "; ".join(rep_lines)
+            print(f"    WARNING: verdicts r={r.verdict} q={q.verdict}{note}")
+        rows.append({
+            "N": N, "r_sq": r.constant, "q_hat": q.constant,
+            "chain_bound": q.derived["chain_bound"],
+            "chain_ok": q.derived["chain_ok"],
+            "r_witness_k": r.witness["k"], "r_witness_n": r.witness["n"],
+            "q_witness_n": q.witness["n"], "q_witness_eps": q.witness["eps"],
+            "verdicts_ok": ok, "seconds": round(seconds, 3),
+        })
+    ok = all(row["verdicts_ok"] for row in rows)
+    write_rows_csv(cfg.out / "bounds_sweep.csv", list(rows[0]), rows)
+    write_report(cfg, "sweep_report.json", "sweep", {
+        "levels": [{key: row[key] for key in ("N", "r_sq", "q_hat", "chain_bound",
+                                             "verdicts_ok")} for row in rows],
+        "ok": ok})
+    print("PASS" if ok else "FAIL")
+    return 0 if ok else 1
+
+
+def cmd_profile(cfg: RunConfig, args: argparse.Namespace) -> int:
+    """Theta samples of the glued field, the exact piecewise value next to
+    the truncated Fourier series, and its coefficient table."""
+    field = fields.build_piecewise_mobius()
+    cutoff = 200 if cfg.cutoff is None else cfg.cutoff
+    samples = []
+    worst = 0.0
+    for i in range(cfg.samples):
+        theta = 2.0 * math.pi * i / cfg.samples
+        value = fields.evaluate(field, theta)
+        series = fields.evaluate_series(field, theta, cutoff)
+        gap = abs(value - series)
+        worst = max(worst, gap)
+        samples.append({"theta": theta, "value": value, "series": series, "gap": gap})
+    write_rows_csv(cfg.out / "profile.csv", ["theta", "value", "series", "gap"], samples)
+    rows = fields.coefficient_rows(field, cutoff)
+    write_coefficient_csv(cfg.out / "coefficients.csv", rows)
+    corners = fields.corner_table(field)
+    norm = fields.norm_three_halves(field, cutoff)
+    write_report(cfg, "profile_report.json", "profile", {
+        "cutoff": cutoff, "modes": len(rows), "worst_gap": worst, "corners": corners,
+        "norm": {"partial_sum": norm.partial_sum, "tail_bound": norm.tail_bound}})
+
+    print(f"{cfg.samples} samples, {len(rows)} modes up to |n| <= {cutoff}")
+    print(f"worst pointwise series gap: {worst:.3e}")
+    print("corners (value left/right, d1 left/right, d2 left/right):")
+    for row in corners:
+        print(f"  z = {row['corner']:>2}: value {row['value_left']}/{row['value_right']}, "
+              f"d1 {row['d1_left']}/{row['d1_right']}, "
+              f"d2 {row['d2_left']}/{row['d2_right']} (jump {row['d2_jump']})")
+    print(f"|f|_3/2 partial {norm.partial_sum!r} + tail bound {norm.tail_bound!r}")
+    return 0
+
+
+def cmd_mollifier(cfg: RunConfig, args: argparse.Namespace) -> int:
+    """The glued field's Fejer error ladder next to a cosine control whose
+    error is exactly 2/(k+1), so the curve's shape and the bookkeeping can
+    be checked against each other."""
+    piecewise = bounds.mollifier_report(fields.build_piecewise_mobius(),
+                                        k_max=cfg.k_max, tol=cfg.tol)
+    control = bounds.mollifier_report(fields.cosine_field(1), k_max=cfg.k_max, tol=cfg.tol,
+                                      ladder=[row["k"] for row in piecewise.table])
+    rows = [{"k": pw["k"], "piecewise_error": pw["error"],
+             "piecewise_tail": pw["tail_bound"], "cosine_error": cos["error"]}
+            for pw, cos in zip(piecewise.table, control.table)]
+    write_rows_csv(cfg.out / "mollifier_curve.csv", list(rows[0]), rows)
+    ok = piecewise.verdict == "pass"
+    monotone = piecewise.derived["monotone"]
+    write_report(cfg, "mollifier_report.json", "mollifier", {
+        "ladder": [{key: row[key] for key in ("k", "piecewise_error", "cosine_error")}
+                   for row in rows],
+        "final": piecewise.constant, "monotone": monotone, "ok": ok})
+
+    print(f"{'k':>10} {'piecewise':>14} {'cosine 2/(k+1)':>16}")
+    for row in rows:
+        print(f"{row['k']:>10} {row['piecewise_error']:>14.6e} {row['cosine_error']:>16.6e}")
+    print(f"piecewise verdict: {piecewise.verdict} "
+          f"(final {piecewise.constant:.3e} vs tol {cfg.tol:g}, monotone {monotone})")
+    return 0 if ok else 1
+
+
 def cmd_check_all(cfg: RunConfig, args: argparse.Namespace) -> int:
     from . import acceptance
 
@@ -503,13 +659,17 @@ _FLAGS = {
     "out": dict(help="report directory (default out/)"),
     "c": dict(help="central charge, p/q"),
     "h": dict(help="lowest weight, p/q"),
-    "N": dict(type=int, help="energy truncation level"),
+    "N": dict(help="energy truncation level"),
     "mode": dict(choices=("exact", "float"), help="arithmetic mode"),
     "eps_grid": dict(metavar="LO:HI:COUNT", help="geometric heat-parameter grid"),
-    "cutoff": dict(type=int, help="Fourier mode cutoff"),
+    "cutoff": dict(help="Fourier mode cutoff"),
     "cache": dict(metavar="DIR", help="representation cache directory"),
     "inject_fault": dict(choices=FAULTS, default="none",
                          help="deliberately break an invariant"),
+    "levels": dict(metavar="LO:HI|N,N,...", help="truncation levels"),
+    "samples": dict(help="theta samples on [0, 2 pi)"),
+    "k_max": dict(help="largest smoothing order on the ladder"),
+    "tol": dict(help="target error at the top of the ladder"),
 }
 
 _COMMANDS = {
@@ -518,6 +678,9 @@ _COMMANDS = {
     "smear": (cmd_smear, "smear a field against a representation"),
     "bounds": (cmd_bounds, "estimate the energy-bound and commutator constants"),
     "check-all": (cmd_check_all, "run the acceptance battery"),
+    "sweep": (cmd_sweep, "estimate r and q at each of several truncation levels"),
+    "profile": (cmd_profile, "tabulate the glued field against its Fourier series"),
+    "mollifier": (cmd_mollifier, "run the glued field's Fejer mollifier ladder"),
 }
 
 

@@ -2,12 +2,8 @@
 
 import csv
 import hashlib
-import importlib.util
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -16,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vircut import bounds, rational, smear, verma
+from vircut import bounds, rational, smear, store, verma
 from vircut.bounds import (
     DEFAULT_EPS_GRID,
     _BLOCK,
@@ -28,7 +24,7 @@ from vircut.bounds import (
     mollifier_report,
     parse_eps_grid,
 )
-from vircut.cli import write_rows_csv
+from vircut.cli import main, write_rows_csv
 from vircut.fields import FEJER, PiecewiseMobiusField, cosine_field
 from vircut.smear import heat_identity_residual
 
@@ -45,25 +41,24 @@ Q_HAT_N8 = 0.13011474896219252
 GLUED_BITS = json.loads(
     (Path(__file__).parent / "data" / "glued_field_bits.json").read_text())
 
-# SHA-256 of scripts/mollifier_curve.py's CSV, recorded at the same time.
+# SHA-256 of `vircut mollifier`'s CSV, recorded at the same time, when a
+# standalone script wrote it.
 MOLLIFIER_CSV_PINS = json.loads(
     (Path(__file__).parent / "data" / "mollifier_csv_sha256.json").read_text())
 
-# SHA-256 of scripts/field_profile.py's two CSVs, recorded while
+# SHA-256 of `vircut profile`'s two CSVs, recorded while
 # fields.evaluate_series still exponentiated every mode |n| <= cutoff.
 FIELD_PROFILE_CSV_PINS = json.loads(
     (Path(__file__).parent / "data" / "field_profile_csv_sha256.json").read_text())
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
-
-def run_script(name, *args):
-    """Run scripts/<name> in a fresh interpreter on this tree's src, where a
-    RuntimeWarning is an error, as the suite's filterwarnings make it."""
-    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
-    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                           str(SCRIPTS / name), *map(str, args)],
-                          capture_output=True, text=True, env=env)
+def run(capsys, *argv):
+    """vircut's exit code, stdout and stderr for argv.  The tests with
+    `script` in their names run `vircut sweep`, `profile` and `mollifier`,
+    which were standalone scripts; the names are kept as the suite's ids."""
+    code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 @pytest.fixture(scope="module")
@@ -301,39 +296,38 @@ def test_bad_eps_grid_specs_are_named(spec, message):
 
 
 @pytest.mark.parametrize("spec", ["1e-4:20", "20:1e-4:5", "1e-4:inf:5", "1e-4:1e400:5"])
-def test_bounds_sweep_script_rejects_a_bad_eps_grid(tmp_path, spec):
-    done = run_script("run_bounds_sweep.py", "--levels", "4:4",
-                      "--eps-grid", spec, "--out", tmp_path)
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    assert "error: " in done.stderr and repr(spec) in done.stderr
+def test_bounds_sweep_script_rejects_a_bad_eps_grid(tmp_path, capsys, spec):
+    code, _, err = run(capsys, "sweep", "--levels", "4:4", "--eps-grid", spec,
+                       "--out", tmp_path)
+    assert code == 2
+    assert "Traceback" not in err
+    assert "error: " in err and repr(spec) in err
     assert not (tmp_path / "bounds_sweep.csv").exists()
 
 
 @pytest.mark.parametrize("args, message", [
     (["--levels", "4:x"], "bad levels '4:x'"),
-    (["--c", "1/0"], "bad --c '1/0'"),
+    (["--c", "1/0"], "bad rational parameter --c '1/0'"),
     (["--levels", "6:4"], "levels '6:4' are empty"),
     (["--levels", "1:2"], "levels '1:2' go below 2"),
     # the point is checked as `vircut bounds` checks it
     (["--c", "0"], "central charge must be positive, got 0"),
     (["--h=-1/2"], "lowest weight must be nonnegative, got -1/2"),
 ])
-def test_bounds_sweep_script_rejects_bad_arguments(tmp_path, args, message):
-    done = run_script("run_bounds_sweep.py", *args, "--out", tmp_path)
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    assert f"error: {message}" in done.stderr
+def test_bounds_sweep_script_rejects_bad_arguments(tmp_path, capsys, args, message):
+    code, _, err = run(capsys, "sweep", *args, "--out", tmp_path)
+    assert code == 2
+    assert "Traceback" not in err
+    assert f"error: {message}" in err
     assert not (tmp_path / "bounds_sweep.csv").exists()
 
 
-def test_bounds_sweep_script_reports_a_non_unitary_point(tmp_path):
-    done = run_script("run_bounds_sweep.py", "--c", "1/2", "--h", "1/3",
-                      "--levels", "4:4", "--out", tmp_path)
-    assert done.returncode == 1
-    assert "Traceback" not in done.stderr
-    assert done.stderr.startswith("error: Gram matrix at level 2 is indefinite for "
-                                  "c=1/2, h=1/3")
+def test_bounds_sweep_script_reports_a_non_unitary_point(tmp_path, capsys):
+    code, _, err = run(capsys, "sweep", "--c", "1/2", "--h", "1/3", "--levels", "4:4",
+                       "--out", tmp_path)
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: Gram matrix at level 2 is indefinite for c=1/2, h=1/3")
     assert not (tmp_path / "bounds_sweep.csv").exists()
 
 
@@ -342,9 +336,9 @@ def test_bounds_sweep_script_reports_a_non_unitary_point(tmp_path):
     # a Kac point with h != 0 and a level-3 null vector
     (["--c", "7/10", "--h", "3/5", "--levels", "4:8"], [4, 5, 6, 7, 8]),
 ], ids=["c1/2,h0", "c7/10,h3/5"])
-def test_bounds_sweep_script_passes_every_row(tmp_path, args, levels):
-    done = run_script("run_bounds_sweep.py", *args, "--out", tmp_path)
-    assert done.returncode == 0, done.stderr
+def test_bounds_sweep_script_passes_every_row(tmp_path, capsys, args, levels):
+    code, _, err = run(capsys, "sweep", *args, "--out", tmp_path)
+    assert code == 0, err
     with open(tmp_path / "bounds_sweep.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(row["N"]) for row in rows] == levels
@@ -419,85 +413,79 @@ def test_cosine_mollifier_accepts_order_zero():
     assert report.table == [{"k": 0, "error": 2.0, "tail_bound": 0.0}]
 
 
-def test_mollifier_script_rejects_k_max_zero(tmp_path):
-    done = run_script("mollifier_curve.py", "--k-max", "0", "--out", tmp_path)
-    assert done.returncode != 0
-    assert "k_max must be >= 1, got 0" in done.stderr
+def test_mollifier_script_rejects_k_max_zero(tmp_path, capsys):
+    code, _, err = run(capsys, "mollifier", "--k-max", "0", "--out", tmp_path)
+    assert code != 0
+    assert "k_max must be at least 2, got 0" in err
     assert not (tmp_path / "mollifier_curve.csv").exists()
 
 
-def test_mollifier_script_runs_one_chunk_clean(tmp_path):
+def test_mollifier_script_runs_one_chunk_clean(tmp_path, capsys):
     # k_max <= 2^21: the whole weight series in one chunk
-    done = run_script("mollifier_curve.py", "--k-max", "1048576", "--tol", "0.01",
-                      "--out", tmp_path)
-    assert done.returncode == 0, done.stderr
-    assert "piecewise verdict: pass" in done.stdout
+    code, out, err = run(capsys, "mollifier", "--k-max", "1048576", "--tol", "0.01",
+                         "--out", tmp_path)
+    assert code == 0, err
+    assert "piecewise verdict: pass" in out
     last = (tmp_path / "mollifier_curve.csv").read_text().splitlines()[-1]
     assert last.startswith("1048576,")
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--samples", "0"], "--samples must be >= 1, got 0"),
-    (["--cutoff", "0"], "--cutoff must be >= 1, got 0"),
+    (["--samples", "0"], "samples must be at least 1, got 0"),
+    (["--cutoff", "0"], "cutoff must be at least 1, got 0"),
 ])
-def test_field_profile_script_rejects_empty_sizes(tmp_path, args, message):
+def test_field_profile_script_rejects_empty_sizes(tmp_path, capsys, args, message):
     out = tmp_path / "profile"
-    done = run_script("field_profile.py", *args, "--out", out)
-    assert done.returncode == 2
-    assert message in done.stderr and "Traceback" not in done.stderr
-    assert done.stdout == ""
-    assert not (out / "profile.csv").exists()
+    code, stdout, err = run(capsys, "profile", *args, "--out", out)
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert stdout == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("pin", FIELD_PROFILE_CSV_PINS, ids=lambda pin: " ".join(pin["argv"]))
-def test_field_profile_script_csv_bytes_are_pinned(pin, tmp_path):
-    done = run_script("field_profile.py", *pin["argv"], "--out", tmp_path)
-    assert done.returncode == 0, done.stderr
+def test_field_profile_script_csv_bytes_are_pinned(pin, tmp_path, capsys):
+    code, _, err = run(capsys, "profile", *pin["argv"], "--out", tmp_path)
+    assert code == 0, err
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in pin["sha256"]}
     assert got == pin["sha256"]
 
 
 @pytest.mark.parametrize("pin", MOLLIFIER_CSV_PINS, ids=lambda pin: " ".join(pin["argv"]))
-def test_mollifier_script_csv_bytes_are_pinned(pin, tmp_path):
-    done = run_script("mollifier_curve.py", *pin["argv"], "--out", tmp_path)
-    assert done.returncode == 0, done.stderr
+def test_mollifier_script_csv_bytes_are_pinned(pin, tmp_path, capsys):
+    code, _, err = run(capsys, "mollifier", *pin["argv"], "--out", tmp_path)
+    assert code == 0, err
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in pin["sha256"]}
     assert got == pin["sha256"]
 
 
-@pytest.mark.parametrize("name, args", [
-    ("run_bounds_sweep.py", ["--levels", "4:4"]),
-    # k_max 0 and cutoff 0 are refused after --out is made; the --out error
-    # comes first
-    ("mollifier_curve.py", ["--k-max", "0"]),
-    ("field_profile.py", ["--cutoff", "0"]),
+@pytest.mark.parametrize("command, args", [
+    ("sweep", ["--levels", "4:4"]),
+    ("mollifier", ["--k-max", "16"]),
+    ("profile", ["--samples", "10"]),
 ])
-def test_scripts_refuse_a_file_as_out_before_any_work(tmp_path, name, args):
+def test_scripts_refuse_a_file_as_out_before_any_work(tmp_path, capsys, command, args):
     taken = tmp_path / "taken"
     taken.write_text("")
-    done = run_script(name, *args, "--out", taken)
-    assert done.returncode != 0
-    assert "FileExistsError" in done.stderr and "must be >= 1" not in done.stderr
-    assert done.stdout == ""
+    code, out, err = run(capsys, command, *args, "--out", taken)
+    assert code == 2
+    assert err == f"error: out {taken} exists and is not a directory\n"
+    assert out == "" and taken.read_text() == ""
 
 
-def test_bounds_sweep_script_fails_on_an_ill_conditioned_rep(tmp_path):
+def test_bounds_sweep_script_fails_on_an_ill_conditioned_rep(tmp_path, capsys):
     # the float quotient at (25/28, 15/28), N=12 misses the relation budget
-    done = run_script("run_bounds_sweep.py", "--c", "25/28", "--h", "15/28",
-                      "--levels", "12:12", "--out", tmp_path)
-    assert done.returncode == 1
-    assert "WARNING: verdicts r=pass q=pass; bracket relations" in done.stdout
+    code, out, _ = run(capsys, "sweep", "--c", "25/28", "--h", "15/28", "--levels", "12:12",
+                       "--out", tmp_path)
+    assert code == 1
+    assert "WARNING: verdicts r=pass q=pass; bracket relations" in out
     header, row = (tmp_path / "bounds_sweep.csv").read_text().splitlines()
     assert dict(zip(header.split(","), row.split(",")))["verdicts_ok"] == "False"
 
 
-def test_bounds_sweep_refuses_a_rescaled_level(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("run_bounds_sweep",
-                                                  SCRIPTS / "run_bounds_sweep.py")
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+def test_bounds_sweep_refuses_a_rescaled_level(tmp_path, monkeypatch, capsys):
     build = verma.truncated_rep
 
     def level_5_halved(c, h, N, mode):
@@ -507,10 +495,11 @@ def test_bounds_sweep_refuses_a_rescaled_level(monkeypatch, capsys):
             (n, k): blk * (2 if k == 5 else 1) / (2 if k - n == 5 else 1)
             for (n, k), blk in rep.blocks.items()})
 
-    monkeypatch.setattr(verma, "truncated_rep", level_5_halved)
-    row = sweep.sweep_level(Fraction(1, 2), Fraction(0), 8, parse_eps_grid(DEFAULT_EPS_GRID))
-    assert row["verdicts_ok"] is False
-    out = capsys.readouterr().out
+    monkeypatch.setattr(store, "truncated_rep", level_5_halved)
+    code, out, _ = run(capsys, "sweep", "--levels", "8:8", "--out", tmp_path)
+    assert code == 1
+    header, row = (tmp_path / "bounds_sweep.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["verdicts_ok"] == "False"
     assert "WARNING: verdicts r=pass q=pass; bracket relations |m|,|n|<=3: max abs " in out
     assert "(tolerance 1e-10); adjointness L_-n = L_n^*: max abs " in out
 

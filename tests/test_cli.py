@@ -248,10 +248,10 @@ def test_flags_override_the_config_file(tmp_path):
 
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("levels = 4\n")
+    cfg.write_text("level = 4\n")
     assert run("rep", "--config", cfg, "--out", tmp_path) == 2
     err = capsys.readouterr().err
-    assert "run.cfg:1: unknown config key 'levels'" in err
+    assert "run.cfg:1: unknown config key 'level'" in err
 
 
 def test_seed_is_not_a_config_key(tmp_path, capsys):
@@ -285,10 +285,49 @@ def test_keys_a_command_reads_are_validated(tmp_path, capsys):
     ("N = 3.5\nc = 1/0\n", "bad rational parameter"),  # rationals are parsed first
 ])
 def test_bad_values_name_their_kind(tmp_path, capsys, text, message):
+    settings = [line.split(" = ") for line in text.splitlines()]
+    key, value = settings[-1]  # the bad value of the kind the message names
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     assert run("rep", "--config", cfg, "--out", tmp_path) == 2
-    assert message in capsys.readouterr().err
+    assert f"error: {message} {key} {value!r}: " in capsys.readouterr().err
+    # the same values as flags go through the same parsers, named as flags
+    assert run("rep", *[a for k, v in settings for a in (f"--{k}", v)], "--out", tmp_path) == 2
+    assert f"error: {message} --{key} {value!r}: " in capsys.readouterr().err
+    assert not (tmp_path / "rep_report.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sweep", "--levels", "4;6"), "bad levels '4;6'"),
+    (("profile", "--samples", "1.5"), "bad integer parameter --samples '1.5'"),
+    (("profile", "--cutoff", "x"), "bad integer parameter --cutoff 'x'"),
+    (("mollifier", "--k-max", "1"), "k_max must be at least 2, got 1"),
+    (("mollifier", "--tol", "x"), "bad real parameter --tol 'x'"),
+    (("mollifier", "--tol", "0"), "tol must be positive and finite, got 0.0"),
+    (("mollifier", "--tol", "nan"), "tol must be positive and finite, got nan"),
+])
+def test_the_moved_settings_are_checked_before_any_work(tmp_path, capsys, argv, message):
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_config_file_drives_the_moved_commands(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c = 7/10\nlevels = 4,5\nsamples = 10\ncutoff = 20\n"
+                   "k_max = 1024\ntol = 0.5\n")
+    for command in ("sweep", "profile", "mollifier"):
+        assert run(command, "--config", cfg, "--out", tmp_path / command) == 0
+    assert read_report(tmp_path / "sweep", "sweep_report.json")["config"] == {
+        "c": "7/10", "h": "0", "levels": "4,5", "eps_grid": "1e-4:20:200",
+        "out": str(tmp_path / "sweep")}
+    assert [row["N"] for row in read_report(tmp_path / "sweep", "sweep_report.json")
+            ["result"]["levels"]] == [4, 5]
+    assert read_report(tmp_path / "profile", "profile_report.json")["config"] == {
+        "samples": 10, "cutoff": 20, "out": str(tmp_path / "profile")}
+    assert read_report(tmp_path / "mollifier", "mollifier_report.json")["config"] == {
+        "k_max": 1024, "tol": "0.5", "out": str(tmp_path / "mollifier")}
 
 
 def test_one_settings_table_covers_every_key():
@@ -317,7 +356,9 @@ def test_infinite_eps_grid(tmp_path, capsys):
     assert not (tmp_path / "bounds_report.json").exists()
 
 
-@pytest.mark.parametrize("argv, flag", [
+# Every command with each directory flag it takes, at a size that runs in
+# well under a second.
+DIRECTORY_FLAGS = [
     (("rep",), "out"),
     (("field", "mode:2"), "out"),
     (("smear", "--field", "mode:2"), "out"),
@@ -326,7 +367,14 @@ def test_infinite_eps_grid(tmp_path, capsys):
     (("rep",), "cache"),
     (("smear", "--field", "mode:2"), "cache"),
     (("bounds",), "cache"),
-], ids=lambda x: x if isinstance(x, str) else x[0])
+    (("sweep", "--levels", "4:5"), "out"),
+    (("profile", "--samples", "10"), "out"),
+    (("mollifier", "--k-max", "1024"), "out"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", DIRECTORY_FLAGS,
+                         ids=lambda x: x if isinstance(x, str) else x[0])
 def test_a_file_as_out_or_cache_is_refused_before_any_work(tmp_path, capsys, argv, flag):
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -334,6 +382,21 @@ def test_a_file_as_out_or_cache_is_refused_before_any_work(tmp_path, capsys, arg
     cache = ("--cache", taken) if flag == "cache" else ()
     assert run(*argv, "--out", out, *cache) == 2
     assert capsys.readouterr() == ("", f"error: {flag} {taken} exists and is not a directory\n")
+    assert taken.read_text() == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, flag", DIRECTORY_FLAGS,
+                         ids=lambda x: x if isinstance(x, str) else x[0])
+def test_a_path_below_a_file_is_refused_before_any_work(tmp_path, capsys, argv, flag):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    below = taken / "sub" / "dir"
+    out = below if flag == "out" else tmp_path / "out"
+    cache = ("--cache", below) if flag == "cache" else ()
+    assert run(*argv, "--out", out, *cache) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {flag} {below} is below {taken}, which is not a directory\n")
     assert taken.read_text() == ""
     assert not (tmp_path / "out").exists()
 
@@ -767,7 +830,10 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path):
     ("smear", "--c --h --N --mode --cache --cutoff --inject-fault --field"),
     ("bounds", "--c --h --N --eps-grid --cache --inject-fault"),
     ("check-all", ""),
-], ids=["rep", "field", "smear", "bounds", "check-all"])
+    ("sweep", "--c --h --levels --eps-grid"),
+    ("profile", "--samples --cutoff"),
+    ("mollifier", "--k-max --tol"),
+], ids=["rep", "field", "smear", "bounds", "check-all", "sweep", "profile", "mollifier"])
 def test_help_lists_exactly_the_flags_a_command_reads(command, flags, capsys):
     assert run(command, "--help") == 0
     listed = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))

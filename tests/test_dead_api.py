@@ -2,8 +2,7 @@
 
 Public names are the module-level functions, classes and assignments and
 the public methods and properties of every class.  References are
-collected with ast from the package, the scripts and the benchmark
-harness: a name read as a variable, an attribute or an import alias (a
+collected with ast from the package and the benchmark harness: a name read as a variable, an attribute or an import alias (a
 method or property counts as read when its name is read as an
 attribute).  Operators (dunder methods) are not names and are not
 checked here.  Method readers are not keyed by class: a read of an
@@ -21,8 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "vircut").glob("*.py"))
-READERS = PACKAGE + sorted((ROOT / "scripts").glob("*.py")) + sorted(
-    (ROOT / "perfbench").glob("*.py"))
+READERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 
 # Independent routes the tests compare the builder against.
 ORACLES = {"gram_entry_direct", "enumerate_partitions", "exact_rank_nullspace"}

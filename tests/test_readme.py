@@ -25,7 +25,7 @@ COMMANDS = [argv for argv in COMMANDS if argv != ["check-all"]]
 
 def test_readme_has_one_quickstart_and_the_commands():
     assert len(_blocks("python")) == 1
-    assert len(COMMANDS) == 8
+    assert len(COMMANDS) == 11
 
 
 def test_quickstart_runs(tmp_path, monkeypatch):
